@@ -289,8 +289,8 @@ pub struct Consumer {
 
 impl Consumer {
     /// Spawn the runtime module for consumer `rank` with a private
-    /// totals-mode trace sink (stand-alone use; workflow runs share one
-    /// sink via [`Consumer::spawn_traced`]).
+    /// totals-mode trace sink and its own policy kernel (stand-alone use;
+    /// see [`Consumer::spawn_with`]).
     pub fn spawn(
         rank: Rank,
         tuning: ZipperTuning,
@@ -298,54 +298,45 @@ impl Consumer {
         mesh_rx: MeshReceiver,
         storage: Arc<dyn Storage>,
     ) -> Consumer {
-        Self::spawn_traced(
+        Self::spawn_with(
             rank,
             tuning,
             producers,
             mesh_rx,
             storage,
             TraceSink::default(),
+            None,
         )
     }
 
-    /// Spawn the runtime module for consumer `rank`.
+    /// Spawn the runtime module for consumer `rank`, every knob explicit.
     ///
     /// * `producers` — total number of producer ranks (for EOS counting).
     /// * `mesh_rx` — this rank's endpoint of the message channel.
     /// * `storage` — the PFS the reader thread fetches stolen blocks from
     ///   and the output thread stores into (Preserve mode).
     /// * `sink` — the run's trace sink (shared by every rank of one run).
-    pub fn spawn_traced(
+    /// * `policy` — a caller-supplied policy kernel, the hook the
+    ///   conformance harness uses to record a
+    ///   [`zipper_policy::DecisionTrace`] of every EOS/Preserve decision
+    ///   this rank makes (pass a [`ConsumerPolicy::recorded`] policy and
+    ///   keep a clone of the `Arc`); `None` builds one from `tuning`.
+    pub fn spawn_with(
         rank: Rank,
         tuning: ZipperTuning,
         producers: usize,
         mesh_rx: MeshReceiver,
         storage: Arc<dyn Storage>,
         sink: TraceSink,
-    ) -> Consumer {
-        let policy = Arc::new(Mutex::new(ConsumerPolicy::from_tuning(
-            rank, producers, &tuning,
-        )));
-        Self::spawn_with_policy(rank, tuning, producers, mesh_rx, storage, sink, policy)
-    }
-
-    /// Like [`Consumer::spawn_traced`], but driving a caller-supplied
-    /// policy kernel — the hook the conformance harness uses to record a
-    /// [`zipper_policy::DecisionTrace`] of every EOS/Preserve decision this
-    /// rank makes (pass a [`ConsumerPolicy::recorded`] policy and keep a
-    /// clone of the `Arc`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with_policy(
-        rank: Rank,
-        tuning: ZipperTuning,
-        producers: usize,
-        mesh_rx: MeshReceiver,
-        storage: Arc<dyn Storage>,
-        sink: TraceSink,
-        policy: SharedConsumerPolicy,
+        policy: Option<SharedConsumerPolicy>,
     ) -> Consumer {
         tuning.validate().expect("invalid tuning");
         assert!(producers > 0, "need at least one producer");
+        let policy = policy.unwrap_or_else(|| {
+            Arc::new(Mutex::new(ConsumerPolicy::from_tuning(
+                rank, producers, &tuning,
+            )))
+        });
         assert_eq!(
             policy.lock().rank(),
             rank,
@@ -1077,16 +1068,26 @@ mod tests {
         let mesh = ChannelMesh::new(1, 64);
         let storage: Arc<MemFs> = Arc::new(MemFs::new());
         let t = tuning(PreserveMode::NoPreserve, false);
-        let mut cons = Consumer::spawn_traced(
+        let mut cons = Consumer::spawn_with(
             Rank(1),
             t,
             1,
             mesh.take_receiver(Rank(0)).unwrap(),
             storage.clone(),
             sink.clone(),
+            None,
         );
         let reader = cons.reader();
-        let mut prod = Producer::spawn_traced(Rank(0), t, mesh.sender(), storage, sink.clone());
+        let mut prod = Producer::spawn_with(
+            Rank(0),
+            t,
+            mesh.sender(),
+            storage,
+            sink.clone(),
+            None,
+            false,
+            None,
+        );
         let w = prod.writer(256);
         for s in 0..3u64 {
             let id = BlockId::new(Rank(0), StepId(s), 0);

@@ -1,17 +1,10 @@
 //! Failure injection for the message channel — the network-side sibling of
-//! `zipper-pfs`'s `FailingFs` and `ChaosFs`.
+//! `zipper-pfs`'s `ChaosFs`.
 //!
-//! Two injectors live here:
-//!
-//! * [`FailingTransport`] wraps a [`MeshSender`] and misbehaves on a
-//!   periodic schedule (every N-th wire, counted by the shared
-//!   [`zipper_types::FaultSchedule`]), which lets the failure-injection
-//!   tests drive the fail-soft layer without any real network faults.
-//! * [`ChaosSender`] wraps a [`MeshSender`] and interprets one sender
-//!   entity's [`ChaosScope`] of a scripted `ChaosPlan`: exact wire
-//!   ordinals misbehave, and the same plan drives the DES sender procs in
-//!   virtual time, so transport chaos is conformance-testable across
-//!   substrates.
+//! [`ChaosSender`] wraps any [`WireSender`] and interprets one sender
+//! entity's [`ChaosScope`] of a scripted `ChaosPlan`: exact wire ordinals
+//! misbehave, and the same plan drives the DES sender procs in virtual
+//! time, so transport chaos is conformance-testable across substrates.
 
 // Threaded substrate: fault injection paces real threads with the wall clock —
 // the DES twin injects the same ChaosPlan at virtual timestamps.
@@ -19,123 +12,8 @@
 use crate::transport::{MeshSender, Wire, WireSender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use zipper_policy::Channel;
 use zipper_types::{ChaosFault, ChaosScope, Error, Rank, Result, RuntimeError};
-
-/// What the transport does on a scheduled fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Return a transient [`Error::Runtime`] without delivering the wire.
-    /// A retrying sender re-sends the same wire, so with retries enabled
-    /// no data is lost.
-    FailSend,
-    /// Silently drop the wire: it is reported as sent but never arrives
-    /// (a lost frame).
-    DropWire,
-    /// Replace the wire with an in-band [`RuntimeError::Transport`] fault,
-    /// as a TCP reader does when it decodes a corrupt frame.
-    CorruptWire,
-    /// Deliver the wire after an extra delay (a slow or congested link).
-    DelayWire,
-    /// Swallow every end-of-stream marker — the lost-EOS scenario the
-    /// consumer's watchdog exists for. Data wires pass untouched.
-    DropEos,
-}
-
-/// A deterministic fault schedule: `kind` strikes on every `every`-th
-/// wire (1-based count; `every = 1` means every wire).
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPlan {
-    pub kind: FaultKind,
-    pub every: u64,
-    /// Extra latency for [`FaultKind::DelayWire`]; ignored otherwise.
-    pub delay: Duration,
-}
-
-impl FaultPlan {
-    pub fn every(kind: FaultKind, every: u64) -> Self {
-        assert!(every >= 1, "fault period must be at least 1");
-        FaultPlan {
-            kind,
-            every,
-            delay: Duration::from_millis(5),
-        }
-    }
-}
-
-/// A [`WireSender`] that injects faults per a [`FaultPlan`]. The every-N-th
-/// counting lives in the shared [`zipper_types::FaultSchedule`] — the same
-/// type `zipper-pfs`'s `FailingFs` counts with.
-pub struct FailingTransport {
-    inner: MeshSender,
-    plan: FaultPlan,
-    schedule: zipper_types::FaultSchedule,
-    injected: AtomicU64,
-}
-
-impl FailingTransport {
-    pub fn new(inner: MeshSender, plan: FaultPlan) -> Self {
-        FailingTransport {
-            schedule: zipper_types::FaultSchedule::every(plan.every),
-            inner,
-            plan,
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    fn strikes(&self) -> bool {
-        self.schedule.strike().is_some()
-    }
-}
-
-impl WireSender for FailingTransport {
-    fn send(&self, to: Rank, wire: Wire) -> Result<()> {
-        if self.plan.kind == FaultKind::DropEos {
-            if matches!(wire, Wire::Eos(_, Channel::Net)) {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            return self.inner.send(to, wire);
-        }
-        if !self.strikes() {
-            return self.inner.send(to, wire);
-        }
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        match self.plan.kind {
-            FaultKind::FailSend => Err(Error::Runtime(RuntimeError::Transport {
-                rank: to,
-                detail: "injected transient send failure".into(),
-            })),
-            FaultKind::DropWire => Ok(()),
-            FaultKind::CorruptWire => self.inner.send_fault(
-                to,
-                RuntimeError::Transport {
-                    rank: to,
-                    detail: "injected corrupt wire".into(),
-                },
-            ),
-            FaultKind::DelayWire => {
-                std::thread::sleep(self.plan.delay);
-                self.inner.send(to, wire)
-            }
-            FaultKind::DropEos => unreachable!("handled above"),
-        }
-    }
-
-    fn send_fault(&self, to: Rank, fault: RuntimeError) -> Result<()> {
-        self.inner.send_fault(to, fault)
-    }
-
-    fn consumers(&self) -> usize {
-        self.inner.consumers()
-    }
-}
 
 /// A [`WireSender`] interpreting one sender entity's [`ChaosScope`].
 ///
@@ -250,6 +128,7 @@ impl<S: WireSender> WireSender for ChaosSender<S> {
 mod tests {
     use super::*;
     use crate::transport::{ChannelMesh, MeshReceiver, RetryingSender};
+    use std::time::Duration;
     use zipper_types::RetryPolicy;
 
     fn mesh_pair() -> (MeshSender, MeshReceiver) {
@@ -259,35 +138,18 @@ mod tests {
     }
 
     #[test]
-    fn fail_send_every_other_wire() {
-        let (s, r) = mesh_pair();
-        let f = FailingTransport::new(s, FaultPlan::every(FaultKind::FailSend, 2));
-        f.send(Rank(0), Wire::Eos(Rank(0), Channel::Net)).unwrap();
-        assert!(f.send(Rank(0), Wire::Eos(Rank(1), Channel::Net)).is_err());
-        f.send(Rank(0), Wire::Eos(Rank(2), Channel::Net)).unwrap();
-        assert_eq!(f.injected(), 1);
-        drop(f);
-        let got: Vec<_> = std::iter::from_fn(|| r.recv().ok()).collect();
-        assert_eq!(got.len(), 2, "failed wire was not delivered");
-    }
-
-    #[test]
-    fn corrupt_wire_surfaces_in_band_fault() {
-        let (s, r) = mesh_pair();
-        let f = FailingTransport::new(s, FaultPlan::every(FaultKind::CorruptWire, 1));
-        f.send(Rank(0), Wire::Eos(Rank(0), Channel::Net)).unwrap();
-        assert!(matches!(
-            r.recv(),
-            Err(Error::Runtime(RuntimeError::Transport { .. }))
-        ));
-    }
-
-    #[test]
-    fn drop_eos_passes_data_and_swallows_markers() {
+    fn chaos_sender_drop_eos_passes_data_and_swallows_markers() {
         use zipper_types::block::deterministic_payload;
-        use zipper_types::{Block, BlockId, GlobalPos, MixedMessage, StepId};
+        use zipper_types::{
+            Block, BlockId, ChaosEntity, ChaosPlan, GlobalPos, MixedMessage, StepId,
+        };
+        // DropEos on every ordinal: a data wire at a scripted ordinal
+        // passes untouched, only the EOS marker is swallowed.
+        let plan = ChaosPlan::new()
+            .with(ChaosEntity::Sender(Rank(0)), 1, ChaosFault::DropEos)
+            .with(ChaosEntity::Sender(Rank(0)), 2, ChaosFault::DropEos);
         let (s, r) = mesh_pair();
-        let f = FailingTransport::new(s, FaultPlan::every(FaultKind::DropEos, 1));
+        let c = ChaosSender::new(s, Arc::new(plan.scope(ChaosEntity::Sender(Rank(0)))));
         let id = BlockId::new(Rank(0), StepId(0), 0);
         let block = Block::from_payload(
             Rank(0),
@@ -297,11 +159,11 @@ mod tests {
             GlobalPos::default(),
             deterministic_payload(id, 32),
         );
-        f.send(Rank(0), Wire::Msg(MixedMessage::data_only(block)))
+        c.send(Rank(0), Wire::Msg(MixedMessage::data_only(block)))
             .unwrap();
-        f.send(Rank(0), Wire::Eos(Rank(0), Channel::Net)).unwrap();
-        assert_eq!(f.injected(), 1);
-        drop(f);
+        c.send(Rank(0), Wire::Eos(Rank(0), Channel::Net)).unwrap();
+        assert_eq!(c.injected(), 1);
+        drop(c);
         let got: Vec<_> = std::iter::from_fn(|| r.recv().ok()).collect();
         assert_eq!(got.len(), 1);
         assert!(matches!(got[0], Wire::Msg(_)));
@@ -372,8 +234,13 @@ mod tests {
 
     #[test]
     fn retrying_sender_rides_over_injected_failures() {
+        use zipper_types::{ChaosEntity, ChaosPlan};
+        // Every other attempt fails; each retry is the next (clean) ordinal.
+        let plan = (1..=4).fold(ChaosPlan::new(), |plan, k| {
+            plan.with(ChaosEntity::Sender(Rank(0)), 2 * k, ChaosFault::FailSend)
+        });
         let (s, r) = mesh_pair();
-        let f = FailingTransport::new(s, FaultPlan::every(FaultKind::FailSend, 2));
+        let f = ChaosSender::new(s, Arc::new(plan.scope(ChaosEntity::Sender(Rank(0)))));
         let retrying = RetryingSender::new(
             f,
             RetryPolicy {
@@ -388,7 +255,7 @@ mod tests {
                 .send(Rank(0), Wire::Eos(Rank(i), Channel::Net))
                 .unwrap();
         }
-        assert!(retrying.retries() > 0);
+        assert_eq!(retrying.retries(), 4, "one retry per scripted failure");
         drop(retrying);
         let got: Vec<_> = std::iter::from_fn(|| r.recv().ok()).collect();
         assert_eq!(got.len(), 6, "every wire eventually delivered");

@@ -19,8 +19,8 @@
 // Threaded substrate: the gate holds real senders with timed waits — the DES
 // twin applies the same BackpressureScript in virtual time.
 #![allow(clippy::disallowed_methods)]
+use crate::transport::{Wire, WireSender};
 use std::sync::Arc;
-use zipper_core::{Wire, WireSender};
 use zipper_trace::{CausalSink, CounterId, EdgeKind, HistogramId, Telemetry};
 use zipper_types::{Rank, Result, RuntimeError, SenderGate, SimTime};
 
@@ -62,11 +62,6 @@ impl<S: WireSender> GatedSender<S> {
         self.lane = lane.into();
         self
     }
-
-    /// The shared gate (for tests asserting on steal counts).
-    pub fn gate(&self) -> &Arc<SenderGate> {
-        &self.gate
-    }
 }
 
 impl<S: WireSender> WireSender for GatedSender<S> {
@@ -102,8 +97,8 @@ impl<S: WireSender> WireSender for GatedSender<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelMesh;
     use std::time::Duration;
-    use zipper_core::ChannelMesh;
     use zipper_policy::Channel;
     use zipper_types::{Block, BlockId, GateRule, GlobalPos, MixedMessage, StepId};
 

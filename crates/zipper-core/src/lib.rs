@@ -25,6 +25,7 @@ pub mod assemble;
 pub mod buffer;
 pub mod consumer;
 pub mod fault;
+pub mod gate;
 pub mod metrics;
 pub mod producer;
 pub mod transport;
@@ -33,12 +34,11 @@ pub mod transport_tcp;
 pub use assemble::{Slab, StepAssembler};
 pub use buffer::BlockQueue;
 pub use consumer::{Consumer, ConsumerRecovery, SharedConsumerPolicy, ZipperReader};
-pub use fault::{ChaosSender, FailingTransport, FaultKind, FaultPlan};
+pub use fault::ChaosSender;
+pub use gate::GatedSender;
 pub use metrics::{ConsumerMetrics, ProducerMetrics};
 pub use producer::{Producer, SharedProducerPolicy, ZipperWriter};
 pub use transport::{
     ChannelMesh, MeshReceiver, MeshSender, RetryingSender, TracedSender, Wire, WireItem, WireSender,
 };
-pub use transport_tcp::{
-    decode_wire, encode_wire, listen_consumers, listen_consumers_traced, TcpSender, MAX_FRAME,
-};
+pub use transport_tcp::{decode_wire, encode_wire, listen_consumers, TcpSender, MAX_FRAME};

@@ -228,18 +228,27 @@ pub struct Producer {
 
 impl Producer {
     /// Spawn the runtime module for producer `rank` with a private
-    /// totals-mode trace sink (stand-alone use; workflow runs share one
-    /// sink via [`Producer::spawn_traced`]).
+    /// totals-mode trace sink, its own policy kernel, an attached sender
+    /// and no gate (stand-alone use; see [`Producer::spawn_with`]).
     pub fn spawn(
         rank: Rank,
         tuning: ZipperTuning,
         mesh: impl WireSender + 'static,
         storage: Arc<dyn zipper_pfs::Storage>,
     ) -> Producer {
-        Self::spawn_traced(rank, tuning, mesh, storage, TraceSink::default())
+        Self::spawn_with(
+            rank,
+            tuning,
+            mesh,
+            storage,
+            TraceSink::default(),
+            None,
+            false,
+            None,
+        )
     }
 
-    /// Spawn the runtime module for producer `rank`.
+    /// Spawn the runtime module for producer `rank`, every knob explicit.
     ///
     /// * `tuning` — buffer capacity, high-water mark, routing, dual-channel
     ///   switch.
@@ -248,85 +257,35 @@ impl Producer {
     ///   (ignored when `tuning.concurrent_transfer` is off).
     /// * `sink` — the run's trace sink; all lanes of all ranks of one run
     ///   should share one sink so their spans share a time axis.
-    pub fn spawn_traced(
-        rank: Rank,
-        tuning: ZipperTuning,
-        mesh: impl WireSender + 'static,
-        storage: Arc<dyn zipper_pfs::Storage>,
-        sink: TraceSink,
-    ) -> Producer {
-        let policy = Arc::new(Mutex::new(ProducerPolicy::from_tuning(
-            rank,
-            mesh.consumers(),
-            &tuning,
-        )));
-        Self::spawn_with_policy(rank, tuning, mesh, storage, sink, policy)
-    }
-
-    /// Like [`Producer::spawn_traced`], but driving a caller-supplied
-    /// policy kernel — the hook the conformance harness uses to record a
-    /// [`zipper_policy::DecisionTrace`] of every choice this rank makes
-    /// (pass a [`ProducerPolicy::recorded`] policy and keep a clone of the
-    /// `Arc`).
-    pub fn spawn_with_policy(
-        rank: Rank,
-        tuning: ZipperTuning,
-        mesh: impl WireSender + 'static,
-        storage: Arc<dyn zipper_pfs::Storage>,
-        sink: TraceSink,
-        policy: SharedProducerPolicy,
-    ) -> Producer {
-        Self::spawn_with_policy_detached(rank, tuning, mesh, storage, sink, policy, false)
-    }
-
-    /// Like [`Producer::spawn_with_policy`], but optionally detaching the
-    /// sender thread from the data path — the chaos engine's
-    /// `ChaosFault::DetachSender`. A detached sender takes no blocks (with
-    /// the high-water mark at zero every block drains through the
-    /// work-stealing writer in production order, which makes the steal
-    /// schedule deterministic across substrates); it still waits for the
-    /// writer to retire, flushes the pending on-disk IDs, and announces
-    /// EOS. Requires `tuning.concurrent_transfer` — without a writer
-    /// thread a detached producer would ship nothing.
+    /// * `policy` — a caller-supplied policy kernel, the hook the
+    ///   conformance harness uses to record a
+    ///   [`zipper_policy::DecisionTrace`] of every choice this rank makes
+    ///   (pass a [`ProducerPolicy::recorded`] policy and keep a clone of
+    ///   the `Arc`); `None` builds one from `tuning`.
+    /// * `detach_sender` — the chaos engine's `ChaosFault::DetachSender`. A
+    ///   detached sender takes no blocks (with the high-water mark at zero
+    ///   every block drains through the work-stealing writer in production
+    ///   order, which makes the steal schedule deterministic across
+    ///   substrates); it still waits for the writer to retire, flushes the
+    ///   pending on-disk IDs, and announces EOS. Requires
+    ///   `tuning.concurrent_transfer` — without a writer thread a detached
+    ///   producer would ship nothing.
+    /// * `gate` — the producer-side half of a
+    ///   [`zipper_types::BackpressureScript`]. The gate itself is driven by
+    ///   a [`crate::GatedSender`] wrapped around `mesh` (it counts the
+    ///   rank's data wires and stalls at scripted ordinals); passing it here
+    ///   wires up the writer side: while a steal-credit window is armed the
+    ///   writer steals every buffered block (bypassing the high-water
+    ///   mark), reports each steal to the gate, and fail-opens the gate
+    ///   when it retires so an unmet window can never wedge the sender.
     #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with_policy_detached(
+    pub fn spawn_with(
         rank: Rank,
         tuning: ZipperTuning,
         mesh: impl WireSender + 'static,
         storage: Arc<dyn zipper_pfs::Storage>,
         sink: TraceSink,
-        policy: SharedProducerPolicy,
-        detach_sender: bool,
-    ) -> Producer {
-        Self::spawn_with_policy_gated(
-            rank,
-            tuning,
-            mesh,
-            storage,
-            sink,
-            policy,
-            detach_sender,
-            None,
-        )
-    }
-
-    /// Like [`Producer::spawn_with_policy_detached`], plus an optional
-    /// [`SenderGate`] — the producer-side half of a
-    /// [`zipper_types::BackpressureScript`]. The gate itself is driven by a
-    /// `GatedSender` transport wrapper *outside* this module (it counts the
-    /// rank's data wires and stalls at scripted ordinals); this spawn
-    /// variant wires up the writer side: while a steal-credit window is
-    /// armed the writer steals every buffered block (bypassing the
-    /// high-water mark), reports each steal to the gate, and fail-opens the
-    /// gate when it retires so an unmet window can never wedge the sender.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with_policy_gated(
-        rank: Rank,
-        tuning: ZipperTuning,
-        mesh: impl WireSender + 'static,
-        storage: Arc<dyn zipper_pfs::Storage>,
-        sink: TraceSink,
-        policy: SharedProducerPolicy,
+        policy: Option<SharedProducerPolicy>,
         detach_sender: bool,
         gate: Option<Arc<SenderGate>>,
     ) -> Producer {
@@ -336,6 +295,11 @@ impl Producer {
             "a detached sender needs the writer thread (concurrent_transfer)"
         );
         let consumers = mesh.consumers();
+        let policy = policy.unwrap_or_else(|| {
+            Arc::new(Mutex::new(ProducerPolicy::from_tuning(
+                rank, consumers, &tuning,
+            )))
+        });
         {
             let p = policy.lock();
             assert_eq!(p.consumers(), consumers, "policy/mesh consumer mismatch");
@@ -1045,14 +1009,15 @@ mod tests {
             max_consumer_restarts: 0,
         };
         let policy = Arc::new(Mutex::new(ProducerPolicy::from_tuning(Rank(0), 1, &t)));
-        let mut prod = Producer::spawn_with_policy_detached(
+        let mut prod = Producer::spawn_with(
             Rank(0),
             t,
             mesh.sender(),
             storage.clone(),
             TraceSink::default(),
-            policy.clone(),
+            Some(policy.clone()),
             true,
+            None,
         );
         let writer = prod.writer(4096);
         let collector = collect_rank0(&mesh, 2); // Net + Disk channel marks
@@ -1094,8 +1059,16 @@ mod tests {
         let sink = TraceSink::wall(TraceMode::Full);
         let mesh = ChannelMesh::new(1, 64);
         let storage = Arc::new(MemFs::new());
-        let mut prod =
-            Producer::spawn_traced(Rank(3), tuning(false), mesh.sender(), storage, sink.clone());
+        let mut prod = Producer::spawn_with(
+            Rank(3),
+            tuning(false),
+            mesh.sender(),
+            storage,
+            sink.clone(),
+            None,
+            false,
+            None,
+        );
         let writer = prod.writer(4096);
         let collector = collect_rank0(&mesh, 1);
         for s in 0..4u64 {

@@ -200,7 +200,7 @@ pub fn listen_consumers(
 /// socket is recorded as a `Recv` span on lane `net/q{rank}` of `sink`
 /// (all connections of one consumer share the lane label, so their spans
 /// merge into one timeline row).
-pub fn listen_consumers_traced(
+fn listen_consumers_traced(
     consumers: usize,
     producers: usize,
     sink: &TraceSink,

@@ -15,6 +15,7 @@
 #![allow(clippy::disallowed_methods)]
 use crate::storage::Storage;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use zipper_trace::{CounterId, HistogramId, Telemetry};
 use zipper_types::{Block, BlockId, Result};
@@ -120,32 +121,36 @@ impl<S: Storage> Storage for ThrottledFs<S> {
 }
 
 /// Fault-injecting storage decorator: every `failure_period`-th operation
-/// (put or get) fails with a storage error. Used to test that the runtime
-/// degrades gracefully — surfacing errors in the consumer metrics instead
-/// of hanging or corrupting the stream. The counting lives in the shared
-/// [`zipper_types::FaultSchedule`] (one implementation for transport and
-/// storage injection).
+/// (put or get, one shared 1-based count) fails with a storage error. The
+/// `Storage` test double for read-side faults — scripted, cross-substrate
+/// injection is [`crate::ChaosFs`], which counts `put`s only. Used to test
+/// that the runtime degrades gracefully — surfacing errors in the consumer
+/// metrics instead of hanging or corrupting the stream.
 pub struct FailingFs<S> {
     inner: S,
-    schedule: zipper_types::FaultSchedule,
+    failure_period: u64,
+    ops: AtomicU64,
 }
 
 impl<S: Storage> FailingFs<S> {
     /// Fail every `failure_period`-th operation (1 = fail everything).
     pub fn new(inner: S, failure_period: u64) -> Self {
+        assert!(failure_period >= 1, "fault period must be at least 1");
         FailingFs {
             inner,
-            schedule: zipper_types::FaultSchedule::every(failure_period),
+            failure_period,
+            ops: AtomicU64::new(0),
         }
     }
 
     fn maybe_fail(&self, what: &str) -> zipper_types::Result<()> {
-        match self.schedule.strike() {
-            Some(n) => Err(zipper_types::Error::Storage(format!(
+        let n = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(self.failure_period) {
+            return Err(zipper_types::Error::Storage(format!(
                 "injected fault on {what} #{n}"
-            ))),
-            None => Ok(()),
+            )));
         }
+        Ok(())
     }
 }
 

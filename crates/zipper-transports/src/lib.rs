@@ -25,7 +25,6 @@ pub mod dataspaces;
 pub mod decaf;
 pub mod dimes;
 pub mod flexpath;
-pub mod gate;
 pub mod mpiio;
 pub mod runner;
 pub mod spec;

@@ -1,17 +1,13 @@
 //! The deterministic chaos engine: substrate-independent fault scripts.
 //!
-//! Fault injection in Zipper predates this module as two hand-rolled
-//! every-N-th counters (the transport's failing wrapper and the PFS's
-//! failing fs). Both now share [`FaultSchedule`]. On top of it sits the
-//! chaos engine proper: a [`ChaosPlan`] is a *scripted* schedule of
-//! multi-fault events addressed by entity and operation ordinal — "the
-//! 3rd send of producer 1 is dropped", "the 2nd PFS put of writer 0
-//! fails", "analysis rank 1 crashes on its 5th read". Because ordinals
-//! count an entity's *own* operations (never wall or virtual time), the
-//! same plan is interpretable by the threaded runtime and the
-//! discrete-event simulator, and both degrade through the same
-//! policy-kernel decision sequence — the property the fault-conformance
-//! tests assert.
+//! A [`ChaosPlan`] is a *scripted* schedule of multi-fault events
+//! addressed by entity and operation ordinal — "the 3rd send of producer 1
+//! is dropped", "the 2nd PFS put of writer 0 fails", "analysis rank 1
+//! crashes on its 5th read". Because ordinals count an entity's *own*
+//! operations (never wall or virtual time), the same plan is interpretable
+//! by the threaded runtime and the discrete-event simulator, and both
+//! degrade through the same policy-kernel decision sequence — the property
+//! the fault-conformance tests assert.
 //!
 //! Ordinal conventions (what each entity counts, identically on both
 //! substrates):
@@ -30,47 +26,6 @@
 use crate::ids::Rank;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A deterministic every-N-th fault schedule: the shared counter behind
-/// the transport- and storage-level failing wrappers.
-///
-/// Thread-safe and allocation-free; the same period always strikes the
-/// same operation ordinals, which keeps failure-injection tests
-/// reproducible.
-#[derive(Debug)]
-pub struct FaultSchedule {
-    every: u64,
-    ops: AtomicU64,
-}
-
-impl FaultSchedule {
-    /// Fault every `every`-th operation (1 = every operation).
-    pub fn every(every: u64) -> Self {
-        assert!(every >= 1, "fault period must be at least 1");
-        FaultSchedule {
-            every,
-            ops: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured period.
-    pub fn period(&self) -> u64 {
-        self.every
-    }
-
-    /// Count one operation. Returns `Some(n)` — the 1-based operation
-    /// ordinal — when this operation is scheduled to fault, `None` when
-    /// it should proceed normally.
-    pub fn strike(&self) -> Option<u64> {
-        let n = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        n.is_multiple_of(self.every).then_some(n)
-    }
-
-    /// Operations counted so far.
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
-    }
-}
 
 /// An entity a chaos event addresses: one rank's sender thread, writer
 /// thread, Preserve output path, or analysis application.
@@ -220,31 +175,6 @@ impl ChaosScope {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_strikes_every_nth() {
-        let s = FaultSchedule::every(3);
-        assert_eq!(s.strike(), None); // op 1
-        assert_eq!(s.strike(), None); // op 2
-        assert_eq!(s.strike(), Some(3)); // op 3
-        assert_eq!(s.strike(), None); // op 4
-        assert_eq!(s.strike(), None); // op 5
-        assert_eq!(s.strike(), Some(6)); // op 6
-        assert_eq!(s.ops(), 6);
-    }
-
-    #[test]
-    fn schedule_period_one_always_strikes() {
-        let s = FaultSchedule::every(1);
-        assert_eq!(s.strike(), Some(1));
-        assert_eq!(s.strike(), Some(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn schedule_rejects_zero_period() {
-        let _ = FaultSchedule::every(0);
-    }
 
     #[test]
     fn scope_fires_faults_at_their_ordinals() {

@@ -27,7 +27,7 @@ pub use backpressure::{BackpressureScript, GateRule, GateWindow, SenderGate};
 pub use block::{Block, BlockHeader, GlobalPos, MixedMessage};
 pub use config::{PreserveMode, RecoveryPolicy, RoutingPolicy, WorkflowConfig, ZipperTuning};
 pub use error::{panic_detail, Error, Result, RuntimeError};
-pub use fault::{ChaosEntity, ChaosEvent, ChaosFault, ChaosPlan, ChaosScope, FaultSchedule};
+pub use fault::{ChaosEntity, ChaosEvent, ChaosFault, ChaosPlan, ChaosScope};
 pub use ids::{BlockId, NodeId, ProcId, Rank, StepId};
 pub use retry::RetryPolicy;
 pub use size::ByteSize;

@@ -7,14 +7,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zipper_core::{
-    ChannelMesh, ChaosSender, Consumer, FailingTransport, FaultPlan, Producer, RetryingSender,
-    SharedConsumerPolicy, SharedProducerPolicy, TracedSender, WireSender, ZipperReader,
-    ZipperWriter,
+    ChannelMesh, ChaosSender, Consumer, GatedSender, Producer, RetryingSender, TracedSender,
+    WireSender, ZipperReader, ZipperWriter,
 };
 use zipper_pfs::{ChaosFs, MemFs, RetryingFs, Storage, ThrottledFs};
-use zipper_policy::{ConsumerPolicy, ProducerPolicy};
+use zipper_policy::{ConsumerPolicy, Preflight, PreflightInput, PreflightReport, ProducerPolicy};
 use zipper_trace::{SampleSeries, Sampler, Telemetry, TraceMode, TraceSink};
-use zipper_transports::gate::GatedSender;
 use zipper_types::{
     panic_detail, BackpressureScript, ChaosEntity, ChaosPlan, Rank, RetryPolicy, RuntimeError,
     SenderGate, WorkflowConfig,
@@ -32,11 +30,6 @@ pub struct NetworkOptions {
     /// `Retry` spans on lane `net/p{rank}/retry` and counted in
     /// [`WorkflowReport::net_retries`].
     pub retry: Option<RetryPolicy>,
-    /// Optional fault injection: every producer's mesh endpoint is wrapped
-    /// in a [`FailingTransport`] misbehaving on this schedule. Composes
-    /// under the retry layer, so `FailSend` faults are retried while
-    /// `CorruptWire`/`DropEos` reach the consumer's fault handling.
-    pub fault: Option<FaultPlan>,
     /// Optional scripted backpressure: each producer whose rank the script
     /// names gets its sender wrapped outermost in a [`GatedSender`]
     /// holding the scripted data-wire ordinals until their gate opens
@@ -51,7 +44,6 @@ impl Default for NetworkOptions {
             inbox_capacity: 64,
             throttle: None,
             retry: None,
-            fault: None,
             backpressure: None,
         }
     }
@@ -78,13 +70,6 @@ impl NetworkOptions {
     /// Retry failed sends under `policy`.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
-        self
-    }
-
-    /// Inject transport faults on `plan`'s schedule (see
-    /// [`NetworkOptions::fault`]).
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
         self
     }
 
@@ -156,7 +141,9 @@ pub struct TraceOptions {
     /// `policy/p{rank}` / `policy/q{rank}` lanes of zero-duration
     /// [`zipper_trace::SpanKind::Policy`] markers into
     /// [`WorkflowReport::trace`]. Independent of `mode`. The recorded
-    /// kernels themselves are returned by [`run_workflow_recorded`].
+    /// decision traces themselves land in
+    /// [`WorkflowReport::producer_decisions`] /
+    /// [`WorkflowReport::consumer_decisions`].
     pub policy: bool,
     /// Record cross-entity causal edges (wire ship→receive, queue
     /// push→pop, steal announce, gate open, PFS fetch, EOS fan-out) into
@@ -220,32 +207,65 @@ impl TraceOptions {
     }
 }
 
-/// The recorded policy kernels of a run, indexed by rank — the threaded
-/// counterpart of the DES's recorded build. Empty unless
-/// [`TraceOptions::policy`] was set.
-pub struct WorkflowPolicies {
-    pub producers: Vec<SharedProducerPolicy>,
-    pub consumers: Vec<SharedConsumerPolicy>,
+/// Everything that shapes a run besides the workflow config and the two
+/// application closures: the one argument of [`run_workflow_with`].
+#[derive(Clone, Default)]
+pub struct RunOptions {
+    /// The message channel (inbox depth, throttle, retry, scripted
+    /// backpressure).
+    pub net: NetworkOptions,
+    /// The storage backend.
+    pub storage: StorageOptions,
+    /// Trace fidelity.
+    pub trace: TraceOptions,
+    /// A scripted fault plan — the threaded half of the cross-substrate
+    /// fault-conformance harness (the DES half interprets the identical
+    /// plan in virtual time). An empty plan is the same as `None`. Per
+    /// entity of the plan, the driver arranges:
+    ///
+    /// * `Sender(r)` — producer `r`'s mesh endpoint is wrapped innermost in
+    ///   a [`ChaosSender`] striking the scripted wire ordinals; a
+    ///   `DetachSender` event spawns that producer with its sender detached
+    ///   from the data path (every block drains through the work-stealing
+    ///   writer).
+    /// * `Writer(r)` — producer `r`'s storage handle is wrapped in a
+    ///   [`ChaosFs`] failing the scripted `put` ordinals; the writer thread
+    ///   retires on the fault and the policy kernel may revive it per
+    ///   `cfg.tuning.recovery`.
+    /// * `Output(q)` — consumer `q`'s storage handle is wrapped likewise,
+    ///   so scripted Preserve-store puts are lost.
+    /// * `Analysis(q)` — consumer `q`'s reader runs under a restart
+    ///   supervisor: scripted read ordinals panic inside `read`, the panic
+    ///   is caught, and (budget permitting, `cfg.tuning.recovery`) the
+    ///   delivered backlog is replayed from the Preserve store before a
+    ///   fresh reader re-runs the `consume` closure. With the budget
+    ///   exhausted the rank is abandoned fail-soft and reported in
+    ///   [`WorkflowReport::failures`]. Restart replay requires Preserve
+    ///   mode to have made the backlog durable.
+    pub chaos: Option<ChaosPlan>,
+    /// Verify the plan statically first ([`RunOptions::preflight`]) and
+    /// refuse to spawn a thread for one with any error-severity diagnostic
+    /// — a provable deadlock, a dead chaos ordinal, an unhealable crash.
+    /// Warnings and lints do not block; the verdict of an accepted plan
+    /// rides back in [`WorkflowReport::preflight`].
+    pub preflight_gate: bool,
 }
 
-/// Run a coupled workflow: `cfg.producers` simulation ranks each driving
-/// `produce(rank, &writer)`, and `cfg.consumers` analysis ranks each
-/// driving `consume(rank, &reader)` to completion. Traces with the default
-/// totals fidelity; see [`run_workflow_traced`] to choose.
-///
-/// Contracts:
-/// * `produce` must return only after its last `write`; the driver calls
-///   `finish()` afterwards.
-/// * `consume` must drain its reader (read until `None`) — the pipeline is
-///   data-availability-driven, and an undrained reader would block the
-///   runtime threads.
-///
-/// Returns the report plus the results of the consumers that completed,
-/// in rank order. A producer or consumer app that panics does not abort
-/// the run: the panic is caught, the rank's runtime is torn down through
-/// its drop guards, and the failure lands in
-/// [`WorkflowReport::failures`] (so a dead consumer contributes no result
-/// but the rest of the workflow still drains and reports).
+impl RunOptions {
+    /// Statically verify the plan a run of `cfg` under these options would
+    /// interpret — the workflow config, the scripted backpressure riding in
+    /// `net`, and the chaos plan — without spawning a thread. The DES-side
+    /// twin is `WorkflowSpec::preflight` in `zipper-transports`.
+    pub fn preflight(&self, cfg: &WorkflowConfig) -> PreflightReport {
+        let mut input = PreflightInput::from_config(cfg);
+        input.chaos = self.chaos.clone();
+        input.backpressure = self.net.backpressure.clone();
+        Preflight::check(&input)
+    }
+}
+
+/// Run a coupled workflow with default options: totals-fidelity tracing,
+/// no chaos, no preflight gate. See [`run_workflow_with`].
 pub fn run_workflow<R, P, C>(
     cfg: &WorkflowConfig,
     net: NetworkOptions,
@@ -268,9 +288,11 @@ where
     )
 }
 
-/// [`run_workflow`] with explicit trace fidelity: every rank's runtime
-/// lanes record into one shared wall-clock [`TraceSink`], and the merged
-/// log lands in [`WorkflowReport::trace`].
+/// [`run_workflow`] with explicit trace fidelity. Kept as a positional
+/// shorthand only because the benchmark adapter
+/// (`perf_ledger/src/adapter.rs`) calls it; folding it into
+/// [`run_workflow_with`] is left to a later `benchmark` issue (a one-file
+/// port of that adapter).
 pub fn run_workflow_traced<R, P, C>(
     cfg: &WorkflowConfig,
     net: NetworkOptions,
@@ -284,152 +306,67 @@ where
     P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
     C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
 {
-    let (report, results, _policies) =
-        run_workflow_recorded(cfg, net, storage_opts, trace, produce, consume);
-    (report, results)
-}
-
-/// [`run_workflow_traced`] that also returns the policy kernels, so a
-/// harness can extract canonical decision traces after the run (the
-/// threaded half of the conformance tests). The kernels record decisions
-/// only when [`TraceOptions::policy`] is set; they are built and shared
-/// with every rank's runtime threads either way.
-pub fn run_workflow_recorded<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    produce: P,
-    consume: C,
-) -> (WorkflowReport, Vec<R>, WorkflowPolicies)
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    run_workflow_inner(cfg, net, storage_opts, trace, None, produce, consume)
-}
-
-/// [`run_workflow_recorded`] under a scripted [`ChaosPlan`] — the threaded
-/// half of the cross-substrate fault-conformance harness (the DES half
-/// interprets the identical plan in virtual time).
-///
-/// Per entity of the plan, the driver arranges:
-///
-/// * `Sender(r)` — producer `r`'s mesh endpoint is wrapped innermost in a
-///   [`ChaosSender`] striking the scripted wire ordinals; a
-///   `DetachSender` event spawns that producer with its sender detached
-///   from the data path (every block drains through the work-stealing
-///   writer).
-/// * `Writer(r)` — producer `r`'s storage handle is wrapped in a
-///   [`ChaosFs`] failing the scripted `put` ordinals; the writer thread
-///   retires on the fault and the policy kernel may revive it per
-///   `cfg.tuning.recovery`.
-/// * `Output(q)` — consumer `q`'s storage handle is wrapped likewise, so
-///   scripted Preserve-store puts are lost.
-/// * `Analysis(q)` — consumer `q`'s reader runs under a restart
-///   supervisor: scripted read ordinals panic inside `read`, the panic is
-///   caught, and (budget permitting, `cfg.tuning.recovery`) the delivered
-///   backlog is replayed from the Preserve store before a fresh reader
-///   re-runs the `consume` closure. With the budget exhausted the rank is
-///   abandoned fail-soft and reported in [`WorkflowReport::failures`].
-///
-/// Restart replay requires Preserve mode to have made the backlog
-/// durable. Transport faults must be scripted through the plan —
-/// combining it with [`NetworkOptions::fault`] is rejected (the periodic
-/// schedule would shift every scripted ordinal).
-pub fn run_workflow_chaos<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    plan: &ChaosPlan,
-    produce: P,
-    consume: C,
-) -> (WorkflowReport, Vec<R>, WorkflowPolicies)
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    assert!(
-        net.fault.is_none(),
-        "ChaosPlan and NetworkOptions::fault cannot be combined — script \
-         transport faults as ChaosPlan events instead"
-    );
-    run_workflow_inner(cfg, net, storage_opts, trace, Some(plan), produce, consume)
-}
-
-/// Statically verify the plan a threaded run would interpret — the
-/// workflow config, the scripted backpressure riding in `net`, and the
-/// optional chaos plan — without spawning a thread. The DES-side twin is
-/// `WorkflowSpec::preflight` in `zipper-transports`.
-pub fn preflight_workflow(
-    cfg: &WorkflowConfig,
-    net: &NetworkOptions,
-    chaos: Option<&ChaosPlan>,
-) -> zipper_policy::PreflightReport {
-    let mut input = zipper_policy::PreflightInput::from_config(cfg);
-    input.chaos = chaos.cloned();
-    input.backpressure = net.backpressure.clone();
-    zipper_policy::Preflight::check(&input)
-}
-
-/// [`run_workflow_chaos`] behind the opt-in static preflight gate: the
-/// plan is verified first ([`preflight_workflow`]) and a plan with any
-/// error-severity diagnostic — a provable deadlock, a dead chaos
-/// ordinal, an unhealable crash — is refused with the report instead of
-/// hanging the run. Warnings and lints do not block; they ride back in
-/// the report alongside the workflow results.
-#[allow(clippy::type_complexity)]
-pub fn run_workflow_checked<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    plan: &ChaosPlan,
-    produce: P,
-    consume: C,
-) -> Result<
-    (
-        WorkflowReport,
-        Vec<R>,
-        WorkflowPolicies,
-        zipper_policy::PreflightReport,
-    ),
-    Box<zipper_policy::PreflightReport>,
->
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    let preflight = preflight_workflow(cfg, &net, (!plan.is_empty()).then_some(plan));
-    if preflight.is_rejected() {
-        return Err(Box::new(preflight));
-    }
-    let (report, results, policies) = if plan.is_empty() {
-        run_workflow_recorded(cfg, net, storage_opts, trace, produce, consume)
-    } else {
-        run_workflow_chaos(cfg, net, storage_opts, trace, plan, produce, consume)
+    let opts = RunOptions {
+        net,
+        storage: storage_opts,
+        trace,
+        ..Default::default()
     };
-    Ok((report, results, policies, preflight))
+    run_workflow_with(cfg, opts, produce, consume).expect("an ungated run is never refused")
 }
 
-fn run_workflow_inner<R, P, C>(
+/// Run a coupled workflow: `cfg.producers` simulation ranks each driving
+/// `produce(rank, &writer)`, and `cfg.consumers` analysis ranks each
+/// driving `consume(rank, &reader)` to completion, every rank's runtime
+/// lanes recording into one shared wall-clock [`TraceSink`] whose merged
+/// log lands in [`WorkflowReport::trace`].
+///
+/// Contracts:
+/// * `produce` must return only after its last `write`; the driver calls
+///   `finish()` afterwards.
+/// * `consume` must drain its reader (read until `None`) — the pipeline is
+///   data-availability-driven, and an undrained reader would block the
+///   runtime threads.
+///
+/// Returns the report plus the results of the consumers that completed,
+/// in rank order. A producer or consumer app that panics does not abort
+/// the run: the panic is caught, the rank's runtime is torn down through
+/// its drop guards, and the failure lands in
+/// [`WorkflowReport::failures`] (so a dead consumer contributes no result
+/// but the rest of the workflow still drains and reports).
+///
+/// `Err` only when [`RunOptions::preflight_gate`] is set and the plan is
+/// rejected — before any thread is spawned, carrying the verdict.
+///
+/// Each producer's sender is the stack `mesh → chaos → trace → retry →
+/// gate`, innermost first: fault injection sits at the wire (as a lossy
+/// network would), tracing observes it, retry rides over it, and the
+/// backpressure gate wraps outermost — a retried send must not pass the
+/// gate twice, and held time is not the inner transport's.
+pub fn run_workflow_with<R, P, C>(
     cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    chaos: Option<&ChaosPlan>,
+    opts: RunOptions,
     produce: P,
     consume: C,
-) -> (WorkflowReport, Vec<R>, WorkflowPolicies)
+) -> Result<(WorkflowReport, Vec<R>), Box<PreflightReport>>
 where
     R: Send + 'static,
     P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
     C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
 {
+    let preflight = match opts.preflight_gate.then(|| opts.preflight(cfg)) {
+        Some(verdict) if verdict.is_rejected() => return Err(Box::new(verdict)),
+        verdict => verdict,
+    };
+    let RunOptions {
+        net,
+        storage: storage_opts,
+        trace,
+        chaos,
+        preflight_gate: _,
+    } = opts;
+    let chaos = chaos.filter(|plan| !plan.is_empty());
+    let chaos = chaos.as_ref();
     cfg.validate().expect("invalid workflow config");
     let telemetry = if trace.telemetry {
         Telemetry::on()
@@ -452,10 +389,10 @@ where
 
     let produce = Arc::new(produce);
     let consume = Arc::new(consume);
-    let mut policies = WorkflowPolicies {
-        producers: Vec::with_capacity(cfg.producers),
-        consumers: Vec::with_capacity(cfg.consumers),
-    };
+    // Every rank's policy kernel, by rank: read back after the joins for
+    // the decision traces.
+    let mut producer_policies = Vec::with_capacity(cfg.producers);
+    let mut consumer_policies = Vec::with_capacity(cfg.consumers);
     // Failures observed by the driver itself (an app thread panicking, a
     // thread that could not be spawned) — merged into the report alongside
     // the per-rank runtime errors.
@@ -488,7 +425,7 @@ where
             cp = cp.recorded();
         }
         let policy = Arc::new(Mutex::new(cp));
-        policies.consumers.push(policy.clone());
+        consumer_policies.push(policy.clone());
         // Chaos: scripted Preserve-store faults hit this rank's output
         // thread through a ChaosFs wrap of the shared store.
         let consumer_storage: Arc<dyn Storage> = match chaos {
@@ -499,14 +436,14 @@ where
             None => storage.clone(),
         };
         let app_policy = policy.clone();
-        let mut c = Consumer::spawn_with_policy(
+        let mut c = Consumer::spawn_with(
             rank,
             cfg.tuning,
             cfg.producers,
             rx,
             consumer_storage,
             sink.clone(),
-            policy,
+            Some(policy),
         );
         let consume = consume.clone();
         let app: Box<dyn FnOnce() -> Result<R, RuntimeError> + Send> = match chaos {
@@ -593,16 +530,13 @@ where
     let mut retry_counters: Vec<Arc<AtomicU64>> = Vec::new();
     for p in 0..cfg.producers {
         let rank = Rank(p as u32);
-        // Compose innermost-out: fault injection sits at the wire (as a
-        // lossy network would), tracing observes it, retry rides over it.
-        // Scripted chaos and the periodic FailingTransport are mutually
-        // exclusive (enforced by `run_workflow_chaos`).
+        // The sender stack, innermost first (order rationale: see the
+        // function docs).
         let sender_scope = chaos.map(|plan| Arc::new(plan.scope(ChaosEntity::Sender(rank))));
         let detach_sender = sender_scope.as_ref().is_some_and(|s| s.detached());
-        let base: Box<dyn WireSender> = match (&sender_scope, net.fault) {
-            (Some(scope), _) => Box::new(ChaosSender::new(mesh.sender(), scope.clone())),
-            (None, Some(plan)) => Box::new(FailingTransport::new(mesh.sender(), plan)),
-            (None, None) => Box::new(mesh.sender()),
+        let base: Box<dyn WireSender> = match sender_scope {
+            Some(scope) => Box::new(ChaosSender::new(mesh.sender(), scope)),
+            None => Box::new(mesh.sender()),
         };
         let traced: Box<dyn WireSender> = if trace.wire_lanes && trace.mode.enabled() {
             Box::new(TracedSender::new(base, &sink, format!("net/p{p}")))
@@ -618,8 +552,6 @@ where
             }
             None => traced,
         };
-        // The backpressure gate wraps outermost: a retried send must not
-        // pass the gate twice, and held time is not the inner transport's.
         let gate = net
             .backpressure
             .as_ref()
@@ -639,7 +571,7 @@ where
             pp = pp.recorded();
         }
         let policy = Arc::new(Mutex::new(pp));
-        policies.producers.push(policy.clone());
+        producer_policies.push(policy.clone());
         // Chaos: scripted PFS faults hit this rank's writer thread through
         // a ChaosFs wrap of the shared store.
         let producer_storage: Arc<dyn Storage> = match chaos {
@@ -649,13 +581,13 @@ where
             )),
             None => storage.clone(),
         };
-        let mut prod = Producer::spawn_with_policy_gated(
+        let mut prod = Producer::spawn_with(
             rank,
             cfg.tuning,
             sender,
             producer_storage,
             sink.clone(),
-            policy,
+            Some(policy),
             detach_sender,
             gate,
         );
@@ -737,15 +669,21 @@ where
     let pfs_retries = storage.retries();
     drop(storage);
 
-    // Every runtime thread has joined, so the policy locks are free; lay
-    // each rank's decision sequence down as a policy lane of the report.
+    // Every runtime thread has joined, so the policy locks are free; take
+    // each rank's decision sequence and lay it down as a policy lane.
     let mut trace_log = sink.snapshot();
+    let mut producer_decisions = Vec::new();
+    let mut consumer_decisions = Vec::new();
     if trace.policy {
-        for (p, policy) in policies.producers.iter().enumerate() {
-            zipper_trace::policy::inject(&mut trace_log, &format!("p{p}"), policy.lock().trace());
+        for (p, policy) in producer_policies.iter().enumerate() {
+            let decisions = policy.lock().trace().clone();
+            zipper_trace::policy::inject(&mut trace_log, &format!("p{p}"), &decisions);
+            producer_decisions.push(decisions);
         }
-        for (q, policy) in policies.consumers.iter().enumerate() {
-            zipper_trace::policy::inject(&mut trace_log, &format!("q{q}"), policy.lock().trace());
+        for (q, policy) in consumer_policies.iter().enumerate() {
+            let decisions = policy.lock().trace().clone();
+            zipper_trace::policy::inject(&mut trace_log, &format!("q{q}"), &decisions);
+            consumer_decisions.push(decisions);
         }
     }
 
@@ -768,8 +706,11 @@ where
         causal: sink.causal().snapshot(),
         metrics: telemetry.snapshot(),
         samples,
+        producer_decisions,
+        consumer_decisions,
+        preflight,
     };
-    (report, results, policies)
+    Ok((report, results))
 }
 
 #[cfg(test)]
@@ -801,6 +742,23 @@ mod tests {
                 let payload = vec![(rank.0 as u8).wrapping_add(s as u8); slab_len];
                 writer.write_slab(StepId(s), GlobalPos::default(), Bytes::from(payload));
             }
+        }
+    }
+
+    fn count_blocks(_rank: Rank, reader: &ZipperReader) -> u64 {
+        let mut n = 0u64;
+        while reader.read().is_some() {
+            n += 1;
+        }
+        n
+    }
+
+    /// Default options recording policy decisions under `plan`.
+    fn chaos_opts(plan: ChaosPlan) -> RunOptions {
+        RunOptions {
+            trace: TraceOptions::default().with_policy(),
+            chaos: Some(plan),
+            ..Default::default()
         }
     }
 
@@ -869,10 +827,10 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_returns_policies_and_injects_policy_lanes() {
+    fn policy_recording_returns_decisions_and_injects_policy_lanes() {
         use zipper_trace::SpanKind;
         let c = cfg(2, 2, 3);
-        let (report, _, policies) = run_workflow_recorded(
+        let (report, _) = run_workflow_traced(
             &c,
             NetworkOptions::default(),
             StorageOptions::Memory,
@@ -881,17 +839,17 @@ mod tests {
             |_, reader| while reader.read().is_some() {},
         );
         report.assert_complete();
-        assert_eq!(policies.producers.len(), 2);
-        assert_eq!(policies.consumers.len(), 2);
+        assert_eq!(report.producer_decisions.len(), 2);
+        assert_eq!(report.consumer_decisions.len(), 2);
         // Every producer routed all of its blocks and announced EOS to
         // both consumers on both channels.
-        for p in &policies.producers {
-            let t = p.lock().trace().canonical();
+        for p in &report.producer_decisions {
+            let t = p.canonical();
             assert_eq!(t.routes.len() as u64, c.total_blocks() / 2);
             assert_eq!(t.eos_announced.len(), 4);
         }
-        for q in &policies.consumers {
-            assert_eq!(q.lock().trace().canonical().completions, 1);
+        for q in &report.consumer_decisions {
+            assert_eq!(q.canonical().completions, 1);
         }
         // The decision sequences also landed as policy lanes.
         for label in ["policy/p0", "policy/p1", "policy/q0", "policy/q1"] {
@@ -1117,35 +1075,27 @@ mod tests {
             ids.sort_unstable();
             ids
         };
-        let (clean_report, clean, _) = run_workflow_recorded(
+        let (clean_report, clean) = run_workflow(
             &c,
             NetworkOptions::default(),
             StorageOptions::Memory,
-            TraceOptions::default(),
             slab_producer(&c),
             digest,
         );
         clean_report.assert_complete();
 
         let plan = ChaosPlan::new().with(ChaosEntity::Analysis(Rank(1)), 3, ChaosFault::CrashApp);
-        let (report, got, policies) = run_workflow_chaos(
-            &c,
-            NetworkOptions::default(),
-            StorageOptions::Memory,
-            TraceOptions::default().with_policy(),
-            &plan,
-            slab_producer(&c),
-            digest,
-        );
+        let (report, got) =
+            run_workflow_with(&c, chaos_opts(plan), slab_producer(&c), digest).unwrap();
         // The injected crash is reported (ReaderAbandoned on the replayed
         // rank) but recovered: no app-level failure, full output.
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         assert_eq!(got, clean, "recovered output must equal the fault-free run");
-        let t1 = policies.consumers[1].lock().trace().canonical();
+        let t1 = report.consumer_decisions[1].canonical();
         assert!(t1.abandoned, "the crash was accounted");
         assert_eq!(t1.restarts, vec![2], "read #3 crashed with 2 delivered");
         assert_eq!(t1.completions, 1, "the restarted pass drained to EOS");
-        let t0 = policies.consumers[0].lock().trace().canonical();
+        let t0 = report.consumer_decisions[0].canonical();
         assert!(!t0.abandoned);
         assert_eq!(t0.restarts, Vec::<usize>::new());
     }
@@ -1157,21 +1107,8 @@ mod tests {
         c.tuning.preserve = PreserveMode::Preserve;
         // Default recovery: zero restart budget.
         let plan = ChaosPlan::new().with(ChaosEntity::Analysis(Rank(0)), 2, ChaosFault::CrashApp);
-        let (report, counts, _) = run_workflow_chaos(
-            &c,
-            NetworkOptions::default(),
-            StorageOptions::Memory,
-            TraceOptions::default(),
-            &plan,
-            slab_producer(&c),
-            |_, reader| {
-                let mut n = 0u64;
-                while reader.read().is_some() {
-                    n += 1;
-                }
-                n
-            },
-        );
+        let (report, counts) =
+            run_workflow_with(&c, chaos_opts(plan), slab_producer(&c), count_blocks).unwrap();
         // The run terminates (no deadlock), the dead rank is reported, and
         // the surviving rank still drains its share.
         assert_eq!(counts.len(), 1);
@@ -1203,21 +1140,8 @@ mod tests {
             plan = plan.with(ChaosEntity::Sender(Rank(p)), 1, ChaosFault::DetachSender);
         }
         let expected = c.total_blocks();
-        let (report, counts, policies) = run_workflow_chaos(
-            &c,
-            NetworkOptions::default(),
-            StorageOptions::Memory,
-            TraceOptions::default().with_policy(),
-            &plan,
-            slab_producer(&c),
-            |_, reader| {
-                let mut n = 0u64;
-                while reader.read().is_some() {
-                    n += 1;
-                }
-                n
-            },
-        );
+        let (report, counts) =
+            run_workflow_with(&c, chaos_opts(plan), slab_producer(&c), count_blocks).unwrap();
         // The injected PFS fault is reported (WriterRetired) but healed by
         // the revival: nothing app-level failed and nothing was lost.
         assert!(report.failures.is_empty(), "{:?}", report.failures);
@@ -1230,7 +1154,7 @@ mod tests {
             report.errors()
         );
         assert_eq!(counts.iter().sum::<u64>(), expected, "no block lost");
-        let t0 = policies.producers[0].lock().trace().canonical();
+        let t0 = report.producer_decisions[0].canonical();
         assert_eq!(t0.revivals, 1, "the faulted writer was revived");
         assert!(
             t0.retires.len() >= 2,
@@ -1242,6 +1166,86 @@ mod tests {
             0,
             "detached senders carry no data"
         );
+    }
+
+    #[test]
+    fn empty_chaos_plan_runs_like_none() {
+        // Message-only: one sender, one take order — the decision sequence
+        // is interleaving-independent, so the traces must be identical.
+        let mut c = cfg(2, 2, 3);
+        c.tuning.concurrent_transfer = false;
+        let run = |chaos: Option<ChaosPlan>| {
+            let opts = RunOptions {
+                trace: TraceOptions::default().with_policy(),
+                chaos,
+                ..Default::default()
+            };
+            let (report, counts) =
+                run_workflow_with(&c, opts, slab_producer(&c), count_blocks).unwrap();
+            report.assert_complete();
+            assert!(report.failures.is_empty(), "{:?}", report.failures);
+            assert_eq!(counts.iter().sum::<u64>(), c.total_blocks());
+            let canon = |ts: &[zipper_policy::DecisionTrace]| {
+                ts.iter().map(|t| t.canonical()).collect::<Vec<_>>()
+            };
+            (
+                canon(&report.producer_decisions),
+                canon(&report.consumer_decisions),
+            )
+        };
+        assert_eq!(run(Some(ChaosPlan::new())), run(None));
+    }
+
+    /// A dead-ordinal plan (`ZV020`): the sender never reaches wire 99.
+    fn dead_ordinal_opts(preflight_gate: bool) -> RunOptions {
+        use zipper_types::ChaosFault;
+        RunOptions {
+            chaos: Some(ChaosPlan::new().with(
+                ChaosEntity::Sender(Rank(0)),
+                99,
+                ChaosFault::DropWire,
+            )),
+            preflight_gate,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn preflight_gate_refuses_a_rejected_plan_before_spawning() {
+        use std::sync::atomic::AtomicBool;
+        use zipper_policy::ZvCode;
+        let c = cfg(2, 1, 2);
+        let ran = Arc::new(AtomicBool::new(false));
+        let (p_ran, c_ran) = (ran.clone(), ran.clone());
+        let refused = run_workflow_with(
+            &c,
+            dead_ordinal_opts(true),
+            move |_, _| p_ran.store(true, Ordering::SeqCst),
+            move |_, reader| {
+                c_ran.store(true, Ordering::SeqCst);
+                while reader.read().is_some() {}
+            },
+        );
+        let verdict = refused.expect_err("dead-ordinal plan must be refused");
+        assert!(verdict.has(ZvCode::DeadOrdinal), "{}", verdict.render());
+        assert!(!ran.load(Ordering::SeqCst), "no rank may have been spawned");
+    }
+
+    #[test]
+    fn ungated_run_never_returns_err() {
+        // The same rejected plan without the gate runs (the dead ordinal
+        // simply never fires) and carries no verdict.
+        let c = cfg(2, 1, 2);
+        let (report, counts) = run_workflow_with(
+            &c,
+            dead_ordinal_opts(false),
+            slab_producer(&c),
+            count_blocks,
+        )
+        .expect("only a set preflight gate refuses a run");
+        report.assert_complete();
+        assert_eq!(counts.iter().sum::<u64>(), c.total_blocks());
+        assert!(report.preflight.is_none());
     }
 
     #[test]

@@ -21,9 +21,8 @@ pub mod mapreduce;
 pub mod report;
 
 pub use driver::{
-    preflight_workflow, run_workflow, run_workflow_chaos, run_workflow_checked,
-    run_workflow_recorded, run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions,
-    WorkflowPolicies,
+    run_workflow, run_workflow_traced, run_workflow_with, NetworkOptions, RunOptions,
+    StorageOptions, TraceOptions,
 };
 pub use fit::{ModelFit, PhaseFit};
 pub use mapreduce::run_map_reduce;

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 use zipper_core::{ConsumerMetrics, ProducerMetrics};
+use zipper_policy::{DecisionTrace, PreflightReport};
 use zipper_trace::render::{render_timeline, render_timeline_critical, RenderOptions};
 use zipper_trace::{
     stats, CausalGraph, CausalLog, CriticalPath, KindBreakdown, MetricsSnapshot, SampleSeries,
@@ -63,6 +64,17 @@ pub struct WorkflowReport {
     /// Queue-depth and stall-time series sampled over the run by the
     /// wall-clock sampler thread (empty when telemetry was off).
     pub samples: SampleSeries,
+    /// Every producer rank's recorded policy-kernel decisions, indexed by
+    /// rank — the threaded counterpart of the DES's recorded build, whose
+    /// [`DecisionTrace::canonical`] form is the conformance currency.
+    /// Empty unless the run traced with [`crate::TraceOptions::policy`].
+    pub producer_decisions: Vec<DecisionTrace>,
+    /// Every consumer rank's recorded decisions, likewise.
+    pub consumer_decisions: Vec<DecisionTrace>,
+    /// The static verdict the run was admitted under (warnings and lints
+    /// included); `None` unless [`crate::RunOptions::preflight_gate`] was
+    /// set.
+    pub preflight: Option<PreflightReport>,
 }
 
 impl WorkflowReport {
@@ -354,6 +366,9 @@ mod tests {
             causal: CausalLog::new(),
             metrics: MetricsSnapshot::default(),
             samples: SampleSeries::default(),
+            producer_decisions: vec![],
+            consumer_decisions: vec![],
+            preflight: None,
         }
     }
 
@@ -467,6 +482,9 @@ mod tests {
             causal: CausalLog::new(),
             metrics: MetricsSnapshot::default(),
             samples: SampleSeries::default(),
+            producer_decisions: vec![],
+            consumer_decisions: vec![],
+            preflight: None,
         };
         assert_eq!(r.mean_stall(), Duration::ZERO);
         assert_eq!(r.steal_fraction(), 0.0);

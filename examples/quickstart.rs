@@ -17,7 +17,7 @@ use zipper_trace::export::{chrome_trace_with_flows, jsonl_with_flows};
 use zipper_trace::GaugeId;
 use zipper_types::SimTime;
 use zipper_types::{ByteSize, GlobalPos, StepId, WorkflowConfig};
-use zipper_workflow::{run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions};
+use zipper_workflow::{run_workflow_with, RunOptions, TraceOptions};
 
 fn main() {
     // 1. Describe the coupled workflow: P producers, Q consumers, how much
@@ -44,10 +44,10 @@ fn main() {
     // 2. Run it. The producer closure is your simulation loop: compute a
     //    step, hand the slab to Zipper. The consumer closure is your
     //    analysis loop: read blocks until the stream ends.
-    let (report, results) = run_workflow_traced(
-        &cfg,
-        NetworkOptions::default(),
-        StorageOptions::Memory,
+    //    Everything else about the run is a field of `RunOptions`: the
+    //    message channel and storage (defaults: unthrottled mesh, MemFs),
+    //    a scripted `ChaosPlan`, the preflight gate, and trace fidelity.
+    let opts = RunOptions {
         // Full tracing: every runtime thread records spans into one shared
         // log, which the report renders below. `TraceOptions::default()`
         // keeps lane totals only; `off()` removes even that. The telemetry
@@ -55,9 +55,14 @@ fn main() {
         // sampler that snapshots queue depths and stall counters; the
         // causal flag records cross-entity happens-before edges for the
         // critical-path engine below.
-        TraceOptions::full()
+        trace: TraceOptions::full()
             .with_causal()
             .with_telemetry(Duration::from_millis(2)),
+        ..Default::default()
+    };
+    let (report, results) = run_workflow_with(
+        &cfg,
+        opts,
         move |rank, writer| {
             for step in 0..8u64 {
                 // "Simulate": generate this step's output slab.
@@ -85,7 +90,8 @@ fn main() {
             }
             (rank, blocks, acc)
         },
-    );
+    )
+    .expect("only a set preflight gate refuses a run");
 
     // 3. Inspect the outcome.
     report.assert_complete();

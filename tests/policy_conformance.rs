@@ -29,7 +29,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 use zipper_core::{Consumer, Producer};
-use zipper_policy::{CanonicalTrace, Channel, PolicyEvent, ProducerPolicy, RetireReason};
+use zipper_policy::{
+    CanonicalTrace, Channel, DecisionTrace, PolicyEvent, ProducerPolicy, RetireReason,
+};
 use zipper_trace::{TraceMode, TraceSink};
 use zipper_transports::spec::{sim_config, ClusterLayout, WorkflowSpec};
 use zipper_transports::zipper::build_recorded;
@@ -37,10 +39,7 @@ use zipper_types::{
     BackpressureScript, ByteSize, ChaosEntity, ChaosFault, ChaosPlan, GateRule, GlobalPos,
     PreserveMode, Rank, RecoveryPolicy, RoutingPolicy, SimTime, StepId, WorkflowConfig,
 };
-use zipper_workflow::{
-    run_workflow_chaos, run_workflow_recorded, NetworkOptions, StorageOptions, TraceOptions,
-    WorkflowPolicies,
-};
+use zipper_workflow::{run_workflow_with, NetworkOptions, RunOptions, TraceOptions};
 
 /// One conformance scenario, expressed substrate-independently.
 #[derive(Clone)]
@@ -159,32 +158,26 @@ impl Scenario {
         let consume = |_: Rank, reader: &zipper_core::ZipperReader| {
             while reader.read().is_some() {}
         };
+        let opts = RunOptions {
+            net: self.net_options(),
+            trace: TraceOptions::default().with_policy(),
+            chaos: Some(self.chaos.clone()),
+            ..Default::default()
+        };
+        let (report, _): (_, Vec<()>) =
+            run_workflow_with(&cfg, opts, produce, consume).expect("ungated");
         if self.chaos.is_empty() {
-            let (report, _, policies): (_, Vec<()>, WorkflowPolicies) = run_workflow_recorded(
-                &cfg,
-                self.net_options(),
-                StorageOptions::Memory,
-                TraceOptions::default().with_policy(),
-                produce,
-                consume,
-            );
             report.assert_complete();
-            canonize(&policies)
         } else {
-            let (report, _, policies): (_, Vec<()>, WorkflowPolicies) = run_workflow_chaos(
-                &cfg,
-                self.net_options(),
-                StorageOptions::Memory,
-                TraceOptions::default().with_policy(),
-                &self.chaos,
-                produce,
-                consume,
-            );
             // Injected faults surface as per-rank runtime errors by
             // design; the run itself must not lose an app rank.
             assert!(report.failures.is_empty(), "{:?}", report.failures);
-            canonize(&policies)
         }
+        let canon = |ts: &[DecisionTrace]| ts.iter().map(DecisionTrace::canonical).collect();
+        (
+            canon(&report.producer_decisions),
+            canon(&report.consumer_decisions),
+        )
     }
 
     /// Run on the DES; return canonical traces by rank.
@@ -208,21 +201,6 @@ impl Scenario {
                 .collect(),
         )
     }
-}
-
-fn canonize(policies: &WorkflowPolicies) -> (Vec<CanonicalTrace>, Vec<CanonicalTrace>) {
-    (
-        policies
-            .producers
-            .iter()
-            .map(|p| p.lock().trace().canonical())
-            .collect(),
-        policies
-            .consumers
-            .iter()
-            .map(|c| c.lock().trace().canonical())
-            .collect(),
-    )
 }
 
 fn assert_same(
@@ -738,7 +716,7 @@ fn gate_and_chaos_compose_on_the_same_wire() {
 /// runtime error lists are only asserted empty for fault-free runs.
 fn run_tcp(sc: &Scenario) -> (Vec<CanonicalTrace>, Vec<CanonicalTrace>) {
     use parking_lot::Mutex;
-    use zipper_core::{listen_consumers, ChaosSender, TcpSender, WireSender};
+    use zipper_core::{listen_consumers, ChaosSender, TcpSender};
     use zipper_policy::ConsumerPolicy;
 
     let cfg = sc.threaded_config();
@@ -756,14 +734,14 @@ fn run_tcp(sc: &Scenario) -> (Vec<CanonicalTrace>, Vec<CanonicalTrace>) {
             ConsumerPolicy::from_tuning(rank, sc.producers, &tuning).recorded(),
         ));
         consumer_policies.push(policy.clone());
-        let mut c = Consumer::spawn_with_policy(
+        let mut c = Consumer::spawn_with(
             rank,
             tuning,
             sc.producers,
             rx,
             storage.clone(),
             sink.clone(),
-            policy,
+            Some(policy),
         );
         let reader = c.reader();
         consumers.push(c);
@@ -780,22 +758,20 @@ fn run_tcp(sc: &Scenario) -> (Vec<CanonicalTrace>, Vec<CanonicalTrace>) {
             ProducerPolicy::from_tuning(rank, sc.consumers, &tuning).recorded(),
         ));
         producer_policies.push(policy.clone());
-        let tcp = TcpSender::connect(&addrs).unwrap();
-        let sender: Box<dyn WireSender> = if sc.chaos.is_empty() {
-            Box::new(tcp)
-        } else {
-            Box::new(ChaosSender::new(
-                tcp,
-                Arc::new(sc.chaos.scope(ChaosEntity::Sender(rank))),
-            ))
-        };
-        let mut prod = Producer::spawn_with_policy(
+        // An empty scope passes every wire through.
+        let sender = ChaosSender::new(
+            TcpSender::connect(&addrs).unwrap(),
+            Arc::new(sc.chaos.scope(ChaosEntity::Sender(rank))),
+        );
+        let mut prod = Producer::spawn_with(
             rank,
             tuning,
             sender,
             storage.clone(),
             sink.clone(),
-            policy,
+            Some(policy),
+            false,
+            None,
         );
         let writer = prod.writer(BLOCK as usize);
         producer_runtimes.push(prod);

@@ -260,9 +260,9 @@ fn skeleton_matches_des_edge_profile() {
 /// The opt-in workflow gate refuses a provably-deadlocking plan without
 /// spawning a thread, and passes a clean plan through to a real run.
 #[test]
-fn run_workflow_checked_gates_on_preflight() {
+fn preflight_gate_refuses_rejected_plans_and_admits_clean_ones() {
     use zipper_types::{ByteSize, GlobalPos, PreserveMode, StepId, WorkflowConfig};
-    use zipper_workflow::{run_workflow_checked, NetworkOptions, StorageOptions, TraceOptions};
+    use zipper_workflow::{run_workflow_with, RunOptions, TraceOptions};
 
     let mut cfg = WorkflowConfig {
         producers: 2,
@@ -288,34 +288,26 @@ fn run_workflow_checked_gates_on_preflight() {
         while reader.read().is_some() {}
     };
 
+    let gated = |chaos: ChaosPlan| RunOptions {
+        trace: TraceOptions::off(),
+        chaos: Some(chaos),
+        preflight_gate: true,
+        ..Default::default()
+    };
+
     // A dead-ordinal plan is refused before any thread spawns.
     let bad = ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 99, ChaosFault::DropWire);
-    let refused = run_workflow_checked(
-        &cfg,
-        NetworkOptions::default(),
-        StorageOptions::Memory,
-        TraceOptions::off(),
-        &bad,
-        produce,
-        consume,
-    );
-    let report = refused.err().expect("dead-ordinal plan must be refused");
+    let refused = run_workflow_with(&cfg, gated(bad), produce, consume);
+    let report = refused.expect_err("dead-ordinal plan must be refused");
     assert!(report.has(ZvCode::DeadOrdinal), "{}", report.render());
 
-    // A clean (empty) plan runs end to end and returns the preflight
-    // report alongside the workflow results.
-    let ok = run_workflow_checked(
-        &cfg,
-        NetworkOptions::default(),
-        StorageOptions::Memory,
-        TraceOptions::off(),
-        &ChaosPlan::new(),
-        produce,
-        consume,
-    );
-    let (workflow, results, _policies, preflight) = ok.expect("clean plan must run");
+    // A clean (empty) plan runs end to end and carries the preflight
+    // verdict in the workflow report.
+    let ok = run_workflow_with(&cfg, gated(ChaosPlan::new()), produce, consume);
+    let (workflow, results) = ok.expect("clean plan must run");
     workflow.assert_complete();
     assert_eq!(results.len(), 2);
+    let preflight = workflow.preflight.expect("a gated run reports its verdict");
     assert!(!preflight.is_rejected());
 }
 
