@@ -3,12 +3,25 @@
 //! (the full-scale tables come from `cargo run -p bench --bin experiments`).
 //! Benchmarked quantity: wall-clock of the discrete-event replay, i.e. how
 //! fast this reproduction regenerates the figure.
+//!
+//! Plus the few measurements no `perf_ledger` row covers: two analysis
+//! kernels and the threaded runtime's block-size and buffer-depth
+//! ablations. Everything a ledger row does cover (LBM, MD, synthetic
+//! generation, moments, `BlockQueue`, the dual-channel ablation,
+//! instrumentation overhead) is measured there, against a committed
+//! baseline.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bytes::Bytes;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::time::Duration;
+use zipper_apps::analysis::{block_variance, mean_squared_displacement};
+use zipper_apps::md::LjMd;
+use zipper_apps::synthetic::{decode_block, generate_block};
 use zipper_apps::Complexity;
 use zipper_model::{integrated_time, non_integrated_time};
 use zipper_transports::{run_with_detail, TransportKind, WorkflowSpec};
-use zipper_types::SimTime;
+use zipper_types::{ByteSize, GlobalPos, SimTime, StepId, WorkflowConfig};
+use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions};
 
 fn tiny_cfd() -> WorkflowSpec {
     let mut s = WorkflowSpec::cfd(16, 8, 4);
@@ -158,9 +171,103 @@ fn fig16_18_scaling_point(c: &mut Criterion) {
     g.finish();
 }
 
+/// The analysis kernels without a ledger row.
+fn analysis_kernels(c: &mut Criterion) {
+    let mut g = c.benchmark_group("analysis");
+    let blk = generate_block(Complexity::Linear, 1 << 20, 7);
+    let samples = decode_block(&blk);
+    g.throughput(Throughput::Bytes(1 << 20));
+    g.bench_function("variance_1MiB", |b| {
+        b.iter(|| std::hint::black_box(block_variance(&samples)))
+    });
+    let md = LjMd::fcc(4, 0.8, 0.5, 1);
+    let reference = md.positions().to_vec();
+    g.bench_function("msd_256_atoms", |b| {
+        b.iter(|| {
+            std::hint::black_box(mean_squared_displacement(
+                md.positions(),
+                &reference,
+                md.box_len(),
+            ))
+        })
+    });
+    g.finish();
+}
+
+/// One threaded workflow run: every producer writes its slabs, every
+/// consumer drains.
+fn run_once(cfg: &WorkflowConfig, net: NetworkOptions) {
+    let steps = cfg.steps;
+    let slab = cfg.bytes_per_rank_step.as_u64() as usize;
+    let (report, _) = run_workflow(
+        cfg,
+        net,
+        StorageOptions::Memory,
+        move |rank, writer| {
+            for s in 0..steps {
+                writer.write_slab(
+                    StepId(s),
+                    GlobalPos::default(),
+                    Bytes::from(vec![rank.0 as u8; slab]),
+                );
+            }
+        },
+        |_r, reader| while reader.read().is_some() {},
+    );
+    report.assert_complete();
+}
+
+/// Ablation 1: fine-grain block size sweep on the threaded runtime.
+fn runtime_block_size(c: &mut Criterion) {
+    let mut g = c.benchmark_group("runtime_block_size");
+    let total = ByteSize::mib(4);
+    for block_kib in [16u64, 64, 256, 1024] {
+        g.throughput(Throughput::Bytes(total.as_u64() * 2));
+        g.bench_with_input(
+            BenchmarkId::from_parameter(format!("{block_kib}KiB")),
+            &block_kib,
+            |b, &kib| {
+                let mut cfg = WorkflowConfig {
+                    producers: 2,
+                    consumers: 1,
+                    steps: 4,
+                    bytes_per_rank_step: ByteSize::mib(1),
+                    ..Default::default()
+                };
+                cfg.tuning.block_size = ByteSize::kib(kib);
+                b.iter(|| run_once(&cfg, NetworkOptions::default()));
+            },
+        );
+    }
+    g.finish();
+}
+
+/// Ablation 5: producer buffer depth.
+fn runtime_buffer_depth(c: &mut Criterion) {
+    let mut g = c.benchmark_group("runtime_buffer_depth");
+    g.sample_size(10);
+    for slots in [2usize, 8, 32] {
+        g.bench_with_input(BenchmarkId::from_parameter(slots), &slots, |b, &slots| {
+            let mut cfg = WorkflowConfig {
+                producers: 2,
+                consumers: 1,
+                steps: 3,
+                bytes_per_rank_step: ByteSize::kib(512),
+                ..Default::default()
+            };
+            cfg.tuning.block_size = ByteSize::kib(64);
+            cfg.tuning.producer_slots = slots;
+            cfg.tuning.high_water_mark = (slots * 3 / 4).max(1).min(slots - 1);
+            let net = NetworkOptions::throttled(2, 80e6, Duration::ZERO);
+            b.iter(|| run_once(&cfg, net.clone()));
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = figures;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(1)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = fig2_transports, fig3_11_pipeline, fig4_6_traces, fig12_13_synthetics, fig14_15_dual_channel, fig16_18_scaling_point
+    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(1)).warm_up_time(Duration::from_millis(200));
+    targets = fig2_transports, fig3_11_pipeline, fig4_6_traces, fig12_13_synthetics, fig14_15_dual_channel, fig16_18_scaling_point, analysis_kernels, runtime_block_size, runtime_buffer_depth
 }
 criterion_main!(figures);

@@ -10,26 +10,22 @@
 //! asserts the critical-path engine's invariants (acyclic path,
 //! contiguous hops, attribution bounded by the makespan, ×1.0 what-if
 //! identity, verdict agreement with the §4.4 model). `--preflight` runs
-//! the static plan verifier over the whole conformance scenario set —
+//! the static plan verifier over the conformance catalogue
+//! (`zipper_policy::conformance`, the very values the suites run) —
 //! including the seeded plans the CI matrices derive from
 //! `ZIPPER_CHAOS_SEED`/`ZIPPER_GATE_SEED` — so a seeded matrix failure
 //! is classified up front as plan-invalid (preflight rejects it here)
 //! vs conformance-broken (preflight accepts it and the later diff
-//! failed); crafted-bad plans double as a self-test of the rejection
-//! codes. Exits nonzero on the first failure, so a CI step can run an
+//! failed); the catalogue's negative plans double as a self-test of the
+//! rejection codes. Exits nonzero on the first failure, so a CI step can run an
 //! example with `ZIPPER_EXPORT_DIR` set and then gate on this.
 
 use std::process::ExitCode;
-use std::time::Duration;
 use zipper_model::Prediction;
-use zipper_policy::{Preflight, PreflightInput, ZvCode};
+use zipper_policy::{conformance, Preflight};
 use zipper_trace::export::{validate_json, validate_jsonl};
 use zipper_trace::{Bucket, CausalGraph, CriticalPath};
-use zipper_transports::{run, TransportKind, WorkflowSpec};
-use zipper_types::{
-    BackpressureScript, ChaosEntity, ChaosFault, ChaosPlan, GateRule, Rank, RecoveryPolicy,
-    RoutingPolicy,
-};
+use zipper_transports::{run_with_detail, TransportKind, WorkflowSpec};
 use zipper_workflow::ModelFit;
 
 fn check(path: &str) -> Result<String, String> {
@@ -78,7 +74,7 @@ fn check_causal_invariants() -> Result<String, String> {
     spec.ranks_per_node = 2;
     spec.staging_servers = 1;
     spec.decaf_links = 1;
-    let r = run(TransportKind::Zipper, &spec);
+    let r = run_with_detail(TransportKind::Zipper, &spec, true);
     if !r.is_clean() {
         return Err(format!("run not clean: {:?} {:?}", r.fault, r.deadlocked));
     }
@@ -127,260 +123,33 @@ fn check_causal_invariants() -> Result<String, String> {
     ))
 }
 
-/// The conformance suite's scenario shape as a `PreflightInput` (same
-/// parameters as `policy_conformance::Scenario::default`).
-fn scenario_input() -> PreflightInput {
-    PreflightInput {
-        producers: 2,
-        consumers: 2,
-        steps: 2,
-        blocks_per_rank_step: 4,
-        producer_slots: 16,
-        consumer_slots: 256,
-        high_water_mark: 8,
-        concurrent_transfer: false,
-        preserve: false,
-        routing: RoutingPolicy::SourceAffine,
-        recovery: RecoveryPolicy::default(),
-        eos_watchdog: false,
-        chaos: None,
-        backpressure: None,
-    }
-}
-
-/// The Config C backpressure script (`policy_conformance`): wire 2 held
-/// until 3 cumulative steals, wire 4 until a 4th.
-fn config_c_script(producers: usize) -> BackpressureScript {
-    let mut script = BackpressureScript::new();
-    for p in 0..producers {
-        script = script
-            .with(Rank(p as u32), 2, GateRule::OpenAfterSteals(3))
-            .with(Rank(p as u32), 4, GateRule::OpenAfterSteals(4));
-    }
-    script
-}
-
-/// splitmix64 — the same mixer the seeded conformance configs use, so
-/// preflight sees the exact plans the seed matrix will run.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e9b5);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn env_seed(var: &str) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// Every plan the conformance suites run, as (name, preflight input).
-/// The seeded entries read `ZIPPER_CHAOS_SEED`/`ZIPPER_GATE_SEED` like
-/// the tests do, so the CI matrix preflights exactly what it will run.
-fn conformance_plans() -> Vec<(String, PreflightInput)> {
-    let mut plans = Vec::new();
-    plans.push((
-        "config A (source-affine, message-only)".into(),
-        scenario_input(),
-    ));
-
-    let mut b = scenario_input();
-    b.concurrent_transfer = true;
-    b.preserve = true;
-    b.routing = RoutingPolicy::RoundRobin;
-    plans.push(("config B (round-robin + concurrent + Preserve)".into(), b));
-
-    let mut c = scenario_input();
-    c.concurrent_transfer = true;
-    c.routing = RoutingPolicy::RoundRobin;
-    c.backpressure = Some(config_c_script(2));
-    plans.push(("config C (scripted partial stealing)".into(), c));
-
-    let mut d = scenario_input();
-    d.preserve = true;
-    d.routing = RoutingPolicy::RoundRobin;
-    d.eos_watchdog = true;
-    d.chaos = Some(
-        ChaosPlan::new()
-            .with(ChaosEntity::Sender(Rank(0)), 2, ChaosFault::DropWire)
-            .with(ChaosEntity::Sender(Rank(0)), 4, ChaosFault::CorruptWire)
-            .with(ChaosEntity::Sender(Rank(0)), 9, ChaosFault::DropEos)
-            .with(ChaosEntity::Sender(Rank(1)), 1, ChaosFault::FailSend)
-            .with(
-                ChaosEntity::Sender(Rank(1)),
-                3,
-                ChaosFault::DelayWire(Duration::from_millis(2)),
-            )
-            .with(ChaosEntity::Output(Rank(0)), 2, ChaosFault::PfsWriteFail),
-    );
-    plans.push(("config D (chaos degradation)".into(), d));
-
-    let mut e = scenario_input();
-    e.high_water_mark = 0;
-    e.concurrent_transfer = true;
-    e.preserve = true;
-    e.routing = RoutingPolicy::RoundRobin;
-    e.recovery = RecoveryPolicy {
-        writer_cooldown: Duration::from_millis(1),
-        max_writer_revivals: 1,
-        max_consumer_restarts: 1,
-    };
-    e.chaos = Some(
-        ChaosPlan::new()
-            .with(ChaosEntity::Sender(Rank(0)), 1, ChaosFault::DetachSender)
-            .with(ChaosEntity::Sender(Rank(1)), 1, ChaosFault::DetachSender)
-            .with(
-                ChaosEntity::Sender(Rank(1)),
-                2,
-                ChaosFault::DelayWire(Duration::from_millis(1)),
-            )
-            .with(ChaosEntity::Writer(Rank(0)), 2, ChaosFault::PfsWriteFail)
-            .with(ChaosEntity::Analysis(Rank(1)), 3, ChaosFault::CrashApp),
-    );
-    plans.push(("config E (chaos recovery)".into(), e));
-
-    // Seeded chaos: 4 producers, message-only, Preserve, round-robin —
-    // ordinals confined to the 8 data wires.
-    let chaos_seed = env_seed("ZIPPER_CHAOS_SEED");
-    let mut state = chaos_seed;
-    let kinds = [
-        ChaosFault::DropWire,
-        ChaosFault::CorruptWire,
-        ChaosFault::DelayWire(Duration::from_micros(200)),
-        ChaosFault::FailSend,
-    ];
-    let mut plan = ChaosPlan::new();
-    for p in 0..4 {
-        let ordinal = 1 + splitmix(&mut state) % 8;
-        let kind = kinds[(splitmix(&mut state) % kinds.len() as u64) as usize];
-        plan = plan.with(ChaosEntity::Sender(Rank(p as u32)), ordinal, kind);
-    }
-    let mut seeded_chaos = scenario_input();
-    seeded_chaos.producers = 4;
-    seeded_chaos.preserve = true;
-    seeded_chaos.routing = RoutingPolicy::RoundRobin;
-    seeded_chaos.chaos = Some(plan);
-    plans.push((format!("seeded chaos (seed {chaos_seed})"), seeded_chaos));
-
-    // DropEos in concurrent mode, watchdog armed.
-    let mut dropped = scenario_input();
-    dropped.concurrent_transfer = true;
-    dropped.eos_watchdog = true;
-    dropped.chaos =
-        Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 9, ChaosFault::DropEos));
-    plans.push(("dropped EOS, concurrent".into(), dropped));
-
-    // Seeded gate: one credit window per producer inside the 8-block run.
-    let gate_seed = env_seed("ZIPPER_GATE_SEED");
-    let mut state = gate_seed.wrapping_mul(0x5851_f42d_4c95_7f2d);
-    let mut script = BackpressureScript::new();
-    for p in 0..2 {
-        let wire = 1 + splitmix(&mut state) % 3;
-        let target = 1 + splitmix(&mut state) % (8 - wire - 1);
-        script = script.with(Rank(p as u32), wire, GateRule::OpenAfterSteals(target));
-    }
-    let mut seeded_gate = scenario_input();
-    seeded_gate.concurrent_transfer = true;
-    seeded_gate.routing = RoutingPolicy::RoundRobin;
-    seeded_gate.backpressure = Some(script);
-    plans.push((format!("seeded gate (seed {gate_seed})"), seeded_gate));
-
-    // Gate + chaos composed on the same wire (each producer's wire 2
-    // held until 3 steals; p0's released wire dropped, p1's delayed).
-    let mut composed = scenario_input();
-    composed.concurrent_transfer = true;
-    composed.routing = RoutingPolicy::RoundRobin;
-    let mut script = BackpressureScript::new();
-    for p in 0..2 {
-        script = script.with(Rank(p as u32), 2, GateRule::OpenAfterSteals(3));
-    }
-    composed.backpressure = Some(script);
-    composed.chaos = Some(
-        ChaosPlan::new()
-            .with(ChaosEntity::Sender(Rank(0)), 2, ChaosFault::DropWire)
-            .with(
-                ChaosEntity::Sender(Rank(1)),
-                2,
-                ChaosFault::DelayWire(Duration::from_micros(100)),
-            ),
-    );
-    plans.push(("gate + chaos on one wire".into(), composed));
-
-    plans
-}
-
-/// Crafted-bad plans that must be rejected with their documented code —
-/// a self-test that the verifier's rejection surface is alive before CI
-/// trusts its acceptance verdicts.
-fn negative_plans() -> Vec<(&'static str, PreflightInput, ZvCode)> {
-    let mut unsat = scenario_input();
-    unsat.concurrent_transfer = true;
-    unsat.backpressure =
-        Some(BackpressureScript::new().with(Rank(0), 6, GateRule::OpenAfterSteals(5)));
-
-    let mut dead = scenario_input();
-    dead.chaos =
-        Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 99, ChaosFault::DropWire));
-
-    let mut crash = scenario_input();
-    crash.chaos =
-        Some(ChaosPlan::new().with(ChaosEntity::Analysis(Rank(0)), 2, ChaosFault::CrashApp));
-
-    let mut overflow = scenario_input();
-    overflow.blocks_per_rank_step = zipper_policy::preflight::TAG_BLOCK_LIMIT + 1;
-
-    vec![
-        (
-            "unsatisfiable gate window",
-            unsat,
-            ZvCode::UnsatisfiableWindow,
-        ),
-        ("dead chaos ordinal", dead, ZvCode::DeadOrdinal),
-        ("zero-budget CrashApp", crash, ZvCode::UnhealedCrash),
-        ("tag-overflow spec", overflow, ZvCode::TagBlockOverflow),
-    ]
-}
-
 /// `--preflight`: every conformance plan is accepted with zero errors,
 /// every crafted-bad plan is rejected with its documented code.
 fn check_preflight() -> Result<String, String> {
-    let plans = conformance_plans();
-    let mut accepted = 0;
-    for (name, input) in &plans {
-        let report = Preflight::check(input);
+    let plans = conformance::accepted_plans();
+    for (name, plan) in &plans {
+        let report = Preflight::check(plan);
         if report.is_rejected() {
             return Err(format!(
                 "{name} rejected by preflight:\n{}",
                 report.render()
             ));
         }
-        accepted += 1;
     }
-    let negatives = negative_plans();
-    let mut rejected = 0;
-    for (name, input, want) in &negatives {
-        let report = Preflight::check(input);
-        if !report.is_rejected() {
+    let negatives = conformance::negative_plans();
+    for (name, plan, want) in &negatives {
+        let report = Preflight::check(plan);
+        if !report.is_rejected() || !report.has(*want) {
             return Err(format!(
-                "{name} accepted but must be rejected:\n{}",
-                report.render()
-            ));
-        }
-        if !report.has(*want) {
-            return Err(format!(
-                "{name} rejected without {} ({want:?}):\n{}",
+                "{name} must be rejected with {} ({want:?}):\n{}",
                 want.code(),
                 report.render()
             ));
         }
-        rejected += 1;
     }
     Ok(format!(
-        "{accepted} conformance plans accepted, {rejected}/{} negative plans rejected with \
-         their documented codes",
+        "{} conformance plans accepted, {} negative plans rejected with their documented codes",
+        plans.len(),
         negatives.len()
     ))
 }

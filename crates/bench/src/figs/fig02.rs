@@ -13,7 +13,9 @@
 
 use crate::util::{banner, secs, Table};
 use crate::Scale;
-use zipper_transports::{run, run_analysis_only, run_sim_only, TransportKind, WorkflowSpec};
+use zipper_transports::{
+    run_analysis_only, run_sim_only, run_with_detail, TransportKind, WorkflowSpec,
+};
 
 /// The Fig. 2 workflow spec at the requested scale.
 pub fn spec(scale: Scale) -> WorkflowSpec {
@@ -64,7 +66,7 @@ pub fn run_fig(scale: Scale) -> String {
             for seed in [1u64, 2, 3] {
                 let mut s = base.clone();
                 s.seed = seed;
-                let r = run(kind, &s);
+                let r = run_with_detail(kind, &s, true);
                 assert!(r.is_clean(), "{}: {:?}", r.name, r.fault);
                 times.push(r.end_to_end);
                 sample.get_or_insert(r);
@@ -83,7 +85,7 @@ pub fn run_fig(scale: Scale) -> String {
             ]);
             continue;
         }
-        let r = run(kind, &base);
+        let r = run_with_detail(kind, &base, true);
         assert!(r.is_clean(), "{}: {:?} {:?}", r.name, r.fault, r.deadlocked);
         let per = base.sim_ranks as u64;
         table.row(vec![
@@ -97,7 +99,7 @@ pub fn run_fig(scale: Scale) -> String {
         ]);
     }
 
-    let sim_only = run_sim_only(&base);
+    let sim_only = run_sim_only(&base, true);
     table.row(vec![
         "Simulation-only".into(),
         secs(sim_only.end_to_end),

@@ -5,7 +5,7 @@ use crate::util::{banner, secs3, Table};
 use crate::Scale;
 use zipper_model::{integrated_time, non_integrated_time, pipeline_schedule};
 use zipper_trace::render::{render_timeline, RenderOptions};
-use zipper_transports::{run, TransportKind, WorkflowSpec};
+use zipper_transports::{run_with_detail, TransportKind, WorkflowSpec};
 use zipper_types::SimTime;
 
 /// Figure 3: show the overlap by rendering a real Zipper run's timeline —
@@ -14,7 +14,7 @@ pub fn run_fig3(_scale: Scale) -> String {
     let mut out = banner("Figure 3: overlap of simulation and analysis time steps");
     let mut spec = WorkflowSpec::cfd(4, 2, 6);
     spec.ranks_per_node = 2;
-    let r = run(TransportKind::Zipper, &spec);
+    let r = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(r.is_clean());
     let opts = RenderOptions {
         width: 96,

@@ -5,7 +5,9 @@
 use crate::util::{banner, secs3, Table};
 use crate::Scale;
 use zipper_trace::render::{render_timeline, RenderOptions};
-use zipper_transports::{run, run_sim_only, TransportKind, TransportResult, WorkflowSpec};
+use zipper_transports::{
+    run_sim_only, run_with_detail, TransportKind, TransportResult, WorkflowSpec,
+};
 use zipper_types::SimTime;
 
 /// The trace workflow: small enough to render, analysis slower than
@@ -60,7 +62,7 @@ fn render_snip(r: &TransportResult, prefix: &str, from_frac: f64, window: SimTim
 pub fn run_fig4(scale: Scale) -> String {
     let mut out = banner("Figure 4: native DIMES trace — lock periods and producer stalls");
     let spec = slow_analysis_spec(scale);
-    let r = run(TransportKind::DimesNative, &spec);
+    let r = run_with_detail(TransportKind::DimesNative, &spec, true);
     assert!(r.is_clean(), "{:?}", r.fault);
     let (stall, lock, waitall, sendrecv) = signature(&r, &spec);
     let step_time = spec.cost.step_time().unwrap();
@@ -84,8 +86,8 @@ pub fn run_fig4(scale: Scale) -> String {
 pub fn run_fig5(scale: Scale) -> String {
     let mut out = banner("Figure 5: Flexpath vs CFD-only — MPI_Sendrecv inflation");
     let spec = trace_spec(scale);
-    let base = run_sim_only(&spec);
-    let flex = run(TransportKind::Flexpath, &spec);
+    let base = run_sim_only(&spec, true);
+    let flex = run_with_detail(TransportKind::Flexpath, &spec, true);
     assert!(base.is_clean() && flex.is_clean());
     let per = spec.sim_ranks as u64 * spec.steps;
     let b = base.sendrecv / per;
@@ -123,8 +125,8 @@ pub fn run_fig5(scale: Scale) -> String {
 pub fn run_fig6(scale: Scale) -> String {
     let mut out = banner("Figure 6: Decaf vs CFD-only — PUT/MPI_Waitall stalls");
     let spec = trace_spec(scale);
-    let base = run_sim_only(&spec);
-    let decaf = run(TransportKind::Decaf, &spec);
+    let base = run_sim_only(&spec, true);
+    let decaf = run_with_detail(TransportKind::Decaf, &spec, true);
     assert!(base.is_clean() && decaf.is_clean());
     let per = spec.sim_ranks as u64 * spec.steps;
     let mut t = Table::new(&[

@@ -12,7 +12,7 @@
 
 use crate::util::{banner, secs, Table};
 use crate::Scale;
-use zipper_transports::{run_sim_only_with_detail, run_with_detail, TransportKind, WorkflowSpec};
+use zipper_transports::{run_sim_only, run_with_detail, TransportKind, WorkflowSpec};
 use zipper_types::SimTime;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,7 +104,7 @@ pub fn run_scaling(app: App, scale: Scale) -> String {
             per_method.push(Some(r.end_to_end));
             cells.push(secs(r.end_to_end));
         }
-        let sim_only = run_sim_only_with_detail(&spec, false);
+        let sim_only = run_sim_only(&spec, false);
         cells.push(secs(sim_only.end_to_end));
         let z = zipper_time.expect("Zipper never crashes").as_secs_f64();
         let ratio = |t: Option<SimTime>| match t {

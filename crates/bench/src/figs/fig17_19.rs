@@ -13,7 +13,7 @@ use crate::util::{banner, secs3, Table};
 use crate::Scale;
 use zipper_trace::render::{render_timeline, RenderOptions};
 use zipper_trace::stats::window_stats;
-use zipper_transports::{run, TransportKind, TransportResult, WorkflowSpec};
+use zipper_transports::{run_with_detail, TransportKind, TransportResult, WorkflowSpec};
 use zipper_types::SimTime;
 
 fn steps_in_window(r: &TransportResult, window: SimTime) -> f64 {
@@ -25,8 +25,8 @@ fn steps_in_window(r: &TransportResult, window: SimTime) -> f64 {
 
 fn compare(spec: &WorkflowSpec, window: SimTime, title: &str) -> String {
     let mut out = banner(title);
-    let zipper = run(TransportKind::Zipper, spec);
-    let decaf = run(TransportKind::Decaf, spec);
+    let zipper = run_with_detail(TransportKind::Zipper, spec, true);
+    let decaf = run_with_detail(TransportKind::Decaf, spec, true);
     assert!(zipper.is_clean(), "{:?}", zipper.fault);
     assert!(decaf.is_clean(), "{:?}", decaf.fault);
 

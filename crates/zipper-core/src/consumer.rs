@@ -252,12 +252,6 @@ impl ConsumerRecovery {
         Ok(ids.len())
     }
 
-    /// Blocks delivered (and not yet replayed) so far — the would-be
-    /// replay backlog.
-    pub fn delivered(&self) -> usize {
-        self.delivered.lock().len()
-    }
-
     /// Give up on this rank for good: close the consumer buffer so the
     /// runtime threads fail soft instead of blocking on a reader that
     /// will never return. A restart supervisor calls this when the

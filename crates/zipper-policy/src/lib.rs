@@ -34,6 +34,7 @@
 //! channels — so the DES can wrap policies in `Rc<RefCell<..>>` and the
 //! threaded runtime in `Arc<Mutex<..>>` without feature gymnastics.
 
+pub mod conformance;
 pub mod consumer;
 pub mod eos;
 pub mod preflight;

@@ -2,12 +2,10 @@
 //! substrate runs it.
 //!
 //! The paper's §4.4 analytical model predicts workflow behavior *before*
-//! execution; this module does the same for plan *safety*. Given the
-//! abstract shape of a workflow (rank counts, block schedule, tuning
-//! knobs) plus the optional user-supplied scripts — a
-//! [`ChaosPlan`], a
-//! [`BackpressureScript`], a
-//! [`RecoveryPolicy`] — [`Preflight::check`]
+//! execution; this module does the same for plan *safety*. Given a
+//! [`PreflightInput`] — the [`WorkflowConfig`] (rank counts, block
+//! schedule, tuning knobs, recovery budgets) plus the optional
+//! [`ChaosPlan`] and [`BackpressureScript`] — [`Preflight::check`]
 //! symbolically executes the policy kernel ([`ProducerPolicy`]'s shared
 //! router rotation, Algorithm 1's high-water steal condition, the EOS
 //! fan-out) over the abstract block schedule, without spawning a thread
@@ -54,8 +52,8 @@ use std::fmt;
 use crate::eos::Channel;
 use crate::producer::ProducerPolicy;
 use zipper_types::{
-    BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, GateRule, Rank,
-    RecoveryPolicy, RoutingPolicy, StepId, WorkflowConfig,
+    BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, GateRule, Rank, StepId,
+    WorkflowConfig,
 };
 
 /// Widest step index the wire tag format can carry (32-bit step field;
@@ -376,47 +374,25 @@ impl CausalSkeleton {
     }
 }
 
-/// Everything the verifier needs to know about a plan, substrate-free.
-/// Build one from a [`WorkflowConfig`] via [`PreflightInput::from_config`]
-/// (the threaded runtime's shape) or populate the fields directly (the
-/// DES does, from its `WorkflowSpec`).
-#[derive(Clone, Debug)]
+/// One plan, substrate-free: the workflow, plus the optional fault and
+/// flow-control scripts. Every interpreter derives its input from this one
+/// value — `Preflight::check` reads it directly, the threaded driver runs
+/// `workflow` under `RunOptions { chaos, net.backpressure }`, and the DES
+/// runs `WorkflowSpec::from_plan`. The named conformance plans live in
+/// [`crate::conformance`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct PreflightInput {
-    pub producers: usize,
-    pub consumers: usize,
-    pub steps: u64,
-    pub blocks_per_rank_step: u64,
-    pub producer_slots: usize,
-    pub consumer_slots: usize,
-    pub high_water_mark: usize,
-    pub concurrent_transfer: bool,
-    pub preserve: bool,
-    pub routing: RoutingPolicy,
-    pub recovery: RecoveryPolicy,
-    /// Whether the consumer runs an EOS watchdog (threaded
-    /// `eos_timeout`, DES `virtual_eos_timeout`).
-    pub eos_watchdog: bool,
+    pub workflow: WorkflowConfig,
     pub chaos: Option<ChaosPlan>,
     pub backpressure: Option<BackpressureScript>,
 }
 
 impl PreflightInput {
-    /// The threaded runtime's shape, scripts attached separately via
+    /// A script-free plan; attach scripts with
     /// [`PreflightInput::with_chaos`] / [`PreflightInput::with_backpressure`].
     pub fn from_config(cfg: &WorkflowConfig) -> Self {
         PreflightInput {
-            producers: cfg.producers,
-            consumers: cfg.consumers,
-            steps: cfg.steps,
-            blocks_per_rank_step: cfg.blocks_per_rank_step(),
-            producer_slots: cfg.tuning.producer_slots,
-            consumer_slots: cfg.tuning.consumer_slots,
-            high_water_mark: cfg.tuning.high_water_mark,
-            concurrent_transfer: cfg.tuning.concurrent_transfer,
-            preserve: cfg.tuning.preserve.is_preserve(),
-            routing: cfg.tuning.routing,
-            recovery: cfg.tuning.recovery,
-            eos_watchdog: cfg.tuning.eos_timeout.is_some(),
+            workflow: cfg.clone(),
             chaos: None,
             backpressure: None,
         }
@@ -434,9 +410,18 @@ impl PreflightInput {
         self
     }
 
+    /// Blocks per rank per step; 0 (a ZV001 finding, not a panic) for a
+    /// zero block size.
+    fn blocks_per_rank_step(&self) -> u64 {
+        if self.workflow.tuning.block_size.as_u64() == 0 {
+            return 0;
+        }
+        self.workflow.blocks_per_rank_step()
+    }
+
     /// Blocks each producer rank emits over the whole run.
     fn blocks_per_rank(&self) -> u64 {
-        self.steps * self.blocks_per_rank_step
+        self.workflow.steps * self.blocks_per_rank_step()
     }
 
     fn chaos_ref(&self) -> &[zipper_types::ChaosEvent] {
@@ -456,9 +441,10 @@ impl PreflightInput {
 
     /// Exact-walk regime for `rank` (see the module docs).
     fn pinned(&self, rank: usize) -> bool {
-        !self.concurrent_transfer
+        let tuning = &self.workflow.tuning;
+        !tuning.concurrent_transfer
             || self.detached(rank)
-            || self.high_water_mark as u64 >= self.blocks_per_rank()
+            || tuning.high_water_mark as u64 >= self.blocks_per_rank()
     }
 
     /// The scripted faults for one entity, sorted by ordinal — the same
@@ -574,6 +560,7 @@ pub struct Preflight;
 impl Preflight {
     /// Statically verify `input`. Never runs either substrate.
     pub fn check(input: &PreflightInput) -> PreflightReport {
+        let cfg = &input.workflow;
         let mut d = Vec::new();
         check_config(input, &mut d);
         check_script_shape(input, &mut d);
@@ -590,17 +577,17 @@ impl Preflight {
             };
         }
 
-        let all_pinned = (0..input.producers).all(|r| input.pinned(r));
-        let mut walks: Vec<RankWalk> = Vec::with_capacity(input.producers);
-        for rank in 0..input.producers {
+        let all_pinned = (0..cfg.producers).all(|r| input.pinned(r));
+        let mut walks: Vec<RankWalk> = Vec::with_capacity(cfg.producers);
+        for rank in 0..cfg.producers {
             if input.pinned(rank) {
                 walks.push(walk_rank(input, rank, &mut d));
             } else {
                 bound_rank(input, rank, &mut d);
                 walks.push(RankWalk {
-                    net_delivered: vec![0; input.consumers],
-                    disk_delivered: vec![0; input.consumers],
-                    eos_delivered: vec![0; input.consumers],
+                    net_delivered: vec![0; cfg.consumers],
+                    disk_delivered: vec![0; cfg.consumers],
+                    eos_delivered: vec![0; cfg.consumers],
                     ..RankWalk::default()
                 });
             }
@@ -614,7 +601,7 @@ impl Preflight {
         check_recovery_lints(input, &mut d);
 
         let skeleton = if all_pinned {
-            let s = build_skeleton(input, &walks);
+            let s = build_skeleton(&walks);
             if !s.is_acyclic() {
                 d.push(Diagnostic::plain(
                     ZvCode::SkeletonCycle,
@@ -653,56 +640,57 @@ fn entity_sort_key(e: ChaosEntity) -> (u8, u32) {
 
 /// ZV001–ZV004: configuration scalars and wire-tag bounds.
 fn check_config(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
+    let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let mut bad = |what: &str| {
         d.push(Diagnostic::plain(
             ZvCode::InvalidConfig,
             format!("{what} must be at least 1"),
         ));
     };
-    if input.producers == 0 {
+    if cfg.producers == 0 {
         bad("producer count");
     }
-    if input.consumers == 0 {
+    if cfg.consumers == 0 {
         bad("consumer count");
     }
-    if input.steps == 0 {
+    if cfg.steps == 0 {
         bad("step count");
     }
-    if input.blocks_per_rank_step == 0 {
+    if input.blocks_per_rank_step() == 0 {
         bad("blocks per rank-step");
     }
-    if input.producer_slots == 0 {
+    if tuning.producer_slots == 0 {
         bad("producer buffer slots");
     }
-    if input.consumer_slots == 0 {
+    if tuning.consumer_slots == 0 {
         bad("consumer buffer slots");
     }
-    if input.producer_slots > 0 && input.high_water_mark >= input.producer_slots {
+    if tuning.producer_slots > 0 && tuning.high_water_mark >= tuning.producer_slots {
         d.push(Diagnostic::plain(
             ZvCode::HighWaterMark,
             format!(
                 "high-water mark {} must be below the producer buffer's {} slots \
                  (Algorithm 1 could never relieve a full buffer)",
-                input.high_water_mark, input.producer_slots
+                tuning.high_water_mark, tuning.producer_slots
             ),
         ));
     }
-    if input.steps > TAG_STEP_LIMIT {
+    if cfg.steps > TAG_STEP_LIMIT {
         d.push(Diagnostic::plain(
             ZvCode::TagStepOverflow,
             format!(
                 "{} steps exceed the wire tag's 32-bit step field (max {TAG_STEP_LIMIT})",
-                input.steps
+                cfg.steps
             ),
         ));
     }
-    if input.blocks_per_rank_step > TAG_BLOCK_LIMIT {
+    if input.blocks_per_rank_step() > TAG_BLOCK_LIMIT {
         d.push(Diagnostic::plain(
             ZvCode::TagBlockOverflow,
             format!(
                 "{} blocks per rank-step exceed the wire tag's 24-bit block field \
                  (max {TAG_BLOCK_LIMIT})",
-                input.blocks_per_rank_step
+                input.blocks_per_rank_step()
             ),
         ));
     }
@@ -710,18 +698,19 @@ fn check_config(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
 
 /// ZV010–ZV012, ZV051: backpressure-script structure, before any walk.
 fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
+    let cfg = &input.workflow;
     let Some(script) = &input.backpressure else {
         return;
     };
     let n = input.blocks_per_rank();
     for &(rank, ref w) in &script.gates {
-        if rank.idx() >= input.producers {
+        if rank.idx() >= cfg.producers {
             d.push(Diagnostic::plain(
                 ZvCode::GateRankOutOfRange,
                 format!(
                     "gate window on producer rank {} but the workflow has {} producers",
                     rank.idx(),
-                    input.producers
+                    cfg.producers
                 ),
             ));
         }
@@ -765,7 +754,7 @@ fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
         }
     }
     // Per-rank ordering and target monotonicity, the runtimes' contract.
-    for rank in 0..input.producers {
+    for rank in 0..cfg.producers {
         let windows = script.windows_for(Rank(rank as u32));
         let mut last_wire = 0u64;
         let mut last_target = 0u64;
@@ -796,13 +785,14 @@ fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
 
 /// ZV022–ZV026 (shape half): per-event checks that need no walk.
 fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
+    let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let events = input.chaos_ref();
     let mut seen: BTreeSet<((u8, u32), u64)> = BTreeSet::new();
     for ev in events {
         let (kind, rank) = entity_sort_key(ev.entity);
         let in_range = match ev.entity {
-            ChaosEntity::Sender(r) | ChaosEntity::Writer(r) => r.idx() < input.producers,
-            ChaosEntity::Output(r) | ChaosEntity::Analysis(r) => r.idx() < input.consumers,
+            ChaosEntity::Sender(r) | ChaosEntity::Writer(r) => r.idx() < cfg.producers,
+            ChaosEntity::Output(r) | ChaosEntity::Analysis(r) => r.idx() < cfg.consumers,
         };
         if !in_range {
             d.push(Diagnostic::at(
@@ -811,14 +801,14 @@ fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
                 ev.ordinal,
                 format!(
                     "{:?} does not exist ({} producers, {} consumers)",
-                    ev.entity, input.producers, input.consumers
+                    ev.entity, cfg.producers, cfg.consumers
                 ),
             ));
             continue;
         }
         if ev.fault == ChaosFault::DetachSender {
             match ev.entity {
-                ChaosEntity::Sender(_) if !input.concurrent_transfer => {
+                ChaosEntity::Sender(_) if !tuning.concurrent_transfer => {
                     d.push(Diagnostic::at(
                         ZvCode::DetachWithoutWriter,
                         ev.entity,
@@ -883,7 +873,7 @@ fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
             ));
         }
         if let ChaosEntity::Output(_) = ev.entity {
-            if !input.preserve {
+            if !tuning.preserve.is_preserve() {
                 d.push(Diagnostic::at(
                     ZvCode::OutputWithoutPreserve,
                     ev.entity,
@@ -895,7 +885,7 @@ fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
             }
         }
         if let ChaosEntity::Writer(_) = ev.entity {
-            if !input.concurrent_transfer {
+            if !tuning.concurrent_transfer {
                 d.push(Diagnostic::at(
                     ZvCode::DeadOrdinal,
                     ev.entity,
@@ -918,15 +908,10 @@ fn fault_at(faults: &[(u64, ChaosFault)], ordinal: u64) -> Option<ChaosFault> {
 /// the shared router rotation, the gate windows, and the chaos scopes —
 /// exactly the decision sequence both substrates would produce.
 fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> RankWalk {
-    let q = input.consumers;
+    let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
+    let q = cfg.consumers;
     let n = input.blocks_per_rank();
-    let mut policy = ProducerPolicy::new(
-        Rank(rank as u32),
-        q,
-        input.routing,
-        input.high_water_mark,
-        input.concurrent_transfer,
-    );
+    let mut policy = ProducerPolicy::from_tuning(Rank(rank as u32), q, tuning);
     let sender_entity = ChaosEntity::Sender(Rank(rank as u32));
     let writer_entity = ChaosEntity::Writer(Rank(rank as u32));
     let sender_faults = input.faults_for(sender_entity);
@@ -937,7 +922,7 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
         .map(|s| s.windows_for(Rank(rank as u32)))
         .unwrap_or_default();
     let detached = input.detached(rank);
-    let has_writer = input.concurrent_transfer;
+    let has_writer = tuning.concurrent_transfer;
 
     let mut w = RankWalk {
         net_delivered: vec![0; q],
@@ -947,9 +932,9 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
     };
 
     // Blocks in production order: steps outer, per-step index inner.
-    let mut pending: VecDeque<BlockId> = (0..input.steps)
+    let mut pending: VecDeque<BlockId> = (0..cfg.steps)
         .flat_map(|s| {
-            (0..input.blocks_per_rank_step)
+            (0..input.blocks_per_rank_step())
                 .map(move |i| BlockId::new(Rank(rank as u32), StepId(s), i as u32))
         })
         .collect();
@@ -958,7 +943,7 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
     let mut writer_alive = has_writer;
     let mut steals_cum = 0u64;
     let mut widx = 0usize;
-    let max_revivals = input.recovery.max_writer_revivals;
+    let max_revivals = tuning.recovery.max_writer_revivals;
 
     // One writer put attempt for `block`. Returns true when the block was
     // written (steal credited), false when the writer died (block goes
@@ -1005,14 +990,14 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
             .filter(|w| matches!(w.rule, GateRule::OpenAfterSteals(_)))
             .collect();
         if !credit_windows.is_empty() {
-            if n > input.producer_slots as u64 {
+            if n > tuning.producer_slots as u64 {
                 d.push(Diagnostic::plain(
                     ZvCode::UnsatisfiableWindow,
                     format!(
                         "rank {rank}: detached sender can never arm its credit window and \
                          the producer wedges on a full buffer ({n} blocks > {} slots) \
                          before the queue can close",
-                        input.producer_slots
+                        tuning.producer_slots
                     ),
                 ));
             } else {
@@ -1177,7 +1162,7 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
     }
 
     // Sender-entity ordinal liveness against the exact op count.
-    for &(ord, fault) in &sender_faults {
+    for &(ord, _) in &sender_faults {
         if ord > w.sender_ops {
             d.push(Diagnostic::at(
                 ZvCode::DeadOrdinal,
@@ -1191,9 +1176,6 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
                     w.sender_ops - w.wires
                 ),
             ));
-        } else if detached && fault != ChaosFault::DetachSender {
-            // Ordinals on a detached sender count EOS marks only; the
-            // event fires, but only ever on a mark.
         }
     }
     // Writer-entity ordinal liveness.
@@ -1220,12 +1202,13 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
 /// low high-water mark): reject what no schedule could reach, warn about
 /// what cannot be proved.
 fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
+    let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let n = input.blocks_per_rank();
-    let q = input.consumers as u64;
+    let q = cfg.consumers as u64;
     let sender_entity = ChaosEntity::Sender(Rank(rank as u32));
     let writer_entity = ChaosEntity::Writer(Rank(rank as u32));
     let sender_max = n + q; // every block by wire, plus the Net EOS marks
-    let writer_max = n + input.recovery.max_writer_revivals as u64;
+    let writer_max = n + tuning.recovery.max_writer_revivals as u64;
     for &(ord, _) in &input.faults_for(sender_entity) {
         if ord > sender_max {
             d.push(Diagnostic::at(
@@ -1246,7 +1229,7 @@ fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
                     "schedule not pinned (concurrent transfer, high-water mark {} < {n} \
                      blocks): ordinal {ord} is within [1, {sender_max}] but its liveness \
                      depends on the steal interleaving",
-                    input.high_water_mark
+                    tuning.high_water_mark
                 ),
             ));
         }
@@ -1280,16 +1263,17 @@ fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
 /// classification, analysis crash/restart arithmetic, output-path
 /// liveness.
 fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagnostic>) {
-    let channels = if input.concurrent_transfer { 2u64 } else { 1 };
-    let eos_expected = input.producers as u64 * channels;
-    for qr in 0..input.consumers {
+    let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
+    let channels = if tuning.concurrent_transfer { 2u64 } else { 1 };
+    let eos_expected = cfg.producers as u64 * channels;
+    for qr in 0..cfg.consumers {
         let entity = ChaosEntity::Analysis(Rank(qr as u32));
         let output_entity = ChaosEntity::Output(Rank(qr as u32));
         let delivered: u64 = walks
             .iter()
             .map(|w| w.net_delivered[qr] + w.disk_delivered[qr])
             .sum();
-        let net_stored: u64 = if input.preserve {
+        let net_stored: u64 = if tuning.preserve.is_preserve() {
             walks.iter().map(|w| w.net_delivered[qr]).sum()
         } else {
             0
@@ -1299,7 +1283,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
         // EOS classification: every interpreter path either completes by
         // protocol, completes by watchdog, or hangs.
         if eos_seen < eos_expected {
-            if input.eos_watchdog {
+            if tuning.eos_timeout.is_some() {
                 d.push(Diagnostic::plain(
                     ZvCode::WatchdogDegradation,
                     format!(
@@ -1338,7 +1322,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
             ordinal += 1;
             let is_closed_read = items_left == 0 && replays_left == 0;
             if crashes.contains(&ordinal) {
-                if restarts_used >= input.recovery.max_consumer_restarts {
+                if restarts_used >= tuning.recovery.max_consumer_restarts {
                     d.push(Diagnostic::at(
                         ZvCode::UnhealedCrash,
                         entity,
@@ -1347,7 +1331,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
                             "consumer {qr} crashes at read {ordinal} with its restart \
                              budget ({}) exhausted: the rank halts and {} undelivered \
                              reads are lost",
-                            input.recovery.max_consumer_restarts,
+                            tuning.recovery.max_consumer_restarts,
                             items_left + replays_left
                         ),
                     ));
@@ -1364,7 +1348,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
                         items_left -= 1;
                     }
                 }
-                if epoch_reads > 0 && !input.preserve {
+                if epoch_reads > 0 && !tuning.preserve.is_preserve() {
                     d.push(Diagnostic::at(
                         ZvCode::ReplayWithoutPreserve,
                         entity,
@@ -1414,7 +1398,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
             if fault != ChaosFault::PfsWriteFail {
                 continue; // inert, flagged in the shape pass
             }
-            if !input.preserve {
+            if !tuning.preserve.is_preserve() {
                 continue; // ZV025 already emitted in the shape pass
             }
             if ord > net_stored {
@@ -1435,10 +1419,11 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
 /// Conservative consumer-side verdicts when any rank is unpinned: keep
 /// the "accepted ⇒ the DES run completes" theorem sound.
 fn bound_consumers(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
-    let total = input.blocks_per_rank() * input.producers as u64;
+    let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
+    let total = input.blocks_per_rank() * cfg.producers as u64;
     // A mark-killing sender fault could land on an EOS ordinal under some
     // interleaving; without a watchdog that is a possible hang — reject.
-    if !input.eos_watchdog {
+    if tuning.eos_timeout.is_none() {
         for ev in input.chaos_ref() {
             let mark_killing = matches!(
                 ev.fault,
@@ -1462,7 +1447,7 @@ fn bound_consumers(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
             }
         }
     }
-    for qr in 0..input.consumers {
+    for qr in 0..cfg.consumers {
         let entity = ChaosEntity::Analysis(Rank(qr as u32));
         let crashes: Vec<u64> = input
             .faults_for(entity)
@@ -1479,7 +1464,7 @@ fn bound_consumers(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
                     ord,
                     format!("no schedule gives consumer {qr} more than {max_reads} reads"),
                 ));
-            } else if crashes.len() as u32 > input.recovery.max_consumer_restarts {
+            } else if crashes.len() as u32 > tuning.recovery.max_consumer_restarts {
                 d.push(Diagnostic::at(
                     ZvCode::UnhealedCrash,
                     entity,
@@ -1488,10 +1473,10 @@ fn bound_consumers(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
                         "consumer {qr} scripts {} crashes against a restart budget of {}: \
                          under some interleaving the rank halts",
                         crashes.len(),
-                        input.recovery.max_consumer_restarts
+                        tuning.recovery.max_consumer_restarts
                     ),
                 ));
-            } else if !input.preserve && ord > 1 {
+            } else if !tuning.preserve.is_preserve() && ord > 1 {
                 d.push(Diagnostic::at(
                     ZvCode::ReplayWithoutPreserve,
                     entity,
@@ -1518,28 +1503,29 @@ fn bound_consumers(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
 
 /// ZV050: budgets nothing can consume.
 fn check_recovery_lints(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
+    let tuning = &input.workflow.tuning;
     let events = input.chaos_ref();
     let writer_faults = events.iter().any(|ev| {
         matches!(ev.entity, ChaosEntity::Writer(_)) && ev.fault == ChaosFault::PfsWriteFail
     });
-    if input.recovery.max_writer_revivals > 0 && !writer_faults {
+    if tuning.recovery.max_writer_revivals > 0 && !writer_faults {
         d.push(Diagnostic::plain(
             ZvCode::UnusedRecoveryBudget,
             format!(
                 "writer revival budget of {} with no scripted PfsWriteFail to consume it",
-                input.recovery.max_writer_revivals
+                tuning.recovery.max_writer_revivals
             ),
         ));
     }
     let crashes = events.iter().any(|ev| {
         matches!(ev.entity, ChaosEntity::Analysis(_)) && ev.fault == ChaosFault::CrashApp
     });
-    if input.recovery.max_consumer_restarts > 0 && !crashes {
+    if tuning.recovery.max_consumer_restarts > 0 && !crashes {
         d.push(Diagnostic::plain(
             ZvCode::UnusedRecoveryBudget,
             format!(
                 "consumer restart budget of {} with no scripted CrashApp to consume it",
-                input.recovery.max_consumer_restarts
+                tuning.recovery.max_consumer_restarts
             ),
         ));
     }
@@ -1549,7 +1535,7 @@ fn check_recovery_lints(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
 /// walks. Signatures follow `CausalGraph::edge_profile`'s role grammar
 /// (`"kind:seg0/segN(src)=>seg0/segN(dst)"`, EOS edges coarse-grained to
 /// the first path segment).
-fn build_skeleton(input: &PreflightInput, walks: &[RankWalk]) -> CausalSkeleton {
+fn build_skeleton(walks: &[RankWalk]) -> CausalSkeleton {
     let mut s = CausalSkeleton::default();
     let mut wire = 0u64;
     let mut eos = 0u64;
@@ -1559,7 +1545,6 @@ fn build_skeleton(input: &PreflightInput, walks: &[RankWalk]) -> CausalSkeleton 
         eos += w.eos_delivered.iter().sum::<u64>();
         steal += w.disk_delivered.iter().sum::<u64>();
     }
-    let _ = input;
     s.add("wire:sim/send=>ana/recv", wire);
     s.add("eos:sim=>ana", eos);
     s.add("steal:sim/writer=>ana/recv", steal);
@@ -1572,38 +1557,13 @@ fn build_skeleton(input: &PreflightInput, walks: &[RankWalk]) -> CausalSkeleton 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::{config_c, config_d, config_e};
     use std::time::Duration;
-
-    /// Config C's shape: 2 producers, 2 consumers, 8 blocks per rank,
-    /// hwm = 8 (pinned), concurrent, scripted credit windows.
-    fn config_c_input() -> PreflightInput {
-        PreflightInput {
-            producers: 2,
-            consumers: 2,
-            steps: 2,
-            blocks_per_rank_step: 4,
-            producer_slots: 16,
-            consumer_slots: 8,
-            high_water_mark: 8,
-            concurrent_transfer: true,
-            preserve: false,
-            routing: RoutingPolicy::RoundRobin,
-            recovery: RecoveryPolicy::default(),
-            eos_watchdog: false,
-            chaos: None,
-            backpressure: Some(
-                BackpressureScript::new()
-                    .with(Rank(0), 2, GateRule::OpenAfterSteals(3))
-                    .with(Rank(0), 4, GateRule::OpenAfterSteals(4))
-                    .with(Rank(1), 2, GateRule::OpenAfterSteals(3))
-                    .with(Rank(1), 4, GateRule::OpenAfterSteals(4)),
-            ),
-        }
-    }
+    use zipper_types::ByteSize;
 
     #[test]
     fn config_c_walk_reproduces_the_steal_schedule() {
-        let input = config_c_input();
+        let input = config_c();
         let report = Preflight::check(&input);
         assert!(!report.is_rejected(), "{}", report.render());
         assert!(report.pinned);
@@ -1621,32 +1581,7 @@ mod tests {
     /// c1 completes with 6 stores).
     #[test]
     fn config_d_walk_matches_documented_degradation() {
-        use ChaosEntity::*;
-        use ChaosFault::*;
-        let input = PreflightInput {
-            producers: 2,
-            consumers: 2,
-            steps: 2,
-            blocks_per_rank_step: 4,
-            producer_slots: 16,
-            consumer_slots: 8,
-            high_water_mark: 4,
-            concurrent_transfer: false,
-            preserve: true,
-            routing: RoutingPolicy::RoundRobin,
-            recovery: RecoveryPolicy::default(),
-            eos_watchdog: true,
-            chaos: Some(
-                ChaosPlan::new()
-                    .with(Sender(Rank(0)), 2, DropWire)
-                    .with(Sender(Rank(0)), 4, CorruptWire)
-                    .with(Sender(Rank(0)), 9, DropEos)
-                    .with(Sender(Rank(1)), 1, FailSend)
-                    .with(Sender(Rank(1)), 3, DelayWire(Duration::from_millis(2)))
-                    .with(Output(Rank(0)), 2, PfsWriteFail),
-            ),
-            backpressure: None,
-        };
+        let input = config_d();
         let report = Preflight::check(&input);
         assert!(!report.is_rejected(), "{}", report.render());
         // c0 misses p0's dropped Net mark: watchdog completion.
@@ -1670,35 +1605,7 @@ mod tests {
     /// double route), a healed consumer crash.
     #[test]
     fn config_e_walk_heals_everything() {
-        use ChaosEntity::*;
-        use ChaosFault::*;
-        let input = PreflightInput {
-            producers: 2,
-            consumers: 2,
-            steps: 2,
-            blocks_per_rank_step: 4,
-            producer_slots: 16,
-            consumer_slots: 8,
-            high_water_mark: 0,
-            concurrent_transfer: true,
-            preserve: true,
-            routing: RoutingPolicy::RoundRobin,
-            recovery: RecoveryPolicy {
-                writer_cooldown: Duration::from_millis(1),
-                max_writer_revivals: 1,
-                max_consumer_restarts: 1,
-            },
-            eos_watchdog: false,
-            chaos: Some(
-                ChaosPlan::new()
-                    .with(Sender(Rank(0)), 0, DetachSender)
-                    .with(Sender(Rank(1)), 0, DetachSender)
-                    .with(Sender(Rank(1)), 2, DelayWire(Duration::from_millis(1)))
-                    .with(Writer(Rank(0)), 2, PfsWriteFail)
-                    .with(Analysis(Rank(1)), 3, CrashApp),
-            ),
-            backpressure: None,
-        };
+        let input = config_e();
         let report = Preflight::check(&input);
         assert!(!report.is_rejected(), "{}", report.render());
         assert!(report.pinned, "detached ranks are pinned");
@@ -1714,7 +1621,7 @@ mod tests {
 
     #[test]
     fn statically_unsatisfiable_window_is_rejected() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure =
             Some(BackpressureScript::new().with(Rank(0), 6, GateRule::OpenAfterSteals(5)));
         let report = Preflight::check(&input);
@@ -1728,7 +1635,7 @@ mod tests {
 
     #[test]
     fn dead_sender_ordinal_is_rejected() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         // 8 wires + 2 EOS marks = 10 sender ops; ordinal 11 is dead.
         input.chaos =
@@ -1747,7 +1654,7 @@ mod tests {
 
     #[test]
     fn zero_budget_crash_is_rejected_with_unhealed_crash() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         input.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Analysis(Rank(0)), 2, ChaosFault::CrashApp));
@@ -1758,17 +1665,18 @@ mod tests {
 
     #[test]
     fn tag_overflow_is_rejected() {
-        let mut input = config_c_input();
-        input.steps = TAG_STEP_LIMIT + 1;
+        let mut input = config_c();
+        input.workflow.steps = TAG_STEP_LIMIT + 1;
         assert!(Preflight::check(&input).has(ZvCode::TagStepOverflow));
-        let mut input = config_c_input();
-        input.blocks_per_rank_step = TAG_BLOCK_LIMIT + 1;
+        let mut input = config_c();
+        input.workflow.tuning.block_size = ByteSize::bytes(1);
+        input.workflow.bytes_per_rank_step = ByteSize::bytes(TAG_BLOCK_LIMIT + 1);
         assert!(Preflight::check(&input).has(ZvCode::TagBlockOverflow));
     }
 
     #[test]
     fn conflicting_faults_on_one_ordinal_are_rejected() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         input.chaos = Some(
             ChaosPlan::new()
@@ -1781,16 +1689,16 @@ mod tests {
 
     #[test]
     fn eos_starvation_without_watchdog_is_rejected() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
-        input.eos_watchdog = false;
+        input.workflow.tuning.eos_timeout = None;
         // Ordinal 9 is the first Net EOS mark (toward consumer 0).
         input.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 9, ChaosFault::DropEos));
         let report = Preflight::check(&input);
         assert!(report.has(ZvCode::EosStarvation), "{}", report.render());
         // The same plan with a watchdog degrades instead of hanging.
-        input.eos_watchdog = true;
+        input.workflow.tuning.eos_timeout = Some(Duration::from_secs(1));
         let report = Preflight::check(&input);
         assert!(!report.is_rejected(), "{}", report.render());
         assert!(report.has(ZvCode::WatchdogDegradation));
@@ -1800,7 +1708,7 @@ mod tests {
     fn detached_writer_death_is_a_provable_hang() {
         use ChaosEntity::*;
         use ChaosFault::*;
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         input.chaos = Some(
             ChaosPlan::new()
@@ -1820,7 +1728,7 @@ mod tests {
     fn nondetached_writer_death_is_fail_soft() {
         use ChaosEntity::*;
         use ChaosFault::*;
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         // hwm >= n keeps the schedule pinned; without a scripted window
         // the writer never takes, so give it one steal to die on.
@@ -1834,7 +1742,7 @@ mod tests {
 
     #[test]
     fn entity_out_of_range_is_rejected() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         input.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Analysis(Rank(7)), 1, ChaosFault::CrashApp));
@@ -1843,7 +1751,7 @@ mod tests {
 
     #[test]
     fn inert_fault_kinds_warn() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         input.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 1, ChaosFault::PfsWriteFail));
@@ -1854,8 +1762,8 @@ mod tests {
 
     #[test]
     fn message_only_windows_are_inert_not_deadlocks() {
-        let mut input = config_c_input();
-        input.concurrent_transfer = false;
+        let mut input = config_c();
+        input.workflow.tuning.concurrent_transfer = false;
         let report = Preflight::check(&input);
         assert!(!report.is_rejected(), "{}", report.render());
         assert!(report.has(ZvCode::InertWindow));
@@ -1863,9 +1771,9 @@ mod tests {
 
     #[test]
     fn unpinned_schedule_degrades_to_bounds() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
-        input.high_water_mark = 2; // < 8 blocks, concurrent: unpinned
+        input.workflow.tuning.high_water_mark = 2; // < 8 blocks, concurrent: unpinned
         input.chaos = Some(ChaosPlan::new().with(
             ChaosEntity::Sender(Rank(0)),
             5,
@@ -1884,10 +1792,10 @@ mod tests {
 
     #[test]
     fn unpinned_mark_killer_without_watchdog_is_conservatively_rejected() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
-        input.high_water_mark = 2;
-        input.eos_watchdog = false;
+        input.workflow.tuning.high_water_mark = 2;
+        input.workflow.tuning.eos_timeout = None;
         input.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 5, ChaosFault::DropEos));
         let report = Preflight::check(&input);
@@ -1897,9 +1805,9 @@ mod tests {
 
     #[test]
     fn unused_recovery_budget_lints() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
-        input.recovery.max_writer_revivals = 2;
+        input.workflow.tuning.recovery.max_writer_revivals = 2;
         let report = Preflight::check(&input);
         assert!(!report.is_rejected());
         assert!(report.has(ZvCode::UnusedRecoveryBudget));
@@ -1907,7 +1815,7 @@ mod tests {
 
     #[test]
     fn render_includes_codes_and_verdict() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure =
             Some(BackpressureScript::new().with(Rank(0), 6, GateRule::OpenAfterSteals(5)));
         let r = Preflight::check(&input).render();
@@ -1917,7 +1825,7 @@ mod tests {
 
     #[test]
     fn zero_ordinal_fault_is_dead() {
-        let mut input = config_c_input();
+        let mut input = config_c();
         input.backpressure = None;
         input.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 0, ChaosFault::DropWire));
@@ -1926,14 +1834,14 @@ mod tests {
 
     #[test]
     fn zero_config_scalars_are_rejected() {
-        let mut input = config_c_input();
-        input.consumers = 0;
+        let mut input = config_c();
+        input.workflow.consumers = 0;
         assert!(Preflight::check(&input).has(ZvCode::InvalidConfig));
-        let mut input = config_c_input();
-        input.consumer_slots = 0;
+        let mut input = config_c();
+        input.workflow.tuning.consumer_slots = 0;
         assert!(Preflight::check(&input).has(ZvCode::InvalidConfig));
-        let mut input = config_c_input();
-        input.high_water_mark = input.producer_slots;
+        let mut input = config_c();
+        input.workflow.tuning.high_water_mark = input.workflow.tuning.producer_slots;
         assert!(Preflight::check(&input).has(ZvCode::HighWaterMark));
     }
 }

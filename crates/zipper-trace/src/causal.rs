@@ -436,7 +436,7 @@ struct CausalShared {
 /// `TraceSink` so every component that already receives the sink can
 /// record edges with zero extra plumbing; when disabled, every method is
 /// a single branch and the clock is never read (the inertness the
-/// `runtime_instrumentation` bench pins down).
+/// ledger row `zipper-trace.causal.edge_ns.off` pins down).
 #[derive(Clone, Default)]
 pub struct CausalSink {
     inner: Option<Arc<CausalShared>>,

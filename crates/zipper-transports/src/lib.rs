@@ -15,10 +15,13 @@
 //! | [`decaf`] | link nodes + `MPI_Waitall` interlock → per-step producer stalls (Fig. 6), i32 overflow crash on large CFD runs (Fig. 16) |
 //! | [`zipper`] | fine-grain blocks, per-rank compute/sender/writer processes sharing a bounded buffer, high-water-mark work stealing to the PFS, data-availability-driven consumers (Figs. 8–9, Algorithm 1) |
 //!
-//! [`runner`] provides the single entry point used by the experiment
-//! harnesses: build a [`spec::WorkflowSpec`], pick a
-//! [`runner::TransportKind`], get a [`runner::TransportResult`] with the
-//! end-to-end time, the trace, and the derived metrics each figure needs.
+//! [`run_with_detail`] is the single way to run a simulated workflow:
+//! build a [`WorkflowSpec`] (by hand, or from a substrate-independent
+//! plan with [`WorkflowSpec::from_plan`]), pick a [`TransportKind`], get a
+//! [`TransportResult`] with the end-to-end time, the trace, the derived
+//! metrics each figure needs and, on a detailed Zipper run, the decision
+//! traces and causal log. [`run_sim_only`] and [`run_analysis_only`] are
+//! the paper's two reference bars.
 
 pub mod common;
 pub mod dataspaces;
@@ -31,7 +34,6 @@ pub mod spec;
 pub mod zipper;
 
 pub use runner::{
-    run, run_analysis_only, run_sim_only, run_sim_only_with_detail, run_with_detail, TransportKind,
-    TransportResult,
+    run_analysis_only, run_sim_only, run_with_detail, TransportKind, TransportResult,
 };
 pub use spec::WorkflowSpec;

@@ -1,10 +1,11 @@
-//! The single entry point used by every experiment harness: pick a
-//! transport, run the spec, get the end-to-end time plus the derived
-//! metrics each paper figure plots.
+//! [`run_with_detail`], the single entry point of the DES substrate (see
+//! the crate docs), and the [`TransportResult`] it fills.
 
 use crate::spec::{sim_config, ClusterLayout, WorkflowSpec};
+use crate::zipper::ZipperPolicies;
 use crate::{dataspaces, decaf, dimes, flexpath, mpiio, zipper};
 use hpcsim::{RunReport, Simulator};
+use zipper_policy::DecisionTrace;
 use zipper_trace::stats::kind_time_filtered;
 use zipper_trace::{CausalLog, MetricsSnapshot, SampleSeries, SpanKind, TraceLog};
 use zipper_types::SimTime;
@@ -66,7 +67,15 @@ impl TransportKind {
         }
     }
 
-    fn build(self, sim: &mut Simulator, spec: &WorkflowSpec, layout: &ClusterLayout) {
+    /// Spawn the model's processes; `recorded` turns on decision-trace
+    /// recording in Zipper's policy kernels (the baselines have none).
+    fn build(
+        self,
+        sim: &mut Simulator,
+        spec: &WorkflowSpec,
+        layout: &ClusterLayout,
+        recorded: bool,
+    ) -> ZipperPolicies {
         match self {
             TransportKind::MpiIo => mpiio::build(sim, spec, layout),
             TransportKind::DataSpacesNative => dataspaces::build(sim, spec, layout, false),
@@ -75,8 +84,9 @@ impl TransportKind {
             TransportKind::DimesAdios => dimes::build(sim, spec, layout, true),
             TransportKind::Flexpath => flexpath::build(sim, spec, layout),
             TransportKind::Decaf => decaf::build(sim, spec, layout),
-            TransportKind::Zipper => zipper::build(sim, spec, layout),
+            TransportKind::Zipper => return zipper::build(sim, spec, layout, recorded),
         }
+        ZipperPolicies::default()
     }
 }
 
@@ -124,6 +134,13 @@ pub struct TransportResult {
     /// detailed Zipper runs only; empty otherwise. Feed to
     /// `CausalGraph::build` with `trace` for critical-path extraction.
     pub causal: CausalLog,
+    /// Every simulation rank's policy-kernel decisions, by rank — the DES
+    /// half of the cross-substrate trace equality (the threaded half is
+    /// `WorkflowReport::producer_decisions`). Recorded on detailed Zipper
+    /// runs only; empty otherwise.
+    pub producer_decisions: Vec<DecisionTrace>,
+    /// Every analysis rank's decisions, likewise.
+    pub consumer_decisions: Vec<DecisionTrace>,
     /// Final telemetry counter/gauge/histogram totals (disabled snapshot
     /// on totals-mode runs).
     pub metrics: MetricsSnapshot,
@@ -144,6 +161,7 @@ fn finish(
     report: RunReport,
     mut sim: Simulator,
     layout: &ClusterLayout,
+    (producer_decisions, consumer_decisions): (Vec<DecisionTrace>, Vec<DecisionTrace>),
 ) -> TransportResult {
     let causal = sim
         .take_causal()
@@ -193,18 +211,18 @@ fn finish(
         pfs_drain,
         trace,
         causal,
+        producer_decisions,
+        consumer_decisions,
         metrics,
         samples,
     }
 }
 
-/// Run one coupled workflow under the given transport (full trace detail).
-pub fn run(kind: TransportKind, spec: &WorkflowSpec) -> TransportResult {
-    run_with_detail(kind, spec, true)
-}
-
-/// Run with an explicit trace-detail choice: `detail = false` keeps only
-/// per-lane totals (constant memory), for the 13,056-core-scale runs.
+/// Run one coupled workflow under the given transport. `detail = true`
+/// keeps raw spans, samples telemetry on the virtual clock and — for
+/// Zipper — records causal edges and every rank's decision trace;
+/// `detail = false` keeps only per-lane totals (constant memory), for the
+/// 13,056-core-scale runs.
 pub fn run_with_detail(kind: TransportKind, spec: &WorkflowSpec, detail: bool) -> TransportResult {
     spec.validate().expect("invalid spec");
     let layout = ClusterLayout::new(spec, kind.extra_staging_procs(spec));
@@ -219,26 +237,21 @@ pub fn run_with_detail(kind: TransportKind, spec: &WorkflowSpec, detail: bool) -
             sim.enable_causal();
         }
     }
-    kind.build(&mut sim, spec, &layout);
+    let policies = kind.build(&mut sim, spec, &layout, detail);
     let report = sim.run();
-    finish(kind.name(), report, sim, &layout)
+    finish(kind.name(), report, sim, &layout, policies.decisions())
 }
 
 /// Run the simulation application alone (compute phases + halo exchange,
 /// no output) — the paper's lower bound.
-pub fn run_sim_only(spec: &WorkflowSpec) -> TransportResult {
-    run_sim_only_with_detail(spec, true)
-}
-
-/// Simulation-only run with an explicit trace-detail choice.
-pub fn run_sim_only_with_detail(spec: &WorkflowSpec, detail: bool) -> TransportResult {
+pub fn run_sim_only(spec: &WorkflowSpec, detail: bool) -> TransportResult {
     spec.validate().expect("invalid spec");
     let layout = ClusterLayout::new(spec, 0);
     let mut sim = Simulator::new(sim_config(spec, &layout));
     sim.set_trace_detail(detail);
     zipper::build_sim_only(&mut sim, spec, &layout);
     let report = sim.run();
-    finish("Simulation-only", report, sim, &layout)
+    finish("Simulation-only", report, sim, &layout, Default::default())
 }
 
 /// Analytic analysis-only time: the slowest consumer's pure analysis
@@ -266,10 +279,10 @@ mod tests {
     #[test]
     fn every_transport_runs_the_tiny_cfd_workflow() {
         let spec = tiny_cfd();
-        let sim_only = run_sim_only(&spec);
+        let sim_only = run_sim_only(&spec, true);
         assert!(sim_only.is_clean());
         for kind in TransportKind::ALL {
-            let r = run(kind, &spec);
+            let r = run_with_detail(kind, &spec, true);
             assert!(r.is_clean(), "{}: {:?} {:?}", r.name, r.fault, r.deadlocked);
             assert!(
                 r.end_to_end >= sim_only.end_to_end,
@@ -287,7 +300,7 @@ mod tests {
         let mut times: Vec<(SimTime, &'static str)> = TransportKind::ALL
             .iter()
             .map(|&k| {
-                let r = run(k, &spec);
+                let r = run_with_detail(k, &spec, true);
                 assert!(r.is_clean(), "{}: {:?}", r.name, r.fault);
                 (r.end_to_end, r.name)
             })
@@ -308,8 +321,8 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         let spec = tiny_cfd();
-        let a = run(TransportKind::Zipper, &spec);
-        let b = run(TransportKind::Zipper, &spec);
+        let a = run_with_detail(TransportKind::Zipper, &spec, true);
+        let b = run_with_detail(TransportKind::Zipper, &spec, true);
         assert_eq!(a.end_to_end, b.end_to_end);
         assert_eq!(a.events, b.events);
         assert_eq!(a.xmit_wait_sim, b.xmit_wait_sim);
@@ -329,7 +342,7 @@ mod tests {
     fn detailed_runs_carry_telemetry_and_samples() {
         use zipper_trace::CounterId;
         let spec = tiny_cfd();
-        let r = run(TransportKind::Zipper, &spec);
+        let r = run_with_detail(TransportKind::Zipper, &spec, true);
         assert!(r.is_clean());
         assert!(r.metrics.is_enabled());
         assert!(r.metrics.counter(CounterId::NetBytes) > 0);

@@ -2,12 +2,19 @@
 //! model.
 
 use hpcsim::{NetworkConfig, SimConfig};
+use std::time::Duration;
 use zipper_apps::{AppCostModel, Complexity};
 use zipper_model::ModelInput;
 use zipper_pfs::OstModelConfig;
+use zipper_policy::PreflightInput;
 use zipper_types::{
-    BackpressureScript, ByteSize, ChaosPlan, NodeId, RecoveryPolicy, RoutingPolicy, SimTime,
+    BackpressureScript, ByteSize, ChaosPlan, NodeId, PreserveMode, RecoveryPolicy, RoutingPolicy,
+    SimTime, WorkflowConfig, ZipperTuning,
 };
+
+/// The virtual-time EOS watchdog deadline every plan-derived spec uses
+/// (see [`WorkflowSpec::from_plan`]).
+pub const VIRTUAL_EOS_DEADLINE: SimTime = SimTime::from_nanos(1_000_000_000);
 
 /// Everything that defines one simulated workflow run.
 #[derive(Clone, Debug)]
@@ -300,33 +307,72 @@ impl WorkflowSpec {
         Ok(())
     }
 
-    /// The static preflight verifier's view of this spec — the DES-side
-    /// twin of `PreflightInput::from_config`, carrying the same plan the
-    /// virtual processes would interpret.
-    pub fn preflight_input(&self) -> zipper_policy::PreflightInput {
-        zipper_policy::PreflightInput {
-            producers: self.sim_ranks,
-            consumers: self.ana_ranks,
-            steps: self.steps,
-            blocks_per_rank_step: self.blocks_per_rank_step(),
+    /// The DES's reading of a plan: the synthetic linear-cost application
+    /// on two-rank nodes, every plan field copied. The clocks are not
+    /// comparable across substrates — only the timeout *decision* is — so
+    /// a wall-clock `eos_timeout` of any length becomes the fixed
+    /// [`VIRTUAL_EOS_DEADLINE`].
+    pub fn from_plan(plan: &PreflightInput) -> Self {
+        let w = &plan.workflow;
+        let t = &w.tuning;
+        let mut s = Self::synthetic(
+            Complexity::Linear,
+            w.producers,
+            w.consumers,
+            w.bytes_per_rank_step.as_u64(),
+            t.block_size.as_u64(),
+        );
+        s.steps = w.steps;
+        s.ranks_per_node = 2;
+        s.producer_slots = t.producer_slots;
+        s.high_water_mark = t.high_water_mark;
+        s.consumer_slots = t.consumer_slots;
+        s.concurrent_transfer = t.concurrent_transfer;
+        s.preserve = t.preserve.is_preserve();
+        s.routing = t.routing;
+        s.recovery = t.recovery;
+        s.virtual_eos_timeout = t.eos_timeout.map(|_| VIRTUAL_EOS_DEADLINE);
+        s.chaos = plan.chaos.clone();
+        s.backpressure = plan.backpressure.clone();
+        s
+    }
+
+    /// The Zipper tuning knobs of this spec, as the type the policy
+    /// kernels are built from on every substrate.
+    pub fn tuning(&self) -> ZipperTuning {
+        ZipperTuning {
+            block_size: ByteSize::bytes(self.block_size),
             producer_slots: self.producer_slots,
-            consumer_slots: self.consumer_slots,
             high_water_mark: self.high_water_mark,
+            consumer_slots: self.consumer_slots,
             concurrent_transfer: self.concurrent_transfer,
-            preserve: self.preserve,
+            preserve: if self.preserve {
+                PreserveMode::Preserve
+            } else {
+                PreserveMode::NoPreserve
+            },
             routing: self.routing,
+            eos_timeout: self
+                .virtual_eos_timeout
+                .map(|t| Duration::from_nanos(t.as_nanos())),
             recovery: self.recovery,
-            eos_watchdog: self.virtual_eos_timeout.is_some(),
-            chaos: self.chaos.clone(),
-            backpressure: self.backpressure.clone(),
         }
     }
 
-    /// Statically verify this spec's plan without running the simulator:
-    /// symbolic execution of the policy kernel over the abstract block
-    /// schedule (`zipper_policy::Preflight`).
-    pub fn preflight(&self) -> zipper_policy::PreflightReport {
-        zipper_policy::Preflight::check(&self.preflight_input())
+    /// The plan this spec's Zipper processes interpret — the inverse of
+    /// [`WorkflowSpec::from_plan`].
+    pub fn preflight_input(&self) -> PreflightInput {
+        PreflightInput {
+            workflow: WorkflowConfig {
+                producers: self.sim_ranks,
+                consumers: self.ana_ranks,
+                steps: self.steps,
+                bytes_per_rank_step: ByteSize::bytes(self.bytes_per_rank_step),
+                tuning: self.tuning(),
+            },
+            chaos: self.chaos.clone(),
+            backpressure: self.backpressure.clone(),
+        }
     }
 }
 
@@ -596,13 +642,14 @@ mod tests {
     /// rejects maps to the typed ZV003 diagnostic.
     #[test]
     fn spec_preflight_mirrors_validate() {
+        use zipper_policy::Preflight;
         let s = WorkflowSpec::cfd(4, 2, 2);
-        let report = s.preflight();
+        let report = Preflight::check(&s.preflight_input());
         assert!(!report.is_rejected(), "{}", report.render());
 
         let mut s = WorkflowSpec::cfd(4, 2, 1);
         s.steps = tag::STEP_MASK + 1;
-        let report = s.preflight();
+        let report = Preflight::check(&s.preflight_input());
         assert!(report.is_rejected());
         assert!(report.has(zipper_policy::ZvCode::TagStepOverflow));
     }

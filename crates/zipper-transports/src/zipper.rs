@@ -60,11 +60,11 @@ use hpcsim::{BufferTaken, GateId, Op, ProcCtx, Program, Simulator, Step};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use zipper_apps::AppCostModel;
-use zipper_policy::{Channel, ConsumerPolicy, ProducerPolicy, RetireReason};
+use zipper_policy::{Channel, ConsumerPolicy, DecisionTrace, ProducerPolicy, RetireReason};
 use zipper_trace::SpanKind;
 use zipper_types::{
-    BlockId, ChaosEntity, ChaosFault, ChaosScope, GateRule, GateWindow, PreserveMode, ProcId, Rank,
-    SimTime, StepId,
+    BlockId, ChaosEntity, ChaosFault, ChaosScope, GateRule, GateWindow, ProcId, Rank, SimTime,
+    StepId,
 };
 
 /// Gate-flood quantum for fail-open paths: large enough that no realistic
@@ -80,19 +80,35 @@ fn sim_dur(d: std::time::Duration) -> SimTime {
 /// One simulation rank's policy kernel, shared by its sender and writer
 /// processes. `Rc<RefCell<..>>` because DES processes run on one OS
 /// thread; the threaded runtime wraps the same type in `Arc<Mutex<..>>`.
-pub type SharedProducerPolicy = Rc<RefCell<ProducerPolicy>>;
+type SharedProducerPolicy = Rc<RefCell<ProducerPolicy>>;
 
 /// One analysis rank's policy kernel, owned by its receiver process (the
 /// handle is shared with the harness for trace extraction).
-pub type SharedConsumerPolicy = Rc<RefCell<ConsumerPolicy>>;
+type SharedConsumerPolicy = Rc<RefCell<ConsumerPolicy>>;
 
-/// The policy-kernel handles of a recorded build, for decision-trace
-/// extraction after the run (see `tests/policy_conformance.rs`).
-pub struct ZipperPolicies {
-    /// Producer kernels, indexed by simulation rank.
-    pub producers: Vec<SharedProducerPolicy>,
-    /// Consumer kernels, indexed by analysis rank.
-    pub consumers: Vec<SharedConsumerPolicy>,
+/// The policy-kernel handles of a recorded build, by rank, for
+/// decision-trace extraction after the run (empty when nothing records:
+/// an unrecorded build, the baseline transports).
+#[derive(Default)]
+pub(crate) struct ZipperPolicies {
+    pub(crate) producers: Vec<SharedProducerPolicy>,
+    pub(crate) consumers: Vec<SharedConsumerPolicy>,
+}
+
+impl ZipperPolicies {
+    /// Every rank's recorded decisions, producers then consumers.
+    pub(crate) fn decisions(&self) -> (Vec<DecisionTrace>, Vec<DecisionTrace>) {
+        (
+            self.producers
+                .iter()
+                .map(|p| p.borrow().trace().clone())
+                .collect(),
+            self.consumers
+                .iter()
+                .map(|c| c.borrow().trace().clone())
+                .collect(),
+        )
+    }
 }
 
 /// Reconstruct the [`BlockId`] a producer buffer token encodes
@@ -105,7 +121,7 @@ fn token_block(rank: usize, token: u64) -> BlockId {
 /// application phases (+ halo), then emit the step's output as fine-grain
 /// blocks into the producer buffer. With `buf = None` this is the
 /// *simulation-only* baseline (compute cost incurred, no output).
-pub struct ComputeProc {
+struct ComputeProc {
     me: usize,
     steps: u64,
     blocks_per_step: u64,
@@ -124,7 +140,7 @@ pub struct ComputeProc {
 
 impl ComputeProc {
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    fn new(
         me: usize,
         spec: &WorkflowSpec,
         left: ProcId,
@@ -214,7 +230,7 @@ impl Program for ComputeProc {
 /// Sender-side interpreter state of one rank's backpressure script: the
 /// DES analogue of the wire-counting half of the threaded
 /// [`zipper_types::SenderGate`].
-pub struct SenderGateScript {
+struct SenderGateScript {
     /// This rank's scripted windows, in ordinal order.
     windows: Vec<GateWindow>,
     /// Index of the next window not yet reached.
@@ -236,7 +252,7 @@ pub struct SenderGateScript {
 /// names (the net channel's half of the EOS protocol). With a backpressure
 /// script, the sender doubles as the flow-controlled NIC model: scripted
 /// data wires are held in xmit-wait until their gate opens.
-pub struct SenderProc {
+struct SenderProc {
     buf: usize,
     rank: usize,
     receivers: Rc<Vec<ProcId>>,
@@ -257,30 +273,6 @@ pub struct SenderProc {
 }
 
 impl SenderProc {
-    pub fn new(
-        buf: usize,
-        rank: usize,
-        receivers: Rc<Vec<ProcId>>,
-        policy: SharedProducerPolicy,
-        chaos: Rc<ChaosScope>,
-        script: Option<SenderGateScript>,
-        writer_done: Option<(GateId, Rc<Cell<bool>>)>,
-    ) -> Self {
-        let dead = vec![false; receivers.len()];
-        SenderProc {
-            buf,
-            rank,
-            receivers,
-            policy,
-            chaos,
-            script,
-            writer_done,
-            dead,
-            started: false,
-            eos_sent: false,
-        }
-    }
-
     /// Count one attempted data wire against the script and emit the gate
     /// ops of a window landing on this ordinal. The caller appends the
     /// wire's own ops *after* these, so the block is popped and routed
@@ -452,7 +444,7 @@ impl Program for SenderProc {
 
 /// Writer-side interpreter state of one rank's backpressure script: the
 /// credit windows only (`Hold` windows never involve the writer).
-pub struct WriterGateScript {
+struct WriterGateScript {
     /// Cumulative steal targets, one per `OpenAfterSteals` window, in
     /// script order.
     targets: Vec<u64>,
@@ -494,7 +486,7 @@ enum WriterMode {
 /// names. A backpressure script overlays scripted steal windows: while one
 /// is armed the writer drains the buffer regardless of the high-water
 /// mark, crediting each steal to the sender's gate.
-pub struct WriterProc {
+struct WriterProc {
     buf: usize,
     rank: usize,
     receivers: Rc<Vec<ProcId>>,
@@ -511,30 +503,6 @@ pub struct WriterProc {
 }
 
 impl WriterProc {
-    pub fn new(
-        buf: usize,
-        rank: usize,
-        receivers: Rc<Vec<ProcId>>,
-        policy: SharedProducerPolicy,
-        chaos: Rc<ChaosScope>,
-        script: Option<WriterGateScript>,
-        (done_gate, died): (GateId, Rc<Cell<bool>>),
-    ) -> Self {
-        WriterProc {
-            buf,
-            rank,
-            receivers,
-            policy,
-            chaos,
-            script,
-            done_gate,
-            died,
-            key_base: (rank as u64) << 32,
-            counter: 0,
-            mode: WriterMode::Start,
-        }
-    }
-
     fn take(&self) -> Op {
         Op::BufferTake {
             buf: self.buf,
@@ -711,7 +679,7 @@ impl Program for WriterProc {
 /// receiver reports each SEOS/WEOS mark (recovering the producer rank from
 /// the sending process id) and closes its queues when the kernel declares
 /// the stream complete.
-pub struct ReceiverProc {
+struct ReceiverProc {
     bufc: usize,
     ids_buf: usize,
     out_buf: Option<usize>,
@@ -730,28 +698,6 @@ pub struct ReceiverProc {
 }
 
 impl ReceiverProc {
-    pub fn new(
-        bufc: usize,
-        ids_buf: usize,
-        out_buf: Option<usize>,
-        policy: SharedConsumerPolicy,
-        compute_base: usize,
-        per_s: usize,
-        timeout: Option<SimTime>,
-    ) -> Self {
-        ReceiverProc {
-            bufc,
-            ids_buf,
-            out_buf,
-            policy,
-            compute_base,
-            per_s,
-            timeout,
-            started: false,
-            closing: false,
-        }
-    }
-
     /// Simulation rank owning the process that sent a message.
     fn producer_rank(&self, from: ProcId) -> Rank {
         let off = from
@@ -869,7 +815,7 @@ impl Program for ReceiverProc {
 /// The reader thread: fetch announced on-disk blocks from the PFS into the
 /// consumer buffer; close the consumer buffer when done (the receiver has
 /// necessarily finished by then, since it closed the id queue).
-pub struct ReaderProc {
+struct ReaderProc {
     ids_buf: usize,
     bufc: usize,
     key_base: u64,
@@ -879,7 +825,7 @@ pub struct ReaderProc {
 }
 
 impl ReaderProc {
-    pub fn new(ids_buf: usize, bufc: usize, rank: usize) -> Self {
+    fn new(ids_buf: usize, bufc: usize, rank: usize) -> Self {
         ReaderProc {
             ids_buf,
             bufc,
@@ -936,7 +882,7 @@ impl Program for ReaderProc {
 
 /// The analysis thread: consume blocks in arrival order, spending the
 /// cost model's analysis time per block.
-pub struct AnalysisProc {
+struct AnalysisProc {
     bufc: usize,
     cost: AppCostModel,
     chaos: Rc<ChaosScope>,
@@ -949,22 +895,6 @@ pub struct AnalysisProc {
 }
 
 impl AnalysisProc {
-    pub fn new(
-        bufc: usize,
-        cost: AppCostModel,
-        chaos: Rc<ChaosScope>,
-        policy: SharedConsumerPolicy,
-    ) -> Self {
-        AnalysisProc {
-            bufc,
-            cost,
-            chaos,
-            policy,
-            backlog: Vec::new(),
-            started: false,
-        }
-    }
-
     fn take(&self) -> Op {
         Op::BufferTake {
             buf: self.bufc,
@@ -1068,7 +998,7 @@ impl Program for AnalysisProc {
 
 /// The output thread (Preserve mode): persist network-delivered blocks so
 /// every block ends on the PFS.
-pub struct OutputProc {
+struct OutputProc {
     out_buf: usize,
     chaos: Rc<ChaosScope>,
     key_base: u64,
@@ -1077,7 +1007,7 @@ pub struct OutputProc {
 }
 
 impl OutputProc {
-    pub fn new(out_buf: usize, rank: usize, chaos: Rc<ChaosScope>) -> Self {
+    fn new(out_buf: usize, rank: usize, chaos: Rc<ChaosScope>) -> Self {
         OutputProc {
             out_buf,
             chaos,
@@ -1123,23 +1053,9 @@ impl Program for OutputProc {
 /// spawned first (receiver, reader, analysis[, output] per rank), then the
 /// simulation processes (compute, sender[, writer] per rank); ProcIds are
 /// assigned sequentially by the engine, so peer ids are computed from this
-/// fixed order and asserted.
-pub fn build(sim: &mut Simulator, spec: &WorkflowSpec, layout: &ClusterLayout) {
-    let _ = build_zipper(sim, spec, layout, false);
-}
-
-/// Like [`build`], but every policy kernel records its decision trace;
-/// the returned handles let a harness extract and compare the canonical
-/// traces after the run (the DES half of the conformance tests).
-pub fn build_recorded(
-    sim: &mut Simulator,
-    spec: &WorkflowSpec,
-    layout: &ClusterLayout,
-) -> ZipperPolicies {
-    build_zipper(sim, spec, layout, true)
-}
-
-fn build_zipper(
+/// fixed order and asserted. With `recorded`, every policy kernel records
+/// its decision trace, read back through the returned handles.
+pub(crate) fn build(
     sim: &mut Simulator,
     spec: &WorkflowSpec,
     layout: &ClusterLayout,
@@ -1153,15 +1069,8 @@ fn build_zipper(
     let compute_base = spec.ana_ranks * per_c;
     let compute_pid = |r: usize| ProcId((compute_base + r * per_s) as u32);
     let receivers: Rc<Vec<ProcId>> = Rc::new((0..spec.ana_ranks).map(receiver_pid).collect());
-    let preserve = if spec.preserve {
-        PreserveMode::Preserve
-    } else {
-        PreserveMode::NoPreserve
-    };
-    let mut policies = ZipperPolicies {
-        producers: Vec::with_capacity(spec.sim_ranks),
-        consumers: Vec::with_capacity(spec.ana_ranks),
-    };
+    let tuning = spec.tuning();
+    let mut policies = ZipperPolicies::default();
 
     for q in 0..spec.ana_ranks {
         let node = layout.ana_node(q);
@@ -1174,30 +1083,28 @@ fn build_zipper(
         sim.label_queue(ids, format!("ids/ana/c{q}"));
         // EOS is broadcast: every producer announces to every consumer,
         // so even a consumer no block routes to terminates cleanly.
-        let mut cp = ConsumerPolicy::new(
-            Rank(q as u32),
-            spec.sim_ranks,
-            spec.concurrent_transfer,
-            preserve,
-        )
-        .with_recovery(spec.recovery);
+        let mut cp = ConsumerPolicy::from_tuning(Rank(q as u32), spec.sim_ranks, &tuning);
         if recorded {
             cp = cp.recorded();
         }
         let policy = Rc::new(RefCell::new(cp));
-        policies.consumers.push(policy.clone());
+        if recorded {
+            policies.consumers.push(policy.clone());
+        }
         let pid = sim.spawn(
             node,
             format!("ana/q{q}/recv"),
-            ReceiverProc::new(
+            ReceiverProc {
                 bufc,
-                ids,
-                out,
-                policy.clone(),
+                ids_buf: ids,
+                out_buf: out,
+                policy: policy.clone(),
                 compute_base,
                 per_s,
-                spec.virtual_eos_timeout,
-            ),
+                timeout: spec.virtual_eos_timeout,
+                started: false,
+                closing: false,
+            },
         );
         assert_eq!(pid, receiver_pid(q), "spawn order drifted");
         sim.spawn(
@@ -1208,12 +1115,14 @@ fn build_zipper(
         sim.spawn(
             node,
             format!("ana/q{q}/ana"),
-            AnalysisProc::new(
+            AnalysisProc {
                 bufc,
-                spec.cost,
-                Rc::new(plan.scope(ChaosEntity::Analysis(Rank(q as u32)))),
+                cost: spec.cost,
+                chaos: Rc::new(plan.scope(ChaosEntity::Analysis(Rank(q as u32)))),
                 policy,
-            ),
+                backlog: Vec::new(),
+                started: false,
+            },
         );
         if let Some(out) = out {
             sim.spawn(
@@ -1240,19 +1149,14 @@ fn build_zipper(
             ComputeProc::new(r, spec, left, right, Some(buf)),
         );
         assert_eq!(pid, compute_pid(r), "spawn order drifted");
-        let mut pp = ProducerPolicy::new(
-            Rank(r as u32),
-            spec.ana_ranks,
-            spec.routing,
-            spec.high_water_mark,
-            spec.concurrent_transfer,
-        )
-        .with_recovery(spec.recovery);
+        let mut pp = ProducerPolicy::from_tuning(Rank(r as u32), spec.ana_ranks, &tuning);
         if recorded {
             pp = pp.recorded();
         }
         let policy = Rc::new(RefCell::new(pp));
-        policies.producers.push(policy.clone());
+        if recorded {
+            policies.producers.push(policy.clone());
+        }
 
         // Backpressure-script gates for this rank. Without a writer there
         // is no one to earn steal credits, so in message-only mode credit
@@ -1310,29 +1214,36 @@ fn build_zipper(
         sim.spawn(
             node,
             format!("sim/r{r}/send"),
-            SenderProc::new(
+            SenderProc {
                 buf,
-                r,
-                receivers.clone(),
-                policy.clone(),
-                Rc::new(plan.scope(ChaosEntity::Sender(Rank(r as u32)))),
-                sender_script,
-                writer_done.clone(),
-            ),
+                rank: r,
+                receivers: receivers.clone(),
+                policy: policy.clone(),
+                chaos: Rc::new(plan.scope(ChaosEntity::Sender(Rank(r as u32)))),
+                script: sender_script,
+                writer_done: writer_done.clone(),
+                dead: vec![false; spec.ana_ranks],
+                started: false,
+                eos_sent: false,
+            },
         );
         if let Some((done_gate, died)) = writer_done {
             sim.spawn(
                 node,
                 format!("sim/r{r}/writer"),
-                WriterProc::new(
+                WriterProc {
                     buf,
-                    r,
-                    receivers.clone(),
+                    rank: r,
+                    receivers: receivers.clone(),
                     policy,
-                    Rc::new(plan.scope(ChaosEntity::Writer(Rank(r as u32)))),
-                    writer_script,
-                    (done_gate, died),
-                ),
+                    chaos: Rc::new(plan.scope(ChaosEntity::Writer(Rank(r as u32)))),
+                    script: writer_script,
+                    done_gate,
+                    died,
+                    key_base: (r as u64) << 32,
+                    counter: 0,
+                    mode: WriterMode::Start,
+                },
             );
         }
     }
@@ -1346,8 +1257,8 @@ fn build_zipper(
 /// channel), and everything else — halo traffic the threaded runtime has
 /// no wire for, chaos-corrupted frames the receiver discarded — is
 /// dropped. Call on [`Simulator::take_causal`]'s log after a run built by
-/// [`build`]/[`build_recorded`] with causal recording enabled.
-pub fn reclassify_causal(log: &mut zipper_trace::CausalLog) {
+/// [`build`] with causal recording enabled.
+pub(crate) fn reclassify_causal(log: &mut zipper_trace::CausalLog) {
     use zipper_trace::EdgeKind;
     log.reclassify(|kind, token| match kind {
         EdgeKind::Wire => match tag::kind(token) {
@@ -1363,7 +1274,7 @@ pub fn reclassify_causal(log: &mut zipper_trace::CausalLog) {
 /// Spawn only the simulation ranks with their compute phases and halo
 /// exchange — the paper's *simulation-only* lower bound (§6.3: "the time
 /// spent only by the simulation program's computational kernels").
-pub fn build_sim_only(sim: &mut Simulator, spec: &WorkflowSpec, layout: &ClusterLayout) {
+pub(crate) fn build_sim_only(sim: &mut Simulator, spec: &WorkflowSpec, layout: &ClusterLayout) {
     for r in 0..spec.sim_ranks {
         let node = layout.sim_node(r);
         let left = ProcId(((r + spec.sim_ranks - 1) % spec.sim_ranks) as u32);
@@ -1402,7 +1313,7 @@ mod tests {
     fn run_spec(spec: &WorkflowSpec) -> (hpcsim::RunReport, Simulator) {
         let layout = ClusterLayout::new(spec, 0);
         let mut sim = Simulator::new(sim_config(spec, &layout));
-        build(&mut sim, spec, &layout);
+        build(&mut sim, spec, &layout, false);
         let r = sim.run();
         (r, sim)
     }
@@ -1488,7 +1399,7 @@ mod tests {
         spec.preserve = true;
         let layout = ClusterLayout::new(&spec, 0);
         let mut sim = Simulator::new(sim_config(&spec, &layout));
-        let policies = build_recorded(&mut sim, &spec, &layout);
+        let policies = build(&mut sim, &spec, &layout, true);
         let r = sim.run();
         assert!(r.is_clean(), "{r:?}");
 
@@ -1520,7 +1431,7 @@ mod tests {
     fn recorded_run(spec: &WorkflowSpec) -> (hpcsim::RunReport, Simulator, ZipperPolicies) {
         let layout = ClusterLayout::new(spec, 0);
         let mut sim = Simulator::new(sim_config(spec, &layout));
-        let policies = build_recorded(&mut sim, spec, &layout);
+        let policies = build(&mut sim, spec, &layout, true);
         let r = sim.run();
         (r, sim, policies)
     }
@@ -1576,7 +1487,6 @@ mod tests {
 
     #[test]
     fn scripted_backpressure_pins_a_partial_steal_schedule() {
-        use zipper_types::BackpressureScript;
         // Config C's scripted schedule, on the DES alone: the high-water
         // mark is set to the full block count so Algorithm 1 never steals
         // on its own, and the script forces exactly four steals per rank —
@@ -1585,13 +1495,7 @@ mod tests {
         spec.producer_slots = 16;
         spec.high_water_mark = 8;
         spec.routing = zipper_types::RoutingPolicy::RoundRobin;
-        let mut script = BackpressureScript::new();
-        for r in 0..spec.sim_ranks {
-            script = script
-                .with(Rank(r as u32), 2, GateRule::OpenAfterSteals(3))
-                .with(Rank(r as u32), 4, GateRule::OpenAfterSteals(4));
-        }
-        spec.backpressure = Some(script);
+        spec.backpressure = Some(zipper_policy::conformance::config_c_script(spec.sim_ranks));
         let (r, sim, policies) = recorded_run(&spec);
         assert!(r.is_clean(), "{r:?}");
         for (rank, p) in policies.producers.iter().enumerate() {

@@ -234,12 +234,14 @@ pub struct RunOptions {
     ///   `cfg.tuning.recovery`.
     /// * `Output(q)` — consumer `q`'s storage handle is wrapped likewise,
     ///   so scripted Preserve-store puts are lost.
-    /// * `Analysis(q)` — consumer `q`'s reader runs under a restart
-    ///   supervisor: scripted read ordinals panic inside `read`, the panic
-    ///   is caught, and (budget permitting, `cfg.tuning.recovery`) the
-    ///   delivered backlog is replayed from the Preserve store before a
-    ///   fresh reader re-runs the `consume` closure. With the budget
-    ///   exhausted the rank is abandoned fail-soft and reported in
+    /// * `Analysis(q)` — scripted read ordinals panic inside consumer
+    ///   `q`'s `read`. The reader runs under a restart supervisor whenever
+    ///   such an ordinal is scripted *or* `cfg.tuning.recovery` grants a
+    ///   restart budget (so an organic `consume` panic is healed too): the
+    ///   panic is caught and, budget permitting, the delivered backlog is
+    ///   replayed from the Preserve store before a fresh reader re-runs
+    ///   the `consume` closure. With the budget exhausted the rank is
+    ///   abandoned fail-soft and reported in
     ///   [`WorkflowReport::failures`]. Restart replay requires Preserve
     ///   mode to have made the backlog durable.
     pub chaos: Option<ChaosPlan>,
@@ -254,13 +256,15 @@ pub struct RunOptions {
 impl RunOptions {
     /// Statically verify the plan a run of `cfg` under these options would
     /// interpret — the workflow config, the scripted backpressure riding in
-    /// `net`, and the chaos plan — without spawning a thread. The DES-side
-    /// twin is `WorkflowSpec::preflight` in `zipper-transports`.
+    /// `net`, and the chaos plan — without spawning a thread: the same
+    /// `PreflightInput` the DES builds its spec from
+    /// (`WorkflowSpec::from_plan` in `zipper-transports`).
     pub fn preflight(&self, cfg: &WorkflowConfig) -> PreflightReport {
-        let mut input = PreflightInput::from_config(cfg);
-        input.chaos = self.chaos.clone();
-        input.backpressure = self.net.backpressure.clone();
-        Preflight::check(&input)
+        Preflight::check(&PreflightInput {
+            workflow: cfg.clone(),
+            chaos: self.chaos.clone(),
+            backpressure: self.net.backpressure.clone(),
+        })
     }
 }
 
@@ -446,69 +450,69 @@ where
             Some(policy),
         );
         let consume = consume.clone();
-        let app: Box<dyn FnOnce() -> Result<R, RuntimeError> + Send> = match chaos {
-            None => {
-                let reader = c.reader();
-                Box::new(
-                    move || match catch_unwind(AssertUnwindSafe(|| consume(rank, &reader))) {
-                        Ok(r) => Ok(r),
-                        Err(payload) => {
-                            // Explicit for the reader: the drop guard closes the
-                            // queue and records the abandoned stream.
-                            drop(reader);
-                            Err(RuntimeError::AppPanicked {
-                                rank,
-                                role: "consumer app",
-                                detail: panic_detail(payload.as_ref()),
-                            })
-                        }
-                    },
-                )
-            }
-            Some(plan) => {
-                // Restart supervisor: scripted CrashApp ordinals (and any
-                // organic panic) are caught, the policy kernel arbitrates
-                // the restart budget, and the delivered backlog is
-                // replayed from the Preserve store before a fresh reader
-                // re-runs the closure — the decision sequence
-                // (reader_abandoned / consumer_restarted) mirrors the DES
-                // analysis proc exactly.
-                let recovery = c.recovery(Some(Arc::new(plan.scope(ChaosEntity::Analysis(rank)))));
-                let replay_storage = storage.clone();
-                Box::new(move || loop {
-                    let reader = recovery.fresh_reader();
-                    let run = catch_unwind(AssertUnwindSafe(|| consume(rank, &reader)));
-                    drop(reader);
-                    let payload = match run {
-                        Ok(r) => break Ok(r),
-                        Err(payload) => payload,
-                    };
-                    let may_restart = {
-                        let mut p = app_policy.lock();
-                        p.reader_abandoned();
-                        p.may_restart()
-                    };
-                    if !may_restart {
+        // This rank's application failing, as the typed failure the report carries.
+        let app_failed = move |detail: String| RuntimeError::AppPanicked {
+            rank,
+            role: "consumer app",
+            detail,
+        };
+        // The restart supervisor is needed when there is a budget to spend
+        // or a scripted crash to account; otherwise the plain reader (no
+        // delivered-ID log) serves.
+        let crash_script = chaos
+            .map(|plan| plan.scope(ChaosEntity::Analysis(rank)))
+            .filter(|scope| !scope.is_empty());
+        let supervised = cfg.tuning.recovery.max_consumer_restarts > 0 || crash_script.is_some();
+        let app: Box<dyn FnOnce() -> Result<R, RuntimeError> + Send> = if !supervised {
+            let reader = c.reader();
+            Box::new(
+                move || match catch_unwind(AssertUnwindSafe(|| consume(rank, &reader))) {
+                    Ok(r) => Ok(r),
+                    Err(payload) => {
+                        // Explicit for the reader: the drop guard closes the
+                        // queue and records the abandoned stream.
+                        drop(reader);
+                        Err(app_failed(panic_detail(payload.as_ref())))
+                    }
+                },
+            )
+        } else {
+            // Restart supervisor: scripted CrashApp ordinals (and any
+            // organic panic) are caught, the policy kernel arbitrates
+            // the restart budget, and the delivered backlog is
+            // replayed from the Preserve store before a fresh reader
+            // re-runs the closure — the decision sequence
+            // (reader_abandoned / consumer_restarted) mirrors the DES
+            // analysis proc exactly.
+            let recovery = c.recovery(crash_script.map(Arc::new));
+            let replay_storage = storage.clone();
+            Box::new(move || loop {
+                let reader = recovery.fresh_reader();
+                let run = catch_unwind(AssertUnwindSafe(|| consume(rank, &reader)));
+                drop(reader);
+                let payload = match run {
+                    Ok(r) => break Ok(r),
+                    Err(payload) => payload,
+                };
+                let may_restart = {
+                    let mut p = app_policy.lock();
+                    p.reader_abandoned();
+                    p.may_restart()
+                };
+                if !may_restart {
+                    recovery.abandon();
+                    break Err(app_failed(panic_detail(payload.as_ref())));
+                }
+                match recovery.replay_from(&replay_storage, Duration::from_secs(5)) {
+                    Ok(replayed) => app_policy.lock().consumer_restarted(replayed),
+                    Err(e) => {
                         recovery.abandon();
-                        break Err(RuntimeError::AppPanicked {
-                            rank,
-                            role: "consumer app",
-                            detail: panic_detail(payload.as_ref()),
-                        });
+                        break Err(app_failed(format!(
+                            "backlog replay after a crash failed: {e}"
+                        )));
                     }
-                    match recovery.replay_from(&replay_storage, Duration::from_secs(5)) {
-                        Ok(replayed) => app_policy.lock().consumer_restarted(replayed),
-                        Err(e) => {
-                            recovery.abandon();
-                            break Err(RuntimeError::AppPanicked {
-                                rank,
-                                role: "consumer app",
-                                detail: format!("backlog replay after a crash failed: {e}"),
-                            });
-                        }
-                    }
-                })
-            }
+                }
+            })
         };
         consumer_runtimes.push(c);
         let spawned = std::thread::Builder::new()
@@ -516,11 +520,7 @@ where
             .spawn(app);
         match spawned {
             Ok(h) => consumer_apps.push((rank, h)),
-            Err(e) => failures.push(RuntimeError::AppPanicked {
-                rank,
-                role: "consumer app",
-                detail: format!("could not spawn app thread: {e}"),
-            }),
+            Err(e) => failures.push(app_failed(format!("could not spawn app thread: {e}"))),
         }
     }
 
@@ -1098,6 +1098,42 @@ mod tests {
         let t0 = report.consumer_decisions[0].canonical();
         assert!(!t0.abandoned);
         assert_eq!(t0.restarts, Vec::<usize>::new());
+    }
+
+    #[test]
+    fn organic_consumer_panic_is_restarted_without_a_chaos_plan() {
+        use std::sync::atomic::AtomicBool;
+        // The restart budget alone selects the supervisor: no chaos plan,
+        // the closure itself panics once, after its second delivery.
+        let mut c = cfg(2, 1, 4);
+        c.tuning.preserve = PreserveMode::Preserve;
+        c.tuning.recovery.max_consumer_restarts = 1;
+        let crashed = AtomicBool::new(false);
+        let consume = move |_rank: Rank, reader: &ZipperReader| {
+            let mut ids = Vec::new();
+            while let Some(b) = reader.read() {
+                ids.push(b.id().as_u64());
+                if ids.len() == 2 && !crashed.swap(true, Ordering::SeqCst) {
+                    panic!("organic analysis bug");
+                }
+            }
+            ids
+        };
+        let opts = RunOptions {
+            trace: TraceOptions::default().with_policy(),
+            ..Default::default()
+        };
+        let (report, mut got) = run_workflow_with(&c, opts, slab_producer(&c), consume).unwrap();
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        let mut ids = got.pop().expect("the restarted pass returned");
+        assert_eq!(ids.len() as u64, c.total_blocks(), "every block delivered");
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len() as u64, c.total_blocks(), "exactly once");
+        let t = report.consumer_decisions[0].canonical();
+        assert!(t.abandoned, "the panic was accounted");
+        assert_eq!(t.restarts, vec![2], "one restart, replaying 2 deliveries");
+        assert_eq!(t.completions, 1);
     }
 
     #[test]

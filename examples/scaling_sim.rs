@@ -7,7 +7,7 @@
 use zipper_model::Prediction;
 use zipper_trace::export::{chrome_trace_with_flows, jsonl_with_flows};
 use zipper_trace::{CausalGraph, CriticalPath};
-use zipper_transports::{run, run_sim_only, TransportKind, WorkflowSpec};
+use zipper_transports::{run_sim_only, run_with_detail, TransportKind, WorkflowSpec};
 use zipper_workflow::ModelFit;
 
 fn main() {
@@ -22,9 +22,9 @@ fn main() {
         let mut spec = WorkflowSpec::cfd(sim_ranks, cores - sim_ranks, 8);
         spec.decaf_links = 16.min(sim_ranks);
 
-        let decaf = run(TransportKind::Decaf, &spec);
-        let zipper = run(TransportKind::Zipper, &spec);
-        let base = run_sim_only(&spec);
+        let decaf = run_with_detail(TransportKind::Decaf, &spec, true);
+        let zipper = run_with_detail(TransportKind::Zipper, &spec, true);
+        let base = run_sim_only(&spec, true);
         assert!(decaf.is_clean() && zipper.is_clean() && base.is_clean());
 
         println!(

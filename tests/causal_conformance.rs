@@ -17,170 +17,20 @@
 //! path drains through analysis into the virtual sink, and the edge kinds
 //! the config forces are present in the *graph*.
 //!
-//! The configs mirror the decision-conformance suite
-//! (`policy_conformance.rs`):
-//!
-//! * Config B — round-robin + concurrent transfer + Preserve, no steals.
-//! * Config C — scripted partial stealing through a shared
-//!   `BackpressureScript` (gate holds and steal edges on the path's
-//!   producers).
-//! * Config E — recovery under a scripted `ChaosPlan` (writer fault +
-//!   revival, consumer crash + restart).
+//! The plans are Configs B, C and E of the catalogue
+//! (`zipper_policy::conformance`), the same values the
+//! decision-conformance suite (`policy_conformance.rs`) runs.
 //!
 //! Each config also checks the attribution invariant on both substrates:
 //! the per-bucket breakdown of the extracted path sums to the graph
 //! makespan within 1 %.
 
-use std::time::Duration;
-use zipper_trace::{CausalGraph, CausalLog, CriticalPath, TraceLog};
-use zipper_transports::spec::{sim_config, ClusterLayout, WorkflowSpec};
-use zipper_transports::zipper::{build_recorded, reclassify_causal};
-use zipper_types::{
-    BackpressureScript, ByteSize, ChaosEntity, ChaosFault, ChaosPlan, GateRule, GlobalPos,
-    PreserveMode, Rank, RecoveryPolicy, RoutingPolicy, StepId, WorkflowConfig,
-};
-use zipper_workflow::{
-    run_workflow_with, NetworkOptions, RunOptions, TraceOptions, WorkflowReport,
-};
+mod common;
 
-const BLOCK: u64 = 16 << 10;
-
-/// One conformance scenario, expressed substrate-independently (the
-/// causal subset of `policy_conformance::Scenario`).
-#[derive(Clone)]
-struct Scenario {
-    producers: usize,
-    consumers: usize,
-    steps: u64,
-    blocks_per_step: u64,
-    producer_slots: usize,
-    high_water_mark: usize,
-    concurrent_transfer: bool,
-    preserve: bool,
-    routing: RoutingPolicy,
-    chaos: ChaosPlan,
-    recovery: RecoveryPolicy,
-    backpressure: Option<BackpressureScript>,
-}
-
-impl Default for Scenario {
-    fn default() -> Self {
-        Scenario {
-            producers: 2,
-            consumers: 2,
-            steps: 2,
-            blocks_per_step: 4,
-            producer_slots: 16,
-            high_water_mark: 8,
-            concurrent_transfer: false,
-            preserve: false,
-            routing: RoutingPolicy::SourceAffine,
-            chaos: ChaosPlan::new(),
-            recovery: RecoveryPolicy::default(),
-            backpressure: None,
-        }
-    }
-}
-
-impl Scenario {
-    fn threaded_config(&self) -> WorkflowConfig {
-        let mut c = WorkflowConfig {
-            producers: self.producers,
-            consumers: self.consumers,
-            steps: self.steps,
-            bytes_per_rank_step: ByteSize::bytes(self.blocks_per_step * BLOCK),
-            ..Default::default()
-        };
-        c.tuning.block_size = ByteSize::bytes(BLOCK);
-        c.tuning.producer_slots = self.producer_slots;
-        c.tuning.high_water_mark = self.high_water_mark;
-        c.tuning.concurrent_transfer = self.concurrent_transfer;
-        c.tuning.preserve = if self.preserve {
-            PreserveMode::Preserve
-        } else {
-            PreserveMode::NoPreserve
-        };
-        c.tuning.routing = self.routing;
-        c.tuning.recovery = self.recovery;
-        c
-    }
-
-    fn des_spec(&self) -> WorkflowSpec {
-        let mut s = WorkflowSpec::synthetic(
-            zipper_apps::Complexity::Linear,
-            self.producers,
-            self.consumers,
-            self.blocks_per_step * BLOCK,
-            BLOCK,
-        );
-        s.steps = self.steps;
-        s.ranks_per_node = 2;
-        s.producer_slots = self.producer_slots;
-        s.high_water_mark = self.high_water_mark;
-        s.concurrent_transfer = self.concurrent_transfer;
-        s.preserve = self.preserve;
-        s.routing = self.routing;
-        s.chaos = (!self.chaos.is_empty()).then(|| self.chaos.clone());
-        s.recovery = self.recovery;
-        s.backpressure = self.backpressure.clone();
-        s
-    }
-
-    fn net_options(&self) -> NetworkOptions {
-        match &self.backpressure {
-            Some(script) => NetworkOptions::default().with_backpressure(script.clone()),
-            None => NetworkOptions::default(),
-        }
-    }
-
-    /// Run on the threaded substrate with full tracing + causal edges.
-    fn run_threaded(&self) -> WorkflowReport {
-        let cfg = self.threaded_config();
-        let steps = cfg.steps;
-        let slab = cfg.bytes_per_rank_step.as_u64() as usize;
-        let produce = move |rank: Rank, writer: &zipper_core::ZipperWriter| {
-            for s in 0..steps {
-                let payload = vec![rank.0 as u8; slab];
-                writer.write_slab(StepId(s), GlobalPos::default(), payload.into());
-            }
-        };
-        let consume = |_: Rank, reader: &zipper_core::ZipperReader| {
-            while reader.read().is_some() {}
-        };
-        let opts = RunOptions {
-            net: self.net_options(),
-            trace: TraceOptions::full().with_causal(),
-            chaos: Some(self.chaos.clone()),
-            ..Default::default()
-        };
-        let (report, _): (_, Vec<()>) =
-            run_workflow_with(&cfg, opts, produce, consume).expect("ungated");
-        if self.chaos.is_empty() {
-            report.assert_complete();
-        } else {
-            // Injected faults surface as per-rank runtime errors by
-            // design; the run itself must not lose an app rank.
-            assert!(report.failures.is_empty(), "{:?}", report.failures);
-        }
-        report
-    }
-
-    /// Run on the DES with causal edges; return the span trace and the
-    /// model-reclassified edge log.
-    fn run_des(&self) -> (TraceLog, CausalLog) {
-        let spec = self.des_spec();
-        let layout = ClusterLayout::new(&spec, 0);
-        let mut sim = hpcsim::Simulator::new(sim_config(&spec, &layout));
-        sim.set_trace_detail(true);
-        sim.enable_causal();
-        let _policies = build_recorded(&mut sim, &spec, &layout);
-        let r = sim.run();
-        assert!(r.is_clean(), "DES run not clean: {r:?}");
-        let mut causal = sim.take_causal().expect("causal enabled");
-        reclassify_causal(&mut causal);
-        (sim.into_trace(), causal)
-    }
-}
+use zipper_policy::conformance;
+use zipper_policy::PreflightInput;
+use zipper_trace::{CausalGraph, CriticalPath};
+use zipper_workflow::TraceOptions;
 
 /// Extract the critical path, check the attribution invariant (buckets
 /// sum to the graph makespan within 1 %), and return the structural
@@ -235,13 +85,13 @@ fn is_requeue(sig: &str) -> bool {
 /// (identical cross-edge profiles) and the per-substrate path invariants
 /// no schedule can change: attribution sums to the makespan, and the path
 /// drains through analysis into the virtual sink.
-fn assert_conformant(name: &str, sc: &Scenario) -> Conformance {
-    let report = sc.run_threaded();
+fn assert_conformant(name: &str, plan: &PreflightInput) -> Conformance {
+    let report = common::run_threaded(plan, TraceOptions::full().with_causal());
     let tg = report.causal_graph();
     let threaded_path = path_signature(&format!("{name} threaded"), &tg);
 
-    let (trace, causal) = sc.run_des();
-    let dg = CausalGraph::build(&trace, &causal);
+    let r = common::run_des(plan);
+    let dg = CausalGraph::build(&r.trace, &r.causal);
     let des_path = path_signature(&format!("{name} DES"), &dg);
 
     let (t_requeues, profile): (Vec<_>, Vec<_>) = tg
@@ -283,25 +133,12 @@ fn assert_conformant(name: &str, sc: &Scenario) -> Conformance {
     Conformance { profile, des_path }
 }
 
-/// Config B: round-robin + concurrent transfer + Preserve, high-water
-/// mark at run size so no steals. Every block rides the wire, so the graph
-/// carries wire edges and no steal edge, and the DES path threads compute
-/// → send → wire → receive → analysis.
+/// Config B: every block rides the wire, so the graph carries wire edges
+/// and no steal edge, and the DES path threads compute → send → wire →
+/// receive → analysis.
 #[test]
 fn config_b_critical_paths_conform() {
-    let sc = Scenario {
-        producers: 2,
-        consumers: 2,
-        steps: 2,
-        blocks_per_step: 4,
-        producer_slots: 16,
-        high_water_mark: 8,
-        concurrent_transfer: true,
-        preserve: true,
-        routing: RoutingPolicy::RoundRobin,
-        ..Scenario::default()
-    };
-    let c = assert_conformant("config B", &sc);
+    let c = assert_conformant("config B", &conformance::config_b());
     assert!(
         c.has_edge("wire:sim/send=>ana/recv"),
         "every block crosses the data wire: {:?}",
@@ -323,40 +160,15 @@ fn config_b_critical_paths_conform() {
     );
 }
 
-/// The Config C backpressure script (same as `policy_conformance`): wire
-/// 2 held until 3 cumulative steals, wire 4 until a 4th.
-fn config_c_script(producers: usize) -> BackpressureScript {
-    let mut script = BackpressureScript::new();
-    for p in 0..producers {
-        script = script
-            .with(Rank(p as u32), 2, GateRule::OpenAfterSteals(3))
-            .with(Rank(p as u32), 4, GateRule::OpenAfterSteals(4));
-    }
-    script
-}
-
-/// Config C: scripted partial stealing. Both graphs carry the same gate
-/// holds, steal edges and PFS fetches of the stolen blocks; the last routed
-/// block (ordinal 8) is stolen on both substrates, and on the DES clock
-/// (the modeled PFS dominates the modeled NIC) its fetch binds the path.
-/// The threaded wall clock may instead bind through the wire
-/// (`wire:sim/send=>ana/recv`), so only the graph is pinned there.
+/// Config C: both graphs carry the same gate holds, steal edges and PFS
+/// fetches of the stolen blocks; the last routed block (ordinal 8) is stolen
+/// on both substrates, and on the DES clock (the modeled PFS dominates the
+/// modeled NIC) its fetch binds the path. The threaded wall clock may
+/// instead bind through the wire (`wire:sim/send=>ana/recv`), so only the
+/// graph is pinned there.
 #[test]
 fn config_c_critical_paths_conform() {
-    let sc = Scenario {
-        producers: 2,
-        consumers: 2,
-        steps: 2,
-        blocks_per_step: 4,
-        producer_slots: 16,
-        high_water_mark: 8, // == total blocks per rank: no unscripted steals
-        concurrent_transfer: true,
-        preserve: false,
-        routing: RoutingPolicy::RoundRobin,
-        backpressure: Some(config_c_script(2)),
-        ..Scenario::default()
-    };
-    let c = assert_conformant("config C", &sc);
+    let c = assert_conformant("config C", &conformance::config_c());
     for sig in [
         "steal:sim/writer=>ana/recv",
         "pfs:ana/read=>ana/read",
@@ -380,35 +192,11 @@ fn config_c_critical_paths_conform() {
     );
 }
 
-/// Config E: recovery. A PFS write fault retires and revives producer
-/// 0's writer; a scripted crash kills consumer 1 and the restart
-/// supervisor replays its backlog. Both substrates must degrade *and
-/// heal* through the same causal structure.
+/// Config E: both substrates must degrade *and heal* through the same
+/// causal structure.
 #[test]
 fn config_e_critical_paths_conform() {
-    let sc = Scenario {
-        high_water_mark: 0,
-        concurrent_transfer: true,
-        preserve: true,
-        routing: RoutingPolicy::RoundRobin,
-        recovery: RecoveryPolicy {
-            writer_cooldown: Duration::from_millis(1),
-            max_writer_revivals: 1,
-            max_consumer_restarts: 1,
-        },
-        chaos: ChaosPlan::new()
-            .with(ChaosEntity::Sender(Rank(0)), 1, ChaosFault::DetachSender)
-            .with(ChaosEntity::Sender(Rank(1)), 1, ChaosFault::DetachSender)
-            .with(
-                ChaosEntity::Sender(Rank(1)),
-                2,
-                ChaosFault::DelayWire(Duration::from_millis(1)),
-            )
-            .with(ChaosEntity::Writer(Rank(0)), 2, ChaosFault::PfsWriteFail)
-            .with(ChaosEntity::Analysis(Rank(1)), 3, ChaosFault::CrashApp),
-        ..Scenario::default()
-    };
-    let c = assert_conformant("config E", &sc);
+    let c = assert_conformant("config E", &conformance::config_e());
     // The DES clock is deterministic: its path always rides the steal
     // route and binds the stolen block through its PFS fetch.
     let d = c.des_path.join(" ");

@@ -2,7 +2,7 @@
 //! reduced scale. Each test names the section/figure it covers.
 
 use zipper_model::{integrated_time, non_integrated_time, ModelInput, Prediction};
-use zipper_transports::{run, run_sim_only, TransportKind, WorkflowSpec};
+use zipper_transports::{run_sim_only, run_with_detail, TransportKind, WorkflowSpec};
 use zipper_types::{ByteSize, SimTime};
 
 /// Fig. 2 (shape): every baseline transport costs well more than
@@ -15,7 +15,7 @@ fn fig2_ordering_holds_at_reduced_scale() {
     spec.staging_servers = 4;
     spec.decaf_links = 8;
 
-    let sim_only = run_sim_only(&spec).end_to_end;
+    let sim_only = run_sim_only(&spec, true).end_to_end;
     let mut times = Vec::new();
     for kind in TransportKind::ALL {
         // MPI-IO's dominant cost (metadata serialization) grows with rank
@@ -24,7 +24,7 @@ fn fig2_ordering_holds_at_reduced_scale() {
         if kind == TransportKind::Zipper || kind == TransportKind::MpiIo {
             continue;
         }
-        let r = run(kind, &spec);
+        let r = run_with_detail(kind, &spec, true);
         assert!(r.is_clean(), "{}: {:?}", r.name, r.fault);
         times.push((r.end_to_end, r.name));
         assert!(
@@ -43,7 +43,7 @@ fn fig2_ordering_holds_at_reduced_scale() {
         let mut s = spec.clone();
         s.sim_ranks = ranks;
         s.ana_ranks = ranks / 2;
-        run(kind, &s).end_to_end.as_secs_f64()
+        run_with_detail(kind, &s, true).end_to_end.as_secs_f64()
     };
     let mpiio_growth = scale_time(TransportKind::MpiIo, 128) / scale_time(TransportKind::MpiIo, 32);
     let decaf_growth = scale_time(TransportKind::Decaf, 64) / scale_time(TransportKind::Decaf, 32);
@@ -60,7 +60,9 @@ fn fig2_ordering_holds_at_reduced_scale() {
     let e2e = |seed| {
         let mut s = spec.clone();
         s.seed = seed;
-        run(TransportKind::MpiIo, &s).end_to_end.as_secs_f64()
+        run_with_detail(TransportKind::MpiIo, &s, true)
+            .end_to_end
+            .as_secs_f64()
     };
     let samples = [e2e(1), e2e(2), e2e(3), e2e(4)];
     let min = samples.iter().cloned().fold(f64::MAX, f64::min);
@@ -78,9 +80,9 @@ fn zipper_reaches_the_simulation_lower_bound() {
     let mut spec = WorkflowSpec::cfd(32, 16, 8);
     spec.ranks_per_node = 16;
     spec.decaf_links = 8;
-    let zipper = run(TransportKind::Zipper, &spec);
-    let decaf = run(TransportKind::Decaf, &spec);
-    let sim_only = run_sim_only(&spec);
+    let zipper = run_with_detail(TransportKind::Zipper, &spec, true);
+    let decaf = run_with_detail(TransportKind::Decaf, &spec, true);
+    let sim_only = run_sim_only(&spec, true);
     assert!(zipper.is_clean() && decaf.is_clean());
     let bound_ratio = zipper.end_to_end.as_secs_f64() / sim_only.end_to_end.as_secs_f64();
     assert!(bound_ratio < 1.2, "Zipper/sim-only = {bound_ratio:.2}");
@@ -97,7 +99,7 @@ fn zipper_reaches_the_simulation_lower_bound() {
 fn end_to_end_time_is_one_stage_not_the_sum() {
     use zipper_apps::Complexity;
     let spec = WorkflowSpec::synthetic(Complexity::N32, 12, 6, 64 << 20, 1 << 20);
-    let r = run(TransportKind::Zipper, &spec);
+    let r = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(r.is_clean());
     // O(n^1.5): simulation dominates — 64 blocks/rank at ~31 ms each.
     let t_comp = spec.cost.sim_block_time(1 << 20) * 64;
@@ -125,7 +127,7 @@ fn analytical_model_predicts_compute_bound_runs() {
         transfer_lanes: 12,
     };
     let pred = Prediction::from_input(&input);
-    let r = run(TransportKind::Zipper, &spec);
+    let r = run_with_detail(TransportKind::Zipper, &spec, true);
     let err = pred.relative_error(r.end_to_end);
     assert!(err < 0.15, "model error {:.1}%", err * 100.0);
 }
@@ -153,8 +155,8 @@ fn crash_matrix_matches_the_paper() {
     cfd.staging_servers = 2;
     cfd.flexpath_crash_cores = Some(12);
     cfd.decaf_crash_cores = Some(12);
-    assert!(!run(TransportKind::Flexpath, &cfd).is_clean());
-    assert!(!run(TransportKind::Decaf, &cfd).is_clean());
+    assert!(!run_with_detail(TransportKind::Flexpath, &cfd, true).is_clean());
+    assert!(!run_with_detail(TransportKind::Decaf, &cfd, true).is_clean());
 
     let mut lammps = WorkflowSpec::lammps(8, 4, 2);
     lammps.ranks_per_node = 4;
@@ -163,8 +165,8 @@ fn crash_matrix_matches_the_paper() {
     lammps.flexpath_crash_cores = Some(12);
     // WorkflowSpec::lammps leaves decaf_crash_cores = None (the paper:
     // "the data size in LAMMPS does not reach the integer limit").
-    assert!(!run(TransportKind::Flexpath, &lammps).is_clean());
-    assert!(run(TransportKind::Decaf, &lammps).is_clean());
+    assert!(!run_with_detail(TransportKind::Flexpath, &lammps, true).is_clean());
+    assert!(run_with_detail(TransportKind::Decaf, &lammps, true).is_clean());
 }
 
 /// §4 summary point 1: fine-grain blocks beat one-big-block-per-step for
@@ -177,8 +179,8 @@ fn fine_grain_blocks_do_not_lose_to_whole_step_slabs() {
     fine.block_size = 1 << 20;
     let mut coarse = fine.clone();
     coarse.block_size = coarse.bytes_per_rank_step; // one block per step
-    let rf = run(TransportKind::Zipper, &fine);
-    let rc = run(TransportKind::Zipper, &coarse);
+    let rf = run_with_detail(TransportKind::Zipper, &fine, true);
+    let rc = run_with_detail(TransportKind::Zipper, &coarse, true);
     assert!(rf.is_clean() && rc.is_clean());
     assert!(
         rf.end_to_end.as_secs_f64() <= rc.end_to_end.as_secs_f64() * 1.05,

@@ -1,13 +1,15 @@
 //! Static preflight conformance: the verifier's verdicts are held
 //! against both substrates.
 //!
-//! * Every plan the decision/causal conformance suites run (Configs
-//!   A–E, the seeded chaos/gate plans, the DropEos-concurrent plan, the
-//!   gate+chaos composition) passes `Preflight::check` with zero
-//!   errors — the verifier never rejects a plan the substrates prove
-//!   runnable.
-//! * Each crafted negative plan is rejected with its documented `ZV`
-//!   code (the codes are listed in DESIGN.md "Static preflight").
+//! * Every plan of the catalogue (`zipper_policy::conformance`) — what
+//!   the decision/causal conformance suites run — passes
+//!   `Preflight::check` with zero errors: the verifier never rejects a
+//!   plan the substrates prove runnable. Each negative plan is rejected
+//!   with its documented `ZV` code (listed in DESIGN.md "Static
+//!   preflight").
+//! * Three interpreters, one plan: for every catalogue entry the DES spec
+//!   round-trips to the plan it was built from, and the threaded driver's
+//!   preflight renders the same report as `Preflight::check`.
 //! * The statically derived causal skeleton matches the
 //!   decision-determined part of the edge multiset the DES causal
 //!   engine records at runtime (Configs B, C, E).
@@ -16,146 +18,28 @@
 //!   "accepted ⇒ completes" — and the seeded CI generators never
 //!   produce a rejected plan for any seed.
 
+mod common;
+
 use std::time::Duration;
-use zipper_policy::ZvCode;
+use zipper_policy::conformance::{self, BLOCK};
+use zipper_policy::{Preflight, PreflightInput, ZvCode};
 use zipper_trace::CausalGraph;
-use zipper_transports::spec::{sim_config, ClusterLayout, WorkflowSpec};
-use zipper_transports::zipper::{build_recorded, reclassify_causal};
+use zipper_transports::spec::VIRTUAL_EOS_DEADLINE;
+use zipper_transports::{run_with_detail, TransportKind, WorkflowSpec};
 use zipper_types::{
-    BackpressureScript, ChaosEntity, ChaosFault, ChaosPlan, GateRule, Rank, RecoveryPolicy,
-    RoutingPolicy, SimTime,
+    BackpressureScript, ByteSize, ChaosEntity, ChaosFault, ChaosPlan, GateRule, PreserveMode, Rank,
+    RecoveryPolicy, RoutingPolicy,
 };
-
-const BLOCK: u64 = 16 << 10;
-
-/// The conformance suite's default scenario shape
-/// (`policy_conformance::Scenario::default`) as a DES spec.
-fn base_spec() -> WorkflowSpec {
-    let mut s = WorkflowSpec::synthetic(zipper_apps::Complexity::Linear, 2, 2, 4 * BLOCK, BLOCK);
-    s.steps = 2;
-    s.ranks_per_node = 2;
-    s.producer_slots = 16;
-    s.high_water_mark = 8;
-    s
-}
-
-/// The Config C backpressure script: wire 2 held until 3 cumulative
-/// steals, wire 4 until a 4th, on every producer.
-fn config_c_script(producers: usize) -> BackpressureScript {
-    let mut script = BackpressureScript::new();
-    for p in 0..producers {
-        script = script
-            .with(Rank(p as u32), 2, GateRule::OpenAfterSteals(3))
-            .with(Rank(p as u32), 4, GateRule::OpenAfterSteals(4));
-    }
-    script
-}
-
-fn config_b_spec() -> WorkflowSpec {
-    let mut s = base_spec();
-    s.concurrent_transfer = true;
-    s.preserve = true;
-    s.routing = RoutingPolicy::RoundRobin;
-    s
-}
-
-fn config_c_spec() -> WorkflowSpec {
-    let mut s = base_spec();
-    s.concurrent_transfer = true;
-    s.routing = RoutingPolicy::RoundRobin;
-    s.backpressure = Some(config_c_script(2));
-    s
-}
-
-fn config_d_spec() -> WorkflowSpec {
-    let mut s = base_spec();
-    s.preserve = true;
-    s.routing = RoutingPolicy::RoundRobin;
-    s.virtual_eos_timeout = Some(SimTime::from_nanos(1_000_000_000));
-    s.chaos = Some(
-        ChaosPlan::new()
-            .with(ChaosEntity::Sender(Rank(0)), 2, ChaosFault::DropWire)
-            .with(ChaosEntity::Sender(Rank(0)), 4, ChaosFault::CorruptWire)
-            .with(ChaosEntity::Sender(Rank(0)), 9, ChaosFault::DropEos)
-            .with(ChaosEntity::Sender(Rank(1)), 1, ChaosFault::FailSend)
-            .with(
-                ChaosEntity::Sender(Rank(1)),
-                3,
-                ChaosFault::DelayWire(Duration::from_millis(2)),
-            )
-            .with(ChaosEntity::Output(Rank(0)), 2, ChaosFault::PfsWriteFail),
-    );
-    s
-}
-
-fn config_e_spec() -> WorkflowSpec {
-    let mut s = base_spec();
-    s.high_water_mark = 0;
-    s.concurrent_transfer = true;
-    s.preserve = true;
-    s.routing = RoutingPolicy::RoundRobin;
-    s.recovery = RecoveryPolicy {
-        writer_cooldown: Duration::from_millis(1),
-        max_writer_revivals: 1,
-        max_consumer_restarts: 1,
-    };
-    s.chaos = Some(
-        ChaosPlan::new()
-            .with(ChaosEntity::Sender(Rank(0)), 1, ChaosFault::DetachSender)
-            .with(ChaosEntity::Sender(Rank(1)), 1, ChaosFault::DetachSender)
-            .with(
-                ChaosEntity::Sender(Rank(1)),
-                2,
-                ChaosFault::DelayWire(Duration::from_millis(1)),
-            )
-            .with(ChaosEntity::Writer(Rank(0)), 2, ChaosFault::PfsWriteFail)
-            .with(ChaosEntity::Analysis(Rank(1)), 3, ChaosFault::CrashApp),
-    );
-    s
-}
+use zipper_workflow::TraceOptions;
 
 /// Every conformance-suite plan must be accepted with zero errors.
 #[test]
 fn conformance_plans_pass_preflight_clean() {
-    let plans: Vec<(&str, WorkflowSpec)> = vec![
-        ("config A", base_spec()),
-        ("config B", config_b_spec()),
-        ("config C", config_c_spec()),
-        ("config D", config_d_spec()),
-        ("config E", config_e_spec()),
-        ("dropped EOS concurrent", {
-            let mut s = base_spec();
-            s.concurrent_transfer = true;
-            s.virtual_eos_timeout = Some(SimTime::from_nanos(1_000_000_000));
-            s.chaos =
-                Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 9, ChaosFault::DropEos));
-            s
-        }),
-        ("gate + chaos composed", {
-            let mut s = base_spec();
-            s.concurrent_transfer = true;
-            s.routing = RoutingPolicy::RoundRobin;
-            let mut script = BackpressureScript::new();
-            for p in 0..2 {
-                script = script.with(Rank(p as u32), 2, GateRule::OpenAfterSteals(3));
-            }
-            s.backpressure = Some(script);
-            s.chaos = Some(
-                ChaosPlan::new()
-                    .with(ChaosEntity::Sender(Rank(0)), 2, ChaosFault::DropWire)
-                    .with(
-                        ChaosEntity::Sender(Rank(1)),
-                        2,
-                        ChaosFault::DelayWire(Duration::from_micros(100)),
-                    ),
-            );
-            s
-        }),
-    ];
-    for (name, spec) in &plans {
-        spec.validate()
+    for (name, plan) in conformance::accepted_plans() {
+        WorkflowSpec::from_plan(&plan)
+            .validate()
             .unwrap_or_else(|e| panic!("{name}: spec invalid: {e}"));
-        let report = spec.preflight();
+        let report = Preflight::check(&plan);
         assert!(
             !report.is_rejected(),
             "{name} must pass preflight clean:\n{}",
@@ -168,89 +52,96 @@ fn conformance_plans_pass_preflight_clean() {
 /// diagnostic code.
 #[test]
 fn negative_plans_reject_with_documented_codes() {
-    // ZV011: statically unsatisfiable OpenAfterSteals window.
-    let mut s = config_c_spec();
-    s.backpressure = Some(BackpressureScript::new().with(Rank(0), 6, GateRule::OpenAfterSteals(5)));
-    let report = s.preflight();
-    assert!(report.is_rejected());
-    assert!(
-        report.has(ZvCode::UnsatisfiableWindow),
-        "{}",
-        report.render()
-    );
-
-    // ZV020: dead chaos ordinal (sender performs 10 ops in config A's
-    // shape: 8 data wires + 2 EOS marks).
-    let mut s = base_spec();
-    s.chaos = Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 11, ChaosFault::DropWire));
-    let report = s.preflight();
-    assert!(report.is_rejected());
-    assert!(report.has(ZvCode::DeadOrdinal), "{}", report.render());
-
-    // ZV030: CrashApp with a zero restart budget.
-    let mut s = base_spec();
-    s.chaos = Some(ChaosPlan::new().with(ChaosEntity::Analysis(Rank(0)), 2, ChaosFault::CrashApp));
-    let report = s.preflight();
-    assert!(report.is_rejected());
-    assert!(report.has(ZvCode::UnhealedCrash), "{}", report.render());
-
-    // ZV004: per-step block count past the 24-bit tag field.
-    let mut s = base_spec();
-    s.block_size = 1;
-    s.bytes_per_rank_step = zipper_policy::preflight::TAG_BLOCK_LIMIT + 1;
-    let report = s.preflight();
-    assert!(report.is_rejected());
-    assert!(report.has(ZvCode::TagBlockOverflow), "{}", report.render());
-
-    // The four codes are pairwise distinct — each negative plan gets its
-    // own diagnostic, not a shared catch-all.
-    let codes = [
-        ZvCode::UnsatisfiableWindow,
-        ZvCode::DeadOrdinal,
-        ZvCode::UnhealedCrash,
-        ZvCode::TagBlockOverflow,
-    ];
-    for (i, a) in codes.iter().enumerate() {
-        for b in &codes[i + 1..] {
+    let negatives = conformance::negative_plans();
+    for (name, plan, want) in &negatives {
+        let report = Preflight::check(plan);
+        assert!(report.is_rejected(), "{name}");
+        assert!(report.has(*want), "{name}: {}", report.render());
+    }
+    // The codes are pairwise distinct — each negative plan gets its own
+    // diagnostic, not a shared catch-all.
+    for (i, (_, _, a)) in negatives.iter().enumerate() {
+        for (_, _, b) in &negatives[i + 1..] {
             assert_ne!(a.code(), b.code());
         }
     }
 }
 
-/// Run a spec on the DES with causal recording and return the runtime
-/// edge profile.
-fn des_edge_profile(spec: &WorkflowSpec) -> std::collections::BTreeMap<String, u64> {
-    let layout = ClusterLayout::new(spec, 0);
-    let mut sim = hpcsim::Simulator::new(sim_config(spec, &layout));
-    sim.set_trace_detail(true);
-    sim.enable_causal();
-    let _policies = build_recorded(&mut sim, spec, &layout);
-    let r = sim.run();
-    assert!(r.is_clean(), "DES run not clean: {r:?}");
-    let mut causal = sim.take_causal().expect("causal enabled");
-    reclassify_causal(&mut causal);
-    let trace = sim.into_trace();
-    let g = CausalGraph::build(&trace, &causal);
-    g.edge_profile()
+/// Three interpreters, one plan. The DES spec built from a plan reads
+/// back as that plan field for field — except the watchdog's length, which
+/// the virtual clock fixes at `VIRTUAL_EOS_DEADLINE` — and the threaded
+/// driver's options preflight to the same report as the plan itself.
+#[test]
+fn every_interpreter_reads_the_same_plan() {
+    let negatives = conformance::negative_plans()
         .into_iter()
-        .map(|(sig, n)| (sig, n as u64))
-        .collect()
+        .map(|(name, plan, _)| (name.to_string(), plan));
+    for (name, plan) in conformance::accepted_plans().into_iter().chain(negatives) {
+        let mut want = plan.clone();
+        let watchdog = &mut want.workflow.tuning.eos_timeout;
+        *watchdog = watchdog.map(|_| Duration::from_nanos(VIRTUAL_EOS_DEADLINE.as_nanos()));
+        assert_eq!(
+            WorkflowSpec::from_plan(&plan).preflight_input(),
+            want,
+            "{name}: the DES reads a different plan"
+        );
+        assert_eq!(
+            common::threaded_options(&plan, TraceOptions::default())
+                .preflight(&plan.workflow)
+                .render(),
+            Preflight::check(&plan).render(),
+            "{name}: the threaded driver reads a different plan"
+        );
+    }
+}
+
+/// `run_with_detail` is the one DES run call. Totals mode records nothing
+/// new — no decision traces, no causal log — and processes exactly the
+/// events the pre-collapse `build` path did (counts pinned from the parent
+/// commit); a detailed run of the same plan processes the same events and
+/// carries every rank's decisions.
+#[test]
+fn totals_mode_records_nothing_and_detail_changes_no_event() {
+    for (plan, events) in [
+        (conformance::config_a(), 234),
+        (conformance::config_b(), 158),
+        (conformance::config_c(), 159),
+        (conformance::config_d(), 128),
+        (conformance::config_e(), 194),
+    ] {
+        let spec = WorkflowSpec::from_plan(&plan);
+        let lite = run_with_detail(TransportKind::Zipper, &spec, false);
+        assert!(lite.is_clean());
+        assert!(lite.producer_decisions.is_empty() && lite.consumer_decisions.is_empty());
+        assert!(lite.causal.is_empty());
+        assert_eq!(lite.events, events);
+        let full = common::run_des(&plan);
+        assert_eq!(full.events, events);
+        assert_eq!(full.producer_decisions.len(), plan.workflow.producers);
+        assert_eq!(full.consumer_decisions.len(), plan.workflow.consumers);
+        assert!(full.producer_decisions.iter().all(|t| t.is_enabled()));
+    }
 }
 
 /// The statically derived causal skeleton equals the
 /// decision-determined part of the runtime edge multiset, per config.
 #[test]
 fn skeleton_matches_des_edge_profile() {
-    for (name, spec) in [
-        ("config B", config_b_spec()),
-        ("config C", config_c_spec()),
-        ("config E", config_e_spec()),
+    for (name, plan) in [
+        ("config B", conformance::config_b()),
+        ("config C", conformance::config_c()),
+        ("config E", conformance::config_e()),
     ] {
-        let report = spec.preflight();
+        let report = Preflight::check(&plan);
         assert!(!report.is_rejected(), "{name}: {}", report.render());
         assert!(report.pinned, "{name}: conformance configs are pinned");
         assert!(report.skeleton.is_acyclic(), "{name}");
-        let profile = des_edge_profile(&spec);
+        let r = common::run_des(&plan);
+        let profile = CausalGraph::build(&r.trace, &r.causal)
+            .edge_profile()
+            .into_iter()
+            .map(|(sig, n)| (sig, n as u64))
+            .collect();
         if let Err(why) = report.skeleton.matches_profile(&profile) {
             panic!("{name}: {why}");
         }
@@ -261,32 +152,10 @@ fn skeleton_matches_des_edge_profile() {
 /// spawning a thread, and passes a clean plan through to a real run.
 #[test]
 fn preflight_gate_refuses_rejected_plans_and_admits_clean_ones() {
-    use zipper_types::{ByteSize, GlobalPos, PreserveMode, StepId, WorkflowConfig};
-    use zipper_workflow::{run_workflow_with, RunOptions, TraceOptions};
+    use zipper_workflow::{run_workflow_with, RunOptions};
 
-    let mut cfg = WorkflowConfig {
-        producers: 2,
-        consumers: 2,
-        steps: 2,
-        bytes_per_rank_step: ByteSize::bytes(4 * BLOCK),
-        ..Default::default()
-    };
-    cfg.tuning.block_size = ByteSize::bytes(BLOCK);
-    cfg.tuning.producer_slots = 16;
-    cfg.tuning.high_water_mark = 8;
-    cfg.tuning.concurrent_transfer = true;
-    cfg.tuning.preserve = PreserveMode::Preserve;
-    cfg.tuning.routing = RoutingPolicy::RoundRobin;
-
-    let produce = |rank: Rank, writer: &zipper_core::ZipperWriter| {
-        for s in 0..2u64 {
-            let payload = vec![rank.0 as u8; 4 * BLOCK as usize];
-            writer.write_slab(StepId(s), GlobalPos::default(), payload.into());
-        }
-    };
-    let consume = |_: Rank, reader: &zipper_core::ZipperReader| {
-        while reader.read().is_some() {}
-    };
+    let cfg = conformance::config_b().workflow;
+    let (produce, consume) = (common::write_slabs(&cfg), common::drain);
 
     let gated = |chaos: ChaosPlan| RunOptions {
         trace: TraceOptions::off(),
@@ -311,69 +180,24 @@ fn preflight_gate_refuses_rejected_plans_and_admits_clean_ones() {
     assert!(!preflight.is_rejected());
 }
 
-/// splitmix64 — the seeded conformance generators' mixer.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e9b5);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// The existing seeded CI generators never produce a verifier-rejected
-/// plan: any seed the chaos/gate matrices pick yields a plan preflight
-/// accepts (so a seeded matrix failure is always conformance-broken,
-/// never plan-invalid).
+/// The seeded CI generators never produce a verifier-rejected plan: any
+/// seed the chaos/gate matrices pick yields a plan preflight accepts (so a
+/// seeded matrix failure is always conformance-broken, never
+/// plan-invalid).
 #[test]
 fn seeded_generators_never_produce_rejected_plans() {
     for seed in 0..64u64 {
-        // The seeded chaos generator: 4 producers, message-only,
-        // Preserve, round-robin, ordinals confined to the 8 data wires.
-        let mut state = seed;
-        let kinds = [
-            ChaosFault::DropWire,
-            ChaosFault::CorruptWire,
-            ChaosFault::DelayWire(Duration::from_micros(200)),
-            ChaosFault::FailSend,
-        ];
-        let mut plan = ChaosPlan::new();
-        for p in 0..4 {
-            let ordinal = 1 + splitmix(&mut state) % 8;
-            let kind = kinds[(splitmix(&mut state) % kinds.len() as u64) as usize];
-            plan = plan.with(ChaosEntity::Sender(Rank(p as u32)), ordinal, kind);
+        for (name, plan) in [
+            ("chaos", conformance::seeded_chaos(seed)),
+            ("gate", conformance::seeded_gate(seed)),
+        ] {
+            let report = Preflight::check(&plan);
+            assert!(
+                !report.is_rejected(),
+                "seeded {name} (seed {seed}) rejected:\n{}",
+                report.render()
+            );
         }
-        let mut s = base_spec();
-        s.sim_ranks = 4;
-        s.bytes_per_rank_step = 4 * BLOCK;
-        s.preserve = true;
-        s.routing = RoutingPolicy::RoundRobin;
-        s.chaos = Some(plan);
-        let report = s.preflight();
-        assert!(
-            !report.is_rejected(),
-            "seeded chaos (seed {seed}) rejected:\n{}",
-            report.render()
-        );
-
-        // The seeded gate generator: one credit window per producer,
-        // wire 1..=3, target inside the remaining block budget.
-        let mut state = seed.wrapping_mul(0x5851_f42d_4c95_7f2d);
-        let mut script = BackpressureScript::new();
-        for p in 0..2 {
-            let wire = 1 + splitmix(&mut state) % 3;
-            let target = 1 + splitmix(&mut state) % (8 - wire - 1);
-            script = script.with(Rank(p as u32), wire, GateRule::OpenAfterSteals(target));
-        }
-        let mut s = base_spec();
-        s.concurrent_transfer = true;
-        s.routing = RoutingPolicy::RoundRobin;
-        s.backpressure = Some(script);
-        let report = s.preflight();
-        assert!(
-            !report.is_rejected(),
-            "seeded gate (seed {seed}) rejected:\n{}",
-            report.render()
-        );
     }
 }
 
@@ -381,7 +205,7 @@ fn seeded_generators_never_produce_rejected_plans() {
 /// bad plans (dead ordinals, unsatisfiable windows, unhealed crashes):
 /// the property filters on the verifier's verdict.
 #[allow(clippy::too_many_arguments)]
-fn random_spec(
+fn random_plan(
     producers: usize,
     consumers: usize,
     steps: u64,
@@ -392,23 +216,24 @@ fn random_spec(
     chaos_draws: &[(u8, u64, u8)],
     gate_draw: Option<(u64, u64)>,
     budgets: (u32, u32),
-) -> WorkflowSpec {
-    let mut s = WorkflowSpec::synthetic(
-        zipper_apps::Complexity::Linear,
-        producers,
-        consumers,
-        blocks_per_step * BLOCK,
-        BLOCK,
-    );
-    s.steps = steps;
-    s.ranks_per_node = 2;
-    s.producer_slots = 64;
+) -> PreflightInput {
+    let mut p = conformance::base();
+    let w = &mut p.workflow;
+    w.producers = producers;
+    w.consumers = consumers;
+    w.steps = steps;
+    w.bytes_per_rank_step = ByteSize::bytes(blocks_per_step * BLOCK);
+    w.tuning.producer_slots = 64;
     let n = steps * blocks_per_step;
-    s.high_water_mark = if pinned_hwm { n as usize } else { 2 };
-    s.concurrent_transfer = concurrent;
-    s.preserve = preserve;
-    s.routing = RoutingPolicy::RoundRobin;
-    s.recovery = RecoveryPolicy {
+    w.tuning.high_water_mark = if pinned_hwm { n as usize } else { 2 };
+    w.tuning.concurrent_transfer = concurrent;
+    w.tuning.preserve = if preserve {
+        PreserveMode::Preserve
+    } else {
+        PreserveMode::NoPreserve
+    };
+    w.tuning.routing = RoutingPolicy::RoundRobin;
+    w.tuning.recovery = RecoveryPolicy {
         writer_cooldown: Duration::from_millis(1),
         max_writer_revivals: budgets.0,
         max_consumer_restarts: budgets.1,
@@ -437,15 +262,11 @@ fn random_spec(
         };
         plan = plan.with(ev.0, 1 + ordinal, ev.1);
     }
-    s.chaos = (!plan.is_empty()).then_some(plan);
-    if let Some((wire, target)) = gate_draw {
-        s.backpressure = Some(BackpressureScript::new().with(
-            Rank(0),
-            1 + wire,
-            GateRule::OpenAfterSteals(1 + target),
-        ));
-    }
-    s
+    p.chaos = (!plan.is_empty()).then_some(plan);
+    p.backpressure = gate_draw.map(|(wire, target)| {
+        BackpressureScript::new().with(Rank(0), 1 + wire, GateRule::OpenAfterSteals(1 + target))
+    });
+    p
 }
 
 mod accepted_implies_completion {
@@ -475,7 +296,7 @@ mod accepted_implies_completion {
             revivals in 0u32..2,
             restarts in 0u32..2,
         ) {
-            let spec = random_spec(
+            let plan = random_plan(
                 producers,
                 consumers,
                 steps,
@@ -487,7 +308,7 @@ mod accepted_implies_completion {
                 with_gate.then_some((gate_wire, gate_target)),
                 (revivals, restarts),
             );
-            let report = spec.preflight();
+            let report = Preflight::check(&plan);
             if report.is_rejected() {
                 // The plan is refused; nothing to run.
                 if std::env::var("ZIPPER_PREFLIGHT_STATS").is_ok() {
@@ -499,16 +320,15 @@ mod accepted_implies_completion {
                 eprintln!("accepted (pinned={})", report.pinned);
             }
             // Accepted ⇒ the spec is also structurally valid...
+            let spec = WorkflowSpec::from_plan(&plan);
             prop_assert!(spec.validate().is_ok(), "accepted but validate fails: {:?}", spec.validate());
             // ...and the DES run completes cleanly with no watchdog.
-            let layout = ClusterLayout::new(&spec, 0);
-            let mut sim = hpcsim::Simulator::new(sim_config(&spec, &layout));
-            let _policies = build_recorded(&mut sim, &spec, &layout);
-            let r = sim.run();
+            let r = run_with_detail(TransportKind::Zipper, &spec, false);
             prop_assert!(
                 r.is_clean(),
-                "verifier-accepted plan did not complete: {:?}\n{}",
-                r,
+                "verifier-accepted plan did not complete: {:?} {:?}\n{}",
+                r.fault,
+                r.deadlocked,
                 report.render()
             );
         }

@@ -6,7 +6,7 @@ use zipper_apps::Complexity;
 use zipper_trace::stats::kind_time_filtered;
 use zipper_trace::SpanKind;
 use zipper_transports::{
-    run, run_analysis_only, run_sim_only, run_with_detail, TransportKind, WorkflowSpec,
+    run_analysis_only, run_sim_only, run_with_detail, TransportKind, WorkflowSpec,
 };
 use zipper_types::{BackpressureScript, GateRule, Rank, RoutingPolicy};
 
@@ -29,10 +29,10 @@ fn tiny_lammps() -> WorkflowSpec {
 #[test]
 fn all_transports_complete_both_applications() {
     for spec in [tiny_cfd(), tiny_lammps()] {
-        let sim_only = run_sim_only(&spec);
+        let sim_only = run_sim_only(&spec, true);
         assert!(sim_only.is_clean());
         for kind in TransportKind::ALL {
-            let r = run(kind, &spec);
+            let r = run_with_detail(kind, &spec, true);
             assert!(r.is_clean(), "{} failed: {:?}", r.name, r.fault);
             assert!(
                 r.end_to_end >= sim_only.end_to_end,
@@ -60,13 +60,13 @@ fn all_transports_complete_both_applications() {
 #[test]
 fn zipper_wins_and_tracks_sim_only() {
     let spec = tiny_cfd();
-    let zipper = run(TransportKind::Zipper, &spec);
-    let sim_only = run_sim_only(&spec);
+    let zipper = run_with_detail(TransportKind::Zipper, &spec, true);
+    let sim_only = run_sim_only(&spec, true);
     for kind in TransportKind::ALL {
         if kind == TransportKind::Zipper {
             continue;
         }
-        let r = run(kind, &spec);
+        let r = run_with_detail(kind, &spec, true);
         assert!(
             r.end_to_end >= zipper.end_to_end,
             "{} ({}) beat Zipper ({})",
@@ -84,23 +84,23 @@ fn zipper_wins_and_tracks_sim_only() {
 #[test]
 fn adios_wrappers_cost_more_than_native() {
     let spec = tiny_cfd();
-    let ds_native = run(TransportKind::DataSpacesNative, &spec);
-    let ds_adios = run(TransportKind::DataSpacesAdios, &spec);
+    let ds_native = run_with_detail(TransportKind::DataSpacesNative, &spec, true);
+    let ds_adios = run_with_detail(TransportKind::DataSpacesAdios, &spec, true);
     assert!(ds_adios.end_to_end > ds_native.end_to_end);
-    let dimes_native = run(TransportKind::DimesNative, &spec);
-    let dimes_adios = run(TransportKind::DimesAdios, &spec);
+    let dimes_native = run_with_detail(TransportKind::DimesNative, &spec, true);
+    let dimes_adios = run_with_detail(TransportKind::DimesAdios, &spec, true);
     assert!(dimes_adios.end_to_end > dimes_native.end_to_end);
 }
 
 #[test]
 fn decaf_shows_waitall_and_dimes_shows_locks() {
     let spec = tiny_cfd();
-    let decaf = run(TransportKind::Decaf, &spec);
+    let decaf = run_with_detail(TransportKind::Decaf, &spec, true);
     assert!(decaf.waitall.as_nanos() > 0, "Decaf must MPI_Waitall");
-    let dimes = run(TransportKind::DimesNative, &spec);
+    let dimes = run_with_detail(TransportKind::DimesNative, &spec, true);
     let barrier = kind_time_filtered(&dimes.trace, SpanKind::Barrier, |l| l.starts_with("sim/"));
     assert!(barrier.as_nanos() > 0, "DIMES type-2 lock is collective");
-    let zipper = run(TransportKind::Zipper, &spec);
+    let zipper = run_with_detail(TransportKind::Zipper, &spec, true);
     assert_eq!(zipper.waitall.as_nanos(), 0, "Zipper has no waitall");
     assert_eq!(zipper.lock.as_nanos(), 0, "Zipper has no staging locks");
 }
@@ -110,28 +110,28 @@ fn crash_thresholds_fire_only_at_scale() {
     let mut spec = tiny_cfd();
     spec.flexpath_crash_cores = Some(9);
     spec.decaf_crash_cores = Some(9);
-    let flex = run(TransportKind::Flexpath, &spec);
+    let flex = run_with_detail(TransportKind::Flexpath, &spec, true);
     assert!(flex.fault.as_deref().unwrap_or("").contains("segmentation"));
-    let decaf = run(TransportKind::Decaf, &spec);
+    let decaf = run_with_detail(TransportKind::Decaf, &spec, true);
     assert!(decaf.fault.as_deref().unwrap_or("").contains("overflow"));
     // Below threshold: clean.
     spec.flexpath_crash_cores = Some(1000);
     spec.decaf_crash_cores = Some(1000);
-    assert!(run(TransportKind::Flexpath, &spec).is_clean());
-    assert!(run(TransportKind::Decaf, &spec).is_clean());
+    assert!(run_with_detail(TransportKind::Flexpath, &spec, true).is_clean());
+    assert!(run_with_detail(TransportKind::Decaf, &spec, true).is_clean());
 }
 
 #[test]
 fn runs_are_deterministic_per_seed_and_vary_across_seeds() {
     let spec = tiny_cfd();
-    let a = run(TransportKind::MpiIo, &spec);
-    let b = run(TransportKind::MpiIo, &spec);
+    let a = run_with_detail(TransportKind::MpiIo, &spec, true);
+    let b = run_with_detail(TransportKind::MpiIo, &spec, true);
     assert_eq!(a.end_to_end, b.end_to_end);
     assert_eq!(a.events, b.events);
 
     let mut spec2 = tiny_cfd();
     spec2.seed = spec.seed + 1;
-    let c = run(TransportKind::MpiIo, &spec2);
+    let c = run_with_detail(TransportKind::MpiIo, &spec2, true);
     assert_ne!(
         a.end_to_end, c.end_to_end,
         "PFS/MDS load variance must differ across seeds"
@@ -296,7 +296,7 @@ fn scripted_backpressure_induces_the_fig14_split_for_both_routers() {
 #[test]
 fn mpiio_touches_pfs_staging_transports_do_not() {
     let spec = tiny_cfd();
-    let mpiio = run(TransportKind::MpiIo, &spec);
+    let mpiio = run_with_detail(TransportKind::MpiIo, &spec, true);
     assert!(mpiio.pfs_requests > 0);
     for kind in [
         TransportKind::DataSpacesNative,
@@ -304,7 +304,7 @@ fn mpiio_touches_pfs_staging_transports_do_not() {
         TransportKind::Flexpath,
         TransportKind::Decaf,
     ] {
-        let r = run(kind, &spec);
+        let r = run_with_detail(kind, &spec, true);
         assert_eq!(r.pfs_requests, 0, "{} must not touch the PFS", r.name);
     }
 }

@@ -4,7 +4,7 @@
 use zipper_model::Prediction;
 use zipper_trace::export::{chrome_trace, jsonl, validate_json, validate_jsonl};
 use zipper_trace::{CausalGraph, CounterId, CriticalPath};
-use zipper_transports::{run, TransportKind, TransportResult, WorkflowSpec};
+use zipper_transports::{run_with_detail, TransportKind, TransportResult, WorkflowSpec};
 use zipper_workflow::ModelFit;
 
 /// Documented model-fit tolerance on the deterministic DES example: every
@@ -28,7 +28,7 @@ fn des_model_fit_within_documented_tolerance() {
     // fill/drain transient that the model deliberately ignores.
     let mut spec = tiny_cfd();
     spec.steps = 12;
-    let r = run(TransportKind::Zipper, &spec);
+    let r = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(r.is_clean());
     let prediction = Prediction::from_input(&spec.model_input());
     let fit = ModelFit::from_trace(&r.trace, r.end_to_end, &prediction);
@@ -65,7 +65,7 @@ fn critical_path_verdict_agrees_with_model_argmax() {
     let mut scaling = WorkflowSpec::cfd(32, 16, 8); // scaling_sim, 48 cores
     scaling.decaf_links = 16;
     for (name, spec) in [("quickstart", quickstart), ("scaling_sim/48", scaling)] {
-        let r = run(TransportKind::Zipper, &spec);
+        let r = run_with_detail(TransportKind::Zipper, &spec, true);
         assert!(r.is_clean(), "{name}: {:?} {:?}", r.fault, r.deadlocked);
         let graph = CausalGraph::build(&r.trace, &r.causal);
         let path =
@@ -86,7 +86,7 @@ fn critical_path_verdict_agrees_with_model_argmax() {
 #[test]
 fn des_exports_round_trip_a_real_run() {
     let spec = tiny_cfd();
-    let r = run(TransportKind::Zipper, &spec);
+    let r = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(r.is_clean());
     let chrome = chrome_trace(&r.trace, Some(&r.samples));
     validate_json(&chrome).expect("chrome trace must be valid JSON");
@@ -132,8 +132,8 @@ fn critical_path_golden_snapshot() {
     spec.ranks_per_node = 2;
     spec.staging_servers = 1;
     spec.decaf_links = 1;
-    let a = run(TransportKind::Zipper, &spec);
-    let b = run(TransportKind::Zipper, &spec);
+    let a = run_with_detail(TransportKind::Zipper, &spec, true);
+    let b = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(a.is_clean() && b.is_clean());
     let ra = render_critical_path(&a);
     assert_eq!(
@@ -166,8 +166,8 @@ fn chrome_trace_export_is_byte_stable() {
     spec.ranks_per_node = 2;
     spec.staging_servers = 1;
     spec.decaf_links = 1;
-    let a = run(TransportKind::Zipper, &spec);
-    let b = run(TransportKind::Zipper, &spec);
+    let a = run_with_detail(TransportKind::Zipper, &spec, true);
+    let b = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(a.is_clean() && b.is_clean());
     let ja = chrome_trace(&a.trace, Some(&a.samples));
     let jb = chrome_trace(&b.trace, Some(&b.samples));
