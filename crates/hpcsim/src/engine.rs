@@ -4,7 +4,8 @@
 use crate::network::{Network, NetworkConfig};
 use crate::objects::{BufItem, BufferWake, SimBarrier, SimBuffer, SimGate, SimLock, SimSignal};
 use crate::ops::{BufId, BufferTaken, MsgMeta, Op, ProcCtx, Program, Step};
-use std::collections::{BinaryHeap, VecDeque};
+use crate::queue::{Event, EventQueue};
+use std::collections::VecDeque;
 use zipper_pfs::{OstModel, OstModelConfig};
 use zipper_trace::{
     CausalLog, CounterId, EdgeKind, GaugeId, LaneId, Probe, SampleSeries, Span, SpanKind,
@@ -64,7 +65,9 @@ struct ProcSlot {
     node: NodeId,
     lane: LaneId,
     program: Box<dyn Program>,
-    pending: VecDeque<Op>,
+    /// What is left of the batch the program returned last, consumed in
+    /// place.
+    pending: std::vec::IntoIter<Op>,
     state: ProcState,
     mailbox: VecDeque<MsgMeta>,
     last_msg: Option<MsgMeta>,
@@ -75,54 +78,6 @@ struct ProcSlot {
     /// `Recv` completes, so a stale `RecvTimeout` event (raced by a
     /// delivery) recognizes itself and fizzles.
     recv_gen: u64,
-}
-
-#[derive(Debug)]
-enum Event {
-    Resume(ProcId),
-    Deliver {
-        to: ProcId,
-        msg: MsgMeta,
-    },
-    AsyncDelivered {
-        sender: ProcId,
-        to: ProcId,
-        msg: MsgMeta,
-    },
-    /// A timed receive's watchdog: wakes `pid` with `last_msg == None`
-    /// if it is still parked on the same receive generation.
-    RecvTimeout {
-        pid: ProcId,
-        gen: u64,
-    },
-}
-
-struct QEntry {
-    time: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for QEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QEntry {}
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QEntry {
-    // Reversed: BinaryHeap is a max-heap, we want earliest-first with FIFO
-    // tie-break on submission order.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// Outcome of a simulation run.
@@ -150,8 +105,7 @@ impl RunReport {
 /// The simulator.
 pub struct Simulator {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<QEntry>,
+    queue: EventQueue,
     procs: Vec<ProcSlot>,
     buffers: Vec<SimBuffer>,
     locks: Vec<SimLock>,
@@ -193,8 +147,7 @@ impl Simulator {
     pub fn new(cfg: SimConfig) -> Self {
         Simulator {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             procs: Vec::new(),
             buffers: Vec::new(),
             locks: Vec::new(),
@@ -292,10 +245,10 @@ impl Simulator {
     }
 
     /// Turn on metric collection and virtual-time sampling every `period`.
-    /// The probe mirrors the fabric's XmitWait/traffic counters and the
-    /// aggregate buffer occupancy into the registry on every event, and
-    /// snapshots the registry whenever virtual time crosses a period
-    /// boundary — the DES analogue of the wall-clock sampler thread.
+    /// Whenever virtual time crosses a period boundary the probe mirrors
+    /// the fabric's XmitWait/traffic counters and the aggregate buffer
+    /// occupancy into the registry and snapshots it — the DES analogue of
+    /// the wall-clock sampler thread.
     pub fn enable_telemetry(&mut self, period: SimTime) {
         self.telemetry = Telemetry::on();
         self.probe = Some(Probe::new(period));
@@ -336,9 +289,11 @@ impl Simulator {
     }
 
     /// Fire the sampling probe for any period boundaries crossed up to the
-    /// current virtual time.
+    /// current virtual time. The mirrored values are plain stores and
+    /// `refresh_metrics` is a sum over every node and buffer, so they are
+    /// refreshed only when a sample is about to read them.
     fn poll_telemetry(&mut self) {
-        if self.probe.is_some() {
+        if self.probe.as_ref().is_some_and(|p| p.is_due(self.now)) {
             self.refresh_metrics();
             if let Some(probe) = self.probe.as_mut() {
                 probe.poll(self.now, &self.telemetry);
@@ -377,7 +332,7 @@ impl Simulator {
             node,
             lane,
             program: Box::new(program),
-            pending: VecDeque::new(),
+            pending: Vec::new().into_iter(),
             state: ProcState::Ready,
             mailbox: VecDeque::new(),
             last_msg: None,
@@ -474,13 +429,7 @@ impl Simulator {
     }
 
     fn push_event(&mut self, time: SimTime, event: Event) {
-        debug_assert!(time >= self.now, "event scheduled in the past");
-        self.queue.push(QEntry {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
+        self.queue.schedule(self.now, time, event);
     }
 
     fn record(&mut self, lane: LaneId, kind: SpanKind, t0: SimTime, t1: SimTime, step: u64) {
@@ -496,42 +445,41 @@ impl Simulator {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run with a virtual-time horizon.
+    /// Run with a virtual-time horizon: every event at or before `horizon`
+    /// executes, later ones stay scheduled, so a further call picks up
+    /// where this one stopped. A report carries the faults raised since
+    /// the previous one.
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
-        while let Some(entry) = self.queue.pop() {
-            if entry.time > horizon {
-                // Past the horizon: stop (drop the event; horizon runs are
-                // for bounded-time inspection only).
-                self.now = horizon;
-                self.clock.set(horizon);
+        loop {
+            let Some((time, event)) = self.queue.pop(self.now, horizon) else {
+                if !self.queue.is_empty() && horizon > self.now {
+                    self.now = horizon;
+                    self.clock.set(horizon);
+                }
                 break;
+            };
+            if time > self.now {
+                self.now = time;
+                self.clock.set(time);
+                self.poll_telemetry();
             }
-            self.now = entry.time;
-            self.clock.set(entry.time);
-            self.poll_telemetry();
             self.events += 1;
             if self.events > self.max_events {
                 self.faults
                     .push("max_events exceeded (runaway program?)".into());
                 break;
             }
-            match entry.event {
+            match event {
                 Event::Resume(pid) => self.run_proc(pid),
-                Event::Deliver { to, msg } => self.deliver(to, msg),
                 Event::RecvTimeout { pid, gen } => self.fire_recv_timeout(pid, gen),
-                Event::AsyncDelivered { sender, to, msg } => {
+                Event::Deliver {
+                    to,
+                    msg,
+                    completes_send,
+                } => {
                     self.deliver(to, msg);
-                    let s = &mut self.procs[sender.idx()];
-                    debug_assert!(s.outstanding_sends > 0);
-                    s.outstanding_sends -= 1;
-                    if s.outstanding_sends == 0 {
-                        if let Waiting::WaitAll { kind, since } = s.waiting {
-                            s.waiting = Waiting::None;
-                            s.state = ProcState::Ready;
-                            let lane = s.lane;
-                            self.record(lane, kind, since, self.now, Span::NO_STEP);
-                            self.push_event(self.now, Event::Resume(sender));
-                        }
+                    if completes_send {
+                        self.complete_async_send(msg.from);
                     }
                 }
             }
@@ -548,43 +496,52 @@ impl Simulator {
             .collect();
         RunReport {
             end: self.now,
-            faults: self.faults.clone(),
+            faults: std::mem::take(&mut self.faults),
             deadlocked,
             events: self.events,
         }
     }
 
-    /// Deliver a message: enqueue in the mailbox, then complete a matching
-    /// parked `Recv` if there is one.
-    fn deliver(&mut self, to: ProcId, msg: MsgMeta) {
-        self.procs[to.idx()].mailbox.push_back(msg);
-        self.try_complete_recv(to);
+    /// One of `sender`'s async sends was delivered; the last one releases
+    /// a parked `WaitAllSends`.
+    fn complete_async_send(&mut self, sender: ProcId) {
+        let s = &mut self.procs[sender.idx()];
+        debug_assert!(s.outstanding_sends > 0);
+        s.outstanding_sends -= 1;
+        if s.outstanding_sends == 0 {
+            if let Waiting::WaitAll { kind, since } = s.waiting {
+                s.waiting = Waiting::None;
+                s.state = ProcState::Ready;
+                let lane = s.lane;
+                self.record(lane, kind, since, self.now, Span::NO_STEP);
+                self.push_event(self.now, Event::Resume(sender));
+            }
+        }
     }
 
-    fn try_complete_recv(&mut self, pid: ProcId) {
-        let slot = &mut self.procs[pid.idx()];
-        if let Waiting::Recv {
-            tag_min,
-            tag_max,
-            kind,
-            since,
-        } = slot.waiting
-        {
-            if let Some(pos) = slot
-                .mailbox
-                .iter()
-                .position(|m| m.tag >= tag_min && m.tag <= tag_max)
-            {
-                let msg = slot.mailbox.remove(pos).expect("position valid");
+    /// Deliver a message: complete `to`'s parked `Recv` if the message
+    /// matches it, else leave it in the mailbox. A receive parks only when
+    /// nothing in the mailbox matches, and every arrival since came
+    /// through here — so the arriving message is the only candidate.
+    fn deliver(&mut self, to: ProcId, msg: MsgMeta) {
+        let slot = &mut self.procs[to.idx()];
+        match slot.waiting {
+            Waiting::Recv {
+                tag_min,
+                tag_max,
+                kind,
+                since,
+            } if msg.tag >= tag_min && msg.tag <= tag_max => {
                 slot.last_msg = Some(msg);
                 slot.waiting = Waiting::None;
                 slot.state = ProcState::Ready;
                 slot.recv_gen += 1; // any pending timeout is now stale
                 let lane = slot.lane;
                 self.record(lane, kind, since, self.now, Span::NO_STEP);
-                self.causal_wire(pid, &msg);
-                self.push_event(self.now, Event::Resume(pid));
+                self.causal_wire(to, &msg);
+                self.push_event(self.now, Event::Resume(to));
             }
+            _ => slot.mailbox.push_back(msg),
         }
     }
 
@@ -662,17 +619,15 @@ impl Simulator {
     /// timed op.
     fn run_proc(&mut self, pid: ProcId) {
         loop {
-            if self.procs[pid.idx()].state == ProcState::Done {
+            let slot = &mut self.procs[pid.idx()];
+            if slot.state == ProcState::Done {
                 return;
             }
-            let op = match self.procs[pid.idx()].pending.pop_front() {
-                Some(op) => op,
-                None => {
-                    if !self.refill(pid) {
-                        return;
-                    }
-                    continue;
+            let Some(op) = slot.pending.next() else {
+                if !self.refill(pid) {
+                    return;
                 }
+                continue;
             };
             if !self.exec_op(pid, op) {
                 return;
@@ -682,45 +637,40 @@ impl Simulator {
 
     /// Ask the program for more ops. Returns false when the process ended.
     fn refill(&mut self, pid: ProcId) -> bool {
-        let (now, me, last_msg, last_take) = {
-            let s = &self.procs[pid.idx()];
-            (self.now, pid, s.last_msg, s.last_take)
+        // The program runs in place: the context it sees borrows other
+        // fields of the simulator than the process table.
+        let Simulator {
+            now,
+            procs,
+            buffers,
+            rng_state,
+            ..
+        } = self;
+        let slot = &mut procs[pid.idx()];
+        let len_fn = |b: BufId| buffers[b].len();
+        let mut rng_fn = || {
+            let mut s = *rng_state;
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            *rng_state = s;
+            s.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        // Temporarily detach the program so `self` stays borrowable.
-        let mut program = std::mem::replace(
-            &mut self.procs[pid.idx()].program,
-            Box::new(crate::ops::RunOnce::new(Vec::new())),
-        );
-        let step = {
-            let buffers = &self.buffers;
-            let len_fn = move |b: BufId| buffers[b].len();
-            let rng_state = &mut self.rng_state;
-            let mut rng_fn = move || {
-                let mut s = *rng_state;
-                s ^= s >> 12;
-                s ^= s << 25;
-                s ^= s >> 27;
-                *rng_state = s;
-                s.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            };
-            let mut ctx = ProcCtx {
-                now,
-                me,
-                last_msg,
-                last_take,
-                buffer_len: &len_fn,
-                rng: &mut rng_fn,
-            };
-            program.resume(&mut ctx)
+        let mut ctx = ProcCtx {
+            now: *now,
+            me: pid,
+            last_msg: slot.last_msg,
+            last_take: slot.last_take,
+            buffer_len: &len_fn,
+            rng: &mut rng_fn,
         };
-        self.procs[pid.idx()].program = program;
-        match step {
+        match slot.program.resume(&mut ctx) {
             Step::Done => {
-                self.procs[pid.idx()].state = ProcState::Done;
+                slot.state = ProcState::Done;
                 false
             }
             Step::Ops(ops) => {
-                self.procs[pid.idx()].pending.extend(ops);
+                slot.pending = ops.into_iter();
                 true
             }
         }
@@ -765,6 +715,7 @@ impl Simulator {
                             tag,
                             sent_at: now,
                         },
+                        completes_send: false,
                     },
                 );
                 if t.inject_done > now {
@@ -781,8 +732,7 @@ impl Simulator {
                 self.procs[pid.idx()].outstanding_sends += 1;
                 self.push_event(
                     t.delivered,
-                    Event::AsyncDelivered {
-                        sender: pid,
+                    Event::Deliver {
                         to,
                         msg: MsgMeta {
                             from: pid,
@@ -790,6 +740,7 @@ impl Simulator {
                             tag,
                             sent_at: now,
                         },
+                        completes_send: true,
                     },
                 );
                 true
@@ -1470,6 +1421,74 @@ mod tests {
         let r = sim.run_until(SimTime::from_millis(35));
         assert!(r.end <= SimTime::from_millis(40));
         assert!(r.events < 10);
+    }
+
+    /// A run stopped at a horizon and resumed is the same run: no event is
+    /// lost at the stop, whether it falls between ticks, on a tick with
+    /// several events (the ping-pong's deliveries and resumes share
+    /// ticks), or past the end.
+    #[test]
+    fn run_until_then_run_equals_one_run() {
+        fn pingpong() -> Simulator {
+            let mut sim = small_sim();
+            let recv = Op::Recv {
+                tag_min: 0,
+                tag_max: u64::MAX,
+                kind: SpanKind::Recv,
+            };
+            let send = |to| Op::Send {
+                to: ProcId(to),
+                bytes: 100_000,
+                tag: 1,
+                kind: SpanKind::Send,
+            };
+            for (me, first) in [(0u32, true), (1, false)] {
+                let mut left = 20;
+                let recv = recv.clone();
+                sim.spawn(NodeId(me), format!("p{me}"), move |_: &mut ProcCtx<'_>| {
+                    if left == 0 {
+                        return Step::Done;
+                    }
+                    left -= 1;
+                    let compute = Op::Compute {
+                        dur: SimTime::from_micros(50),
+                        kind: SpanKind::Compute,
+                        step: left,
+                    };
+                    Step::Ops(if first {
+                        vec![send(1 - me), recv.clone(), compute]
+                    } else {
+                        vec![recv.clone(), compute, send(1 - me)]
+                    })
+                });
+            }
+            sim
+        }
+        let totals = |sim: &Simulator| {
+            let t = sim.trace();
+            t.lanes()
+                .map(|l| format!("{:?}", t.lane_totals(l)))
+                .collect::<Vec<_>>()
+        };
+        let mut whole = pingpong();
+        let want = whole.run();
+        assert!(want.is_clean(), "{want:?}");
+        assert!(want.events > 100);
+
+        let mid = SimTime::from_nanos(want.end.as_nanos() / 2);
+        for horizon in [SimTime::ZERO, mid, want.end, want.end + mid] {
+            let mut sim = pingpong();
+            let first = sim.run_until(horizon);
+            assert!(first.end <= horizon.max(want.end));
+            assert!(first.events <= want.events);
+            let got = sim.run_until(SimTime::MAX);
+            assert_eq!(
+                (got.end, got.events, got.is_clean()),
+                (want.end, want.events, true),
+                "stopped at {horizon}"
+            );
+            assert_eq!(totals(&sim), totals(&whole), "stopped at {horizon}");
+        }
     }
 
     #[test]

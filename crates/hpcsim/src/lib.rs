@@ -34,6 +34,7 @@ pub mod engine;
 pub mod network;
 pub mod objects;
 pub mod ops;
+mod queue;
 
 pub use engine::{RunReport, SimConfig, Simulator};
 pub use network::{Network, NetworkConfig};

@@ -1,0 +1,615 @@
+//! The engine's event queue.
+//!
+//! **Ordering contract.** Events run in a total order on `(time, seq)`,
+//! where `seq` is the order they were scheduled in: earliest time first,
+//! and within one tick, earlier-scheduled first. Three structures hold
+//! that one order, so that the cost of an event does not grow with the
+//! number of events pending:
+//!
+//! * a binary heap of 32-byte entries keyed by `(time, seq)`;
+//! * a **same-tick FIFO**: an event scheduled for the tick that is
+//!   running (`time == now`) is appended here, not pushed on the heap.
+//!   The FIFO is drained only once the heap holds nothing due at `now`.
+//!   This is exactly `(time, seq)` order: every heap entry due at `now`
+//!   was scheduled before the tick began (during the tick they come
+//!   here), so it has a smaller `seq` than every FIFO entry; and the FIFO
+//!   is itself in `seq` order;
+//! * per-destination **lanes** of in-flight messages. A message whose
+//!   delivery time is not earlier than that of the last message in flight
+//!   to the same process is appended to that process's lane instead of
+//!   entering the heap. Only a lane's head is in the heap (as the
+//!   destination's id — the heap never carries message bodies); when it
+//!   is delivered its successor enters, under the key it was given when
+//!   it was sent. A lane is in nondecreasing key order, so no message but
+//!   the head can be the earliest pending event, and the merge through
+//!   the heap is exact. A message that would break a lane's order (an
+//!   intra-node copy overtaking a fabric transfer) stays out of the lane
+//!   and is a heap entry of its own.
+//!
+//! A lane's messages sit side by side, in the order they will be
+//! delivered, in chunks that double in size as the lane deepens. A million
+//! marks in flight are tens of megabytes — memory the host serves at DRAM
+//! latency — and a delivery needs its successor's key at once; next to
+//! each other, the successor is in the cache line just read or the one
+//! after it, and the host's memory system is off the critical path of all
+//! but one delivery per chunk. A lone message in flight (a halo exchange
+//! has one to each of thousands of processes) takes a chunk of one.
+
+use crate::ops::MsgMeta;
+use std::collections::{BinaryHeap, VecDeque};
+use zipper_types::{ProcId, SimTime};
+
+/// What the engine does when an event's time comes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Event {
+    Resume(ProcId),
+    /// `msg` reaches `to`'s mailbox. `completes_send`: it was sent by
+    /// `SendAsync`, so its delivery also retires one of the sender's
+    /// outstanding sends.
+    Deliver {
+        to: ProcId,
+        msg: MsgMeta,
+        completes_send: bool,
+    },
+    /// A timed receive's watchdog: wakes `pid` with `last_msg == None`
+    /// if it is still parked on the same receive generation.
+    RecvTimeout {
+        pid: ProcId,
+        gen: u64,
+    },
+}
+
+/// An [`Event`] as the heap and the FIFO store it: 16 bytes.
+enum Stored {
+    Resume(ProcId),
+    /// The head of this process's lane.
+    LaneHead(ProcId),
+    /// A message that is in no lane: out of its lane's order, or due in
+    /// the tick that sent it.
+    Stray(Box<(ProcId, InFlight)>),
+    RecvTimeout {
+        pid: ProcId,
+        gen: u64,
+    },
+}
+
+struct Entry {
+    /// `time` in the high 64 bits, `seq` in the low: one integer compare
+    /// is the `(time, seq)` order.
+    key: u128,
+    stored: Stored,
+}
+
+// The heap is sifted on every timed op: an entry is half a cache line,
+// which is why message bodies live in the lanes and not here.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+
+fn key(time: SimTime, seq: u64) -> u128 {
+    (time.as_nanos() as u128) << 64 | seq as u128
+}
+
+impl Entry {
+    fn time(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Entry {}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Entry {
+    // Reversed: BinaryHeap is a max-heap, we want the smallest key first.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// "No chunk": an empty lane, the end of a lane, the end of a free list.
+const NIL: u32 = u32::MAX >> 1;
+/// Flag in [`InFlight::link`]: sent by `SendAsync`.
+const COMPLETES_SEND: u32 = 1 << 31;
+/// Slots in a lane's largest chunks. Its first chunk has one, each
+/// further one twice the last, up to this.
+const MAX_CHUNK: u8 = 16;
+
+/// One message between its send and its delivery, or an empty slot of a
+/// chunk: 48 bytes.
+#[derive(Clone, Copy)]
+struct InFlight {
+    /// The delivery event's place in the total order.
+    time: SimTime,
+    seq: u64,
+    bytes: u64,
+    tag: u64,
+    sent_at: SimTime,
+    from: ProcId,
+    /// Top bit: [`COMPLETES_SEND`], of this message. Low 31 bits, in a
+    /// chunk's first slot only: the lane's next chunk, or the next free
+    /// chunk of the same size ([`NIL`] ends either list).
+    link: u32,
+}
+
+impl InFlight {
+    const EMPTY: InFlight = InFlight {
+        time: SimTime::ZERO,
+        seq: 0,
+        bytes: 0,
+        tag: 0,
+        sent_at: SimTime::ZERO,
+        from: ProcId(0),
+        link: NIL,
+    };
+
+    fn key(&self) -> u128 {
+        key(self.time, self.seq)
+    }
+
+    fn next(&self) -> u32 {
+        self.link & NIL
+    }
+
+    fn set_next(&mut self, chunk: u32) {
+        self.link = chunk | (self.link & COMPLETES_SEND);
+    }
+
+    fn deliver(&self, to: ProcId) -> Event {
+        Event::Deliver {
+            to,
+            msg: MsgMeta {
+                from: self.from,
+                bytes: self.bytes,
+                tag: self.tag,
+                sent_at: self.sent_at,
+            },
+            completes_send: self.link & COMPLETES_SEND != 0,
+        }
+    }
+}
+
+/// The messages in flight to one process, oldest first: a list of chunks,
+/// consumed from `head_at` in the first one and filled to `tail_len` in
+/// the last one. A chunk goes by the index of its first slot.
+#[derive(Clone, Copy)]
+struct Lane {
+    head: u32,
+    tail: u32,
+    head_at: u8,
+    head_cap: u8,
+    tail_len: u8,
+    tail_cap: u8,
+    /// Delivery time of the last message in the lane.
+    last_time: SimTime,
+}
+
+impl Lane {
+    const EMPTY: Lane = Lane {
+        head: NIL,
+        tail: NIL,
+        head_at: 0,
+        head_cap: 0,
+        tail_len: 0,
+        tail_cap: 0,
+        last_time: SimTime::ZERO,
+    };
+}
+
+/// The chunk size after `cap`.
+fn grown(cap: u8) -> u8 {
+    (2 * cap).min(MAX_CHUNK)
+}
+
+/// Where [`Lanes::push`] put a message.
+enum Pushed {
+    /// First in its lane: the caller gives the lane a heap entry.
+    Head,
+    /// Behind another message: nothing more to do.
+    Behind,
+    /// Not stored — it is due before the lane's last message.
+    OutOfOrder,
+}
+
+/// Every process's lane, over one pool of chunks.
+struct Lanes {
+    /// By `ProcId`.
+    lanes: Vec<Lane>,
+    /// Chunks: runs of 1, 2, 4 … `MAX_CHUNK` slots.
+    slots: Vec<InFlight>,
+    /// Heads of the free lists; `free[k]` is of chunks of `1 << k` slots.
+    free: [u32; MAX_CHUNK.ilog2() as usize + 1],
+}
+
+impl Lanes {
+    /// A chunk of `cap` slots with `first` in its first.
+    fn new_chunk(&mut self, cap: u8, first: InFlight) -> u32 {
+        let class = cap.ilog2() as usize;
+        let c = self.free[class];
+        if c == NIL {
+            let c = self.slots.len();
+            assert!(c < NIL as usize, "too many messages in flight");
+            self.slots.resize(c + cap as usize, InFlight::EMPTY);
+            self.slots[c] = first;
+            c as u32
+        } else {
+            self.free[class] = self.slots[c as usize].next();
+            self.slots[c as usize] = first;
+            c
+        }
+    }
+
+    fn push(&mut self, to: ProcId, m: InFlight) -> Pushed {
+        if self.lanes.len() <= to.idx() {
+            self.lanes.resize(to.idx() + 1, Lane::EMPTY);
+        }
+        let mut lane = self.lanes[to.idx()];
+        let pushed = if lane.head == NIL {
+            lane.head = self.new_chunk(1, m);
+            lane.tail = lane.head;
+            (lane.head_at, lane.head_cap) = (0, 1);
+            (lane.tail_len, lane.tail_cap) = (1, 1);
+            Pushed::Head
+        } else if m.time < lane.last_time {
+            return Pushed::OutOfOrder;
+        } else {
+            if lane.tail_len == lane.tail_cap {
+                let c = self.new_chunk(grown(lane.tail_cap), m);
+                self.slots[lane.tail as usize].set_next(c);
+                lane.tail = c;
+                (lane.tail_len, lane.tail_cap) = (1, grown(lane.tail_cap));
+            } else {
+                self.slots[lane.tail as usize + lane.tail_len as usize] = m;
+                lane.tail_len += 1;
+            }
+            Pushed::Behind
+        };
+        lane.last_time = m.time;
+        self.lanes[to.idx()] = lane;
+        pushed
+    }
+
+    /// Take the head of `to`'s lane; with it, the key of the message that
+    /// is the head now.
+    fn pop(&mut self, to: ProcId) -> (InFlight, Option<u128>) {
+        let lane = &mut self.lanes[to.idx()];
+        let m = self.slots[lane.head as usize + lane.head_at as usize];
+        lane.head_at += 1;
+        let spent = if lane.head == lane.tail {
+            lane.head_at == lane.tail_len
+        } else {
+            lane.head_at == lane.head_cap
+        };
+        if spent {
+            // The last chunk's link is NIL: the lane is empty then.
+            let class = lane.head_cap.ilog2() as usize;
+            let first = &mut self.slots[lane.head as usize];
+            let next = first.next();
+            first.set_next(self.free[class]);
+            self.free[class] = lane.head;
+            lane.head = next;
+            (lane.head_at, lane.head_cap) = (0, grown(lane.head_cap));
+        }
+        let successor = (lane.head != NIL)
+            .then(|| self.slots[lane.head as usize + lane.head_at as usize].key());
+        (m, successor)
+    }
+}
+
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Entry>,
+    same_tick: VecDeque<Stored>,
+    seq: u64,
+    lanes: Lanes,
+}
+
+impl EventQueue {
+    pub(crate) fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            same_tick: VecDeque::new(),
+            seq: 0,
+            lanes: Lanes {
+                lanes: Vec::new(),
+                slots: Vec::new(),
+                free: [NIL; MAX_CHUNK.ilog2() as usize + 1],
+            },
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        // A non-empty lane has its head in the heap.
+        self.heap.is_empty() && self.same_tick.is_empty()
+    }
+
+    /// Schedule `event` for `time`; `now` is the tick that is running.
+    pub(crate) fn schedule(&mut self, now: SimTime, time: SimTime, event: Event) {
+        debug_assert!(time >= now, "event scheduled in the past");
+        let seq = self.seq;
+        self.seq += 1;
+        let stored = match event {
+            Event::Resume(pid) => Stored::Resume(pid),
+            Event::RecvTimeout { pid, gen } => Stored::RecvTimeout { pid, gen },
+            Event::Deliver {
+                to,
+                msg,
+                completes_send,
+            } => {
+                let flag = if completes_send { COMPLETES_SEND } else { 0 };
+                let m = InFlight {
+                    time,
+                    seq,
+                    bytes: msg.bytes,
+                    tag: msg.tag,
+                    sent_at: msg.sent_at,
+                    from: msg.from,
+                    link: NIL | flag,
+                };
+                if time == now {
+                    Stored::Stray(Box::new((to, m)))
+                } else {
+                    match self.lanes.push(to, m) {
+                        Pushed::Head => Stored::LaneHead(to),
+                        Pushed::Behind => return,
+                        Pushed::OutOfOrder => Stored::Stray(Box::new((to, m))),
+                    }
+                }
+            }
+        };
+        if time == now {
+            self.same_tick.push_back(stored);
+        } else {
+            self.heap.push(Entry {
+                key: key(time, seq),
+                stored,
+            });
+        }
+    }
+
+    /// The next event in `(time, seq)` order and its time, or `None` when
+    /// nothing is scheduled at or before `horizon`. `now` is the time of
+    /// the event returned last.
+    pub(crate) fn pop(&mut self, now: SimTime, horizon: SimTime) -> Option<(SimTime, Event)> {
+        let from_heap = match self.heap.peek() {
+            Some(e) if e.time() <= now => true,
+            Some(e) => self.same_tick.is_empty() && e.time() <= horizon,
+            None => false,
+        };
+        let (time, stored) = if from_heap {
+            let e = self.heap.pop().expect("peeked");
+            (e.time(), e.stored)
+        } else {
+            (now, self.same_tick.pop_front()?)
+        };
+        let event = match stored {
+            Stored::Resume(pid) => Event::Resume(pid),
+            Stored::RecvTimeout { pid, gen } => Event::RecvTimeout { pid, gen },
+            Stored::Stray(m) => m.1.deliver(m.0),
+            Stored::LaneHead(to) => {
+                // The successor enters the heap under the key it was sent
+                // with, before the engine can schedule anything else.
+                let (m, successor) = self.lanes.pop(to);
+                if let Some(key) = successor {
+                    self.heap.push(Entry {
+                        key,
+                        stored: Stored::LaneHead(to),
+                    });
+                }
+                m.deliver(to)
+            }
+        };
+        Some((time, event))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    /// One event of each kind, recognisable by `id`.
+    fn kinds(id: u32) -> [Event; 4] {
+        let deliver = |completes_send| Event::Deliver {
+            to: ProcId(id % 2),
+            msg: MsgMeta {
+                from: ProcId(id),
+                bytes: 16,
+                tag: id as u64,
+                sent_at: SimTime::ZERO,
+            },
+            completes_send,
+        };
+        [
+            Event::Resume(ProcId(id)),
+            deliver(false),
+            deliver(true),
+            Event::RecvTimeout {
+                pid: ProcId(id),
+                gen: id as u64,
+            },
+        ]
+    }
+
+    fn drain(q: &mut EventQueue, mut now: SimTime) -> Vec<(SimTime, Event)> {
+        let mut out = Vec::new();
+        while let Some((time, e)) = q.pop(now, SimTime::MAX) {
+            now = time;
+            out.push((time, e));
+        }
+        out
+    }
+
+    #[test]
+    fn stored_forms_stay_small() {
+        assert!(std::mem::size_of::<Stored>() <= 16);
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+        assert_eq!(std::mem::size_of::<InFlight>(), 48);
+        assert_eq!(std::mem::size_of::<Lane>(), 24);
+    }
+
+    /// For every pair of event kinds: an event scheduled for tick T from
+    /// an earlier tick runs before one scheduled for T while T runs, and
+    /// both run in the order they were scheduled among their own.
+    #[test]
+    fn a_tick_runs_earlier_scheduled_events_first_then_same_tick_fifo() {
+        for early in 0..4 {
+            for late in 0..4 {
+                let mut q = EventQueue::new();
+                // From tick 0, for tick 10: two events around a later one.
+                q.schedule(t(0), t(10), kinds(1)[early]);
+                q.schedule(t(0), t(20), kinds(9)[early]);
+                q.schedule(t(0), t(10), kinds(2)[early]);
+                let (time, first) = q.pop(t(0), SimTime::MAX).expect("first");
+                assert_eq!((time, first), (t(10), kinds(1)[early]));
+                // Tick 10 is running: these go behind what is already due.
+                q.schedule(t(10), t(10), kinds(3)[late]);
+                q.schedule(t(10), t(10), kinds(4)[late]);
+                let rest = drain(&mut q, t(10));
+                assert_eq!(
+                    rest,
+                    vec![
+                        (t(10), kinds(2)[early]),
+                        (t(10), kinds(3)[late]),
+                        (t(10), kinds(4)[late]),
+                        (t(20), kinds(9)[early]),
+                    ],
+                    "early kind {early}, late kind {late}"
+                );
+                assert!(q.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn horizon_keeps_the_events_beyond_it() {
+        let mut q = EventQueue::new();
+        q.schedule(t(0), t(5), Event::Resume(ProcId(0)));
+        q.schedule(t(0), t(50), Event::Resume(ProcId(1)));
+        assert_eq!(q.pop(t(0), t(10)), Some((t(5), Event::Resume(ProcId(0)))));
+        assert_eq!(q.pop(t(5), t(10)), None);
+        assert!(!q.is_empty());
+        assert_eq!(
+            q.pop(t(10), SimTime::MAX),
+            Some((t(50), Event::Resume(ProcId(1))))
+        );
+    }
+
+    #[test]
+    fn chunks_are_reused() {
+        let mut q = EventQueue::new();
+        let mut now = t(0);
+        for round in 0..100u32 {
+            for k in 0..8 {
+                q.schedule(now, now + t(1 + k), kinds(round * 8 + k as u32)[1]);
+            }
+            for _ in 0..8 {
+                now = q.pop(now, SimTime::MAX).expect("scheduled").0;
+            }
+        }
+        assert!(q.is_empty());
+        // Two lanes of four messages each, a hundred times over: chunks
+        // of 1, 2 and 4 slots for each.
+        assert_eq!(q.lanes.slots.len(), 2 * (1 + 2 + 4));
+    }
+
+    /// A lane deep enough to span chunks of every size, filled while it
+    /// drains, delivers in the order sent — and a second pass finds every
+    /// chunk it needs on the free lists.
+    #[test]
+    fn a_deep_lane_spans_chunks_in_order() {
+        let mut q = EventQueue::new();
+        let mut slots = 0;
+        for pass in 0..2 {
+            let base = pass * 1000;
+            let mut sent = 0u32;
+            let mut got = Vec::new();
+            let mut now = t(base);
+            // Three in, one out, until 200 are sent; then drain.
+            while sent < 200 || !q.is_empty() {
+                for _ in 0..3 {
+                    if sent < 200 {
+                        // Ties in time: the lane is in (time, seq) order.
+                        let due = t(base + 300 + sent as u64 / 4);
+                        q.schedule(now, due, kinds(2 * sent)[1]);
+                        sent += 1;
+                    }
+                }
+                let (time, e) = q.pop(now, SimTime::MAX).expect("scheduled");
+                now = time;
+                got.push(e);
+            }
+            let want: Vec<Event> = (0..200).map(|i| kinds(2 * i)[1]).collect();
+            assert_eq!(got, want);
+            if pass == 0 {
+                slots = q.lanes.slots.len();
+            }
+            assert_eq!(q.lanes.slots.len(), slots, "pass {pass}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever is scheduled — every kind, deliveries to few
+        /// destinations so lanes form, delivery times that break lane
+        /// order, zero delays that land in the running tick — events come
+        /// out sorted by `(time, order scheduled)`, interleaved pops
+        /// included.
+        #[test]
+        fn pops_follow_time_then_schedule_order(
+            ops in proptest::collection::vec((0u64..6, 0usize..4, 0u32..3, proptest::bool::ANY), 1..200),
+        ) {
+            let mut q = EventQueue::new();
+            // The reference: every pending event with its key.
+            let mut pending: Vec<(SimTime, u64, Event)> = Vec::new();
+            let mut now = t(0);
+            let pop_both = |q: &mut EventQueue,
+                                pending: &mut Vec<(SimTime, u64, Event)>,
+                                now: &mut SimTime| {
+                let want = pending
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, &(time, seq, _))| (time, seq))
+                    .map(|(i, _)| i);
+                let got = q.pop(*now, SimTime::MAX);
+                match want {
+                    None => proptest::prop_assert_eq!(got, None),
+                    Some(i) => {
+                        let (time, _, event) = pending.remove(i);
+                        proptest::prop_assert_eq!(got, Some((time, event)));
+                        *now = time;
+                    }
+                }
+                Ok(())
+            };
+            for (seq, &(delay, kind, dest, pop_after)) in ops.iter().enumerate() {
+                // Delays 0..6 from a moving `now`: ties, same-tick events
+                // and out-of-order deliveries all occur.
+                let time = now + t(delay * 3 % 7);
+                let event = match kinds(seq as u32)[kind] {
+                    Event::Deliver { msg, completes_send, .. } => Event::Deliver {
+                        to: ProcId(dest),
+                        msg,
+                        completes_send,
+                    },
+                    other => other,
+                };
+                q.schedule(now, time, event);
+                pending.push((time, seq as u64, event));
+                if pop_after {
+                    pop_both(&mut q, &mut pending, &mut now)?;
+                }
+            }
+            while !pending.is_empty() {
+                pop_both(&mut q, &mut pending, &mut now)?;
+            }
+            proptest::prop_assert!(q.is_empty());
+        }
+    }
+}

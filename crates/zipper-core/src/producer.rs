@@ -583,7 +583,7 @@ fn sender_loop(
             e => m.errors.push(wire_fault(rank, e)),
         }
     };
-    let net_targets = policy.lock().announce_eos(Channel::Net);
+    let net_targets: Vec<Rank> = policy.lock().announce_eos(Channel::Net).collect();
     if let Err(e) = mesh.send_eos(rank, Channel::Net, &net_targets) {
         report_eos(e);
     }
@@ -619,7 +619,7 @@ fn sender_loop(
     // the file channel inactive — no targets, no wire. Every target is
     // attempted even when some already failed, and the aggregated error is
     // unpacked into individual reports.
-    let disk_targets = policy.lock().announce_eos(Channel::Disk);
+    let disk_targets: Vec<Rank> = policy.lock().announce_eos(Channel::Disk).collect();
     if let Err(e) = mesh.send_eos(rank, Channel::Disk, &disk_targets) {
         report_eos(e);
     }

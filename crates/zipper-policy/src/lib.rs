@@ -45,7 +45,7 @@ pub mod steal;
 pub mod trace;
 
 pub use consumer::ConsumerPolicy;
-pub use eos::{Channel, EosProgress, EosTracker};
+pub use eos::{Channel, EosProgress, EosTargets, EosTracker};
 pub use preflight::{
     CausalSkeleton, Diagnostic, Preflight, PreflightInput, PreflightReport, Severity, ZvCode,
 };
@@ -189,8 +189,10 @@ mod proptests {
             }
             a.writer_retired(RetireReason::Drained);
             b.writer_retired(RetireReason::Drained);
-            a.announce_eos_all_channels();
-            b.announce_eos_all_channels();
+            for &channel in Channel::active(true) {
+                a.announce_eos(channel);
+                b.announce_eos(channel);
+            }
             prop_assert_eq!(a.trace().canonical(), b.trace().canonical());
         }
     }

@@ -8,7 +8,7 @@
 //! producer-buffer lock (or, in the DES, atomically with the buffer take),
 //! so that decision order equals take order.
 
-use crate::eos::Channel;
+use crate::eos::{Channel, EosTargets};
 use crate::route::Router;
 use crate::steal::StealPolicy;
 use crate::trace::{DecisionTrace, PolicyEvent, RetireReason};
@@ -152,30 +152,17 @@ impl ProducerPolicy {
     /// must announce to. Every consumer could have received a block from
     /// this rank (RoundRobin deals everywhere), so the fan-out is always
     /// the full consumer set. Announcing on an inactive channel is a no-op
-    /// that returns no targets.
-    pub fn announce_eos(&mut self, channel: Channel) -> Vec<Rank> {
+    /// that returns no targets. Every announcement is recorded here, at
+    /// the decision; the returned cursor only tells the substrate whom to
+    /// send to.
+    pub fn announce_eos(&mut self, channel: Channel) -> EosTargets {
         if !Channel::active(self.concurrent_transfer()).contains(&channel) {
-            return Vec::new();
+            return EosTargets::new(0);
         }
-        let targets: Vec<Rank> = (0..self.consumers() as u32).map(Rank).collect();
-        for &target in &targets {
+        let targets = EosTargets::new(self.consumers());
+        for target in targets.clone() {
             self.trace
                 .record(PolicyEvent::EosAnnounced { target, channel });
-        }
-        targets
-    }
-
-    /// End-of-stream fan-out covering *all* active channels at once, for
-    /// substrates that send a single combined mark per consumer (the
-    /// threaded sender waits for the writer to finish, then one wire EOS
-    /// covers both channels). Returns the target set once.
-    pub fn announce_eos_all_channels(&mut self) -> Vec<Rank> {
-        let mut targets = Vec::new();
-        for &c in Channel::active(self.concurrent_transfer()) {
-            let t = self.announce_eos(c);
-            if targets.is_empty() {
-                targets = t;
-            }
         }
         targets
     }
@@ -211,8 +198,10 @@ mod tests {
     fn eos_fans_out_to_every_consumer_on_active_channels() {
         let mut p =
             ProducerPolicy::new(Rank(1), 2, RoutingPolicy::SourceAffine, 4, true).recorded();
-        assert_eq!(p.announce_eos(Channel::Net), vec![Rank(0), Rank(1)]);
-        assert_eq!(p.announce_eos(Channel::Disk), vec![Rank(0), Rank(1)]);
+        for channel in [Channel::Net, Channel::Disk] {
+            let targets: Vec<Rank> = p.announce_eos(channel).collect();
+            assert_eq!(targets, vec![Rank(0), Rank(1)]);
+        }
         assert_eq!(p.trace().events().len(), 4);
     }
 
@@ -220,9 +209,9 @@ mod tests {
     fn disk_eos_is_inert_without_concurrent_transfer() {
         let mut p =
             ProducerPolicy::new(Rank(0), 4, RoutingPolicy::SourceAffine, 4, false).recorded();
-        assert!(p.announce_eos(Channel::Disk).is_empty());
+        assert_eq!(p.announce_eos(Channel::Disk).len(), 0);
         assert!(p.trace().events().is_empty());
-        assert_eq!(p.announce_eos_all_channels().len(), 4);
+        assert_eq!(p.announce_eos(Channel::Net).len(), 4);
         assert_eq!(p.trace().events().len(), 4, "Net marks only");
     }
 

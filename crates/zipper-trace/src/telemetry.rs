@@ -714,6 +714,12 @@ impl Probe {
         }
     }
 
+    /// Whether [`Probe::poll`] at `now` would emit a sample — lets the
+    /// caller bring mirrored values up to date only when one will be read.
+    pub fn is_due(&self, now: SimTime) -> bool {
+        self.next <= now
+    }
+
     /// Advance to virtual time `now`, emitting one sample per elapsed
     /// period boundary. Timestamps are the boundaries themselves, so the
     /// series is monotone and deterministic.

@@ -60,7 +60,9 @@ use hpcsim::{BufferTaken, GateId, Op, ProcCtx, Program, Simulator, Step};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use zipper_apps::AppCostModel;
-use zipper_policy::{Channel, ConsumerPolicy, DecisionTrace, ProducerPolicy, RetireReason};
+use zipper_policy::{
+    Channel, ConsumerPolicy, DecisionTrace, EosTargets, ProducerPolicy, RetireReason,
+};
 use zipper_trace::SpanKind;
 use zipper_types::{
     BlockId, ChaosEntity, ChaosFault, ChaosScope, GateRule, GateWindow, ProcId, Rank, SimTime,
@@ -71,6 +73,15 @@ use zipper_types::{
 /// `need` threshold stays unmet, far from `u64::MAX` so repeated floods
 /// cannot saturate into ambiguity.
 const GATE_FLOOD: u64 = u64::MAX / 2;
+
+/// End-of-stream marks a sender or writer hands the engine per resume.
+/// The fan-out is one mark per consumer, thousands wide at scale, and each
+/// `Send` blocks for its injection time — so a rank's whole fan-out queued
+/// as ops would sit in memory for the length of the storm, on every rank
+/// at once. Streaming it a chunk at a time issues the same ops in the same
+/// order (the engine asks for more the moment a batch runs out, inside the
+/// same event) while holding O(chunk) of them.
+const EOS_CHUNK: usize = 64;
 
 /// A wall-clock chaos duration as the same span of virtual time.
 fn sim_dur(d: std::time::Duration) -> SimTime {
@@ -269,7 +280,21 @@ struct SenderProc {
     /// bookkeeping. EOS marks are still attempted toward them.
     dead: Vec<bool>,
     started: bool,
-    eos_sent: bool,
+    shutdown: SenderShutdown,
+}
+
+/// Where a sender is in its shutdown sequence.
+enum SenderShutdown {
+    /// Still draining the producer buffer.
+    Draining,
+    /// Streaming the message channel's SEOS marks.
+    NetEos(EosTargets),
+    /// Every SEOS handed over, and the wait for the writer's retirement
+    /// with them (concurrent transfer only).
+    WriterAwaited,
+    /// The writer died unannounced: streaming its WEOS marks for it.
+    DiskEos(EosTargets),
+    Done,
 }
 
 impl SenderProc {
@@ -360,6 +385,91 @@ impl SenderProc {
             None | Some(_) => ops.push(send(tag)),
         }
     }
+
+    /// The producer buffer closed: the next batch of the shutdown
+    /// sequence — fail the window gate open, announce SEOS to every
+    /// consumer the kernel names, wait for the writer to retire, and cover
+    /// its WEOS if it died. The kernel decides (and records) each fan-out
+    /// once, when it starts; the marks then stream [`EOS_CHUNK`] at a time.
+    fn shutdown_ops(&mut self) -> Step {
+        let mut ops = Vec::with_capacity(EOS_CHUNK + 2);
+        loop {
+            match std::mem::replace(&mut self.shutdown, SenderShutdown::Done) {
+                SenderShutdown::Draining => {
+                    if let Some(s) = &self.script {
+                        // Windows past the last data wire can never arm:
+                        // fail the writer's window wait open first.
+                        s.cancelled.set(true);
+                        ops.push(Op::GateSignal {
+                            gate: s.gate_w,
+                            n: GATE_FLOOD,
+                        });
+                    }
+                    let targets = self.policy.borrow_mut().announce_eos(Channel::Net);
+                    self.shutdown = SenderShutdown::NetEos(targets);
+                }
+                SenderShutdown::NetEos(mut targets) => {
+                    while ops.len() < EOS_CHUNK {
+                        let Some(q) = targets.next() else { break };
+                        self.wire_ops(&mut ops, q.idx(), 16, tag::make(tag::SEOS, 0, 0), 0);
+                    }
+                    if targets.len() > 0 {
+                        self.shutdown = SenderShutdown::NetEos(targets);
+                        return Step::Ops(ops);
+                    }
+                    if let Some((gate, _)) = &self.writer_done {
+                        // Hold this rank's shutdown until the writer retired
+                        // (the threaded sender's `writer_done.wait()`), so a
+                        // dead writer's file channel can still be closed
+                        // below.
+                        ops.push(Op::GateWait {
+                            gate: *gate,
+                            need: 1,
+                            kind: SpanKind::Idle,
+                        });
+                    }
+                    self.shutdown = SenderShutdown::WriterAwaited;
+                    return Step::Ops(ops);
+                }
+                SenderShutdown::WriterAwaited => match self.writer_done.take() {
+                    // The writer died without announcing the file channel's
+                    // EOS; cover it here, as the threaded sender does after
+                    // `writer_done.wait()`, so consumers terminate cleanly
+                    // with no watchdog.
+                    Some((_, died)) if died.get() => {
+                        let targets = self.policy.borrow_mut().announce_eos(Channel::Disk);
+                        self.shutdown = SenderShutdown::DiskEos(targets);
+                    }
+                    _ => return Step::Done,
+                },
+                SenderShutdown::DiskEos(mut targets) => {
+                    // Plain sends: the threaded chaos wrapper does not count
+                    // disk-channel marks either.
+                    ops.extend(
+                        targets
+                            .by_ref()
+                            .take(EOS_CHUNK)
+                            .map(|q| weos_send(self.receivers[q.idx()])),
+                    );
+                    if targets.len() > 0 {
+                        self.shutdown = SenderShutdown::DiskEos(targets);
+                    }
+                    return Step::Ops(ops);
+                }
+                SenderShutdown::Done => return Step::Done,
+            }
+        }
+    }
+}
+
+/// The file channel's end-of-stream mark toward one receiver.
+fn weos_send(to: ProcId) -> Op {
+    Op::Send {
+        to,
+        bytes: 16,
+        tag: tag::make(tag::WEOS, 0, 0),
+        kind: SpanKind::Send,
+    }
 }
 
 impl Program for SenderProc {
@@ -384,60 +494,7 @@ impl Program for SenderProc {
                 ops.push(self.take());
                 Step::Ops(ops)
             }
-            BufferTaken::Closed => {
-                if !self.eos_sent {
-                    self.eos_sent = true;
-                    let mut ops = Vec::new();
-                    if let Some(s) = &self.script {
-                        // Windows past the last data wire can never arm:
-                        // fail the writer's window wait open first.
-                        s.cancelled.set(true);
-                        ops.push(Op::GateSignal {
-                            gate: s.gate_w,
-                            n: GATE_FLOOD,
-                        });
-                    }
-                    let targets = self.policy.borrow_mut().announce_eos(Channel::Net);
-                    for q in targets {
-                        self.wire_ops(&mut ops, q.idx(), 16, tag::make(tag::SEOS, 0, 0), 0);
-                    }
-                    if let Some((gate, _)) = &self.writer_done {
-                        // Hold this rank's shutdown until the writer retired
-                        // (the threaded sender's `writer_done.wait()`), so a
-                        // dead writer's file channel can still be closed
-                        // below.
-                        ops.push(Op::GateWait {
-                            gate: *gate,
-                            need: 1,
-                            kind: SpanKind::Idle,
-                        });
-                    }
-                    return Step::Ops(ops);
-                }
-                if let Some((_, died)) = self.writer_done.take() {
-                    if died.get() {
-                        // The writer died without announcing the file
-                        // channel's EOS; cover it here, as the threaded
-                        // sender does after `writer_done.wait()`, so
-                        // consumers terminate cleanly with no watchdog.
-                        // Plain sends: the threaded chaos wrapper does not
-                        // count disk-channel marks either.
-                        let targets = self.policy.borrow_mut().announce_eos(Channel::Disk);
-                        return Step::Ops(
-                            targets
-                                .into_iter()
-                                .map(|q| Op::Send {
-                                    to: self.receivers[q.idx()],
-                                    bytes: 16,
-                                    tag: tag::make(tag::WEOS, 0, 0),
-                                    kind: SpanKind::Send,
-                                })
-                                .collect(),
-                        );
-                    }
-                }
-                Step::Done
-            }
+            BufferTaken::Closed => self.shutdown_ops(),
         }
     }
 }
@@ -473,6 +530,9 @@ enum WriterMode {
     Stealing,
     /// Algorithm 1: steal only above the high-water mark.
     Normal,
+    /// Drained: streaming the file channel's WEOS marks, then the
+    /// retirement signals.
+    Announcing(EosTargets),
     /// Retired (drained or dead): finish on the next resume.
     Retired,
 }
@@ -548,15 +608,24 @@ impl WriterProc {
         self.take()
     }
 
-    /// Terminal bookkeeping shared by every exit path: open the sender's
-    /// shutdown interlock, and fail the credit gate open so a stalled
-    /// sender wire is released.
-    fn retire_ops(&mut self, ops: &mut Vec<Op>, fatal: bool) {
+    /// The writer stops stealing, at this instant: what its sender reads
+    /// from shared state — the script is cancelled, and whether the writer
+    /// died — changes now, ahead of the ops [`WriterProc::retire_ops`]
+    /// issues last.
+    fn retire(&mut self, fatal: bool) {
         if fatal {
             self.died.set(true);
         }
         if let Some(s) = &self.script {
             s.cancelled.set(true);
+        }
+    }
+
+    /// The last ops of every exit path: fail the credit gate open so a
+    /// stalled sender wire is released, and open the sender's shutdown
+    /// interlock.
+    fn retire_ops(&mut self, ops: &mut Vec<Op>) {
+        if let Some(s) = &self.script {
             ops.push(Op::GateSignal {
                 gate: s.gate_s,
                 n: GATE_FLOOD,
@@ -568,12 +637,32 @@ impl WriterProc {
         });
         self.mode = WriterMode::Retired;
     }
+
+    /// The next [`EOS_CHUNK`] WEOS marks of a drained writer, followed —
+    /// after the last one — by the retirement signals.
+    fn announce_ops(&mut self) -> Step {
+        let WriterMode::Announcing(targets) = &mut self.mode else {
+            unreachable!("announce_ops outside the announcing mode");
+        };
+        let mut ops = Vec::with_capacity(EOS_CHUNK + 2);
+        ops.extend(
+            targets
+                .by_ref()
+                .take(EOS_CHUNK)
+                .map(|q| weos_send(self.receivers[q.idx()])),
+        );
+        if targets.len() == 0 {
+            self.retire_ops(&mut ops);
+        }
+        Step::Ops(ops)
+    }
 }
 
 impl Program for WriterProc {
     fn resume(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
         match self.mode {
             WriterMode::Retired => return Step::Done,
+            WriterMode::Announcing(_) => return self.announce_ops(),
             WriterMode::Start => return Step::Ops(vec![self.schedule()]),
             WriterMode::AwaitWindow => {
                 // Woken by the sender arming window `widx` (or flooding the
@@ -623,7 +712,8 @@ impl Program for WriterProc {
                         // The retirement interlock tells this rank's sender
                         // to cover the disk channel (fail-soft shutdown,
                         // no EOS watchdog needed).
-                        self.retire_ops(&mut ops, true);
+                        self.retire(true);
+                        self.retire_ops(&mut ops);
                     }
                     return Step::Ops(ops);
                 }
@@ -656,17 +746,9 @@ impl Program for WriterProc {
                 p.writer_retired(RetireReason::Drained);
                 let targets = p.announce_eos(Channel::Disk);
                 drop(p);
-                let mut ops: Vec<Op> = targets
-                    .into_iter()
-                    .map(|q| Op::Send {
-                        to: self.receivers[q.idx()],
-                        bytes: 16,
-                        tag: tag::make(tag::WEOS, 0, 0),
-                        kind: SpanKind::Send,
-                    })
-                    .collect();
-                self.retire_ops(&mut ops, false);
-                Step::Ops(ops)
+                self.retire(false);
+                self.mode = WriterMode::Announcing(targets);
+                self.announce_ops()
             }
         }
     }
@@ -1224,7 +1306,7 @@ pub(crate) fn build(
                 writer_done: writer_done.clone(),
                 dead: vec![false; spec.ana_ranks],
                 started: false,
-                eos_sent: false,
+                shutdown: SenderShutdown::Draining,
             },
         );
         if let Some((done_gate, died)) = writer_done {
@@ -1650,6 +1732,200 @@ mod tests {
             .filter(|s| s.kind == SpanKind::Analysis)
             .count();
         assert_eq!(analyzed, 24, "producer 0's 8 blocks never arrived");
+    }
+
+    /// Resume `p` on a closed buffer until it ends, checking the bound on
+    /// every batch (and whatever `after_batch` checks); returns the
+    /// concatenated op stream, rendered.
+    fn closed_buffer_stream(p: &mut dyn Program, mut after_batch: impl FnMut()) -> Vec<String> {
+        let len_fn = |_: usize| 0usize;
+        let mut rng_fn = || 0u64;
+        let mut ctx = ProcCtx {
+            now: SimTime::ZERO,
+            me: ProcId(0),
+            last_msg: None,
+            last_take: Some(BufferTaken::Closed),
+            buffer_len: &len_fn,
+            rng: &mut rng_fn,
+        };
+        let mut stream = Vec::new();
+        while let Step::Ops(ops) = p.resume(&mut ctx) {
+            assert!(ops.len() <= EOS_CHUNK + 2, "batch of {} ops", ops.len());
+            after_batch();
+            stream.extend(ops.iter().map(|op| format!("{op:?}")));
+        }
+        stream
+    }
+
+    const WIDE: usize = 1000;
+
+    fn wide_policy() -> SharedProducerPolicy {
+        Rc::new(RefCell::new(
+            ProducerPolicy::new(
+                Rank(0),
+                WIDE,
+                zipper_types::RoutingPolicy::RoundRobin,
+                0,
+                true,
+            )
+            .recorded(),
+        ))
+    }
+
+    /// A sender's shutdown at Q = 1,000 streams in bounded batches, and
+    /// the batches concatenate to the whole sequence, as one batch would
+    /// issue it: window-gate flood first, one SEOS per consumer in rank
+    /// order with chaos ordinals landing inside the fan-out (a dropped
+    /// mark, a failed send), the wait for the writer last — then, the
+    /// writer having died, its WEOS marks.
+    #[test]
+    fn sender_eos_fan_out_streams_the_same_ops_in_bounded_batches() {
+        use zipper_types::ChaosPlan;
+        let receivers: Rc<Vec<ProcId>> = Rc::new((0..WIDE as u32).map(ProcId).collect());
+        let plan = ChaosPlan::new()
+            .with(ChaosEntity::Sender(Rank(0)), 100, ChaosFault::DropEos)
+            .with(ChaosEntity::Sender(Rank(0)), 500, ChaosFault::FailSend);
+        let policy = wide_policy();
+        let cancelled = Rc::new(Cell::new(false));
+        let mut sender = SenderProc {
+            buf: 0,
+            rank: 0,
+            receivers: receivers.clone(),
+            policy: policy.clone(),
+            chaos: Rc::new(plan.scope(ChaosEntity::Sender(Rank(0)))),
+            script: Some(SenderGateScript {
+                windows: Vec::new(),
+                next: 0,
+                wires: 0,
+                gate_s: 0,
+                gate_w: 1,
+                cancelled: cancelled.clone(),
+            }),
+            writer_done: Some((2, Rc::new(Cell::new(true)))),
+            dead: vec![false; WIDE],
+            started: true,
+            shutdown: SenderShutdown::Draining,
+        };
+        let got = closed_buffer_stream(&mut sender, || {});
+
+        let send = |q: usize, kind| Op::Send {
+            to: receivers[q],
+            bytes: 16,
+            tag: tag::make(kind, 0, 0),
+            kind: SpanKind::Send,
+        };
+        let mut want = vec![Op::GateSignal {
+            gate: 1,
+            n: GATE_FLOOD,
+        }];
+        // Ordinals are 1-based: wire 100 goes to consumer 99, 500 to 499.
+        want.extend(
+            (0..WIDE)
+                .filter(|&q| q != 99 && q != 499)
+                .map(|q| send(q, tag::SEOS)),
+        );
+        want.push(Op::GateWait {
+            gate: 2,
+            need: 1,
+            kind: SpanKind::Idle,
+        });
+        want.extend((0..WIDE).map(|q| send(q, tag::WEOS)));
+        let want: Vec<String> = want.iter().map(|op| format!("{op:?}")).collect();
+        assert_eq!(got, want);
+
+        assert!(cancelled.get());
+        assert!(sender.dead[499], "the failed send killed its destination");
+        // The kernel recorded each fan-out once, whole.
+        let t = policy.borrow().trace().canonical();
+        assert_eq!(t.eos_announced.len(), 2 * WIDE);
+    }
+
+    /// A drained writer's WEOS fan-out at Q = 1,000, likewise — and what
+    /// its sender reads from shared state changes with the first batch,
+    /// at the instant of retirement, while the retirement signals stay
+    /// last.
+    #[test]
+    fn writer_eos_fan_out_streams_the_same_ops_in_bounded_batches() {
+        let receivers: Rc<Vec<ProcId>> = Rc::new((0..WIDE as u32).map(ProcId).collect());
+        let cancelled = Rc::new(Cell::new(false));
+        let mut writer = WriterProc {
+            buf: 0,
+            rank: 0,
+            receivers: receivers.clone(),
+            policy: wide_policy(),
+            chaos: Rc::new(zipper_types::ChaosPlan::new().scope(ChaosEntity::Writer(Rank(0)))),
+            script: Some(WriterGateScript {
+                targets: Vec::new(),
+                widx: 0,
+                steals: 0,
+                armed: false,
+                gate_s: 0,
+                gate_w: 1,
+                cancelled: cancelled.clone(),
+            }),
+            done_gate: 2,
+            died: Rc::new(Cell::new(false)),
+            key_base: 0,
+            counter: 0,
+            mode: WriterMode::Normal,
+        };
+        let got = closed_buffer_stream(&mut writer, || {
+            assert!(cancelled.get(), "the script is cancelled at retirement");
+        });
+
+        let mut want: Vec<Op> = receivers.iter().map(|&to| weos_send(to)).collect();
+        want.push(Op::GateSignal {
+            gate: 0,
+            n: GATE_FLOOD,
+        });
+        want.push(Op::GateSignal { gate: 2, n: 1 });
+        let want: Vec<String> = want.iter().map(|op| format!("{op:?}")).collect();
+        assert_eq!(got, want);
+        let t = writer.policy.borrow().trace().canonical();
+        assert_eq!(t.retires, vec![RetireReason::Drained]);
+        assert_eq!(t.eos_announced.len(), WIDE);
+    }
+
+    /// The probe mirrors the fabric's counters into the registry only
+    /// when a sample is due, not on every event — and every sample of a
+    /// Config C run still reads exactly what the fabric's own counters
+    /// say just short of its boundary, where a run stopped by a horizon
+    /// can look at them. Resuming from those stops changes nothing: the
+    /// stepped run ends with the same report and the same series.
+    #[test]
+    fn telemetry_samples_are_fresh_at_every_boundary_of_config_c() {
+        use zipper_trace::CounterId;
+        let spec = WorkflowSpec::from_plan(&zipper_policy::conformance::config_c());
+        let layout = ClusterLayout::new(&spec, 0);
+        let start = || {
+            let mut sim = Simulator::new(sim_config(&spec, &layout));
+            sim.enable_telemetry(SimTime::from_micros(5));
+            build(&mut sim, &spec, &layout, false);
+            sim
+        };
+        let mut whole = start();
+        let report = whole.run();
+        assert!(report.is_clean(), "{report:?}");
+        let series = whole.finish_telemetry();
+        assert!(series.len() > 20, "only {} samples", series.len());
+
+        let mut stepped = start();
+        let nodes = stepped.network().config().total_nodes();
+        let (last, on_boundaries) = series.points.split_last().expect("samples");
+        for p in on_boundaries {
+            stepped.run_until(p.t - SimTime::from_nanos(1));
+            let net = stepped.network();
+            assert_eq!(
+                p.counter(CounterId::XmitWaitNs),
+                net.xmit_wait_sum(0..nodes)
+            );
+            assert_eq!(p.counter(CounterId::NetBytes), net.bytes(), "at {}", p.t);
+            assert_eq!(p.counter(CounterId::NetMessages), net.messages());
+        }
+        let resumed = stepped.run();
+        assert_eq!((resumed.end, resumed.events), (report.end, report.events));
+        assert_eq!(last.counter(CounterId::NetBytes), stepped.network().bytes());
+        assert_eq!(stepped.finish_telemetry().points, series.points);
     }
 
     #[test]
