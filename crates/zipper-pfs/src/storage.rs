@@ -8,7 +8,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Read as _, Write as _};
+use std::io::{self, IoSlice, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use zipper_types::{Block, BlockHeader, BlockId, Error, GlobalPos, Result};
@@ -134,8 +134,8 @@ impl Storage for MemFs {
 
 /// On-disk object store: one file per block under a root directory.
 ///
-/// File layout: a fixed 44-byte header (id key, position, payload length,
-/// blocks-in-step) followed by the raw payload. The format is deliberately
+/// File layout: a fixed 48-byte header (magic, id key, position, payload
+/// length, blocks-in-step) followed by the raw payload. The format is deliberately
 /// trivial — the paper's PFS path stores self-describing blocks so the
 /// consumer's reader thread can reconstruct the block from its id alone.
 pub struct DiskFs {
@@ -145,6 +145,7 @@ pub struct DiskFs {
 }
 
 const DISK_MAGIC: u32 = 0x5A49_5046; // "ZIPF"
+const DISK_HEADER: usize = 48;
 
 impl DiskFs {
     /// Open (creating if needed) a store rooted at `root`.
@@ -168,14 +169,25 @@ impl Storage for DiskFs {
         let fresh = !p.exists();
         let mut f = fs::File::create(&p)?;
         let h = &block.header;
-        f.write_all(&DISK_MAGIC.to_le_bytes())?;
-        f.write_all(&h.id.as_u64().to_le_bytes())?;
-        f.write_all(&h.pos.x.to_le_bytes())?;
-        f.write_all(&h.pos.y.to_le_bytes())?;
-        f.write_all(&h.pos.z.to_le_bytes())?;
-        f.write_all(&h.len.to_le_bytes())?;
-        f.write_all(&h.blocks_in_step.to_le_bytes())?;
-        f.write_all(&block.payload)?;
+        let mut header = [0u8; DISK_HEADER];
+        header[0..4].copy_from_slice(&DISK_MAGIC.to_le_bytes());
+        header[4..12].copy_from_slice(&h.id.as_u64().to_le_bytes());
+        header[12..20].copy_from_slice(&h.pos.x.to_le_bytes());
+        header[20..28].copy_from_slice(&h.pos.y.to_le_bytes());
+        header[28..36].copy_from_slice(&h.pos.z.to_le_bytes());
+        header[36..44].copy_from_slice(&h.len.to_le_bytes());
+        header[44..48].copy_from_slice(&h.blocks_in_step.to_le_bytes());
+        // Header and payload in one write(2); loop only on a short write.
+        let mut bufs = [IoSlice::new(&header), IoSlice::new(&block.payload)];
+        let mut bufs = &mut bufs[..];
+        while !bufs.is_empty() {
+            match f.write_vectored(bufs) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         self.written.fetch_add(h.len, Ordering::Relaxed);
         if fresh {
             self.count.fetch_add(1, Ordering::Relaxed);
@@ -192,9 +204,11 @@ impl Storage for DiskFs {
             }
             Err(e) => return Err(e.into()),
         };
+        // `File::read_to_end` reserves the file's size up front: one
+        // allocation, which the returned block keeps.
         let mut buf = Vec::new();
         f.read_to_end(&mut buf)?;
-        if buf.len() < 44 {
+        if buf.len() < DISK_HEADER {
             return Err(Error::Storage(format!("truncated block file {p:?}")));
         }
         let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
@@ -205,19 +219,19 @@ impl Storage for DiskFs {
         let x = u64::from_le_bytes(buf[12..20].try_into().unwrap());
         let y = u64::from_le_bytes(buf[20..28].try_into().unwrap());
         let z = u64::from_le_bytes(buf[28..36].try_into().unwrap());
-        let len = u64::from_le_bytes(buf[36..44].try_into().unwrap()) as usize;
-        // blocks_in_step sits at [44..48] when len bytes follow it; guard both.
-        if buf.len() < 48 + len {
+        let len = u64::from_le_bytes(buf[36..44].try_into().unwrap());
+        let blocks_in_step = u32::from_le_bytes(buf[44..48].try_into().unwrap());
+        // `len` is read from the file: compare without adding to it.
+        if ((buf.len() - DISK_HEADER) as u64) < len {
             return Err(Error::Storage(format!("short payload in {p:?}")));
         }
-        let blocks_in_step = u32::from_le_bytes(buf[44..48].try_into().unwrap());
         let header = BlockHeader::new(
             BlockId::from_u64(key),
             GlobalPos::new(x, y, z),
-            len as u64,
+            len,
             blocks_in_step,
         );
-        let payload = Bytes::copy_from_slice(&buf[48..48 + len]);
+        let payload = Bytes::from(buf).slice(DISK_HEADER..DISK_HEADER + len as usize);
         Ok(Block::new(header, payload))
     }
 

@@ -260,3 +260,148 @@ fn source_affinity_survives_the_socket_path() {
         c.join();
     }
 }
+
+fn frame_of(src: u32, idx: u32, payload: &bytes::Bytes) -> Wire {
+    Wire::Msg(MixedMessage::data_only(Block::from_payload(
+        Rank(src),
+        StepId(0),
+        idx,
+        1,
+        GlobalPos::default(),
+        payload.clone(),
+    )))
+}
+
+/// The consumer's inbox is bounded, so a consumer that does not read stops
+/// its producers: 64 wires in the inbox, one in each reader's hands, what
+/// the kernel's socket buffers hold — and then `TcpSender::send` blocks.
+/// That wait is backpressure, not a fault: once the consumer drains,
+/// every frame arrives once, in per-connection order.
+///
+/// A timing test by nature. The senders count as stalled once their
+/// progress counter has not moved for 100 ms (they reach the plateau in
+/// ~20 ms); the 5 s write timeout of `TcpSender::connect` must not expire
+/// before the drain starts (~0.5 s in).
+#[test]
+// Real sockets, real time: "stalled" can only be observed by waiting.
+#[allow(clippy::disallowed_methods)]
+fn a_consumer_that_does_not_read_throttles_its_producers() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const CONNECTIONS: u32 = 2;
+    const FRAMES_EACH: u32 = 5_000;
+    let (addrs, receivers) = listen_consumers(1, CONNECTIONS as usize).unwrap();
+    let payload = deterministic_payload(BlockId::new(Rank(0), StepId(0), 0), 64 << 10);
+    let sent = AtomicUsize::new(0);
+
+    std::thread::scope(|s| {
+        let senders: Vec<_> = (0..CONNECTIONS)
+            .map(|p| {
+                let (addrs, payload, sent) = (&addrs, &payload, &sent);
+                s.spawn(move || {
+                    let sender = TcpSender::connect(addrs).unwrap();
+                    for i in 0..FRAMES_EACH {
+                        zipper_core::WireSender::send(&sender, Rank(0), frame_of(p, i, payload))?;
+                        sent.fetch_add(1, Ordering::Relaxed);
+                    }
+                    zipper_types::Result::Ok(())
+                })
+            })
+            .collect();
+
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let mut stalled_at = sent.load(Ordering::Relaxed);
+        loop {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let now = sent.load(Ordering::Relaxed);
+            if now == stalled_at {
+                break;
+            }
+            stalled_at = now;
+        }
+        eprintln!("senders stalled after {stalled_at} frames");
+        assert!(
+            stalled_at < 2_000,
+            "{stalled_at} of 10,000 frames sent to a consumer that reads nothing: no backpressure"
+        );
+        assert!(senders.iter().all(|h| !h.is_finished()), "a sender gave up");
+
+        let mut next = [0u32; CONNECTIONS as usize];
+        for _ in 0..CONNECTIONS * FRAMES_EACH {
+            match receivers[0].recv().expect("no transport fault") {
+                Wire::Msg(m) => {
+                    let b = m.data.expect("data wire");
+                    let src = b.id().src.idx();
+                    assert_eq!(b.id().idx, next[src], "out of order on connection {src}");
+                    assert_eq!(b.payload, payload);
+                    next[src] += 1;
+                }
+                w => panic!("unexpected {w:?}"),
+            }
+        }
+        for h in senders {
+            h.join().unwrap().expect("backpressure is not an error");
+        }
+        // Both senders closed their sockets after the last frame.
+        assert!(matches!(
+            receivers[0].recv(),
+            Err(zipper_types::Error::Disconnected(_))
+        ));
+    });
+}
+
+/// A write that times out part-way through a frame leaves the stream
+/// misaligned for good. The sender shuts the connection down and refuses
+/// every later send at once (a retry must not resend onto a torn stream);
+/// the receiver delivers the complete frames, reports the cut one as
+/// exactly one `Transport` fault, and never decodes a mis-framed wire.
+#[test]
+fn a_torn_frame_poisons_the_connection() {
+    use zipper_core::WireSender;
+    use zipper_types::{Error, RetryPolicy, RuntimeError};
+    let (addrs, receivers) = listen_consumers(1, 1).unwrap();
+    let timeout = std::time::Duration::from_millis(50);
+    let once = RetryPolicy::new(1, timeout, timeout);
+    let sender = TcpSender::connect_with(&addrs, &once, timeout).unwrap();
+
+    // Nobody drains the inbox: 64 of these fill it, the reader blocks with
+    // the 65th in hand, the rest wait in the socket buffers (a few KiB).
+    let small = deterministic_payload(BlockId::new(Rank(0), StepId(0), 0), 16);
+    const SMALL_FRAMES: u32 = 70;
+    for i in 0..SMALL_FRAMES {
+        sender.send(Rank(0), frame_of(0, i, &small)).unwrap();
+    }
+    // More than any socket buffering can hold: the write is accepted in
+    // part, then no byte moves for `timeout`.
+    let huge = bytes::Bytes::from(vec![0u8; 64 << 20]);
+    let torn = sender.send(Rank(0), frame_of(0, SMALL_FRAMES, &huge));
+    assert!(matches!(torn, Err(Error::Storage(_))), "{torn:?}");
+    for _ in 0..3 {
+        let refused = sender.send(Rank(0), frame_of(0, 0, &small));
+        assert!(
+            matches!(refused, Err(Error::Disconnected(_))),
+            "{refused:?}"
+        );
+    }
+    let fault = RuntimeError::Transport {
+        rank: Rank(0),
+        detail: "scripted".into(),
+    };
+    assert!(matches!(
+        sender.send_fault(Rank(0), fault),
+        Err(Error::Disconnected(_))
+    ));
+
+    for i in 0..SMALL_FRAMES {
+        match receivers[0].recv().expect("complete frames arrive") {
+            Wire::Msg(m) => assert_eq!(m.data.expect("data wire").id().idx, i),
+            w => panic!("unexpected {w:?}"),
+        }
+    }
+    let cut = receivers[0].recv().unwrap_err();
+    assert!(
+        matches!(cut, Error::Runtime(RuntimeError::Transport { .. })),
+        "{cut:?}"
+    );
+    let end = receivers[0].recv().unwrap_err();
+    assert!(matches!(end, Error::Disconnected(_)), "{end:?}");
+}
