@@ -9,7 +9,6 @@
 //! source rank, step, index, and per-step block count.
 
 use std::collections::HashMap;
-use zipper_trace::{LaneRecorder, SpanKind};
 use zipper_types::{Block, Rank, StepId};
 
 /// A fully reassembled per-(rank, step) output slab.
@@ -25,21 +24,11 @@ pub struct Slab {
 #[derive(Default)]
 pub struct StepAssembler {
     partial: HashMap<(Rank, StepId), Vec<Option<Block>>>,
-    rec: Option<LaneRecorder>,
 }
 
 impl StepAssembler {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An assembler that records each slab concatenation as a step-marked
-    /// `Analysis` span on `rec`'s lane (flushed when the assembler drops).
-    pub fn with_recorder(rec: LaneRecorder) -> Self {
-        StepAssembler {
-            partial: HashMap::new(),
-            rec: Some(rec),
-        }
     }
 
     /// Offer one block; returns the completed slab if this was the last
@@ -65,16 +54,11 @@ impl StepAssembler {
         slots[idx] = Some(block);
 
         if slots.iter().all(Option::is_some) {
-            let t0 = self.rec.as_ref().map(|r| r.now());
             let slots = self.partial.remove(&key).expect("entry exists");
             let mut bytes =
                 Vec::with_capacity(slots.iter().flatten().map(|b| b.payload.len()).sum());
             for b in slots.into_iter().flatten() {
                 bytes.extend_from_slice(&b.payload);
-            }
-            if let (Some(rec), Some(t0)) = (self.rec.as_mut(), t0) {
-                let t1 = rec.now();
-                rec.record_step(SpanKind::Analysis, t0, t1, key.1 .0);
             }
             Some(Slab {
                 src: key.0,
@@ -146,21 +130,6 @@ mod tests {
         let mut asm = StepAssembler::new();
         let s = asm.offer(block(0, 5, 0, 1, 9)).expect("immediate");
         assert_eq!(s.step, StepId(5));
-    }
-
-    #[test]
-    fn recorder_marks_completed_slabs() {
-        use zipper_trace::{TraceMode, TraceSink};
-        let (sink, _clock) = TraceSink::virtual_clock(TraceMode::Full);
-        let mut asm = StepAssembler::with_recorder(sink.recorder("ana/q0/asm"));
-        assert!(asm.offer(block(0, 4, 0, 2, 1)).is_none());
-        assert!(asm.offer(block(0, 4, 1, 2, 2)).is_some());
-        assert!(asm.offer(block(0, 7, 0, 1, 3)).is_some());
-        drop(asm); // flush
-        let log = sink.snapshot();
-        let lane = log.lane_by_label("ana/q0/asm").expect("assembler lane");
-        let steps: Vec<u64> = log.lane_spans(lane).iter().map(|s| s.step).collect();
-        assert_eq!(steps, vec![4, 7]);
     }
 
     #[test]

@@ -113,30 +113,51 @@ impl BlockQueue {
         Ok(stalled)
     }
 
+    /// The one take behind [`BlockQueue::pop`], [`BlockQueue::pop_then`],
+    /// [`BlockQueue::steal`] and [`BlockQueue::steal_then`]: block until
+    /// `ready` approves the current occupancy, then remove the oldest block
+    /// and run `decide` on it *inside the queue lock*. Returns `None` when
+    /// the queue is closed and `ready` still refuses. The blocked time is
+    /// returned and, for the pops, charged to `wait_counter`.
+    fn take<R>(
+        &self,
+        ready: impl Fn(usize) -> bool,
+        mut decide: impl FnMut(&Block) -> R,
+        wait_counter: Option<CounterId>,
+    ) -> (Option<(Block, R)>, Duration) {
+        let t0 = Instant::now();
+        let mut g = self.inner.lock();
+        let taken = loop {
+            if ready(g.items.len()) {
+                let b = g.items.pop_front().expect("`ready` approved occupancy > 0");
+                let verdict = decide(&b);
+                break Some((b, verdict));
+            }
+            if g.closed {
+                break None;
+            }
+            self.not_empty.wait(&mut g);
+        };
+        drop(g);
+        if taken.is_some() {
+            // A take also changes occupancy relative to steal thresholds;
+            // stealers re-check on the next push.
+            self.not_full.notify_one();
+            self.telemetry.gauge_add(self.depth_gauge, -1);
+            self.telemetry.add(CounterId::BlocksDequeued, 1);
+        }
+        let waited = t0.elapsed();
+        if let Some(counter) = wait_counter {
+            self.telemetry.add_time(counter, waited);
+        }
+        (taken, waited)
+    }
+
     /// Remove the oldest block, blocking while empty. Returns `None` once
     /// the queue is closed *and* drained. Also reports the blocked time.
     pub fn pop(&self) -> (Option<Block>, Duration) {
-        let t0 = Instant::now();
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(b) = g.items.pop_front() {
-                drop(g);
-                self.not_full.notify_one();
-                // A pop also changes occupancy relative to steal
-                // thresholds; stealers re-check on the next push.
-                let waited = t0.elapsed();
-                self.telemetry.gauge_add(self.depth_gauge, -1);
-                self.telemetry.add(CounterId::BlocksDequeued, 1);
-                self.telemetry.add_time(CounterId::QueuePopWaitNs, waited);
-                return (Some(b), waited);
-            }
-            if g.closed {
-                let waited = t0.elapsed();
-                self.telemetry.add_time(CounterId::QueuePopWaitNs, waited);
-                return (None, waited);
-            }
-            self.not_empty.wait(&mut g);
-        }
+        let (taken, waited) = self.pop_then(|_| ());
+        (taken.map(|(b, ())| b), waited)
     }
 
     /// Like [`BlockQueue::pop`], but runs `decide` on the block *inside the
@@ -150,30 +171,12 @@ impl BlockQueue {
     ///
     /// `decide` must be fast and must not touch this queue (the lock is
     /// held). Lock order is queue → policy.
-    pub fn pop_then<R>(
-        &self,
-        mut decide: impl FnMut(&Block) -> R,
-    ) -> (Option<(Block, R)>, Duration) {
-        let t0 = Instant::now();
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(b) = g.items.pop_front() {
-                let verdict = decide(&b);
-                drop(g);
-                self.not_full.notify_one();
-                let waited = t0.elapsed();
-                self.telemetry.gauge_add(self.depth_gauge, -1);
-                self.telemetry.add(CounterId::BlocksDequeued, 1);
-                self.telemetry.add_time(CounterId::QueuePopWaitNs, waited);
-                return (Some((b, verdict)), waited);
-            }
-            if g.closed {
-                let waited = t0.elapsed();
-                self.telemetry.add_time(CounterId::QueuePopWaitNs, waited);
-                return (None, waited);
-            }
-            self.not_empty.wait(&mut g);
-        }
+    pub fn pop_then<R>(&self, decide: impl FnMut(&Block) -> R) -> (Option<(Block, R)>, Duration) {
+        self.take(
+            |occupancy| occupancy > 0,
+            decide,
+            Some(CounterId::QueuePopWaitNs),
+        )
     }
 
     /// Work-stealing take (Algorithm 1): block until occupancy strictly
@@ -181,22 +184,8 @@ impl BlockQueue {
     /// the queue closes before the threshold is reached again — the writer
     /// thread retires and leaves the remaining blocks to the sender.
     pub fn steal(&self, threshold: usize) -> (Option<Block>, Duration) {
-        let t0 = Instant::now();
-        let mut g = self.inner.lock();
-        loop {
-            if g.items.len() > threshold {
-                let b = g.items.pop_front().expect("occupancy checked");
-                drop(g);
-                self.not_full.notify_one();
-                self.telemetry.gauge_add(self.depth_gauge, -1);
-                self.telemetry.add(CounterId::BlocksDequeued, 1);
-                return (Some(b), t0.elapsed());
-            }
-            if g.closed {
-                return (None, t0.elapsed());
-            }
-            self.not_empty.wait(&mut g);
-        }
+        let (taken, waited) = self.steal_then(|occupancy| occupancy > threshold, |_| ());
+        (taken.map(|(b, ())| b), waited)
     }
 
     /// Policy-driven variant of [`BlockQueue::steal`]: blocks until `ready`
@@ -207,41 +196,9 @@ impl BlockQueue {
     pub fn steal_then<R>(
         &self,
         ready: impl Fn(usize) -> bool,
-        mut decide: impl FnMut(&Block) -> R,
+        decide: impl FnMut(&Block) -> R,
     ) -> (Option<(Block, R)>, Duration) {
-        let t0 = Instant::now();
-        let mut g = self.inner.lock();
-        loop {
-            if ready(g.items.len()) {
-                let b = g.items.pop_front().expect("policy approved occupancy > 0");
-                let verdict = decide(&b);
-                drop(g);
-                self.not_full.notify_one();
-                self.telemetry.gauge_add(self.depth_gauge, -1);
-                self.telemetry.add(CounterId::BlocksDequeued, 1);
-                return (Some((b, verdict)), t0.elapsed());
-            }
-            if g.closed {
-                return (None, t0.elapsed());
-            }
-            self.not_empty.wait(&mut g);
-        }
-    }
-
-    /// Non-blocking variant of `steal` used by opportunistic helpers: takes
-    /// a block only if occupancy strictly exceeds `threshold` right now.
-    pub fn try_steal(&self, threshold: usize) -> Option<Block> {
-        let mut g = self.inner.lock();
-        if g.items.len() > threshold {
-            let b = g.items.pop_front().expect("occupancy checked");
-            drop(g);
-            self.not_full.notify_one();
-            self.telemetry.gauge_add(self.depth_gauge, -1);
-            self.telemetry.add(CounterId::BlocksDequeued, 1);
-            Some(b)
-        } else {
-            None
-        }
+        self.take(ready, decide, None)
     }
 
     /// Put a block back at the *front* of the queue — the recovery path's
@@ -263,8 +220,6 @@ impl BlockQueue {
         self.telemetry.add(CounterId::BlocksEnqueued, 1);
     }
 
-    /// Close the queue: poppers drain the remainder then get `None`;
-    /// stealers below threshold get `None` immediately.
     /// Wake every thread parked in [`BlockQueue::steal_then`] /
     /// [`BlockQueue::pop_then`] without changing the queue state, so they
     /// re-evaluate their take conditions. Used by the backpressure gate:
@@ -275,6 +230,9 @@ impl BlockQueue {
         self.not_empty.notify_all();
     }
 
+    /// Close the queue: poppers drain the remainder then get `None`;
+    /// stealers below threshold get `None` immediately; blocked and later
+    /// pushes get [`Error::ShutDown`].
     pub fn close(&self) {
         let mut g = self.inner.lock();
         g.closed = true;
@@ -440,12 +398,59 @@ mod tests {
     }
 
     #[test]
-    fn try_steal_is_nonblocking() {
+    fn closed_queue_drains_pops_and_refuses_steals_at_once() {
         let q = BlockQueue::new(8);
-        assert!(q.try_steal(0).is_none());
         q.push(block(0)).unwrap();
-        assert!(q.try_steal(1).is_none()); // occupancy 1 not > 1
-        assert_eq!(q.try_steal(0).unwrap().id().idx, 0);
+        q.push(block(1)).unwrap();
+        q.close();
+        // Below threshold on a closed queue: `None` without waiting, and
+        // without running `decide`.
+        assert!(q.steal(2).0.is_none());
+        let (stolen, _) = q.steal_then(|occ| occ > 2, |_| panic!("nothing was taken"));
+        assert!(stolen.is_none());
+        // Above it a closed queue still yields.
+        assert_eq!(q.steal(1).0.unwrap().id().idx, 0);
+        // Pops drain the remainder, then report the end.
+        assert_eq!(q.pop().0.unwrap().id().idx, 1);
+        assert!(q.pop().0.is_none());
+        assert!(q.pop_then(|_| panic!("nothing was taken")).0.is_none());
+    }
+
+    #[test]
+    fn racing_takers_decide_once_per_block_in_take_order() {
+        // A popper and a stealer race for the same front block: `decide`
+        // runs inside the queue lock, so the shared log must read 0..n —
+        // every block exactly once, in FIFO order — whoever won each take.
+        let n = 400u32;
+        let q = Arc::new(BlockQueue::new(8));
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (q1, o1) = (q.clone(), order.clone());
+        let popper = std::thread::spawn(move || {
+            let mut mine = Vec::new();
+            while let (Some((b, ())), _) = q1.pop_then(|b| o1.lock().push(b.id().idx)) {
+                mine.push(b.id().idx);
+            }
+            mine
+        });
+        let (q2, o2) = (q.clone(), order.clone());
+        let stealer = std::thread::spawn(move || {
+            let mut mine = Vec::new();
+            while let (Some((b, ())), _) =
+                q2.steal_then(|occ| occ > 0, |b| o2.lock().push(b.id().idx))
+            {
+                mine.push(b.id().idx);
+            }
+            mine
+        });
+        for i in 0..n {
+            q.push(block(i)).unwrap();
+        }
+        q.close();
+        let mut got = popper.join().unwrap();
+        got.extend(stealer.join().unwrap());
+        got.sort_unstable();
+        assert_eq!(got, (0..n).collect::<Vec<_>>(), "each block taken once");
+        assert_eq!(*order.lock(), (0..n).collect::<Vec<_>>(), "decide order");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 #![allow(clippy::disallowed_methods)]
 use crate::buffer::BlockQueue;
 use crate::metrics::ConsumerMetrics;
-use crate::producer::{causal_token, chan_code, record_wait};
+use crate::producer::{causal_token, chan_code, record_wait, spawn_runtime_thread};
 use crate::transport::{MeshReceiver, Wire};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -82,15 +82,14 @@ pub struct ZipperReader {
     lane: Mutex<AppLane>,
     /// Log of every delivered block ID, shared with a
     /// [`ConsumerRecovery`] handle — the replay backlog after a crash.
+    /// Having one makes this a recovery-managed reader: its `Drop` leaves
+    /// the queue open and the abandonment unaccounted, because the restart
+    /// supervisor owns both (it replays the backlog and hands out a fresh
+    /// reader instead of tearing the module down).
     delivered: Option<Arc<Mutex<Vec<BlockId>>>>,
     /// This consumer's `Analysis` chaos scope: scripted read ordinals
     /// panic ([`ChaosFault::CrashApp`]) before any block is taken.
     chaos: Option<Arc<ChaosScope>>,
-    /// A recovery-managed reader: its `Drop` leaves the queue open and the
-    /// abandonment unaccounted, because the restart supervisor owns both
-    /// (it replays the backlog and hands out a fresh reader instead of
-    /// tearing the module down).
-    recoverable: bool,
     /// Edge recording for queue handoffs (pop side of the FIFO join).
     causal: CausalSink,
     queue_label: String,
@@ -98,6 +97,37 @@ pub struct ZipperReader {
 }
 
 impl ZipperReader {
+    /// A reader on `rank`'s analysis lane (see the fields for what
+    /// `delivered` and `chaos` make of it).
+    fn new(
+        rank: Rank,
+        queue: &Arc<BlockQueue>,
+        metrics: &Arc<Mutex<ConsumerMetrics>>,
+        sink: &TraceSink,
+        delivered: Option<Arc<Mutex<Vec<BlockId>>>>,
+        chaos: Option<Arc<ChaosScope>>,
+    ) -> ZipperReader {
+        let mut rec = sink.recorder(analysis_lane(rank));
+        // Arm the analysis-gap marker: time from here to the first read is
+        // the analysis setup attributed to step 0.
+        rec.mark();
+        ZipperReader {
+            rank,
+            queue: queue.clone(),
+            metrics: metrics.clone(),
+            lane: Mutex::new(AppLane {
+                rec,
+                step: 0,
+                done: false,
+            }),
+            delivered,
+            chaos,
+            causal: sink.causal().clone(),
+            queue_label: consumer_queue(rank),
+            app_label: analysis_lane(rank),
+        }
+    }
+
     /// Fetch the next available block; `None` once every producer finished
     /// and all their blocks were delivered.
     ///
@@ -145,26 +175,24 @@ impl ZipperReader {
 
 impl Drop for ZipperReader {
     fn drop(&mut self) {
-        if self.recoverable {
-            return;
-        }
-        let done = self.lane.lock().done;
-        if !done {
-            // The application abandoned the stream (panicked or returned
-            // early). Close the queue so blocked runtime threads wake with
-            // a typed error instead of deadlocking, and account the blocks
-            // that will never be delivered.
-            self.queue.close();
-            let dropped = self.queue.len() as u64;
-            self.metrics
-                .lock()
-                .errors
-                .push(RuntimeError::ReaderAbandoned {
-                    rank: self.rank,
-                    dropped_blocks: dropped,
-                });
+        // The application abandoned the stream (panicked or returned
+        // early) unless it read to the end or a supervisor owns the queue.
+        if self.delivered.is_none() && !self.lane.lock().done {
+            abandon(self.rank, &self.queue, &self.metrics);
         }
     }
+}
+
+/// Close an abandoned rank's queue so blocked runtime threads wake with a
+/// typed error instead of deadlocking, and account the blocks that will
+/// never be delivered.
+fn abandon(rank: Rank, queue: &BlockQueue, metrics: &Mutex<ConsumerMetrics>) {
+    queue.close();
+    let dropped_blocks = queue.len() as u64;
+    metrics.lock().errors.push(RuntimeError::ReaderAbandoned {
+        rank,
+        dropped_blocks,
+    });
 }
 
 /// Recovery handle for one consumer rank, taken instead of the plain
@@ -192,24 +220,14 @@ impl ConsumerRecovery {
     /// A fresh recoverable reader on this rank's analysis lane. Call once
     /// per (re)start; readers crash-closed by a panic are simply dropped.
     pub fn fresh_reader(&self) -> ZipperReader {
-        let mut rec = self.sink.recorder(analysis_lane(self.rank));
-        rec.mark();
-        ZipperReader {
-            rank: self.rank,
-            queue: self.queue.clone(),
-            metrics: self.metrics.clone(),
-            lane: Mutex::new(AppLane {
-                rec,
-                step: 0,
-                done: false,
-            }),
-            delivered: Some(self.delivered.clone()),
-            chaos: self.chaos.clone(),
-            recoverable: true,
-            causal: self.sink.causal().clone(),
-            queue_label: consumer_queue(self.rank),
-            app_label: analysis_lane(self.rank),
-        }
+        ZipperReader::new(
+            self.rank,
+            &self.queue,
+            &self.metrics,
+            &self.sink,
+            Some(self.delivered.clone()),
+            self.chaos.clone(),
+        )
     }
 
     /// Replay the crashed reader's backlog: take (and clear) the delivered
@@ -258,15 +276,17 @@ impl ConsumerRecovery {
     /// restart budget is exhausted — it is the recoverable counterpart of
     /// a plain reader's abandoning `Drop`.
     pub fn abandon(&self) {
-        self.queue.close();
-        let dropped = self.queue.len() as u64;
-        self.metrics
-            .lock()
-            .errors
-            .push(RuntimeError::ReaderAbandoned {
-                rank: self.rank,
-                dropped_blocks: dropped,
-            });
+        abandon(self.rank, &self.queue, &self.metrics);
+    }
+}
+
+/// Closes the consumer buffer when the last holder lets go of it, so the
+/// application's reads terminate however the runtime threads ended.
+struct CloseOnDrop(Arc<BlockQueue>);
+
+impl Drop for CloseOnDrop {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -276,7 +296,8 @@ pub struct Consumer {
     queue: Arc<BlockQueue>,
     metrics: Arc<Mutex<ConsumerMetrics>>,
     sink: TraceSink,
-    closer: Option<JoinHandle<()>>,
+    receiver: Option<JoinHandle<()>>,
+    reader: Option<JoinHandle<()>>,
     output: Option<JoinHandle<()>>,
     reader_taken: bool,
 }
@@ -341,15 +362,20 @@ impl Consumer {
                 .with_telemetry(sink.telemetry().clone(), GaugeId::ConsumerQueueDepth),
         );
         let metrics = Arc::new(Mutex::new(ConsumerMetrics::default()));
+        // What a refused thread spawn records.
+        let refused = |e: RuntimeError| metrics.lock().errors.push(e);
 
-        let (ids_tx, ids_rx): (Sender<BlockId>, Receiver<BlockId>) = unbounded();
-        let preserve = tuning.preserve.is_preserve();
-        let (out_tx, out_rx): (Option<Sender<Block>>, Option<Receiver<Block>>) = if preserve {
-            let (t, r) = unbounded();
-            (Some(t), Some(r))
-        } else {
-            (None, None)
-        };
+        // The consumer queue may close only after the receiver has seen all
+        // EOS *and* the reader drained every announced ID: both closures
+        // own a share of this guard, and so does neither once it has ended
+        // — returned, unwound from a panic, or dropped unrun by a refused
+        // spawn. The reader's own end is tied to the receiver's the same
+        // way: `ids_rx` drains dry when the receiver's `ids_tx` is dropped.
+        let closes_queue = Arc::new(CloseOnDrop(queue.clone()));
+        let (ids_tx, ids_rx) = unbounded::<BlockId>();
+        let (out_tx, out_rx) = (tuning.preserve.is_preserve())
+            .then(unbounded::<Block>)
+            .unzip();
 
         // Receiver thread (Fig. 9 step 1): split mixed messages. The
         // optional EOS watchdog bounds how long it will sit in `recv` with
@@ -361,16 +387,17 @@ impl Consumer {
         let receiver = {
             let queue = queue.clone();
             let tm = metrics.clone();
-            let out_tx = out_tx.clone();
             let rpolicy = policy.clone();
             let rlane = recv_lane(rank);
             let mut rec = sink.recorder(rlane.clone());
             let causal = sink.causal().clone();
             let cq_label = consumer_queue(rank);
             let ids_label = ids_queue(rank);
-            let spawned = std::thread::Builder::new()
-                .name(format!("zipper-receiver-{rank}"))
-                .spawn(move || {
+            let closes_queue = closes_queue.clone();
+            spawn_runtime_thread(
+                format!("zipper-receiver-{rank}"),
+                move || {
+                    let _closes_queue = closes_queue;
                     let mut discarding = false;
                     loop {
                         let wire = rec.time(SpanKind::Recv, || match eos_timeout {
@@ -459,20 +486,14 @@ impl Consumer {
                             }
                         }
                     }
-                });
-            match spawned {
-                Ok(h) => Some(h),
-                Err(_) => {
-                    metrics
-                        .lock()
-                        .errors
-                        .push(RuntimeError::ChannelDisconnected {
-                            rank,
-                            context: "receiver thread could not be spawned",
-                        });
-                    None
-                }
-            }
+                },
+                |_| {
+                    refused(RuntimeError::ChannelDisconnected {
+                        rank,
+                        context: "receiver thread could not be spawned",
+                    })
+                },
+            )
         };
 
         // Reader thread (Fig. 9 step 2): fetch announced on-disk blocks.
@@ -485,9 +506,10 @@ impl Consumer {
             let causal = sink.causal().clone();
             let cq_label = consumer_queue(rank);
             let ids_label = ids_queue(rank);
-            let spawned = std::thread::Builder::new()
-                .name(format!("zipper-reader-{rank}"))
-                .spawn(move || {
+            spawn_runtime_thread(
+                format!("zipper-reader-{rank}"),
+                move || {
+                    let _closes_queue = closes_queue;
                     for id in ids_rx {
                         causal.queue_pop(&ids_label, &flane);
                         let t0 = causal.now();
@@ -526,20 +548,14 @@ impl Consumer {
                             }),
                         }
                     }
-                });
-            match spawned {
-                Ok(h) => Some(h),
-                Err(_) => {
-                    metrics
-                        .lock()
-                        .errors
-                        .push(RuntimeError::ChannelDisconnected {
-                            rank,
-                            context: "reader thread could not be spawned",
-                        });
-                    None
-                }
-            }
+                },
+                |_| {
+                    refused(RuntimeError::ChannelDisconnected {
+                        rank,
+                        context: "reader thread could not be spawned",
+                    })
+                },
+            )
         };
 
         // Output thread (Fig. 9 step 3, Preserve mode only): persist
@@ -548,9 +564,9 @@ impl Consumer {
         let output = out_rx.and_then(|rx| {
             let out_metrics = metrics.clone();
             let mut rec = sink.recorder(format!("ana/q{}/out", rank.0));
-            let spawned = std::thread::Builder::new()
-                .name(format!("zipper-output-{rank}"))
-                .spawn(move || {
+            spawn_runtime_thread(
+                format!("zipper-output-{rank}"),
+                move || {
                     for b in rx {
                         match rec.time(SpanKind::FsWrite, || storage.put(&b)) {
                             Ok(()) => out_metrics.lock().blocks_stored += 1,
@@ -560,70 +576,23 @@ impl Consumer {
                             }),
                         }
                     }
-                });
-            match spawned {
-                Ok(h) => Some(h),
-                Err(_) => {
-                    metrics.lock().errors.push(RuntimeError::StoreFailed {
+                },
+                |_| {
+                    refused(RuntimeError::StoreFailed {
                         rank,
                         detail: "output thread could not be spawned".into(),
-                    });
-                    None
-                }
-            }
+                    })
+                },
+            )
         });
-        drop(out_tx);
-
-        // Closer: the consumer queue may close only after the receiver has
-        // seen all EOS *and* the reader drained every announced ID. A
-        // panicked runtime thread is folded into the metrics, and the queue
-        // is closed regardless so the application's reads terminate.
-        let closer = {
-            let tq = queue.clone();
-            let tm = metrics.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("zipper-closer-{rank}"))
-                .spawn(move || {
-                    for (h, role) in [
-                        (receiver, "consumer receiver thread"),
-                        (reader, "consumer reader thread"),
-                    ] {
-                        if let Some(h) = h {
-                            if let Err(payload) = h.join() {
-                                tm.lock().errors.push(RuntimeError::AppPanicked {
-                                    rank,
-                                    role,
-                                    detail: panic_detail(payload.as_ref()),
-                                });
-                            }
-                        }
-                    }
-                    tq.close();
-                });
-            match spawned {
-                Ok(h) => Some(h),
-                Err(_) => {
-                    // No closer: close now so reads cannot hang. Any blocks
-                    // still in flight surface as QueueClosed reports.
-                    queue.close();
-                    metrics
-                        .lock()
-                        .errors
-                        .push(RuntimeError::ChannelDisconnected {
-                            rank,
-                            context: "closer thread could not be spawned",
-                        });
-                    None
-                }
-            }
-        };
 
         Consumer {
             rank,
             queue,
             metrics,
             sink,
-            closer,
+            receiver,
+            reader,
             output,
             reader_taken: false,
         }
@@ -633,26 +602,14 @@ impl Consumer {
     pub fn reader(&mut self) -> ZipperReader {
         assert!(!self.reader_taken, "reader handle already taken");
         self.reader_taken = true;
-        let mut rec = self.sink.recorder(analysis_lane(self.rank));
-        // Arm the analysis-gap marker: time from here to the first read is
-        // the analysis setup attributed to step 0.
-        rec.mark();
-        ZipperReader {
-            rank: self.rank,
-            queue: self.queue.clone(),
-            metrics: self.metrics.clone(),
-            lane: Mutex::new(AppLane {
-                rec,
-                step: 0,
-                done: false,
-            }),
-            delivered: None,
-            chaos: None,
-            recoverable: false,
-            causal: self.sink.causal().clone(),
-            queue_label: consumer_queue(self.rank),
-            app_label: analysis_lane(self.rank),
-        }
+        ZipperReader::new(
+            self.rank,
+            &self.queue,
+            &self.metrics,
+            &self.sink,
+            None,
+            None,
+        )
     }
 
     /// The recovery handle (take *instead of* [`Consumer::reader`]): hands
@@ -681,23 +638,20 @@ impl Consumer {
     ///
     /// Never panics and never blocks indefinitely while the EOS watchdog
     /// is enabled: runtime-thread panics are folded into the metrics as
-    /// [`RuntimeError::AppPanicked`].
+    /// [`RuntimeError::AppPanicked`] (what each thread's exit releases:
+    /// DESIGN.md, "Failure semantics" table).
     pub fn join(mut self) -> ConsumerMetrics {
         for (h, role) in [
-            (self.closer.take(), "consumer closer thread"),
+            (self.receiver.take(), "consumer receiver thread"),
+            (self.reader.take(), "consumer reader thread"),
             (self.output.take(), "consumer output thread"),
         ] {
-            if let Some(h) = h {
-                if let Err(payload) = h.join() {
-                    // The closer closes the queue on its normal path; if it
-                    // died, close here so application reads still terminate.
-                    self.queue.close();
-                    self.metrics.lock().errors.push(RuntimeError::AppPanicked {
-                        rank: self.rank,
-                        role,
-                        detail: panic_detail(payload.as_ref()),
-                    });
-                }
+            if let Some(Err(payload)) = h.map(JoinHandle::join) {
+                self.metrics.lock().errors.push(RuntimeError::AppPanicked {
+                    rank: self.rank,
+                    role,
+                    detail: panic_detail(payload.as_ref()),
+                });
             }
         }
         let mut m = self.metrics.lock().clone();

@@ -16,7 +16,7 @@ use crate::metrics::ProducerMetrics;
 use crate::transport::{Wire, WireSender};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use zipper_policy::{Channel, ProducerPolicy, RetireReason};
 use zipper_trace::{
@@ -74,29 +74,70 @@ pub(crate) fn causal_token(id: BlockId) -> u64 {
     block_token(id.src.0, id.step.0, id.idx)
 }
 
-/// Shutdown handshake between the writer and sender threads: at
-/// end-of-stream the sender must not flush the pending-ID buckets (and
-/// must not announce EOS) until the writer has finished its in-flight
-/// store — otherwise the last stolen block's ID would never reach the
-/// consumer.
-#[derive(Default)]
-struct WriterDone {
-    done: Mutex<bool>,
-    cv: parking_lot::Condvar,
+/// One producer rank's state, shared by its sender and writer threads.
+#[derive(Clone)]
+struct RankState {
+    rank: Rank,
+    queue: Arc<BlockQueue>,
+    pending: PendingIds,
+    metrics: Arc<Mutex<ProducerMetrics>>,
+    policy: SharedProducerPolicy,
+    gate: Option<Arc<SenderGate>>,
+    causal: CausalSink,
 }
 
-impl WriterDone {
-    fn signal(&self) {
-        *self.done.lock() = true;
-        self.cv.notify_all();
-    }
+/// The fact "this rank's writer thread is gone", produced once: the writer
+/// closure owns this guard, so it fires however the closure ends — the
+/// loop returned, it unwound from a panic, or `Builder::spawn` failed and
+/// dropped it unrun. The sender waits for that (`writer_gone.recv()`) before
+/// flushing the pending-ID buckets and announcing the file channel's EOS:
+/// the ID of a block still being stored must not miss the flush.
+struct WriterExit {
+    st: RankState,
+    /// Set once the policy kernel has been told how the writer ended, or
+    /// when no writer was configured. Unset in `drop`, the loop panicked
+    /// or never ran: accounted like a death by fault.
+    retired: bool,
+    /// Dropped after `drop`'s body; the disconnect is what the sender's
+    /// `recv` returns with.
+    _alive: mpsc::Sender<()>,
+}
 
-    fn wait(&self) {
-        let mut g = self.done.lock();
-        while !*g {
-            self.cv.wait(&mut g);
+impl Drop for WriterExit {
+    fn drop(&mut self) {
+        let st = &self.st;
+        if !self.retired {
+            st.policy.lock().writer_retired(RetireReason::Fault);
+            // A refused spawn is reported by the spawner, with the OS
+            // error; only the unwind has no other reporter.
+            if std::thread::panicking() {
+                st.metrics.lock().errors.push(RuntimeError::WriterRetired {
+                    rank: st.rank,
+                    detail: "writer thread panicked".into(),
+                });
+            }
+        }
+        // No writer will satisfy a steal-credit window any more: fail the
+        // gate open so a held sender is released instead of wedged.
+        if let Some(g) = &st.gate {
+            g.retire_writer();
         }
     }
+}
+
+/// Spawn one named runtime thread. When the OS refuses the thread, `body`
+/// is dropped unrun — the guards it owns fire exactly as if it had run and
+/// ended — and `refused` records the typed error.
+pub(crate) fn spawn_runtime_thread(
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+    refused: impl FnOnce(std::io::Error),
+) -> Option<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .map_err(refused)
+        .ok()
 }
 
 /// Record a wait that ended "now" and lasted `waited` as a span of `kind`.
@@ -123,11 +164,6 @@ pub struct ZipperWriter {
     causal: CausalSink,
     queue_label: String,
     app_label: String,
-    /// Set by `finish`; when a writer is dropped without finishing (the
-    /// application panicked or bailed early), the `Drop` guard still closes
-    /// the queue so the sender drains, announces EOS, and the consumers can
-    /// shut down instead of hanging.
-    finished: bool,
 }
 
 impl ZipperWriter {
@@ -195,22 +231,16 @@ impl ZipperWriter {
 
     /// Finish the stream: close the producer buffer so the sender and
     /// writer threads drain and exit, and flush this lane's spans into the
-    /// trace. Call exactly once, after the last `write`.
-    pub fn finish(mut self) {
-        self.finished = true;
-        self.queue.close();
-        // Dropping `self` flushes the lane recorder.
-    }
+    /// trace. The same as dropping the handle, named for the call site.
+    pub fn finish(self) {}
 }
 
 impl Drop for ZipperWriter {
+    /// However the application let go of the handle — `finish`, a panic,
+    /// an early return — the queue closes, so the runtime threads drain,
+    /// EOS reaches the consumers, and nothing hangs.
     fn drop(&mut self) {
-        if !self.finished {
-            // The application never called `finish` — it panicked or
-            // returned early. Close the queue anyway so the runtime threads
-            // drain, EOS reaches the consumers, and nothing hangs.
-            self.queue.close();
-        }
+        self.queue.close();
     }
 }
 
@@ -310,96 +340,66 @@ impl Producer {
                 .with_telemetry(sink.telemetry().clone(), GaugeId::ProducerQueueDepth),
         );
         let metrics = Arc::new(Mutex::new(ProducerMetrics::default()));
-        let pending: PendingIds = Arc::new(Mutex::new(vec![Vec::new(); consumers]));
-        let writer_done = Arc::new(WriterDone::default());
+        let st = RankState {
+            rank,
+            queue: queue.clone(),
+            pending: Arc::new(Mutex::new(vec![Vec::new(); consumers])),
+            metrics: metrics.clone(),
+            policy,
+            gate,
+            causal: sink.causal().clone(),
+        };
 
-        if let Some(g) = &gate {
+        if let Some(g) = &st.gate {
             // Arming a steal window must wake a writer already parked on an
             // empty/below-threshold buffer so it re-reads `steal_phase`.
             let wake_queue = queue.clone();
             g.set_waker(move || wake_queue.nudge());
         }
 
+        let (alive, writer_gone) = mpsc::channel();
+        let exit = WriterExit {
+            st: st.clone(),
+            // With no writer configured there is nothing to tell the kernel.
+            retired: !tuning.concurrent_transfer,
+            _alive: alive,
+        };
         let writer_thread = if tuning.concurrent_transfer {
-            let wq = queue.clone();
-            let wpending = pending.clone();
-            let wmetrics = metrics.clone();
-            let wpolicy = policy.clone();
-            let wgate = gate.clone();
-            let done = writer_done.clone();
             let rec = sink.recorder(writer_lane(rank));
             let shard = sink.telemetry().shard();
-            let wcausal = sink.causal().clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("zipper-writer-{rank}"))
-                .spawn(move || {
-                    writer_loop(
-                        rank, wq, storage, wpending, wmetrics, wpolicy, wgate, rec, shard, wcausal,
-                    );
-                    done.signal();
-                });
-            match spawned {
-                Ok(h) => Some(h),
-                Err(e) => {
-                    // Degrade to message-passing-only instead of aborting:
-                    // the sender must not wait for a writer that never ran.
-                    writer_done.signal();
-                    if let Some(g) = &gate {
-                        g.retire_writer();
-                    }
-                    policy.lock().writer_retired(RetireReason::Fault);
+            spawn_runtime_thread(
+                format!("zipper-writer-{rank}"),
+                move || writer_loop(exit, storage, rec, shard),
+                // Degrades to message-passing-only instead of aborting.
+                |e| {
                     metrics.lock().errors.push(RuntimeError::WriterRetired {
                         rank,
                         detail: format!("could not spawn writer thread: {e}"),
-                    });
-                    None
-                }
-            }
+                    })
+                },
+            )
         } else {
-            writer_done.signal();
-            // No writer exists to satisfy steal-credit windows: fail the
-            // gate open so scripted stalls degrade to no-ops.
-            if let Some(g) = &gate {
-                g.retire_writer();
-            }
+            // The sender is released and scripted steal windows degrade
+            // to no-ops.
+            drop(exit);
             None
         };
 
         let sender_thread = {
-            let sq = queue.clone();
-            let smetrics = metrics.clone();
-            let spolicy = policy.clone();
-            let sgate = gate.clone();
             let rec = sink.recorder(sender_lane(rank));
-            let scausal = sink.causal().clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("zipper-sender-{rank}"))
-                .spawn(move || {
-                    sender_loop(
-                        rank,
-                        sq,
-                        mesh,
-                        pending,
-                        smetrics,
-                        spolicy,
-                        writer_done,
-                        sgate,
-                        rec,
-                        scausal,
-                        detach_sender,
-                    )
-                });
-            match spawned {
-                Ok(h) => Some(h),
-                Err(e) => {
-                    // Without a sender nothing can be shipped; close the
-                    // queue so writes fail soft instead of filling forever,
-                    // and record why. The consumers' EOS watchdog covers
-                    // the missing end-of-stream markers. No wire will ever
-                    // pass, so scripted windows can never arm — cancel
-                    // them to release a writer parked between windows.
-                    queue.close();
-                    if let Some(g) = &gate {
+            let (squeue, sgate) = (queue.clone(), st.gate.clone());
+            spawn_runtime_thread(
+                format!("zipper-sender-{rank}"),
+                move || sender_loop(st, mesh, writer_gone, rec, detach_sender),
+                // Without a sender nothing can be shipped; close the queue
+                // so writes fail soft instead of filling forever, and
+                // record why. The consumers' EOS watchdog covers the
+                // missing end-of-stream markers. No wire will ever pass,
+                // so scripted windows can never arm — cancel them to
+                // release a writer parked between windows.
+                |_| {
+                    squeue.close();
+                    if let Some(g) = &sgate {
                         g.close_windows();
                     }
                     metrics
@@ -409,10 +409,8 @@ impl Producer {
                             rank,
                             context: "sender thread could not be spawned",
                         });
-                    let _ = e;
-                    None
-                }
-            }
+                },
+            )
         };
 
         Producer {
@@ -446,7 +444,6 @@ impl Producer {
             causal: self.sink.causal().clone(),
             queue_label: producer_queue(self.rank),
             app_label: app_lane(self.rank),
-            finished: false,
         }
     }
 
@@ -457,20 +454,19 @@ impl Producer {
     /// blocks forever.
     ///
     /// Never panics: a runtime thread that panicked is folded into
-    /// `metrics.errors` as an [`RuntimeError::AppPanicked`] report.
+    /// `metrics.errors` as an [`RuntimeError::AppPanicked`] report (what
+    /// each thread's exit releases: DESIGN.md, "Failure semantics" table).
     pub fn join(mut self) -> ProducerMetrics {
         for (h, role) in [
             (self.sender_thread.take(), "producer sender thread"),
             (self.writer_thread.take(), "producer writer thread"),
         ] {
-            if let Some(h) = h {
-                if let Err(payload) = h.join() {
-                    self.metrics.lock().errors.push(RuntimeError::AppPanicked {
-                        rank: self.rank,
-                        role,
-                        detail: panic_detail(payload.as_ref()),
-                    });
-                }
+            if let Some(Err(payload)) = h.map(JoinHandle::join) {
+                self.metrics.lock().errors.push(RuntimeError::AppPanicked {
+                    rank: self.rank,
+                    role,
+                    detail: panic_detail(payload.as_ref()),
+                });
             }
         }
         let mut m = self.metrics.lock().clone();
@@ -508,33 +504,27 @@ fn wire_fault(rank: Rank, e: Error) -> RuntimeError {
 ///
 /// A `detached` sender skips the drain loop entirely — the writer carries
 /// every block — but still performs the end-of-stream duties below it.
-#[allow(clippy::too_many_arguments)]
 fn sender_loop(
-    rank: Rank,
-    queue: Arc<BlockQueue>,
+    st: RankState,
     mesh: impl WireSender,
-    pending: PendingIds,
-    metrics: Arc<Mutex<ProducerMetrics>>,
-    policy: SharedProducerPolicy,
-    writer_done: Arc<WriterDone>,
-    gate: Option<Arc<SenderGate>>,
+    writer_gone: mpsc::Receiver<()>,
     mut rec: LaneRecorder,
-    causal: CausalSink,
     detached: bool,
 ) {
+    let rank = st.rank;
     let slane = sender_lane(rank);
     let qlabel = producer_queue(rank);
-    let mut dead = vec![false; policy.lock().consumers()];
+    let mut dead = vec![false; st.policy.lock().consumers()];
     if !detached {
         loop {
-            let (taken, idle) = queue.pop_then(|b| policy.lock().route_net(b.id()));
+            let (taken, idle) = st.queue.pop_then(|b| st.policy.lock().route_net(b.id()));
             record_wait(&mut rec, SpanKind::Idle, idle);
             let Some((block, dest)) = taken else { break };
-            causal.queue_pop(&qlabel, &slane);
+            st.causal.queue_pop(&qlabel, &slane);
             if dead[dest.idx()] {
                 continue; // destination already failed; drop, error recorded
             }
-            let on_disk = std::mem::take(&mut pending.lock()[dest.idx()]);
+            let on_disk = std::mem::take(&mut st.pending.lock()[dest.idx()]);
             let bytes = block.header.len;
             let token = causal_token(block.id());
             let msg = MixedMessage {
@@ -546,14 +536,14 @@ fn sender_loop(
                     // The edge's source is the moment the wire cleared this
                     // sender (post gate hold / throttle); the receiver's
                     // `end` half completes it.
-                    causal.begin(EdgeKind::Wire, token, &slane);
-                    let mut m = metrics.lock();
+                    st.causal.begin(EdgeKind::Wire, token, &slane);
+                    let mut m = st.metrics.lock();
                     m.blocks_sent += 1;
                     m.bytes_sent += bytes;
                 }
                 Err(e) => {
                     dead[dest.idx()] = true;
-                    metrics.lock().errors.push(wire_fault(rank, e));
+                    st.metrics.lock().errors.push(wire_fault(rank, e));
                 }
             }
         }
@@ -562,74 +552,66 @@ fn sender_loop(
     // The queue is drained (or this sender is detached and never passes
     // wires): windows at higher ordinals can never arm, so cancel them to
     // release a writer parked between windows.
-    if let Some(g) = &gate {
+    if let Some(g) = &st.gate {
         g.close_windows();
     }
+
+    // Announce one channel's end-of-stream to the targets the policy kernel
+    // names. Every target is attempted even when some already failed, and
+    // an aggregated error is unpacked into individual reports.
+    let announce = |channel: Channel| {
+        let targets: Vec<Rank> = st.policy.lock().announce_eos(channel).collect();
+        if let Err(e) = mesh.send_eos(rank, channel, &targets) {
+            let mut m = st.metrics.lock();
+            match e {
+                Error::Aggregate(errs) => {
+                    m.errors
+                        .extend(errs.into_iter().map(|e| wire_fault(rank, e)));
+                }
+                e => m.errors.push(wire_fault(rank, e)),
+            }
+        }
+        for &q in &targets {
+            st.causal.begin(
+                EdgeKind::Eos,
+                eos_token(rank.0, chan_code(channel), q.0),
+                &slane,
+            );
+        }
+    };
 
     // End of the *message* channel: the buffer is drained, so no data wire
     // can follow — the Net-channel EOS ships now, without waiting for the
     // writer. Per-connection FIFO ordering keeps it behind every data
-    // message. (Previously one combined EOS covered both channels after
-    // the writer retired; splitting them lets a chaos plan drop one
-    // channel's mark without silencing the other — the DES already sends
-    // per-channel marks.)
-    let report_eos = |e: Error| {
-        let mut m = metrics.lock();
-        match e {
-            Error::Aggregate(errs) => {
-                m.errors
-                    .extend(errs.into_iter().map(|e| wire_fault(rank, e)));
-            }
-            e => m.errors.push(wire_fault(rank, e)),
-        }
-    };
-    let net_targets: Vec<Rank> = policy.lock().announce_eos(Channel::Net).collect();
-    if let Err(e) = mesh.send_eos(rank, Channel::Net, &net_targets) {
-        report_eos(e);
-    }
-    for &q in &net_targets {
-        causal.begin(
-            EdgeKind::Eos,
-            eos_token(rank.0, chan_code(Channel::Net), q.0),
-            &slane,
-        );
-    }
+    // message. (One mark per channel lets a chaos plan drop one channel's
+    // mark without silencing the other — the DES sends per-channel marks
+    // too.)
+    announce(Channel::Net);
 
     // The writer may still be storing its final stolen block: wait for it
-    // to retire before flushing, so every on-disk ID is announced before
+    // to be gone before flushing, so every on-disk ID is announced before
     // the file channel's EOS (a block whose ID never ships would be
-    // lost — caught by the block-accounting tests/benches).
-    writer_done.wait();
+    // lost — caught by the block-accounting tests/benches). Nothing is
+    // ever sent: `recv` returns when the [`WriterExit`] has been dropped.
+    let _ = writer_gone.recv();
 
     // Flush IDs the writer parked after the last data message per consumer.
     {
-        let mut p = pending.lock();
+        let mut p = st.pending.lock();
         for (q, ids) in p.iter_mut().enumerate() {
             if !ids.is_empty() && !dead[q] {
                 let msg = MixedMessage::disk_only(std::mem::take(ids));
                 if let Err(e) = mesh.send(Rank(q as u32), Wire::Msg(msg)) {
                     dead[q] = true;
-                    metrics.lock().errors.push(wire_fault(rank, e));
+                    st.metrics.lock().errors.push(wire_fault(rank, e));
                 }
             }
         }
     }
     // File-channel EOS after every ID has shipped (FIFO keeps the flushed
     // IDs ahead of it). On a message-passing-only run the kernel reports
-    // the file channel inactive — no targets, no wire. Every target is
-    // attempted even when some already failed, and the aggregated error is
-    // unpacked into individual reports.
-    let disk_targets: Vec<Rank> = policy.lock().announce_eos(Channel::Disk).collect();
-    if let Err(e) = mesh.send_eos(rank, Channel::Disk, &disk_targets) {
-        report_eos(e);
-    }
-    for &q in &disk_targets {
-        causal.begin(
-            EdgeKind::Eos,
-            eos_token(rank.0, chan_code(Channel::Disk), q.0),
-            &slane,
-        );
-    }
+    // the file channel inactive — no targets, no wire.
+    announce(Channel::Disk);
 }
 
 /// Writer thread (Fig. 8 + Algorithm 1): steal blocks once the policy
@@ -638,32 +620,30 @@ fn sender_loop(
 /// the stolen block's destination both come from the shared
 /// [`ProducerPolicy`], consulted atomically with the take
 /// ([`BlockQueue::steal_then`]).
-#[allow(clippy::too_many_arguments)]
+///
+/// The loop only *returns*; everything that must happen once the writer is
+/// gone — failing the gate open, releasing the sender — is `exit`'s drop.
 fn writer_loop(
-    rank: Rank,
-    queue: Arc<BlockQueue>,
+    mut exit: WriterExit,
     storage: Arc<dyn zipper_pfs::Storage>,
-    pending: PendingIds,
-    metrics: Arc<Mutex<ProducerMetrics>>,
-    policy: SharedProducerPolicy,
-    gate: Option<Arc<SenderGate>>,
     mut rec: LaneRecorder,
     mut shard: MetricShard,
-    causal: CausalSink,
 ) {
+    let st = &exit.st;
+    let rank = st.rank;
     let wlane = writer_lane(rank);
     let qlabel = producer_queue(rank);
     loop {
-        let (taken, idle) = queue.steal_then(
+        let (taken, idle) = st.queue.steal_then(
             // An armed steal-credit window overrides the high-water mark:
             // the sender is parked at a scripted gate and every buffered
             // block behind it is the writer's to steal. Outside a window
             // the kernel's Algorithm-1 condition decides alone.
             |occupancy| {
-                (occupancy > 0 && gate.as_ref().is_some_and(|g| g.steal_phase()))
-                    || policy.lock().should_steal(occupancy)
+                (occupancy > 0 && st.gate.as_ref().is_some_and(|g| g.steal_phase()))
+                    || st.policy.lock().should_steal(occupancy)
             },
-            |b| policy.lock().route_disk(b.id()),
+            |b| st.policy.lock().route_disk(b.id()),
         );
         record_wait(&mut rec, SpanKind::Idle, idle);
         let Some((block, dest)) = taken else {
@@ -675,19 +655,17 @@ fn writer_loop(
             // retiring (which would fail the rest of the script open and
             // desynchronize the scripted schedule). The sender cancels
             // the remaining windows once it drains, releasing this wait.
-            if let Some(g) = &gate {
+            if let Some(g) = &st.gate {
                 if g.await_steal_window() {
                     continue;
                 }
             }
             // The normal end of stream.
-            policy.lock().writer_retired(RetireReason::Drained);
-            if let Some(g) = &gate {
-                g.retire_writer();
-            }
-            break;
+            st.policy.lock().writer_retired(RetireReason::Drained);
+            exit.retired = true;
+            return;
         };
-        causal.queue_pop(&qlabel, &wlane);
+        st.causal.queue_pop(&qlabel, &wlane);
         shard.observe(HistogramId::PfsWriteBytes, block.header.len);
         let stored = rec.time(SpanKind::FsWrite, || storage.put(&block));
         if let Err(e) = stored {
@@ -700,18 +678,18 @@ fn writer_loop(
             // degrades to message-passing-only. A queue already closed at
             // requeue time is a shutdown race — the block may never ship,
             // which is recorded.
-            let closed = queue.is_closed();
-            queue.requeue(block);
+            let closed = st.queue.is_closed();
+            st.queue.requeue(block);
             // The requeued block re-enters the FIFO join: the next taker's
             // pop pairs with this push, carrying writer→taker causality.
-            causal.queue_push(&qlabel, &wlane);
+            st.causal.queue_push(&qlabel, &wlane);
             let (revive, cooldown) = {
-                let mut p = policy.lock();
+                let mut p = st.policy.lock();
                 p.writer_retired(RetireReason::Fault);
                 (p.try_revive_writer(), p.recovery().writer_cooldown)
             };
             {
-                let mut m = metrics.lock();
+                let mut m = st.metrics.lock();
                 if closed {
                     m.errors.push(RuntimeError::QueueClosed {
                         rank,
@@ -729,22 +707,19 @@ fn writer_loop(
                 }
                 continue;
             }
-            // Dying without a comeback: unmet steal-credit windows can
-            // never be satisfied — fail the gate open so the sender is
-            // released instead of wedged.
-            if let Some(g) = &gate {
-                g.retire_writer();
-            }
+            // Dying without a comeback.
+            exit.retired = true;
             return;
         }
         // Steal announce: the block became fetchable the moment the put
         // completed; the consumer's `end` half (on-disk ID arrival) joins.
-        causal.begin(EdgeKind::Steal, causal_token(block.id()), &wlane);
-        pending.lock()[dest.idx()].push(block.id());
-        if let Some(g) = &gate {
+        st.causal
+            .begin(EdgeKind::Steal, causal_token(block.id()), &wlane);
+        st.pending.lock()[dest.idx()].push(block.id());
+        if let Some(g) = &st.gate {
             g.note_steal();
         }
-        let mut m = metrics.lock();
+        let mut m = st.metrics.lock();
         m.blocks_stolen += 1;
         m.bytes_stolen += block.header.len;
     }

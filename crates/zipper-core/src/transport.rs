@@ -11,6 +11,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use zipper_pfs::Drain;
 use zipper_policy::Channel;
 use zipper_trace::{CounterId, GaugeId, HistogramId, LaneRecorder, SpanKind, Telemetry, TraceSink};
 use zipper_types::{Error, MixedMessage, Rank, Result, RetryPolicy, RuntimeError};
@@ -43,47 +44,13 @@ impl Wire {
     }
 }
 
-/// Shared-bandwidth throttle (single drain, identical to the PFS throttle:
-/// concurrent senders queue on one aggregate-bandwidth timeline).
-struct Throttle {
-    bytes_per_sec: f64,
-    latency: Duration,
-    free_at: Mutex<Instant>,
-}
-
-impl Throttle {
-    /// Charge `bytes` against the shared-bandwidth timeline, sleeping
-    /// until the transfer would have drained. Returns the time actually
-    /// slept — the sender's `XmitWait`-style stall, fed to telemetry.
-    fn charge(&self, bytes: u64) -> Duration {
-        let xfer = Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
-        let now = Instant::now();
-        let finish = {
-            let mut free = self.free_at.lock();
-            let start = (*free).max(now);
-            let finish = start + xfer;
-            *free = finish;
-            finish
-        };
-        let deadline = finish + self.latency;
-        let wait = deadline.saturating_duration_since(now);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        wait
-    }
-}
-
 /// A P→Q channel mesh: every producer holds a [`MeshSender`] that can reach
 /// any consumer; every consumer holds the [`MeshReceiver`] for its own rank.
 pub struct ChannelMesh {
-    txs: Vec<Sender<WireItem>>,
+    /// The endpoint every [`ChannelMesh::sender`] is a clone of; it holds
+    /// the channels, the throttle and the shared traffic counters.
+    sender: MeshSender,
     rxs: Mutex<Vec<Option<Receiver<WireItem>>>>,
-    throttle: Option<Arc<Throttle>>,
-    bytes_sent: Arc<AtomicU64>,
-    messages_sent: Arc<AtomicU64>,
-    backpressure_ns: Arc<AtomicU64>,
-    telemetry: Telemetry,
 }
 
 impl ChannelMesh {
@@ -93,59 +60,47 @@ impl ChannelMesh {
     pub fn new(consumers: usize, inbox_capacity: usize) -> Self {
         assert!(consumers > 0, "need at least one consumer");
         assert!(inbox_capacity > 0, "inbox capacity must be positive");
-        let mut txs = Vec::with_capacity(consumers);
-        let mut rxs = Vec::with_capacity(consumers);
-        for _ in 0..consumers {
-            let (tx, rx) = bounded(inbox_capacity);
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
+        let (txs, rxs) = (0..consumers)
+            .map(|_| bounded(inbox_capacity))
+            .map(|(tx, rx)| (tx, Some(rx)))
+            .unzip();
         ChannelMesh {
-            txs,
+            sender: MeshSender {
+                txs,
+                throttle: None,
+                bytes_sent: Arc::new(AtomicU64::new(0)),
+                messages_sent: Arc::new(AtomicU64::new(0)),
+                backpressure_ns: Arc::new(AtomicU64::new(0)),
+                telemetry: Telemetry::off(),
+            },
             rxs: Mutex::new(rxs),
-            throttle: None,
-            bytes_sent: Arc::new(AtomicU64::new(0)),
-            messages_sent: Arc::new(AtomicU64::new(0)),
-            backpressure_ns: Arc::new(AtomicU64::new(0)),
-            telemetry: Telemetry::off(),
         }
     }
 
     /// Publish send/stall counters and the in-flight inbox-depth gauge
     /// into `telemetry`; endpoints created afterwards carry the handle.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.sender.telemetry = telemetry;
         self
     }
 
     /// Impose a shared aggregate bandwidth (bytes/s) and per-message
-    /// latency on every send.
+    /// latency on every send: concurrent senders queue on one [`Drain`],
+    /// and the time each sleeps there is its `XmitWait`-style stall.
     pub fn with_throttle(mut self, bytes_per_sec: f64, latency: Duration) -> Self {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
-        self.throttle = Some(Arc::new(Throttle {
-            bytes_per_sec,
-            latency,
-            free_at: Mutex::new(Instant::now()),
-        }));
+        self.sender.throttle = Some(Arc::new(Drain::new(bytes_per_sec, latency)));
         self
     }
 
     /// Number of consumer endpoints.
     pub fn consumers(&self) -> usize {
-        self.txs.len()
+        self.sender.txs.len()
     }
 
     /// A sender handle for one producer rank (cheap to clone internally;
     /// one per producer thread).
     pub fn sender(&self) -> MeshSender {
-        MeshSender {
-            txs: self.txs.clone(),
-            throttle: self.throttle.clone(),
-            bytes_sent: self.bytes_sent.clone(),
-            messages_sent: self.messages_sent.clone(),
-            backpressure_ns: self.backpressure_ns.clone(),
-            telemetry: self.telemetry.clone(),
-        }
+        self.sender.clone()
     }
 
     /// Take the receiver endpoint for consumer `rank`. Each rank's receiver
@@ -161,24 +116,24 @@ impl ChannelMesh {
             .ok_or_else(|| Error::Config(format!("receiver for {rank:?} already taken")))?;
         Ok(MeshReceiver {
             rx,
-            telemetry: self.telemetry.clone(),
+            telemetry: self.sender.telemetry.clone(),
         })
     }
 
     /// Total payload bytes pushed through the mesh.
     pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
+        self.sender.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// Total messages pushed through the mesh.
     pub fn messages_sent(&self) -> u64 {
-        self.messages_sent.load(Ordering::Relaxed)
+        self.sender.messages_sent.load(Ordering::Relaxed)
     }
 
     /// Cumulative time senders spent blocked on full consumer inboxes —
     /// distinct from the bandwidth throttle's transfer time.
     pub fn backpressure(&self) -> Duration {
-        Duration::from_nanos(self.backpressure_ns.load(Ordering::Relaxed))
+        self.sender.backpressure()
     }
 }
 
@@ -223,9 +178,10 @@ pub trait WireSender: Send {
 }
 
 /// Producer-side endpoint: sends wires to any consumer rank.
+#[derive(Clone)]
 pub struct MeshSender {
     txs: Vec<Sender<WireItem>>,
-    throttle: Option<Arc<Throttle>>,
+    throttle: Option<Arc<Drain>>,
     bytes_sent: Arc<AtomicU64>,
     messages_sent: Arc<AtomicU64>,
     backpressure_ns: Arc<AtomicU64>,
@@ -233,20 +189,6 @@ pub struct MeshSender {
 }
 
 impl WireSender for MeshSender {
-    fn send(&self, to: Rank, wire: Wire) -> Result<()> {
-        MeshSender::send(self, to, wire)
-    }
-
-    fn send_fault(&self, to: Rank, fault: RuntimeError) -> Result<()> {
-        MeshSender::send_fault(self, to, fault)
-    }
-
-    fn consumers(&self) -> usize {
-        self.txs.len()
-    }
-}
-
-impl MeshSender {
     /// Send one wire to consumer `to`, blocking on inbox backpressure and
     /// then the bandwidth throttle.
     ///
@@ -255,7 +197,7 @@ impl MeshSender {
     /// meant a failed send still reserved bandwidth for every other sender,
     /// and a full inbox delayed twice (throttle sleep, then blocking send).
     /// Inbox-blocked time is recorded separately as backpressure.
-    pub fn send(&self, to: Rank, wire: Wire) -> Result<()> {
+    fn send(&self, to: Rank, wire: Wire) -> Result<()> {
         use crossbeam::channel::TrySendError;
         let bytes = wire.wire_bytes();
         let tx = self
@@ -293,10 +235,9 @@ impl MeshSender {
         Ok(())
     }
 
-    /// Forward a typed runtime fault in-band to consumer `to`, so it is
-    /// ordered with the data stream. Best-effort: a full inbox blocks, a
+    /// Ships the typed fault itself. Best-effort: a full inbox blocks, a
     /// disconnected one reports.
-    pub fn send_fault(&self, to: Rank, fault: RuntimeError) -> Result<()> {
+    fn send_fault(&self, to: Rank, fault: RuntimeError) -> Result<()> {
         self.txs
             .get(to.idx())
             .ok_or(Error::Disconnected("unknown consumer rank"))?
@@ -306,34 +247,16 @@ impl MeshSender {
         Ok(())
     }
 
-    /// Announce `channel`'s end-of-stream from producer `rank` to
-    /// `targets`, attempting all of them (see [`WireSender::send_eos`]).
-    pub fn send_eos(&self, rank: Rank, channel: Channel, targets: &[Rank]) -> Result<()> {
-        WireSender::send_eos(self, rank, channel, targets)
-    }
-
-    /// Number of consumer endpoints.
-    pub fn consumers(&self) -> usize {
+    fn consumers(&self) -> usize {
         self.txs.len()
     }
+}
 
+impl MeshSender {
     /// Cumulative time this endpoint's clones spent blocked on full
     /// consumer inboxes.
     pub fn backpressure(&self) -> Duration {
         Duration::from_nanos(self.backpressure_ns.load(Ordering::Relaxed))
-    }
-}
-
-impl Clone for MeshSender {
-    fn clone(&self) -> Self {
-        MeshSender {
-            txs: self.txs.clone(),
-            throttle: self.throttle.clone(),
-            bytes_sent: self.bytes_sent.clone(),
-            messages_sent: self.messages_sent.clone(),
-            backpressure_ns: self.backpressure_ns.clone(),
-            telemetry: self.telemetry.clone(),
-        }
     }
 }
 
@@ -397,7 +320,9 @@ pub struct RetryingSender<S> {
     inner: S,
     policy: RetryPolicy,
     retries: Arc<AtomicU64>,
-    rec: Option<Mutex<LaneRecorder>>,
+    /// Backoffs are `Retry` spans here; inert unless
+    /// [`RetryingSender::traced`].
+    rec: Mutex<LaneRecorder>,
     telemetry: Telemetry,
 }
 
@@ -407,7 +332,7 @@ impl<S: WireSender> RetryingSender<S> {
             inner,
             policy,
             retries: Arc::new(AtomicU64::new(0)),
-            rec: None,
+            rec: Mutex::new(LaneRecorder::inert()),
             telemetry: Telemetry::off(),
         }
     }
@@ -415,7 +340,7 @@ impl<S: WireSender> RetryingSender<S> {
     /// Record backoff sleeps as `Retry` spans on the sink lane `label`
     /// and into the sink's stall-time telemetry.
     pub fn traced(mut self, sink: &TraceSink, label: impl Into<String>) -> Self {
-        self.rec = Some(Mutex::new(sink.recorder(label)));
+        self.rec = Mutex::new(sink.recorder(label));
         self.telemetry = sink.telemetry().clone();
         self
     }
@@ -430,51 +355,27 @@ impl<S: WireSender> RetryingSender<S> {
         self.retries.load(Ordering::Relaxed)
     }
 
-    fn backoff(&self, attempt: u32, seed: u64) {
-        let delay = self.policy.backoff(attempt, seed);
+    /// Count, charge to the stall telemetry and sleep one backoff, as a
+    /// `Retry` span when a lane is attached.
+    fn pause(&self, delay: Duration) {
+        self.retries.fetch_add(1, Ordering::Relaxed);
         self.telemetry.add_time(CounterId::RetrySleepNs, delay);
-        let sleep = || {
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        };
-        match &self.rec {
-            Some(rec) => {
-                // Buffer like every other lane (merged at drop/flush):
-                // eager flushing bypassed the lane-local buffers and broke
-                // span ordering invariants in exported traces.
-                rec.lock().time(SpanKind::Retry, sleep);
-            }
-            None => sleep(),
-        }
+        self.rec
+            .lock()
+            .time(SpanKind::Retry, || std::thread::sleep(delay));
     }
 }
 
 impl<S: WireSender> WireSender for RetryingSender<S> {
     fn send(&self, to: Rank, wire: Wire) -> Result<()> {
-        let mut attempt = 1u32;
-        let mut faults: Vec<Error> = Vec::new();
-        loop {
-            match self.inner.send(to, wire.clone()) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    faults.push(e);
-                    if !self.policy.should_retry(attempt) {
-                        // Exhausted: surface the whole failure history, not
-                        // just the last straw. A single-attempt policy keeps
-                        // its one error plain.
-                        return Err(if faults.len() == 1 {
-                            faults.pop().expect("one fault")
-                        } else {
-                            Error::Aggregate(faults)
-                        });
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff(attempt, u64::from(to.0));
-                    attempt += 1;
-                }
-            }
-        }
+        // No send error is permanent: a dead consumer costs the budget once
+        // and is then skipped by the sender thread.
+        self.policy.run(
+            u64::from(to.0),
+            |_| false,
+            |delay| self.pause(delay),
+            || self.inner.send(to, wire.clone()),
+        )
     }
 
     fn send_fault(&self, to: Rank, fault: RuntimeError) -> Result<()> {

@@ -413,17 +413,12 @@ impl TcpSender {
     ) -> Result<Self> {
         let mut conns = Vec::with_capacity(addrs.len());
         for (i, a) in addrs.iter().enumerate() {
-            let mut attempt = 1u32;
-            let s = loop {
-                match TcpStream::connect_timeout(a, timeout) {
-                    Ok(s) => break s,
-                    Err(_) if policy.should_retry(attempt) => {
-                        std::thread::sleep(policy.backoff(attempt, i as u64));
-                        attempt += 1;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
+            let s = policy.run(
+                i as u64,
+                |_| false,
+                std::thread::sleep,
+                || Ok(TcpStream::connect_timeout(a, timeout)?),
+            )?;
             s.set_nodelay(true)?;
             s.set_write_timeout(Some(timeout))?;
             conns.push(Mutex::new(Conn {

@@ -24,4 +24,4 @@ pub use chaos::ChaosFs;
 pub use model::{OstModel, OstModelConfig};
 pub use retry::RetryingFs;
 pub use storage::{DiskFs, MemFs, Storage};
-pub use throttle::{FailingFs, ThrottledFs};
+pub use throttle::{Drain, FailingFs, ThrottledFs};

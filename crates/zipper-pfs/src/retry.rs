@@ -25,7 +25,8 @@ pub struct RetryingFs<S> {
     inner: S,
     policy: RetryPolicy,
     retries: AtomicU64,
-    rec: Option<Mutex<LaneRecorder>>,
+    /// Backoffs are `Retry` spans here; inert unless [`RetryingFs::traced`].
+    rec: Mutex<LaneRecorder>,
     telemetry: Telemetry,
 }
 
@@ -36,7 +37,7 @@ impl<S: Storage> RetryingFs<S> {
             inner,
             policy,
             retries: AtomicU64::new(0),
-            rec: None,
+            rec: Mutex::new(LaneRecorder::inert()),
             telemetry: Telemetry::off(),
         }
     }
@@ -50,11 +51,9 @@ impl<S: Storage> RetryingFs<S> {
         label: impl Into<String>,
     ) -> Self {
         RetryingFs {
-            inner,
-            policy,
-            retries: AtomicU64::new(0),
-            rec: Some(Mutex::new(sink.recorder(label.into()))),
+            rec: Mutex::new(sink.recorder(label.into())),
             telemetry: sink.telemetry().clone(),
+            ..Self::new(inner, policy)
         }
     }
 
@@ -63,47 +62,19 @@ impl<S: Storage> RetryingFs<S> {
         &self.inner
     }
 
-    fn backoff(&self, attempt: u32, seed: u64) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        let delay = self.policy.backoff(attempt, seed);
-        self.telemetry.add_time(CounterId::RetrySleepNs, delay);
-        match &self.rec {
-            Some(rec) => {
-                // Buffer like every other lane (merged at drop/flush):
-                // eager flushing bypassed the lane-local buffers and broke
-                // span ordering invariants in exported traces.
-                rec.lock()
-                    .time(SpanKind::Retry, || std::thread::sleep(delay));
-            }
-            None => std::thread::sleep(delay),
-        }
-    }
-
-    fn run<T>(&self, seed: u64, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-        let mut attempt = 1u32;
-        let mut faults: Vec<Error> = Vec::new();
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                // A missing block is a permanent condition.
-                Err(e @ Error::BlockNotFound(_)) => return Err(e),
-                Err(e) => {
-                    faults.push(e);
-                    if !self.policy.should_retry(attempt) {
-                        // Exhausted: surface the whole failure history, not
-                        // just the last straw. A single-attempt policy keeps
-                        // its one error plain.
-                        return Err(if faults.len() == 1 {
-                            faults.pop().expect("one fault")
-                        } else {
-                            Error::Aggregate(faults)
-                        });
-                    }
-                    self.backoff(attempt, seed);
-                    attempt += 1;
-                }
-            }
-        }
+    /// Retry `op` under the policy ([`RetryPolicy::run`]); a missing block
+    /// is a permanent condition. Every backoff is counted, charged to the
+    /// stall telemetry and slept as a `Retry` span.
+    fn run<T>(&self, seed: u64, op: impl FnMut() -> Result<T>) -> Result<T> {
+        let pause = |delay| {
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.add_time(CounterId::RetrySleepNs, delay);
+            self.rec
+                .lock()
+                .time(SpanKind::Retry, || std::thread::sleep(delay));
+        };
+        self.policy
+            .run(seed, |e| matches!(e, Error::BlockNotFound(_)), pause, op)
     }
 }
 

@@ -20,17 +20,58 @@ use std::time::{Duration, Instant};
 use zipper_trace::{CounterId, HistogramId, Telemetry};
 use zipper_types::{Block, BlockId, Result};
 
+/// One shared-bandwidth drain: a timeline on which every transfer reserves
+/// `bytes / bytes_per_sec` after the previous reservation ends, so
+/// concurrent chargers queue on one aggregate bandwidth — [`ThrottledFs`]'s
+/// puts and gets on one, the threaded runtime's mesh sends on another.
+pub struct Drain {
+    bytes_per_sec: f64,
+    /// Fixed cost added to every charge (metadata round trip, per-message
+    /// latency); it does not occupy the timeline.
+    latency: Duration,
+    /// The instant at which the timeline is next free. Shared across
+    /// threads — this is the contention point.
+    free_at: Mutex<Instant>,
+}
+
+impl Drain {
+    /// A drain of `bytes_per_sec` aggregate bandwidth and `latency` fixed
+    /// cost per charge.
+    pub fn new(bytes_per_sec: f64, latency: Duration) -> Self {
+        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
+        Drain {
+            bytes_per_sec,
+            latency,
+            free_at: Mutex::new(Instant::now()),
+        }
+    }
+
+    /// Reserve `bytes` on the shared timeline and sleep until the
+    /// reservation completes. Returns the time actually waited.
+    pub fn charge(&self, bytes: u64) -> Duration {
+        let xfer = Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
+        let now = Instant::now();
+        let finish = {
+            let mut free = self.free_at.lock();
+            let start = (*free).max(now);
+            let finish = start + xfer;
+            *free = finish;
+            finish
+        };
+        let deadline = finish + self.latency;
+        let waited = deadline.saturating_duration_since(now);
+        if !waited.is_zero() {
+            std::thread::sleep(waited);
+        }
+        waited
+    }
+}
+
 /// A [`Storage`] decorator imposing a shared aggregate bandwidth and a
 /// per-operation latency.
 pub struct ThrottledFs<S> {
     inner: S,
-    /// Aggregate bandwidth in bytes/second shared by all operations.
-    bytes_per_sec: f64,
-    /// Fixed per-operation latency (metadata round trip).
-    op_latency: Duration,
-    /// The single drain: the instant at which the bandwidth timeline is
-    /// next free. Shared across threads — this is the contention point.
-    free_at: Mutex<Instant>,
+    drain: Drain,
     /// Stall-time and write-size metrics; off by default.
     telemetry: Telemetry,
 }
@@ -39,12 +80,9 @@ impl<S: Storage> ThrottledFs<S> {
     /// Wrap `inner`, limiting it to `bytes_per_sec` aggregate bandwidth
     /// with `op_latency` fixed cost per operation.
     pub fn new(inner: S, bytes_per_sec: f64, op_latency: Duration) -> Self {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
         ThrottledFs {
             inner,
-            bytes_per_sec,
-            op_latency,
-            free_at: Mutex::new(Instant::now()),
+            drain: Drain::new(bytes_per_sec, op_latency),
             telemetry: Telemetry::off(),
         }
     }
@@ -56,25 +94,9 @@ impl<S: Storage> ThrottledFs<S> {
         self
     }
 
-    /// Reserve `bytes` on the shared timeline and sleep until the
-    /// reservation completes. Returns the time actually waited.
-    fn charge(&self, bytes: u64) -> Duration {
-        let xfer = Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
-        let now = Instant::now();
-        let finish = {
-            let mut free = self.free_at.lock();
-            let start = (*free).max(now);
-            let finish = start + xfer;
-            *free = finish;
-            finish
-        };
-        let deadline = finish + self.op_latency;
-        let waited = deadline.saturating_duration_since(now);
-        if !waited.is_zero() {
-            std::thread::sleep(waited);
-        }
+    fn charge(&self, bytes: u64) {
+        let waited = self.drain.charge(bytes);
         self.telemetry.add_time(CounterId::PfsStallNs, waited);
-        waited
     }
 
     /// Access the wrapped backend.
@@ -236,6 +258,27 @@ mod tests {
         let dt = t0.elapsed();
         assert!(dt >= Duration::from_millis(95), "took only {dt:?}");
         assert_eq!(fs.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_chargers_queue_on_one_timeline() {
+        // Two chargers of b bytes at B bytes/s: whoever reserves second
+        // starts where the first ends, so both are done no earlier than
+        // 2b/B after the first started (each alone needs only b/B).
+        let (b, rate) = (500_000u64, 10e6);
+        let drain = std::sync::Arc::new(Drain::new(rate, Duration::ZERO));
+        let t0 = Instant::now();
+        let chargers: Vec<_> = (0..2)
+            .map(|_| {
+                let drain = drain.clone();
+                std::thread::spawn(move || drain.charge(b))
+            })
+            .collect();
+        for h in chargers {
+            h.join().unwrap();
+        }
+        let whole = Duration::from_secs_f64(2.0 * b as f64 / rate);
+        assert!(t0.elapsed() >= whole, "took only {:?}", t0.elapsed());
     }
 
     #[test]

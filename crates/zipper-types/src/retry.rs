@@ -1,12 +1,14 @@
 //! Bounded retry with exponential backoff and deterministic jitter.
 //!
 //! Every fail-soft layer of the runtime (transport sends, TCP connects,
-//! PFS writes) shares this one policy type so operators tune retries in a
-//! single vocabulary. Jitter is derived from a caller-provided seed with a
+//! PFS writes) shares this one policy type — and its one retry loop,
+//! [`RetryPolicy::run`] — so operators tune retries in a single
+//! vocabulary. Jitter is derived from a caller-provided seed with a
 //! splitmix-style hash — no RNG state, no `rand` dependency, and the same
 //! (seed, attempt) pair always yields the same delay, which keeps the
 //! failure-injection tests reproducible.
 
+use crate::error::{Error, Result};
 use std::time::Duration;
 
 /// A bounded-retry policy: how many attempts, and how to back off between
@@ -57,15 +59,49 @@ impl RetryPolicy {
         }
     }
 
+    /// The bounded-retry loop of every fail-soft layer: call `op` until it
+    /// succeeds, fails with an error `permanent` says waiting cannot cure
+    /// (returned as it came), or the attempt budget is spent. Between
+    /// attempts `pause` is handed the backoff for `(attempt, seed)` — it
+    /// sleeps, and records the retry however its layer does. Exhaustion
+    /// surfaces the whole failure history as [`Error::Aggregate`], one
+    /// fault per attempt in order; a single fault stays plain.
+    pub fn run<T>(
+        &self,
+        seed: u64,
+        permanent: impl Fn(&Error) -> bool,
+        mut pause: impl FnMut(Duration),
+        mut op: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        let mut attempt = 1u32;
+        let mut faults: Vec<Error> = Vec::new();
+        loop {
+            match op() {
+                Ok(v) => return Ok(v),
+                Err(e) if permanent(&e) => return Err(e),
+                Err(e) => faults.push(e),
+            }
+            if !self.should_retry(attempt) {
+                return Err(if faults.len() == 1 {
+                    faults.pop().expect("one fault")
+                } else {
+                    Error::Aggregate(faults)
+                });
+            }
+            pause(self.backoff(attempt, seed));
+            attempt += 1;
+        }
+    }
+
     /// Whether a failed `attempt` (1-based) should be retried.
-    pub fn should_retry(&self, attempt: u32) -> bool {
+    fn should_retry(&self, attempt: u32) -> bool {
         attempt < self.max_attempts
     }
 
     /// Backoff to sleep after failed `attempt` (1-based): exponential in
     /// the attempt number, capped at `max_delay`, plus deterministic
     /// jitter derived from `seed`.
-    pub fn backoff(&self, attempt: u32, seed: u64) -> Duration {
+    fn backoff(&self, attempt: u32, seed: u64) -> Duration {
         if self.base_delay.is_zero() {
             return Duration::ZERO;
         }
@@ -139,5 +175,79 @@ mod tests {
         assert!(p.should_retry(1));
         assert!(p.should_retry(2));
         assert!(!p.should_retry(3));
+    }
+
+    /// `op` failing its first `fail_first` calls, run under `p`; returns
+    /// the outcome, the calls made and the backoffs `pause` was handed.
+    fn run_flaky(
+        p: &RetryPolicy,
+        seed: u64,
+        fail_first: u32,
+        fault: impl Fn(u32) -> Error,
+    ) -> (Result<u32>, u32, Vec<Duration>) {
+        let mut calls = 0u32;
+        let mut pauses = Vec::new();
+        let out = p.run(
+            seed,
+            |e| matches!(e, Error::BlockNotFound(_)),
+            |d| pauses.push(d),
+            || {
+                calls += 1;
+                if calls <= fail_first {
+                    Err(fault(calls))
+                } else {
+                    Ok(calls)
+                }
+            },
+        );
+        (out, calls, pauses)
+    }
+
+    #[test]
+    fn run_pauses_once_per_fault_with_the_attempt_seed_sequence() {
+        let p = RetryPolicy::new(5, Duration::from_millis(2), Duration::from_millis(64));
+        for k in 0..4u32 {
+            let (out, calls, pauses) = run_flaky(&p, 9, k, |_| Error::Storage("flaky".into()));
+            assert_eq!(out.unwrap(), k + 1, "succeeds on attempt k + 1");
+            assert_eq!(calls, k + 1);
+            let want: Vec<Duration> = (1..=k).map(|attempt| p.backoff(attempt, 9)).collect();
+            assert_eq!(pauses, want, "k faults, k backoffs, (attempt, seed) order");
+        }
+    }
+
+    #[test]
+    fn run_exhaustion_returns_every_attempts_fault_in_order() {
+        let p = RetryPolicy::new(3, Duration::from_micros(1), Duration::from_micros(4));
+        let (out, calls, pauses) = run_flaky(&p, 0, u32::MAX, |n| Error::Storage(format!("#{n}")));
+        assert_eq!((calls, pauses.len()), (3, 2), "attempts - 1 backoffs");
+        match out.unwrap_err() {
+            Error::Aggregate(faults) => {
+                let texts: Vec<String> = faults.iter().map(|f| f.to_string()).collect();
+                assert_eq!(
+                    texts,
+                    [
+                        "storage error: #1",
+                        "storage error: #2",
+                        "storage error: #3"
+                    ]
+                );
+            }
+            other => panic!("expected Aggregate, got {other:?}"),
+        }
+        // A single-attempt policy keeps the lone error un-wrapped.
+        let (out, calls, pauses) =
+            run_flaky(&RetryPolicy::none(), 0, u32::MAX, |_| Error::Timeout("t"));
+        assert!(matches!(out.unwrap_err(), Error::Timeout(_)));
+        assert_eq!((calls, pauses.len()), (1, 0));
+    }
+
+    #[test]
+    fn run_returns_a_permanent_error_after_one_attempt() {
+        use crate::ids::{BlockId, Rank, StepId};
+        let p = RetryPolicy::new(5, Duration::from_millis(1), Duration::from_millis(8));
+        let missing = BlockId::new(Rank(9), StepId(9), 9);
+        let (out, calls, pauses) = run_flaky(&p, 0, u32::MAX, |_| Error::BlockNotFound(missing));
+        assert!(matches!(out.unwrap_err(), Error::BlockNotFound(id) if id == missing));
+        assert_eq!((calls, pauses.len()), (1, 0), "no retry, no backoff");
     }
 }

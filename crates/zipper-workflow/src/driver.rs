@@ -124,12 +124,10 @@ impl StorageOptions {
 #[derive(Clone, Copy, Debug)]
 pub struct TraceOptions {
     /// How much the shared sink records (default: per-lane totals, which
-    /// is what the derived metrics need and costs O(lanes) memory).
+    /// is what the derived metrics need and costs O(lanes) memory). A mode
+    /// that keeps spans also records the wire-level `net/p{rank}` lanes
+    /// ([`TracedSender`]) — there is no separate switch for them.
     pub mode: TraceMode,
-    /// Also record wire-level `net/p{rank}` lanes (each producer's mesh
-    /// endpoint wrapped in a [`TracedSender`]). Only meaningful when the
-    /// mode keeps spans — it exists to put wire time on the timeline.
-    pub wire_lanes: bool,
     /// Collect congestion metrics (stall counters, queue-depth gauges,
     /// size histograms) and sample them periodically into
     /// [`WorkflowReport::samples`]. Independent of `mode`: metrics work
@@ -157,7 +155,6 @@ impl Default for TraceOptions {
     fn default() -> Self {
         TraceOptions {
             mode: TraceMode::Totals,
-            wire_lanes: false,
             telemetry: false,
             sample_period: Duration::from_millis(10),
             policy: false,
@@ -181,7 +178,6 @@ impl TraceOptions {
     pub fn full() -> Self {
         TraceOptions {
             mode: TraceMode::Full,
-            wire_lanes: true,
             ..Default::default()
         }
     }
@@ -538,7 +534,7 @@ where
             Some(scope) => Box::new(ChaosSender::new(mesh.sender(), scope)),
             None => Box::new(mesh.sender()),
         };
-        let traced: Box<dyn WireSender> = if trace.wire_lanes && trace.mode.enabled() {
+        let traced: Box<dyn WireSender> = if trace.mode.keeps_spans() {
             Box::new(TracedSender::new(base, &sink, format!("net/p{p}")))
         } else {
             base

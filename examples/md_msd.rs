@@ -14,7 +14,8 @@
 use std::collections::BTreeMap;
 use zipper_apps::analysis::mean_squared_displacement;
 use zipper_apps::md::{decode_positions, LjMd};
-use zipper_types::{Block, ByteSize, GlobalPos, StepId, WorkflowConfig};
+use zipper_core::StepAssembler;
+use zipper_types::{ByteSize, GlobalPos, StepId, WorkflowConfig};
 use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions};
 
 const STEPS: u64 = 10;
@@ -60,29 +61,19 @@ fn main() {
         move |_rank, reader| {
             // Reassemble each (rank, step) slab from its fine-grain blocks,
             // then compute the MSD against the rank's initial lattice.
-            let mut partial: BTreeMap<(u32, u64), Vec<Option<Block>>> = BTreeMap::new();
+            let mut slabs = StepAssembler::new();
             let mut msd: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
             while let Some(block) = reader.read() {
-                let key = (block.id().src.0, block.id().step.0);
-                let n = block.header.blocks_in_step as usize;
-                let idx = block.id().idx as usize;
-                let slot = partial.entry(key).or_insert_with(|| vec![None; n]);
-                slot[idx] = Some(block);
-                if slot.iter().all(Option::is_some) {
+                if let Some(slab) = slabs.offer(block) {
                     // Slab complete: decode and analyze.
-                    let slot = partial.remove(&key).unwrap();
-                    let mut bytes = Vec::new();
-                    for b in slot.into_iter().flatten() {
-                        bytes.extend_from_slice(&b.payload);
-                    }
-                    let positions = decode_positions(&bytes);
-                    let md0 = reference(key.0);
+                    let positions = decode_positions(&slab.bytes);
+                    let md0 = reference(slab.src.0);
                     let value =
                         mean_squared_displacement(&positions, md0.positions(), md0.box_len());
-                    msd.entry(key.1).or_default().push(value);
+                    msd.entry(slab.step.0).or_default().push(value);
                 }
             }
-            assert!(partial.is_empty(), "incomplete slabs left behind");
+            assert!(slabs.is_drained(), "incomplete slabs left behind");
             msd
         },
     );
