@@ -130,18 +130,22 @@ pub struct Simulator {
     /// Virtual-clock sampling probe, fired on period boundaries as events
     /// execute.
     probe: Option<Probe>,
-    /// Cross-entity causal edges; off unless [`Simulator::enable_causal`]
-    /// ran. Message consumptions become Wire edges (token = tag, for
-    /// model-level reclassification), labeled-buffer handoffs become Queue
-    /// edges, PFS reads become Pfs self-edges, and scripted flow-control
-    /// holds become Gate self-edges — the same taxonomy the threaded
-    /// runtime records, under the virtual clock.
-    causal: Option<CausalLog>,
+    /// Cross-entity causal edges and the model's message classifier; off
+    /// unless [`Simulator::enable_causal`] ran. Consumed messages become
+    /// the edges the classifier names (token = tag), queue handoffs Queue
+    /// edges, PFS reads Pfs self-edges, and scripted flow-control holds
+    /// Gate self-edges — the threaded runtime's taxonomy, virtual clock.
+    causal: Option<(CausalLog, MessageKind)>,
     /// Token source for self-edges that have no natural identity.
     causal_seq: u64,
-    /// Queue labels by [`BufId`]; only labeled buffers record Queue edges.
-    queue_labels: Vec<Option<String>>,
+    /// By [`BufId`], for [`Simulator::record_queue`]'s buffers: who put
+    /// each buffered item when, in the buffer's item order (a requeue's
+    /// stamp goes to the front). Filled only while causal recording is on.
+    queue_puts: Vec<Option<VecDeque<(LaneId, SimTime)>>>,
 }
+
+/// The causal edge a consumed message's tag names (`None`: no edge).
+type MessageKind = fn(u64) -> Option<EdgeKind>;
 
 impl Simulator {
     pub fn new(cfg: SimConfig) -> Self {
@@ -167,35 +171,32 @@ impl Simulator {
             probe: None,
             causal: None,
             causal_seq: 0,
-            queue_labels: Vec::new(),
+            queue_puts: Vec::new(),
         }
     }
 
-    /// Turn on causal edge recording (see [`zipper_trace::CausalLog`]).
-    /// Enable *before* the run; edges are recorded as events execute.
-    pub fn enable_causal(&mut self) {
-        self.causal = Some(CausalLog::new());
-    }
-
-    /// The causal edge log (None unless [`Simulator::enable_causal`] ran).
-    pub fn causal(&self) -> Option<&CausalLog> {
-        self.causal.as_ref()
+    /// Turn on causal edge recording (see [`zipper_trace::CausalLog`]),
+    /// with `message_kind` naming the edge a consumed message's tag is
+    /// (`None`: no edge — the model owns the tag scheme). Enable *before*
+    /// the run; edges are recorded as events execute.
+    pub fn enable_causal(&mut self, message_kind: fn(u64) -> Option<EdgeKind>) {
+        self.causal = Some((CausalLog::new(), message_kind));
     }
 
     /// Take the causal log out of the simulator for post-run analysis.
     pub fn take_causal(&mut self) -> Option<CausalLog> {
-        self.causal.take()
+        self.causal.take().map(|(log, _)| log)
     }
 
-    /// Name a buffer as a causal queue: put/take handoffs through it are
-    /// recorded as Queue edges under `label`. Unlabeled buffers stay
-    /// silent (e.g. a Preserve-mode output queue the threaded runtime
-    /// does not instrument either).
-    pub fn label_queue(&mut self, buf: BufId, label: impl Into<String>) {
-        if self.queue_labels.len() <= buf {
-            self.queue_labels.resize_with(buf + 1, || None);
+    /// Make `buf` a causal queue: each take from it is recorded as a Queue
+    /// edge from the taken item's put. Other buffers stay silent (e.g. a
+    /// Preserve-mode output queue the threaded runtime does not
+    /// instrument either).
+    pub fn record_queue(&mut self, buf: BufId) {
+        if self.queue_puts.len() <= buf {
+            self.queue_puts.resize_with(buf + 1, || None);
         }
-        self.queue_labels[buf] = Some(label.into());
+        self.queue_puts[buf] = Some(VecDeque::new());
     }
 
     fn next_causal_token(&mut self) -> u64 {
@@ -203,29 +204,49 @@ impl Simulator {
         self.causal_seq
     }
 
-    /// A message was consumed by a receive: record the send→receive edge,
-    /// spanning sender injection to consumption. Token = tag, so a model
-    /// layer can reclassify by message kind afterwards.
+    /// A message was consumed by a receive: record the send→receive edge
+    /// the model's classifier names, spanning sender injection to
+    /// consumption. Token = tag.
     fn causal_wire(&mut self, to: ProcId, msg: &MsgMeta) {
-        if let Some(c) = self.causal.as_mut() {
+        if let Some((c, message_kind)) = self.causal.as_mut() {
+            let Some(kind) = message_kind(msg.tag) else {
+                return;
+            };
             let src = self.trace.lane_label(self.procs[msg.from.idx()].lane);
             let dst = self.trace.lane_label(self.procs[to.idx()].lane);
-            c.edge_at(EdgeKind::Wire, src, msg.sent_at, dst, self.now, msg.tag);
+            c.edge_at(kind, src, msg.sent_at, dst, self.now, msg.tag);
         }
     }
 
-    /// A labeled buffer moved an item: record the push or pop half of the
-    /// queue-handoff edge at the current virtual time.
-    fn causal_queue(&mut self, buf: BufId, pid: ProcId, push: bool) {
-        if let Some(c) = self.causal.as_mut() {
-            if let Some(Some(label)) = self.queue_labels.get(buf) {
-                let lane = self.trace.lane_label(self.procs[pid.idx()].lane);
-                if push {
-                    c.queue_push(label, lane, self.now);
-                } else {
-                    c.queue_pop(label, lane, self.now);
-                }
+    /// `pid` put an item into buffer `buf` just now — at the back, or at
+    /// the front for a requeue.
+    fn causal_put(&mut self, buf: BufId, pid: ProcId, front: bool) {
+        if self.causal.is_none() {
+            return;
+        }
+        if let Some(Some(puts)) = self.queue_puts.get_mut(buf) {
+            let stamp = (self.procs[pid.idx()].lane, self.now);
+            if front {
+                puts.push_front(stamp);
+            } else {
+                puts.push_back(stamp);
             }
+        }
+    }
+
+    /// `pid` took `item` from the front of buffer `buf` just now: record
+    /// the whole queue edge from the item's put.
+    fn causal_take(&mut self, buf: BufId, pid: ProcId, item: BufItem) {
+        let Some((c, _)) = &mut self.causal else {
+            return;
+        };
+        let Some(Some(puts)) = self.queue_puts.get_mut(buf) else {
+            return;
+        };
+        if let Some((src, src_t)) = puts.pop_front() {
+            let src = self.trace.lane_label(src);
+            let dst = self.trace.lane_label(self.procs[pid.idx()].lane);
+            c.edge_at(EdgeKind::Queue, src, src_t, dst, self.now, item.token);
         }
     }
 
@@ -238,7 +259,7 @@ impl Simulator {
         t1: SimTime,
         token: u64,
     ) {
-        if let Some(c) = self.causal.as_mut() {
+        if let Some((c, _)) = self.causal.as_mut() {
             let lane = self.trace.lane_label(self.procs[pid.idx()].lane);
             c.edge_at(kind, lane, t0, lane, t1, token);
         }
@@ -583,7 +604,7 @@ impl Simulator {
                     slot.state = ProcState::Ready;
                     let lane = slot.lane;
                     self.record(lane, kind, since, self.now, Span::NO_STEP);
-                    self.causal_queue(buf, proc, false);
+                    self.causal_take(buf, proc, item);
                     self.push_event(self.now, Event::Resume(proc));
                 }
                 BufferWake::TakerClosed { proc, since } => {
@@ -606,9 +627,9 @@ impl Simulator {
                     let lane = slot.lane;
                     // A blocked put is the paper's producer stall. The
                     // parked item entered the buffer just now, so this is
-                    // also where its queue-push lands.
+                    // also where its queue edge starts.
                     self.record(lane, SpanKind::Stall, since, self.now, Span::NO_STEP);
-                    self.causal_queue(buf, proc, true);
+                    self.causal_put(buf, proc, false);
                     self.push_event(self.now, Event::Resume(proc));
                 }
             }
@@ -957,7 +978,7 @@ impl Simulator {
             Op::BufferPut { buf, bytes, token } => {
                 match self.buffers[buf].put(pid, BufItem { bytes, token }, now) {
                     Some(wakes) => {
-                        self.causal_queue(buf, pid, true);
+                        self.causal_put(buf, pid, false);
                         self.apply_buffer_wakes(buf, wakes);
                         true
                     }
@@ -976,8 +997,8 @@ impl Simulator {
                 kind,
             } => match self.buffers[buf].take(pid, min_occupancy, now) {
                 Ok((item, wakes)) => {
-                    if item.is_some() {
-                        self.causal_queue(buf, pid, false);
+                    if let Some(i) = item {
+                        self.causal_take(buf, pid, i);
                     }
                     self.procs[pid.idx()].last_take = Some(match item {
                         Some(i) => BufferTaken::Item {
@@ -1002,7 +1023,7 @@ impl Simulator {
             }
             Op::BufferRequeue { buf, bytes, token } => {
                 let wakes = self.buffers[buf].requeue(BufItem { bytes, token });
-                self.causal_queue(buf, pid, true);
+                self.causal_put(buf, pid, true);
                 self.apply_buffer_wakes(buf, wakes);
                 true
             }
@@ -1805,6 +1826,71 @@ mod tests {
         );
         let r = sim.run();
         assert!(r.is_clean(), "{r:?}");
+    }
+
+    #[test]
+    fn requeue_starts_the_next_takes_queue_edge_on_the_requeuer() {
+        let mut sim = small_sim();
+        sim.enable_causal(|_| Some(EdgeKind::Wire));
+        let buf = sim.add_buffer(4);
+        sim.record_queue(buf);
+        let put = |token| Op::BufferPut {
+            buf,
+            bytes: 1,
+            token,
+        };
+        let take = || Op::BufferTake {
+            buf,
+            min_occupancy: 1,
+            kind: SpanKind::Idle,
+        };
+        let wait = |ms| Op::Compute {
+            dur: SimTime::from_millis(ms),
+            kind: SpanKind::Compute,
+            step: 0,
+        };
+        sim.spawn(NodeId(0), "app", RunOnce::new(vec![put(1), put(2)]));
+        sim.spawn(
+            NodeId(1),
+            "writer",
+            RunOnce::new(vec![
+                wait(1),
+                Op::BufferRequeue {
+                    buf,
+                    bytes: 1,
+                    token: 9,
+                },
+            ]),
+        );
+        sim.spawn(
+            NodeId(2),
+            "send",
+            RunOnce::new(vec![wait(2), take(), take(), take()]),
+        );
+        let r = sim.run();
+        assert!(r.is_clean(), "{r:?}");
+        let log = sim.take_causal().unwrap();
+        let edges: Vec<_> = log
+            .edges()
+            .map(|e| {
+                (
+                    e.token,
+                    e.src_lane,
+                    e.src_t.as_nanos() / 1_000_000,
+                    e.dst_lane,
+                )
+            })
+            .collect();
+        // The requeued item went to the front of a buffer already holding
+        // two: the first take is its edge, from the requeuer at 1 ms.
+        assert_eq!(
+            edges,
+            [
+                (9, "writer", 1, "send"),
+                (1, "app", 0, "send"),
+                (2, "app", 0, "send")
+            ]
+        );
     }
 
     #[test]

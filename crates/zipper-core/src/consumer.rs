@@ -90,7 +90,7 @@ pub struct ZipperReader {
     /// This consumer's `Analysis` chaos scope: scripted read ordinals
     /// panic ([`ChaosFault::CrashApp`]) before any block is taken.
     chaos: Option<Arc<ChaosScope>>,
-    /// Edge recording for queue handoffs (pop side of the FIFO join).
+    /// Edge recording for queue handoffs (pop side).
     causal: CausalSink,
     queue_label: String,
     app_label: String,
@@ -153,7 +153,8 @@ impl ZipperReader {
             Some(b) => {
                 g.step = b.id().step.0;
                 g.rec.mark();
-                self.causal.queue_pop(&self.queue_label, &self.app_label);
+                self.causal
+                    .queue_pop(&self.queue_label, causal_token(b.id()), &self.app_label);
                 if let Some(log) = &self.delivered {
                     log.lock().push(b.id());
                 }
@@ -245,6 +246,7 @@ impl ConsumerRecovery {
         fetch_timeout: std::time::Duration,
     ) -> zipper_types::Result<usize> {
         let ids = std::mem::take(&mut *self.delivered.lock());
+        let (queue, lane) = (consumer_queue(self.rank), analysis_lane(self.rank));
         // Requeue in reverse: the last push_front ends up first, so the
         // fresh reader re-reads the backlog in the original order.
         for id in ids.iter().rev() {
@@ -261,11 +263,11 @@ impl ConsumerRecovery {
                 }
             };
             self.queue.requeue(block);
-            // Replayed blocks re-enter the FIFO join, attributed to the
-            // analysis lane (the restart supervisor acts for the app).
+            // A replayed block's next pop pairs with this push, attributed
+            // to the analysis lane (the restart supervisor acts for the app).
             self.sink
                 .causal()
-                .queue_push(&consumer_queue(self.rank), &analysis_lane(self.rank));
+                .queue_push(&queue, causal_token(*id), &lane);
         }
         Ok(ids.len())
     }
@@ -411,11 +413,12 @@ impl Consumer {
                                     // then hands the ID to the reader thread
                                     // which fetches it from the PFS.
                                     causal.end(EdgeKind::Steal, causal_token(id), &rlane);
-                                    causal.queue_push(&ids_label, &rlane);
+                                    causal.queue_push(&ids_label, causal_token(id), &rlane);
                                     let _ = ids_tx.send(id);
                                 }
                                 if let Some(b) = m.data {
-                                    causal.end(EdgeKind::Wire, causal_token(b.id()), &rlane);
+                                    let token = causal_token(b.id());
+                                    causal.end(EdgeKind::Wire, token, &rlane);
                                     tm.lock().blocks_net += 1;
                                     if rpolicy.lock().store_on_arrival(b.id()) {
                                         // Network blocks are not yet on the
@@ -431,7 +434,7 @@ impl Consumer {
                                     match queue.push(b) {
                                         Ok(stalled) => {
                                             record_wait(&mut rec, SpanKind::Stall, stalled);
-                                            causal.queue_push(&cq_label, &rlane);
+                                            causal.queue_push(&cq_label, token, &rlane);
                                         }
                                         Err(_) => {
                                             // The application abandoned its
@@ -511,7 +514,8 @@ impl Consumer {
                 move || {
                     let _closes_queue = closes_queue;
                     for id in ids_rx {
-                        causal.queue_pop(&ids_label, &flane);
+                        let token = causal_token(id);
+                        causal.queue_pop(&ids_label, token, &flane);
                         let t0 = causal.now();
                         match rec.time(SpanKind::FsRead, || storage.get(id)) {
                             Ok(b) => {
@@ -523,13 +527,13 @@ impl Consumer {
                                     t0,
                                     &flane,
                                     causal.now(),
-                                    causal_token(id),
+                                    token,
                                 );
                                 tm.lock().blocks_disk += 1;
                                 match queue.push(b) {
                                     Ok(stalled) => {
                                         record_wait(&mut rec, SpanKind::Stall, stalled);
-                                        causal.queue_push(&cq_label, &flane);
+                                        causal.queue_push(&cq_label, token, &flane);
                                     }
                                     Err(_) => {
                                         // Reader abandoned; remaining IDs

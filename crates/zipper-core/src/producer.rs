@@ -160,7 +160,7 @@ pub struct ZipperWriter {
     /// The application lane. Guarded by a (uncontended) mutex only so the
     /// handle stays usable behind `&self`, matching the paper's API shape.
     recorder: Mutex<LaneRecorder>,
-    /// Edge recording for queue handoffs (push side of the FIFO join).
+    /// Edge recording for queue handoffs (push side).
     causal: CausalSink,
     queue_label: String,
     app_label: String,
@@ -180,15 +180,16 @@ impl ZipperWriter {
     /// application did since it last handed over a block is simulation
     /// compute.
     pub fn write(&self, block: Block) {
-        let step = block.id().step.0;
+        let id = block.id();
         let mut rec = self.recorder.lock();
-        rec.close_gap(SpanKind::Compute, step);
+        rec.close_gap(SpanKind::Compute, id.step.0);
         match self.queue.push(block) {
             Ok(stall) => {
                 record_wait(&mut rec, SpanKind::Stall, stall);
                 rec.mark();
                 drop(rec);
-                self.causal.queue_push(&self.queue_label, &self.app_label);
+                self.causal
+                    .queue_push(&self.queue_label, causal_token(id), &self.app_label);
                 self.metrics.lock().blocks_written += 1;
             }
             Err(_) => {
@@ -520,13 +521,13 @@ fn sender_loop(
             let (taken, idle) = st.queue.pop_then(|b| st.policy.lock().route_net(b.id()));
             record_wait(&mut rec, SpanKind::Idle, idle);
             let Some((block, dest)) = taken else { break };
-            st.causal.queue_pop(&qlabel, &slane);
+            let token = causal_token(block.id());
+            st.causal.queue_pop(&qlabel, token, &slane);
             if dead[dest.idx()] {
                 continue; // destination already failed; drop, error recorded
             }
             let on_disk = std::mem::take(&mut st.pending.lock()[dest.idx()]);
             let bytes = block.header.len;
-            let token = causal_token(block.id());
             let msg = MixedMessage {
                 data: Some(block),
                 on_disk,
@@ -665,7 +666,8 @@ fn writer_loop(
             exit.retired = true;
             return;
         };
-        st.causal.queue_pop(&qlabel, &wlane);
+        let token = causal_token(block.id());
+        st.causal.queue_pop(&qlabel, token, &wlane);
         shard.observe(HistogramId::PfsWriteBytes, block.header.len);
         let stored = rec.time(SpanKind::FsWrite, || storage.put(&block));
         if let Err(e) = stored {
@@ -680,9 +682,9 @@ fn writer_loop(
             // which is recorded.
             let closed = st.queue.is_closed();
             st.queue.requeue(block);
-            // The requeued block re-enters the FIFO join: the next taker's
-            // pop pairs with this push, carrying writer→taker causality.
-            st.causal.queue_push(&qlabel, &wlane);
+            // The block's next pop, whoever takes it, pairs with this
+            // push: writer→taker causality.
+            st.causal.queue_push(&qlabel, token, &wlane);
             let (revive, cooldown) = {
                 let mut p = st.policy.lock();
                 p.writer_retired(RetireReason::Fault);
@@ -713,8 +715,7 @@ fn writer_loop(
         }
         // Steal announce: the block became fetchable the moment the put
         // completed; the consumer's `end` half (on-disk ID arrival) joins.
-        st.causal
-            .begin(EdgeKind::Steal, causal_token(block.id()), &wlane);
+        st.causal.begin(EdgeKind::Steal, token, &wlane);
         st.pending.lock()[dest.idx()].push(block.id());
         if let Some(g) = &st.gate {
             g.note_steal();

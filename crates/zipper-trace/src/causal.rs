@@ -34,7 +34,8 @@ use crate::clock::Clock;
 use crate::log::TraceLog;
 use crate::span::SpanKind;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use zipper_types::SimTime;
@@ -49,7 +50,7 @@ pub enum EdgeKind {
     Wire,
     /// End-of-stream fan-out: channel close → receiver's EOS bookkeeping.
     Eos,
-    /// Bounded-queue handoff: k-th push unblocks the k-th pop (FIFO).
+    /// Bounded-queue handoff: a block's push (or requeue) unblocks its pop.
     Queue,
     /// Dual-channel steal: writer's PFS put → disk-id arrival at the
     /// consumer (the announce that makes the stolen block fetchable).
@@ -61,15 +62,6 @@ pub enum EdgeKind {
 }
 
 impl EdgeKind {
-    pub const ALL: [EdgeKind; 6] = [
-        EdgeKind::Wire,
-        EdgeKind::Eos,
-        EdgeKind::Queue,
-        EdgeKind::Steal,
-        EdgeKind::Gate,
-        EdgeKind::Pfs,
-    ];
-
     pub fn name(self) -> &'static str {
         match self {
             EdgeKind::Wire => "wire",
@@ -78,18 +70,6 @@ impl EdgeKind {
             EdgeKind::Steal => "steal",
             EdgeKind::Gate => "gate",
             EdgeKind::Pfs => "pfs",
-        }
-    }
-
-    /// Dense index for per-kind arrays.
-    pub fn index(self) -> usize {
-        match self {
-            EdgeKind::Wire => 0,
-            EdgeKind::Eos => 1,
-            EdgeKind::Queue => 2,
-            EdgeKind::Steal => 3,
-            EdgeKind::Gate => 4,
-            EdgeKind::Pfs => 5,
         }
     }
 
@@ -156,16 +136,9 @@ impl Bucket {
         }
     }
 
+    /// Dense index (declaration order) for per-bucket arrays.
     pub fn index(self) -> usize {
-        match self {
-            Bucket::Comp => 0,
-            Bucket::NetTransfer => 1,
-            Bucket::NetBackpressure => 2,
-            Bucket::StealPfs => 3,
-            Bucket::Analysis => 4,
-            Bucket::Retry => 5,
-            Bucket::Idle => 6,
-        }
+        self as usize
     }
 
     /// Bucket a span kind's time belongs to.
@@ -222,26 +195,35 @@ struct RawEdge {
     token: u64,
 }
 
-#[derive(Clone, Debug, Default)]
-struct QueueState {
-    pushes: VecDeque<(u32, SimTime)>,
-    pops: VecDeque<(u32, SimTime)>,
+/// A recorded half waiting for [`CausalLog::join`]. `key` pairs it: kind
+/// and queue (interned label, 0 if none) in one word, token in the other.
+#[derive(Clone, Copy, Debug)]
+struct Half {
+    kind: EdgeKind,
+    key: (u64, u64),
+    lane: u32,
+    t: SimTime,
+    is_src: bool,
 }
+
+/// Halves a threaded sink records between joins, so the map probes run
+/// back to back on a warm cache, not one per record under a shared lock.
+const JOIN_BATCH: usize = 1024;
 
 /// The runtime edge log: interned lane labels plus completed edges and
 /// the join state for in-flight ones.
 ///
-/// Two join disciplines cover every recording site:
+/// An edge is recorded in one of two forms:
 ///
-/// * **token join** — [`begin`]/[`end`] pair on `(kind, token)`; arrival
-///   order does not matter (threaded lanes race, so an `end` can land
-///   before its `begin`);
-/// * **FIFO join** — [`queue_push`]/[`queue_pop`] pair the k-th push with
-///   the k-th pop of one queue, which is exactly the handoff discipline
-///   of every bounded buffer in the system.
-///
-/// Substrates that know both endpoints at once (the DES receiver sees
-/// `sent_at` on every message) record complete edges with [`edge_at`].
+/// * **whole** — [`edge_at`], when the recorder knows both endpoints (the
+///   DES receiver sees `sent_at` on every message, the DES engine sees
+///   who put the item a take returns);
+/// * **identity-joined halves** — [`begin`]/[`end`] (and, for a queue
+///   handoff, [`queue_push`]/[`queue_pop`], which add the queue to the
+///   key) pair on the block or mark that moved, never on arrival order:
+///   threaded lanes race, so an `end` can land before its `begin`, and a
+///   requeued block's second push pairs with its second pop. Only one
+///   lane's own halves keep the order that lane stamped them in.
 ///
 /// [`begin`]: CausalLog::begin
 /// [`end`]: CausalLog::end
@@ -252,9 +234,11 @@ struct QueueState {
 pub struct CausalLog {
     labels: Vec<String>,
     edges: Vec<RawEdge>,
-    pending_begin: HashMap<(usize, u64), (u32, SimTime)>,
-    pending_end: HashMap<(usize, u64), (u32, SimTime)>,
-    queues: HashMap<u32, QueueState>,
+    /// Halves recorded since the last join, in recording order.
+    halves: Vec<Half>,
+    /// Halves the join has seen but not yet paired, by key.
+    pending_begin: HashMap<(u64, u64), (u32, SimTime)>,
+    pending_end: HashMap<(u64, u64), (u32, SimTime)>,
 }
 
 impl CausalLog {
@@ -294,91 +278,90 @@ impl CausalLog {
         });
     }
 
-    /// Join two recorded halves into one edge. The join itself proves
-    /// happens-before (the same item moved), so a source timestamp that
-    /// *reads* later than the destination is wall-clock measurement
-    /// jitter — the pusher records after the actual handoff and can lose
-    /// the race against a fast popper — and is clamped to the
-    /// destination instant. The resulting equal-time cross edge (also
-    /// the normal case for same-tick handoffs on the DES's virtual
-    /// clock) is kept by [`CausalGraph::build`], which orders same-time
-    /// nodes by the cross edges between them.
-    fn join(
+    /// Record one half; the threaded sink leaves the join to every
+    /// [`JOIN_BATCH`] halves and [`CausalSink::snapshot`].
+    fn record(
         &mut self,
         kind: EdgeKind,
-        src: u32,
-        src_t: SimTime,
-        dst: u32,
-        dst_t: SimTime,
+        queue: Option<&str>,
         token: u64,
+        lane: &str,
+        t: SimTime,
+        is_src: bool,
     ) {
-        self.edges.push(RawEdge {
+        let queue = queue.map_or(0, |q| self.intern(q));
+        let key = (((kind as u64) << 32) | u64::from(queue), token);
+        let lane = self.intern(lane);
+        self.halves.push(Half {
             kind,
-            src,
-            src_t: src_t.min(dst_t),
-            dst,
-            dst_t,
-            token,
+            key,
+            lane,
+            t,
+            is_src,
         });
+        if self.halves.len() >= JOIN_BATCH {
+            self.join();
+        }
+    }
+
+    /// Pair every recorded half, in recording order, with its pending
+    /// counterpart. Across lanes any order pairs, and a source stamped
+    /// after its destination is wall-clock jitter (the pusher records after
+    /// the handoff), clamped to the destination instant; [`CausalGraph::build`]
+    /// keeps such equal-time edges like the DES's same-tick handoffs. One
+    /// lane stamps in program order, so its later source is not its earlier
+    /// destination's (a writer requeuing the block it took feeds the next pop).
+    fn join(&mut self) {
+        for h in self.halves.drain(..) {
+            let me = (h.lane, h.t);
+            let (mine, theirs) = if h.is_src {
+                (&mut self.pending_begin, &mut self.pending_end)
+            } else {
+                (&mut self.pending_end, &mut self.pending_begin)
+            };
+            if let Entry::Occupied(pending) = theirs.entry(h.key) {
+                let other = *pending.get();
+                let ((src, src_t), (dst, dst_t)) = if h.is_src { (me, other) } else { (other, me) };
+                if src != dst || src_t <= dst_t {
+                    pending.remove();
+                    self.edges.push(RawEdge {
+                        kind: h.kind,
+                        src,
+                        src_t: src_t.min(dst_t),
+                        dst,
+                        dst_t,
+                        token: h.key.1,
+                    });
+                    continue;
+                }
+            }
+            mine.insert(h.key, me);
+        }
     }
 
     /// Source half of a token-joined edge.
     pub fn begin(&mut self, kind: EdgeKind, token: u64, lane: &str, t: SimTime) {
-        let src = self.intern(lane);
-        if let Some((dst, dst_t)) = self.pending_end.remove(&(kind.index(), token)) {
-            self.join(kind, src, t, dst, dst_t, token);
-        } else {
-            self.pending_begin.insert((kind.index(), token), (src, t));
-        }
+        self.record(kind, None, token, lane, t, true);
+        self.join();
     }
 
     /// Destination half of a token-joined edge.
     pub fn end(&mut self, kind: EdgeKind, token: u64, lane: &str, t: SimTime) {
-        let dst = self.intern(lane);
-        if let Some((src, src_t)) = self.pending_begin.remove(&(kind.index(), token)) {
-            self.join(kind, src, src_t, dst, t, token);
-        } else {
-            self.pending_end.insert((kind.index(), token), (dst, t));
-        }
+        self.record(kind, None, token, lane, t, false);
+        self.join();
     }
 
-    /// FIFO-joined queue handoff: the k-th push pairs with the k-th pop.
-    pub fn queue_push(&mut self, queue: &str, lane: &str, t: SimTime) {
-        let q = self.intern(queue);
-        let src = self.intern(lane);
-        let state = self.queues.entry(q).or_default();
-        if let Some((dst, dst_t)) = state.pops.pop_front() {
-            self.join(EdgeKind::Queue, src, t, dst, dst_t, q as u64);
-        } else {
-            state.pushes.push_back((src, t));
-        }
+    /// Source half of a queue handoff: block `token` entered `queue`
+    /// (pushed, or requeued at the front).
+    pub fn queue_push(&mut self, queue: &str, token: u64, lane: &str, t: SimTime) {
+        self.record(EdgeKind::Queue, Some(queue), token, lane, t, true);
+        self.join();
     }
 
-    /// FIFO-joined queue handoff, pop side.
-    pub fn queue_pop(&mut self, queue: &str, lane: &str, t: SimTime) {
-        let q = self.intern(queue);
-        let dst = self.intern(lane);
-        let state = self.queues.entry(q).or_default();
-        if let Some((src, src_t)) = state.pushes.pop_front() {
-            self.join(EdgeKind::Queue, src, src_t, dst, t, q as u64);
-        } else {
-            state.pops.push_back((dst, t));
-        }
-    }
-
-    /// Rewrite (or drop) completed edges: `f(kind, token)` returns the new
-    /// kind, or `None` to discard. The DES engine records every message
-    /// receive as [`EdgeKind::Wire`] with the tag as token; the transport
-    /// layer — which owns the tag scheme — reclassifies EOS marks and
-    /// disk-id announces here.
-    pub fn reclassify(&mut self, mut f: impl FnMut(EdgeKind, u64) -> Option<EdgeKind>) {
-        self.edges.retain_mut(|e| match f(e.kind, e.token) {
-            Some(kind) => {
-                e.kind = kind;
-                true
-            }
-            None => false,
-        });
+    /// Destination half of a queue handoff: block `token` left `queue`.
+    pub fn queue_pop(&mut self, queue: &str, token: u64, lane: &str, t: SimTime) {
+        self.record(EdgeKind::Queue, Some(queue), token, lane, t, false);
+        self.join();
     }
 
     /// Completed edges (unjoined halves are not visible here).
@@ -406,24 +389,7 @@ impl CausalLog {
     /// run should be near zero; chaos-dropped wires legitimately leave
     /// orphans).
     pub fn unjoined(&self) -> usize {
-        self.pending_begin.len()
-            + self.pending_end.len()
-            + self
-                .queues
-                .values()
-                .map(|q| q.pushes.len() + q.pops.len())
-                .sum::<usize>()
-    }
-
-    /// Merge another log's completed edges into this one (labels are
-    /// re-interned; join state is not merged — both halves of an edge
-    /// must be recorded into the same log).
-    pub fn absorb(&mut self, other: &CausalLog) {
-        for e in &other.edges {
-            let src = self.intern(&other.labels[e.src as usize]);
-            let dst = self.intern(&other.labels[e.dst as usize]);
-            self.edges.push(RawEdge { src, dst, ..*e });
-        }
+        self.pending_begin.len() + self.pending_end.len()
     }
 }
 
@@ -469,7 +435,7 @@ impl CausalSink {
     pub fn begin(&self, kind: EdgeKind, token: u64, lane: &str) {
         if let Some(s) = &self.inner {
             let t = s.clock.now();
-            s.log.lock().begin(kind, token, lane, t);
+            s.log.lock().record(kind, None, token, lane, t, true);
         }
     }
 
@@ -478,7 +444,7 @@ impl CausalSink {
     pub fn end(&self, kind: EdgeKind, token: u64, lane: &str) {
         if let Some(s) = &self.inner {
             let t = s.clock.now();
-            s.log.lock().end(kind, token, lane, t);
+            s.log.lock().record(kind, None, token, lane, t, false);
         }
     }
 
@@ -500,21 +466,25 @@ impl CausalSink {
         }
     }
 
-    /// FIFO queue-handoff push, stamped "now".
+    /// Block `token` entered `queue` (pushed or requeued), stamped "now".
     #[inline]
-    pub fn queue_push(&self, queue: &str, lane: &str) {
+    pub fn queue_push(&self, queue: &str, token: u64, lane: &str) {
         if let Some(s) = &self.inner {
             let t = s.clock.now();
-            s.log.lock().queue_push(queue, lane, t);
+            s.log
+                .lock()
+                .record(EdgeKind::Queue, Some(queue), token, lane, t, true);
         }
     }
 
-    /// FIFO queue-handoff pop, stamped "now".
+    /// Block `token` left `queue`, stamped "now".
     #[inline]
-    pub fn queue_pop(&self, queue: &str, lane: &str) {
+    pub fn queue_pop(&self, queue: &str, token: u64, lane: &str) {
         if let Some(s) = &self.inner {
             let t = s.clock.now();
-            s.log.lock().queue_pop(queue, lane, t);
+            s.log
+                .lock()
+                .record(EdgeKind::Queue, Some(queue), token, lane, t, false);
         }
     }
 
@@ -530,7 +500,11 @@ impl CausalSink {
     /// Clone out the accumulated edge log.
     pub fn snapshot(&self) -> CausalLog {
         match &self.inner {
-            Some(s) => s.log.lock().clone(),
+            Some(s) => {
+                let mut log = s.log.lock();
+                log.join();
+                log.clone()
+            }
             None => CausalLog::new(),
         }
     }
@@ -984,24 +958,40 @@ impl CausalGraph {
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
         for e in &self.edges {
             let Some(k) = e.kind else { continue };
-            let coarse = k == EdgeKind::Eos;
-            let role = |n: usize| -> String {
-                match self.nodes[n].lane {
-                    Some(l) => {
-                        let r = lane_role(&self.lanes[l as usize]);
-                        if coarse {
-                            r.split('/').next().unwrap_or(&r).to_string()
-                        } else {
-                            r
-                        }
-                    }
-                    None => "·".into(),
-                }
-            };
-            let sig = format!("{}:{}=>{}", k.name(), role(e.src), role(e.dst));
-            *counts.entry(sig).or_default() += 1;
+            *counts
+                .entry(self.edge_signature(k, e.src, e.dst))
+                .or_default() += 1;
         }
         counts.into_iter().collect()
+    }
+
+    /// Role of node `n`'s lane ([`lane_role`]; `·` for the virtual
+    /// source/sink), cut to the application (`sim`/`ana`) when `coarse`.
+    fn role(&self, n: usize, coarse: bool) -> String {
+        let Some(l) = self.nodes[n].lane else {
+            return "·".into();
+        };
+        let role = lane_role(&self.lanes[l as usize]);
+        match role.split_once('/') {
+            Some((app, _)) if coarse => app.to_string(),
+            _ => role,
+        }
+    }
+
+    /// A cross edge as `kind:src-role=>dst-role`. End-of-stream edges
+    /// compare at application granularity (`sim`/`ana` instead of thread
+    /// roles): which producer-side thread announces a channel's mark is a
+    /// substrate detail — the threaded runtime ships every wire through
+    /// the sender thread, while the DES writer announces the file channel
+    /// itself.
+    fn edge_signature(&self, kind: EdgeKind, src: usize, dst: usize) -> String {
+        let coarse = kind == EdgeKind::Eos;
+        format!(
+            "{}:{}=>{}",
+            kind.name(),
+            self.role(src, coarse),
+            self.role(dst, coarse)
+        )
     }
 
     /// Predicted makespan with one bucket's time re-weighed by `factor`
@@ -1247,15 +1237,11 @@ impl CriticalPath {
                     let tb = graph.nodes[eb.src].t;
                     // Latest predecessor wins; prefer recorded cross
                     // edges over derived intra segments; then stable
-                    // kind/lane order (inverted so `max` picks the
-                    // lowest).
+                    // kind (declaration order) and lane order, inverted
+                    // so `max` picks the lowest.
                     ta.cmp(&tb)
                         .then_with(|| ea.kind.is_some().cmp(&eb.kind.is_some()))
-                        .then_with(|| {
-                            let ka = ea.kind.map(|k| k.index()).unwrap_or(usize::MAX);
-                            let kb = eb.kind.map(|k| k.index()).unwrap_or(usize::MAX);
-                            kb.cmp(&ka)
-                        })
+                        .then_with(|| eb.kind.cmp(&ea.kind))
                         .then_with(|| eb.src.cmp(&ea.src))
                 })?;
             let e = &graph.edges[best];
@@ -1298,27 +1284,10 @@ impl CriticalPath {
     /// tick (the DES routinely does) still names every lane the path
     /// passes through. Two substrates running the same configuration must
     /// produce identical signatures whenever their clocks select the same
-    /// no-slack chain.
-    ///
-    /// End-of-stream hops compare at application granularity (`sim`/`ana`
-    /// instead of thread roles): which producer-side thread announces a
-    /// channel's mark is a substrate detail — the threaded runtime ships
-    /// every wire through the sender thread, while the DES writer
-    /// announces the file channel itself.
+    /// no-slack chain. Cross edges render as in
+    /// [`CausalGraph::edge_profile`] (end-of-stream hops at application
+    /// granularity).
     pub fn signature(&self, graph: &CausalGraph) -> Vec<String> {
-        let role_of = |node: usize, coarse: bool| -> String {
-            match graph.nodes[node].lane {
-                Some(l) => {
-                    let role = lane_role(graph.lane_label(l));
-                    if coarse {
-                        role.split('/').next().unwrap_or(&role).to_string()
-                    } else {
-                        role
-                    }
-                }
-                None => "·".to_string(),
-            }
-        };
         let mut sig: Vec<String> = Vec::new();
         let push = |sig: &mut Vec<String>, entry: String| {
             if sig.last() != Some(&entry) {
@@ -1326,38 +1295,13 @@ impl CriticalPath {
             }
         };
         for h in &self.hops {
-            match h.kind {
-                Some(k) => {
-                    let coarse = k == EdgeKind::Eos;
-                    push(&mut sig, role_of(h.src, false));
-                    push(
-                        &mut sig,
-                        format!(
-                            "{}:{}=>{}",
-                            k.name(),
-                            role_of(h.src, coarse),
-                            role_of(h.dst, coarse)
-                        ),
-                    );
-                    push(&mut sig, role_of(h.dst, false));
-                }
-                None => push(&mut sig, role_of(h.dst, false)),
+            if let Some(k) = h.kind {
+                push(&mut sig, graph.role(h.src, false));
+                push(&mut sig, graph.edge_signature(k, h.src, h.dst));
             }
+            push(&mut sig, graph.role(h.dst, false));
         }
         sig
-    }
-
-    /// Lanes the path traverses, in first-touch order (for rendering).
-    pub fn lanes_touched(&self, graph: &CausalGraph) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        for h in &self.hops {
-            if let Some(l) = graph.nodes[h.dst].lane {
-                if !out.contains(&l) {
-                    out.push(l);
-                }
-            }
-        }
-        out
     }
 
     /// Time intervals the path occupies on `lane` (for timeline
@@ -1401,8 +1345,8 @@ mod tests {
         log.record_interval(s, SpanKind::Send, ms(10), ms(12));
         log.record_interval(c, SpanKind::Analysis, ms(12), ms(20));
         let mut causal = CausalLog::new();
-        causal.queue_push("q/sim/p0", "sim/p0/app", ms(10));
-        causal.queue_pop("q/sim/p0", "sim/p0/send", ms(10));
+        causal.queue_push("q/sim/p0", 7, "sim/p0/app", ms(10));
+        causal.queue_pop("q/sim/p0", 7, "sim/p0/send", ms(10));
         causal.begin(EdgeKind::Wire, 7, "sim/p0/send", ms(12));
         causal.end(EdgeKind::Wire, 7, "ana/q0/app", ms(12));
         (log, causal)
@@ -1420,23 +1364,106 @@ mod tests {
         assert_eq!(c.unjoined(), 0);
     }
 
-    #[test]
-    fn queue_join_is_fifo() {
+    /// One queue half: (push?, block, lane, time).
+    type QueueHalf = (bool, u64, &'static str, u64);
+
+    /// The requeue history of one queue: the app pushes A and B, the
+    /// writer takes A, its put faults and it requeues A at the *front*,
+    /// the sender takes A, then B.
+    const REQUEUE: [QueueHalf; 6] = [
+        (true, 0xA, "app", 1),
+        (true, 0xB, "app", 2),
+        (false, 0xA, "writer", 3),
+        (true, 0xA, "writer", 4),
+        (false, 0xA, "send", 5),
+        (false, 0xB, "send", 6),
+    ];
+
+    /// Queue edges of [`REQUEUE`] recorded in `order`, as sorted
+    /// `(block, src lane, src t, dst lane, dst t)`.
+    fn queue_edges(order: &[usize]) -> Vec<(u64, String, u64, String, u64)> {
         let mut c = CausalLog::new();
-        c.queue_push("q", "w", ms(1));
-        c.queue_push("q", "w", ms(2));
-        c.queue_pop("q", "r", ms(3));
-        c.queue_pop("q", "r", ms(4));
-        let edges: Vec<_> = c.edges().collect();
-        assert_eq!(edges.len(), 2);
-        assert_eq!((edges[0].src_t, edges[0].dst_t), (ms(1), ms(3)));
-        assert_eq!((edges[1].src_t, edges[1].dst_t), (ms(2), ms(4)));
-        // Pop-before-push ordering joins identically.
-        let mut c2 = CausalLog::new();
-        c2.queue_pop("q", "r", ms(3));
-        c2.queue_push("q", "w", ms(1));
-        let e = c2.edges().next().unwrap();
-        assert_eq!((e.src_t, e.dst_t), (ms(1), ms(3)));
+        for &i in order {
+            let (push, block, lane, t) = REQUEUE[i];
+            if push {
+                c.queue_push("q", block, lane, ms(t));
+            } else {
+                c.queue_pop("q", block, lane, ms(t));
+            }
+        }
+        assert_eq!(c.unjoined(), 0, "order {order:?}");
+        let mut edges: Vec<_> = c
+            .edges()
+            .map(|e| {
+                let t = |t: SimTime| t.as_nanos() / 1_000_000;
+                (
+                    e.token,
+                    e.src_lane.into(),
+                    t(e.src_t),
+                    e.dst_lane.into(),
+                    t(e.dst_t),
+                )
+            })
+            .collect();
+        edges.sort();
+        edges
+    }
+
+    /// What [`REQUEUE`] must join to: each edge its own block's halves.
+    fn requeue_edges() -> Vec<(u64, String, u64, String, u64)> {
+        vec![
+            (0xA, "app".into(), 1, "writer".into(), 3),
+            (0xA, "writer".into(), 4, "send".into(), 5),
+            (0xB, "app".into(), 2, "send".into(), 6),
+        ]
+    }
+
+    #[test]
+    fn queue_halves_pair_by_block_in_any_recording_order() {
+        // Recording order as happened, then orders a thread's late record
+        // produces (threads record after the operation; only one lane's
+        // own records keep their order).
+        for order in [
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 2, 3, 5, 4],
+            [0, 2, 1, 3, 4, 5],
+            [1, 5, 0, 2, 3, 4],
+            [0, 1, 2, 3, 5, 4],
+            // The app records A's push only after the writer took A,
+            // failed, and requeued it.
+            [2, 3, 0, 1, 4, 5],
+            [1, 2, 3, 4, 0, 5],
+        ] {
+            assert_eq!(queue_edges(&order), requeue_edges(), "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn requeue_push_recorded_after_its_pop_still_pairs() {
+        // The writer requeues A, the sender re-takes it and records its
+        // pop before the writer got to record the requeue's push.
+        assert_eq!(queue_edges(&[0, 1, 2, 4, 3, 5]), requeue_edges());
+    }
+
+    #[test]
+    fn sink_halves_pair_across_batches_and_at_snapshot() {
+        use crate::clock::VirtualClock;
+        let clock = VirtualClock::new();
+        let sink = CausalSink::new(Arc::new(clock.clone()));
+        // Every destination first, so halves wait across batch joins.
+        let n = 2 * JOIN_BATCH as u64 + 1;
+        for i in 0..n {
+            clock.set(ms(i));
+            sink.end(EdgeKind::Wire, i, "b");
+        }
+        for i in 0..n {
+            sink.begin(EdgeKind::Wire, i, "a");
+        }
+        let log = sink.snapshot();
+        assert_eq!((log.len() as u64, log.unjoined()), (n, 0));
+        assert!(log
+            .edges()
+            .all(|e| (e.src_lane, e.dst_lane, e.dst_t) == ("a", "b", ms(e.token))));
     }
 
     #[test]
@@ -1514,23 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn reclassify_rewrites_and_drops() {
-        let mut c = CausalLog::new();
-        c.edge_at(EdgeKind::Wire, "a", ms(0), "b", ms(1), 1);
-        c.edge_at(EdgeKind::Wire, "a", ms(1), "b", ms(2), 2);
-        c.reclassify(|_, token| {
-            if token == 1 {
-                Some(EdgeKind::Eos)
-            } else {
-                None
-            }
-        });
-        let edges: Vec<_> = c.edges().collect();
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].kind, EdgeKind::Eos);
-    }
-
-    #[test]
     fn roles_normalize_across_substrates() {
         assert_eq!(lane_role("sim/p0/app"), "sim/comp");
         assert_eq!(lane_role("sim/r3/comp"), "sim/comp");
@@ -1559,23 +1569,10 @@ mod tests {
         let sink = CausalSink::off();
         sink.begin(EdgeKind::Wire, 1, "a");
         sink.end(EdgeKind::Wire, 1, "b");
-        sink.queue_push("q", "a");
-        sink.queue_pop("q", "b");
+        sink.queue_push("q", 1, "a");
+        sink.queue_pop("q", 1, "b");
         sink.edge_at(EdgeKind::Gate, "a", ms(0), "a", ms(1), 0);
         assert!(!sink.enabled());
         assert!(sink.snapshot().is_empty());
-    }
-
-    #[test]
-    fn absorb_reinterns_labels() {
-        let mut a = CausalLog::new();
-        a.edge_at(EdgeKind::Wire, "x", ms(0), "y", ms(1), 1);
-        let mut b = CausalLog::new();
-        b.edge_at(EdgeKind::Pfs, "y", ms(2), "z", ms(3), 2);
-        a.absorb(&b);
-        assert_eq!(a.len(), 2);
-        let edges: Vec<_> = a.edges().collect();
-        assert_eq!(edges[1].src_lane, "y");
-        assert_eq!(edges[1].dst_lane, "z");
     }
 }

@@ -58,20 +58,17 @@ fn span_event_into(out: &mut String, s: &Span) {
 }
 
 /// Export a run as Chrome-trace JSON: one `M` (thread-name) event per
-/// lane, one `X` (complete) event per span, and — when a sampled metric
-/// series is supplied — one `C` (counter) event per gauge/counter per
-/// sample, viewable as counter tracks alongside the lanes.
-pub fn chrome_trace(log: &TraceLog, series: Option<&SampleSeries>) -> String {
-    chrome_trace_with_flows(log, series, None)
-}
-
-/// [`chrome_trace`] extended with causal flow events: each recorded edge
-/// becomes an `s` (flow start) at its source event and a binding `f`
-/// (flow finish) at its destination, so Perfetto draws the cross-entity
-/// arrows — wire ships, queue unblocks, steal announces, gate opens —
-/// right on top of the span lanes. Edges whose endpoint lanes never
-/// recorded a span are skipped (a flow needs a track to land on).
-pub fn chrome_trace_with_flows(
+/// lane, one `X` (complete) event per span, and, when supplied:
+///
+/// * per causal edge, an `s` (flow start) at its source event and a
+///   binding `f` (flow finish) at its destination, so Perfetto draws the
+///   cross-entity arrows — wire ships, queue unblocks, steal announces,
+///   gate opens — right on top of the span lanes (edges whose endpoint
+///   lanes never recorded a span are skipped: a flow needs a track to
+///   land on);
+/// * per sample of a metric series, one `C` (counter) event per
+///   gauge/counter, viewable as counter tracks alongside the lanes.
+pub fn chrome_trace(
     log: &TraceLog,
     series: Option<&SampleSeries>,
     causal: Option<&CausalLog>,
@@ -105,24 +102,17 @@ pub fn chrome_trace_with_flows(
             else {
                 continue;
             };
-            sep(&mut out);
-            out.push_str("{\"name\":\"");
-            out.push_str(e.kind.name());
-            let _ = write!(
-                out,
-                "\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":{id},\"ts\":"
-            );
-            micros_into(&mut out, e.src_t.as_nanos());
-            let _ = write!(out, ",\"pid\":0,\"tid\":{}}}", src.0);
-            sep(&mut out);
-            out.push_str("{\"name\":\"");
-            out.push_str(e.kind.name());
-            let _ = write!(
-                out,
-                "\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":"
-            );
-            micros_into(&mut out, e.dst_t.as_nanos());
-            let _ = write!(out, ",\"pid\":0,\"tid\":{}}}", dst.0);
+            for (ph, lane, t) in [("s", src, e.src_t), ("f\",\"bp\":\"e", dst, e.dst_t)] {
+                sep(&mut out);
+                out.push_str("{\"name\":\"");
+                out.push_str(e.kind.name());
+                let _ = write!(
+                    out,
+                    "\",\"cat\":\"causal\",\"ph\":\"{ph}\",\"id\":{id},\"ts\":"
+                );
+                micros_into(&mut out, t.as_nanos());
+                let _ = write!(out, ",\"pid\":0,\"tid\":{}}}", lane.0);
+            }
         }
     }
     if let Some(series) = series {
@@ -150,20 +140,11 @@ pub fn chrome_trace_with_flows(
 }
 
 /// Export a run as JSON Lines: a `meta` record, then one `span` record
-/// per span (time order) and one `sample` record per series point, each
-/// a self-contained JSON object — greppable and streamable.
-pub fn jsonl(log: &TraceLog, series: Option<&SampleSeries>) -> String {
-    jsonl_with_flows(log, series, None)
-}
-
-/// [`jsonl`] extended with causal flow records: one
-/// `{"type":"flow",...}` line per recorded edge (kind, both endpoints,
-/// join token), in recording order.
-pub fn jsonl_with_flows(
-    log: &TraceLog,
-    series: Option<&SampleSeries>,
-    causal: Option<&CausalLog>,
-) -> String {
+/// per span (time order), one `flow` record per causal edge (kind, both
+/// endpoints, join token; recording order) and one `sample` record per
+/// series point, each a self-contained JSON object — greppable and
+/// streamable.
+pub fn jsonl(log: &TraceLog, series: Option<&SampleSeries>, causal: Option<&CausalLog>) -> String {
     let mut out = String::with_capacity(4096 + log.spans().len() * 112);
     out.push_str("{\"type\":\"meta\",\"lanes\":[");
     for (i, lane) in log.lanes().enumerate() {
@@ -469,7 +450,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_expected_events() {
-        let json = chrome_trace(&tiny_log(), Some(&tiny_series()));
+        let json = chrome_trace(&tiny_log(), Some(&tiny_series()), None);
         validate_json(&json).unwrap();
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"sim/r0/comp\""));
@@ -481,7 +462,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_each_valid_json() {
-        let text = jsonl(&tiny_log(), Some(&tiny_series()));
+        let text = jsonl(&tiny_log(), Some(&tiny_series()), None);
         // meta + 2 spans + 3 samples.
         assert_eq!(validate_jsonl(&text).unwrap(), 6);
         assert!(text.starts_with("{\"type\":\"meta\""));
@@ -494,10 +475,13 @@ mod tests {
         let log = tiny_log();
         let series = tiny_series();
         assert_eq!(
-            chrome_trace(&log, Some(&series)),
-            chrome_trace(&log, Some(&series))
+            chrome_trace(&log, Some(&series), None),
+            chrome_trace(&log, Some(&series), None)
         );
-        assert_eq!(jsonl(&log, Some(&series)), jsonl(&log, Some(&series)));
+        assert_eq!(
+            jsonl(&log, Some(&series), None),
+            jsonl(&log, Some(&series), None)
+        );
     }
 
     #[test]
@@ -505,8 +489,8 @@ mod tests {
         let mut log = TraceLog::new();
         let l = log.lane("weird\"lane\\with\nnewline");
         log.record_interval(l, SpanKind::Idle, SimTime::ZERO, SimTime::from_nanos(1));
-        validate_json(&chrome_trace(&log, None)).unwrap();
-        validate_jsonl(&jsonl(&log, None)).unwrap();
+        validate_json(&chrome_trace(&log, None, None)).unwrap();
+        validate_jsonl(&jsonl(&log, None, None)).unwrap();
     }
 
     #[test]
@@ -531,23 +515,17 @@ mod tests {
             SimTime::from_micros(1),
             8,
         );
-        let json = chrome_trace_with_flows(&log, None, Some(&causal));
+        let json = chrome_trace(&log, None, Some(&causal));
         validate_json(&json).unwrap();
         assert!(json.contains("\"ph\":\"s\""), "{json}");
         assert!(json.contains("\"ph\":\"f\",\"bp\":\"e\""), "{json}");
         assert_eq!(json.matches("\"cat\":\"causal\"").count(), 2, "{json}");
-        let lines = jsonl_with_flows(&log, None, Some(&causal));
+        let lines = jsonl(&log, None, Some(&causal));
         validate_jsonl(&lines).unwrap();
         // JSONL keeps every edge (it names lanes inline).
         assert_eq!(lines.matches("\"type\":\"flow\"").count(), 2, "{lines}");
         assert!(lines.contains("\"kind\":\"wire\""), "{lines}");
         assert!(lines.contains("\"token\":7"), "{lines}");
-        // The plain exporters are unchanged by the extension.
-        assert_eq!(
-            chrome_trace(&log, None),
-            chrome_trace_with_flows(&log, None, None)
-        );
-        assert_eq!(jsonl(&log, None), jsonl_with_flows(&log, None, None));
     }
 
     #[test]

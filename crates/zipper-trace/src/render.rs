@@ -36,19 +36,15 @@ impl Default for RenderOptions {
     }
 }
 
-/// Render the trace as an ASCII timeline with a legend.
-///
-/// Bucket glyph = the kind with the largest accumulated overlap in that
-/// bucket; empty buckets render as spaces.
-pub fn render_timeline(log: &TraceLog, opts: &RenderOptions) -> String {
-    assert!(opts.width >= 10, "need at least 10 columns");
+/// What a rendering of `log` under `opts` covers: the window end, the
+/// time per column, the selected lanes (interning order) and the label
+/// column width — or `None` for an empty window.
+fn layout(log: &TraceLog, opts: &RenderOptions) -> Option<(SimTime, u64, Vec<LaneId>, usize)> {
     let to = opts.to.unwrap_or_else(|| log.horizon());
     if to <= opts.from {
-        return String::from("(empty trace window)\n");
+        return None;
     }
-    let span_ns = (to - opts.from).as_nanos();
-    let bucket_ns = (span_ns / opts.width as u64).max(1);
-
+    let bucket_ns = ((to - opts.from).as_nanos() / opts.width as u64).max(1);
     let lanes: Vec<LaneId> = log
         .lanes()
         .filter(|&l| match &opts.lane_prefix {
@@ -57,13 +53,24 @@ pub fn render_timeline(log: &TraceLog, opts: &RenderOptions) -> String {
         })
         .take(opts.max_lanes)
         .collect();
-
     let label_w = lanes
         .iter()
         .map(|&l| log.lane_label(l).len())
         .max()
         .unwrap_or(4)
         .max(4);
+    Some((to, bucket_ns, lanes, label_w))
+}
+
+/// Render the trace as an ASCII timeline with a legend.
+///
+/// Bucket glyph = the kind with the largest accumulated overlap in that
+/// bucket; empty buckets render as spaces.
+pub fn render_timeline(log: &TraceLog, opts: &RenderOptions) -> String {
+    assert!(opts.width >= 10, "need at least 10 columns");
+    let Some((to, bucket_ns, lanes, label_w)) = layout(log, opts) else {
+        return String::from("(empty trace window)\n");
+    };
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -167,27 +174,10 @@ pub fn render_timeline_critical(
     opts: &RenderOptions,
 ) -> String {
     let base = render_timeline(log, opts);
-    let to = opts.to.unwrap_or_else(|| log.horizon());
-    if to <= opts.from {
+    // The same layout render_timeline drew.
+    let Some((to, bucket_ns, lanes, label_w)) = layout(log, opts) else {
         return base;
-    }
-    let bucket_ns = ((to - opts.from).as_nanos() / opts.width as u64).max(1);
-
-    // The same lane selection render_timeline made, in the same order.
-    let lanes: Vec<LaneId> = log
-        .lanes()
-        .filter(|&l| match &opts.lane_prefix {
-            Some(p) => log.lane_label(l).starts_with(p.as_str()),
-            None => true,
-        })
-        .take(opts.max_lanes)
-        .collect();
-    let label_w = lanes
-        .iter()
-        .map(|&l| log.lane_label(l).len())
-        .max()
-        .unwrap_or(4)
-        .max(4);
+    };
 
     let marker_row = |lane: LaneId| -> Option<String> {
         let g = graph.lane_by_label(log.lane_label(lane))?;
@@ -374,8 +364,8 @@ mod tests {
             SimTime::from_millis(20),
         );
         let mut causal = CausalLog::new();
-        causal.queue_push("q/sim/p0", "sim/p0/app", SimTime::from_millis(10));
-        causal.queue_pop("q/sim/p0", "sim/p0/send", SimTime::from_millis(10));
+        causal.queue_push("q/sim/p0", 7, "sim/p0/app", SimTime::from_millis(10));
+        causal.queue_pop("q/sim/p0", 7, "sim/p0/send", SimTime::from_millis(10));
         causal.begin(EdgeKind::Wire, 7, "sim/p0/send", SimTime::from_millis(12));
         causal.end(EdgeKind::Wire, 7, "ana/q0/app", SimTime::from_millis(12));
         let graph = CausalGraph::build(&log, &causal);

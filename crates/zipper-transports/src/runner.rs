@@ -129,10 +129,10 @@ pub struct TransportResult {
     pub pfs_drain: SimTime,
     /// The full span trace, for figure-specific analysis.
     pub trace: TraceLog,
-    /// Cross-entity causal edges on the virtual clock, reclassified to
-    /// the Zipper edge taxonomy (wire/EOS/steal/queue/PFS). Recorded on
-    /// detailed Zipper runs only; empty otherwise. Feed to
-    /// `CausalGraph::build` with `trace` for critical-path extraction.
+    /// Cross-entity causal edges on the virtual clock, recorded in the
+    /// Zipper edge taxonomy (wire/EOS/steal/queue/gate/PFS) on detailed
+    /// Zipper runs only; empty otherwise. Feed to `CausalGraph::build` with
+    /// `trace` for critical-path extraction.
     pub causal: CausalLog,
     /// Every simulation rank's policy-kernel decisions, by rank — the DES
     /// half of the cross-substrate trace equality (the threaded half is
@@ -163,13 +163,7 @@ fn finish(
     layout: &ClusterLayout,
     (producer_decisions, consumer_decisions): (Vec<DecisionTrace>, Vec<DecisionTrace>),
 ) -> TransportResult {
-    let causal = sim
-        .take_causal()
-        .map(|mut c| {
-            zipper::reclassify_causal(&mut c);
-            c
-        })
-        .unwrap_or_default();
+    let causal = sim.take_causal().unwrap_or_default();
     let samples = sim.finish_telemetry();
     let metrics = sim.telemetry().snapshot();
     let xmit_wait_sim = sim.network().xmit_wait_sum(layout.sim_node_range());
@@ -230,11 +224,10 @@ pub fn run_with_detail(kind: TransportKind, spec: &WorkflowSpec, detail: bool) -
     sim.set_trace_detail(detail);
     if detail {
         sim.enable_telemetry(SAMPLE_PERIOD);
-        // Causal edges use the Zipper tag vocabulary (DATA/SEOS/WEOS/
-        // DISKID), which `finish` reclassifies; other transports would
-        // need their own mapping before enabling this.
+        // Messages become causal edges through the Zipper tag vocabulary;
+        // the baselines have no classifier and record none.
         if kind == TransportKind::Zipper {
-            sim.enable_causal();
+            sim.enable_causal(zipper::message_kind);
         }
     }
     let policies = kind.build(&mut sim, spec, &layout, detail);

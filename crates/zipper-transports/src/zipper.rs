@@ -1159,10 +1159,10 @@ pub(crate) fn build(
         let bufc = sim.add_buffer(spec.consumer_slots);
         let ids = sim.add_buffer(spec.ids_queue_capacity());
         let out = spec.preserve.then(|| sim.add_buffer(spec.consumer_slots));
-        // Causal queue labels mirror the threaded runtime's; the Preserve
-        // output queue stays unlabeled on both substrates.
-        sim.label_queue(bufc, format!("q/ana/c{q}"));
-        sim.label_queue(ids, format!("ids/ana/c{q}"));
+        // Causal queues mirror the threaded runtime's; the Preserve output
+        // queue records no edge on either substrate.
+        sim.record_queue(bufc);
+        sim.record_queue(ids);
         // EOS is broadcast: every producer announces to every consumer,
         // so even a consumer no block routes to terminates cleanly.
         let mut cp = ConsumerPolicy::from_tuning(Rank(q as u32), spec.sim_ranks, &tuning);
@@ -1222,7 +1222,7 @@ pub(crate) fn build(
     for r in 0..spec.sim_ranks {
         let node = layout.sim_node(r);
         let buf = sim.add_buffer(spec.producer_slots);
-        sim.label_queue(buf, format!("q/sim/p{r}"));
+        sim.record_queue(buf);
         let left = compute_pid((r + spec.sim_ranks - 1) % spec.sim_ranks);
         let right = compute_pid((r + 1) % spec.sim_ranks);
         let pid = sim.spawn(
@@ -1332,25 +1332,21 @@ pub(crate) fn build(
     policies
 }
 
-/// Map the engine's raw message-consumption edges onto the shared causal
-/// taxonomy by tag kind: data blocks stay [`EdgeKind::Wire`](zipper_trace::EdgeKind),
-/// per-channel end-of-stream marks become `Eos`, the writer's disk-id
-/// notifications become `Steal` (the decision→fetch hop of the dual
-/// channel), and everything else — halo traffic the threaded runtime has
-/// no wire for, chaos-corrupted frames the receiver discarded — is
-/// dropped. Call on [`Simulator::take_causal`]'s log after a run built by
-/// [`build`] with causal recording enabled.
-pub(crate) fn reclassify_causal(log: &mut zipper_trace::CausalLog) {
+/// The causal edge a consumed message of this model is, by tag kind (the
+/// classifier [`Simulator::enable_causal`] takes): data blocks are
+/// [`EdgeKind::Wire`](zipper_trace::EdgeKind), per-channel end-of-stream
+/// marks `Eos`, the writer's disk-id notifications `Steal` (the
+/// decision→fetch hop of the dual channel), and everything else — halo
+/// traffic the threaded runtime has no wire for, chaos-corrupted frames
+/// the receiver discarded — no edge.
+pub(crate) fn message_kind(t: u64) -> Option<zipper_trace::EdgeKind> {
     use zipper_trace::EdgeKind;
-    log.reclassify(|kind, token| match kind {
-        EdgeKind::Wire => match tag::kind(token) {
-            tag::DATA => Some(EdgeKind::Wire),
-            tag::SEOS | tag::WEOS => Some(EdgeKind::Eos),
-            tag::DISKID => Some(EdgeKind::Steal),
-            _ => None,
-        },
-        k => Some(k),
-    });
+    match tag::kind(t) {
+        tag::DATA => Some(EdgeKind::Wire),
+        tag::SEOS | tag::WEOS => Some(EdgeKind::Eos),
+        tag::DISKID => Some(EdgeKind::Steal),
+        _ => None,
+    }
 }
 
 /// Spawn only the simulation ranks with their compute phases and halo

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use zipper_apps::analysis::VarianceAccumulator;
 use zipper_apps::synthetic::{decode_block, generate_block, Complexity};
 use zipper_model::ModelInput;
-use zipper_trace::export::{chrome_trace_with_flows, jsonl_with_flows};
+use zipper_trace::export::{chrome_trace, jsonl};
 use zipper_trace::GaugeId;
 use zipper_types::SimTime;
 use zipper_types::{ByteSize, GlobalPos, StepId, WorkflowConfig};
@@ -211,9 +211,8 @@ fn main() {
     if let Some(dir) = std::env::var_os("ZIPPER_EXPORT_DIR") {
         let dir = std::path::PathBuf::from(dir);
         std::fs::create_dir_all(&dir).expect("create export dir");
-        let chrome =
-            chrome_trace_with_flows(&report.trace, Some(&report.samples), Some(&report.causal));
-        let lines = jsonl_with_flows(&report.trace, Some(&report.samples), Some(&report.causal));
+        let chrome = chrome_trace(&report.trace, Some(&report.samples), Some(&report.causal));
+        let lines = jsonl(&report.trace, Some(&report.samples), Some(&report.causal));
         std::fs::write(dir.join("quickstart_trace.json"), chrome).expect("write chrome trace");
         std::fs::write(dir.join("quickstart_trace.jsonl"), lines).expect("write jsonl");
         println!("exported flight recording to {}", dir.display());

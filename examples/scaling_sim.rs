@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example scaling_sim`
 
 use zipper_model::Prediction;
-use zipper_trace::export::{chrome_trace_with_flows, jsonl_with_flows};
+use zipper_trace::export::{chrome_trace, jsonl};
 use zipper_trace::{CausalGraph, CriticalPath};
 use zipper_transports::{run_sim_only, run_with_detail, TransportKind, WorkflowSpec};
 use zipper_workflow::ModelFit;
@@ -63,13 +63,8 @@ fn main() {
             if let Some(dir) = std::env::var_os("ZIPPER_EXPORT_DIR") {
                 let dir = std::path::PathBuf::from(dir);
                 std::fs::create_dir_all(&dir).expect("create export dir");
-                let json = chrome_trace_with_flows(
-                    &zipper.trace,
-                    Some(&zipper.samples),
-                    Some(&zipper.causal),
-                );
-                let lines =
-                    jsonl_with_flows(&zipper.trace, Some(&zipper.samples), Some(&zipper.causal));
+                let json = chrome_trace(&zipper.trace, Some(&zipper.samples), Some(&zipper.causal));
+                let lines = jsonl(&zipper.trace, Some(&zipper.samples), Some(&zipper.causal));
                 std::fs::write(dir.join("scaling_48_trace.json"), json).expect("write trace");
                 std::fs::write(dir.join("scaling_48_trace.jsonl"), lines).expect("write jsonl");
                 println!("        exported 48-core Zipper trace to {}", dir.display());

@@ -4,6 +4,11 @@
 //! substrates — the same multiset of `kind:src-role=>dst-role` cross
 //! edges ([`CausalGraph::edge_profile`]), because the edges are
 //! decision-determined and the decisions conform (`policy_conformance`).
+//! That includes a requeue's own queue edge (`queue:X=>X`, the writer
+//! re-taking the block its faulted put sent back, the restarted app
+//! re-reading its replayed backlog): the threaded runtime pairs a queue
+//! edge's halves by the block that moved, not by the order they were
+//! recorded in, and the DES records it whole from the taken item's put.
 //! Timing differs arbitrarily (wall clock vs. virtual clock); the causal
 //! structure may not.
 //!
@@ -72,15 +77,6 @@ impl Conformance {
     }
 }
 
-/// A requeue's self-lane queue edge, `queue:X=>X`: the writer re-taking
-/// the block its faulted put sent back, the restarted app re-reading its
-/// replayed backlog.
-fn is_requeue(sig: &str) -> bool {
-    sig.strip_prefix("queue:")
-        .and_then(|roles| roles.split_once("=>"))
-        .is_some_and(|(src, dst)| src == dst)
-}
-
 /// Run both substrates, assert the graph-level structural conformance
 /// (identical cross-edge profiles) and the per-substrate path invariants
 /// no schedule can change: attribution sums to the makespan, and the path
@@ -94,28 +90,17 @@ fn assert_conformant(name: &str, plan: &PreflightInput) -> Conformance {
     let dg = CausalGraph::build(&r.trace, &r.causal);
     let des_path = path_signature(&format!("{name} DES"), &dg);
 
-    let (t_requeues, profile): (Vec<_>, Vec<_>) = tg
-        .edge_profile()
-        .into_iter()
-        .partition(|(sig, _)| is_requeue(sig));
-    let (d_requeues, d_profile): (Vec<_>, Vec<_>) = dg
-        .edge_profile()
-        .into_iter()
-        .partition(|(sig, _)| is_requeue(sig));
+    let profile = tg.edge_profile();
     assert_eq!(
-        profile, d_profile,
+        profile,
+        dg.edge_profile(),
         "{name}: causal graph structure diverges across substrates",
     );
-    // Requeue edges may only go *missing* on the threaded side: the FIFO
-    // join pairs queue halves in record order, and a thread records its
-    // half after the queue operation itself, so a requeue's push can pair
-    // with a pop recorded just before it — a zero-length pair on one lane,
-    // which is no edge in the graph.
-    for (sig, n) in &t_requeues {
-        let des = d_requeues.iter().find(|(s, _)| s == sig).map(|(_, n)| *n);
-        assert!(
-            des.is_some_and(|d| *n <= d),
-            "{name}: {n} x {sig} on threads, {des:?} on the DES",
+    if plan.chaos.is_none() {
+        assert_eq!(
+            (report.causal.unjoined(), r.causal.unjoined()),
+            (0, 0),
+            "{name}: a fault-free run joins every half it records",
         );
     }
     for (which, sig) in [("threaded", &threaded_path), ("DES", &des_path)] {

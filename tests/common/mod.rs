@@ -60,7 +60,7 @@ pub fn run_threaded(plan: &PreflightInput, trace: TraceOptions) -> WorkflowRepor
 }
 
 /// Run `plan` on the DES through the one run call, detailed: decision
-/// traces, span trace and reclassified causal log all ride in the result.
+/// traces, span trace and causal log all ride in the result.
 pub fn run_des(plan: &PreflightInput) -> TransportResult {
     let r = run_with_detail(TransportKind::Zipper, &WorkflowSpec::from_plan(plan), true);
     assert!(

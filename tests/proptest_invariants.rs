@@ -292,8 +292,9 @@ proptest! {
     }
 
     /// Critical-path invariants over arbitrary traces: whatever spans and
-    /// cross edges are thrown at it (including backwards timestamps, which
-    /// `join` clamps, and same-instant handoffs), the graph's node order
+    /// cross edges are thrown at it (including backwards cross-lane
+    /// timestamps, which the join clamps, and same-instant handoffs), in
+    /// any recording order, the graph's node order
     /// stays topological — every extracted hop moves strictly forward, so
     /// the path is acyclic — the hops chain contiguously, time never
     /// decreases along the path, the attribution total never exceeds the
@@ -305,7 +306,8 @@ proptest! {
         links in proptest::collection::vec(
             (0usize..4usize, 0usize..4usize, 0u64..12_000_000u64, 0u64..12_000_000u64, 0usize..5usize), 0..12),
         queues in proptest::collection::vec(
-            (0usize..3usize, 0usize..4usize, 0usize..4usize, 0u64..12_000_000u64, 0u64..12_000_000u64), 0..8),
+            (0usize..3usize, 0usize..4usize, 0usize..4usize, 0u64..12_000_000u64, 0u64..12_000_000u64,
+             0u64..1_000u64, 0u64..1_000u64), 0..8),
     ) {
         const LANES: [&str; 4] = ["sim/p0/comp", "sim/p0/send", "ana/q0/recv", "ana/q0/app"];
         const KINDS: [EdgeKind; 5] =
@@ -329,17 +331,58 @@ proptest! {
                 SimTime::from_nanos(b),
             ));
         }
+        // Across lanes, a half's stamp may read on either side of its
+        // counterpart's; one lane stamps its own halves in program order.
+        let stamps = |same_lane: bool, src: u64, dst: u64| {
+            let (src, dst) = if same_lane { (src.min(dst), src.max(dst)) } else { (src, dst) };
+            (SimTime::from_nanos(src), SimTime::from_nanos(dst))
+        };
         let mut causal = CausalLog::new();
-        for (i, (s, d, st, dt, k)) in links.iter().enumerate() {
+        for (i, &(s, d, st, dt, k)) in links.iter().enumerate() {
             let kind = KINDS[k % KINDS.len()];
-            causal.begin(kind, i as u64, LANES[*s], SimTime::from_nanos(*st));
-            causal.end(kind, i as u64, LANES[*d], SimTime::from_nanos(*dt));
+            let (st, dt) = stamps(s == d, st, dt);
+            causal.begin(kind, i as u64, LANES[s], st);
+            causal.end(kind, i as u64, LANES[d], dt);
         }
-        for (q, pl, cl, pt, ct) in &queues {
-            let name = ["q/a", "q/b", "q/c"][*q];
-            causal.queue_push(name, LANES[*pl], SimTime::from_nanos(*pt));
-            causal.queue_pop(name, LANES[*cl], SimTime::from_nanos(*ct));
+        // Queue handoffs, one block each, their halves recorded in a
+        // shuffled order (threads record after the operation, so any
+        // interleaving is possible): identity pairing must join the same
+        // edges as recording every push before its pop.
+        let mut halves: Vec<(u64, usize, bool)> = Vec::new();
+        for (block, &(.., kp, kc)) in queues.iter().enumerate() {
+            halves.push((kp, block, true));
+            halves.push((kc, block, false));
         }
+        halves.sort();
+        let record = |causal: &mut CausalLog, block: usize, push: bool| {
+            let (q, pl, cl, pt, ct, ..) = queues[block];
+            let name = ["q/a", "q/b", "q/c"][q];
+            let (pt, ct) = stamps(pl == cl, pt, ct);
+            if push {
+                causal.queue_push(name, block as u64, LANES[pl], pt);
+            } else {
+                causal.queue_pop(name, block as u64, LANES[cl], ct);
+            }
+        };
+        let mut in_order = CausalLog::new();
+        for block in 0..queues.len() {
+            record(&mut in_order, block, true);
+            record(&mut in_order, block, false);
+        }
+        let edge_list = |c: &CausalLog| {
+            let mut v: Vec<String> = c.edges().map(|e| format!("{e:?}")).collect();
+            v.sort();
+            v
+        };
+        let links_only = edge_list(&causal);
+        for &(_, block, push) in &halves {
+            record(&mut causal, block, push);
+        }
+        prop_assert_eq!(causal.unjoined(), 0);
+        let mut want = links_only;
+        want.extend(edge_list(&in_order));
+        want.sort();
+        prop_assert_eq!(edge_list(&causal), want, "queue halves pair by block, in any order");
 
         let graph = CausalGraph::build(&log, &causal);
         if let Some(path) = CriticalPath::extract(&graph) {

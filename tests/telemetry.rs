@@ -88,10 +88,10 @@ fn des_exports_round_trip_a_real_run() {
     let spec = tiny_cfd();
     let r = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(r.is_clean());
-    let chrome = chrome_trace(&r.trace, Some(&r.samples));
+    let chrome = chrome_trace(&r.trace, Some(&r.samples), None);
     validate_json(&chrome).expect("chrome trace must be valid JSON");
     assert!(chrome.contains("\"traceEvents\""));
-    let lines = jsonl(&r.trace, Some(&r.samples));
+    let lines = jsonl(&r.trace, Some(&r.samples), None);
     let n = validate_jsonl(&lines).expect("JSONL must be valid");
     // Meta line + every span + every sample.
     assert_eq!(n, 1 + r.trace.spans().len() + r.samples.len());
@@ -169,8 +169,8 @@ fn chrome_trace_export_is_byte_stable() {
     let a = run_with_detail(TransportKind::Zipper, &spec, true);
     let b = run_with_detail(TransportKind::Zipper, &spec, true);
     assert!(a.is_clean() && b.is_clean());
-    let ja = chrome_trace(&a.trace, Some(&a.samples));
-    let jb = chrome_trace(&b.trace, Some(&b.samples));
+    let ja = chrome_trace(&a.trace, Some(&a.samples), None);
+    let jb = chrome_trace(&b.trace, Some(&b.samples), None);
     assert_eq!(ja, jb, "same spec must export byte-identical traces");
     validate_json(&ja).expect("valid JSON");
 
