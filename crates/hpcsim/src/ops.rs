@@ -106,7 +106,7 @@ pub enum Op {
     /// (non-consuming; see `objects::SimGate`). Wait recorded as `kind`;
     /// a `Stall`-kind gate wait models NIC flow control — the engine
     /// charges the held span to `net.backpressure_ns` and the node's
-    /// XmitWait counter, exactly like the threaded `SenderGate`.
+    /// XmitWait counter, as the threaded producer's gate does.
     GateWait {
         gate: GateId,
         need: u64,

@@ -1038,7 +1038,7 @@ mod tests {
             sink.clone(),
             None,
             false,
-            None,
+            Vec::new(),
         );
         let w = prod.writer(256);
         for s in 0..3u64 {

@@ -13,7 +13,7 @@ use crate::transport::{MeshSender, Wire, WireSender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use zipper_policy::Channel;
-use zipper_types::{ChaosFault, ChaosScope, Error, Rank, Result, RuntimeError};
+use zipper_types::{ChaosScope, Error, Rank, Result, RuntimeError, WireFate};
 
 /// A [`WireSender`] interpreting one sender entity's [`ChaosScope`].
 ///
@@ -27,21 +27,11 @@ use zipper_types::{ChaosFault, ChaosScope, Error, Rank, Result, RuntimeError};
 /// The wrapper is transport-generic: the same scripted ordinals drive the
 /// in-process mesh and the framed-TCP sender.
 ///
-/// Fault interpretation on a scripted ordinal:
-///
-/// * `FailSend` — return a transient [`RuntimeError::Transport`]; the
-///   wire is not delivered (an unretried caller marks the destination
-///   dead).
-/// * `DropWire` — report success without delivering (a lost frame).
-/// * `CorruptWire` — deliver an in-band [`RuntimeError::Transport`]
-///   instead of the wire.
-/// * `DelayWire(d)` — deliver after an extra delay of `d`.
-/// * `DropEos` — swallow the wire if it is an EOS marker (the lost-EOS
-///   scenario); a data wire at that ordinal passes untouched.
-///
-/// Faults addressed to other entity kinds (`PfsWriteFail`, `CrashApp`,
-/// `DetachSender`) pass the wire through untouched — they are interpreted
-/// by the storage wrapper, the reader, and the spawn path respectively.
+/// Each counted wire's fate is [`ChaosScope::wire_fate`]'s, realized here:
+/// `Fail` returns a transient [`RuntimeError::Transport`] (an unretried
+/// caller marks the destination dead), `Drop` reports success without
+/// delivering, `Corrupt` delivers an in-band [`RuntimeError::Transport`]
+/// instead of the wire, and `Delay(d)` delivers after an extra `d`.
 pub struct ChaosSender<S = MeshSender> {
     inner: S,
     scope: Arc<ChaosScope>,
@@ -66,52 +56,33 @@ impl<S: WireSender> ChaosSender<S> {
 
 impl<S: WireSender> WireSender for ChaosSender<S> {
     fn send(&self, to: Rank, wire: Wire) -> Result<()> {
-        let counted = match &wire {
-            Wire::Msg(m) => m.data.is_some(),
-            Wire::Eos(_, ch) => *ch == Channel::Net,
+        let eos = match &wire {
+            Wire::Msg(m) if m.data.is_some() => false,
+            Wire::Eos(_, Channel::Net) => true,
+            _ => return self.inner.send(to, wire),
         };
-        if !counted {
-            return self.inner.send(to, wire);
+        let fate = self.scope.wire_fate(eos);
+        if fate != WireFate::Deliver {
+            self.injected.fetch_add(1, Ordering::Relaxed);
         }
-        match self.scope.next() {
-            None => self.inner.send(to, wire),
-            Some(ChaosFault::FailSend) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(Error::Runtime(RuntimeError::Transport {
-                    rank: to,
-                    detail: format!("chaos: injected send failure on wire #{}", self.scope.ops()),
-                }))
-            }
-            Some(ChaosFault::DropWire) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Some(ChaosFault::CorruptWire) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                self.inner.send_fault(
-                    to,
-                    RuntimeError::Transport {
-                        rank: to,
-                        detail: format!("chaos: injected corrupt wire #{}", self.scope.ops()),
-                    },
-                )
-            }
-            Some(ChaosFault::DelayWire(d)) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
+        match fate {
+            WireFate::Deliver => self.inner.send(to, wire),
+            WireFate::Delay(d) => {
                 std::thread::sleep(d);
                 self.inner.send(to, wire)
             }
-            Some(ChaosFault::DropEos) => {
-                if matches!(wire, Wire::Eos(..)) {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                } else {
-                    self.inner.send(to, wire)
-                }
-            }
-            Some(ChaosFault::PfsWriteFail | ChaosFault::CrashApp | ChaosFault::DetachSender) => {
-                self.inner.send(to, wire)
-            }
+            WireFate::Drop => Ok(()),
+            WireFate::Corrupt => self.inner.send_fault(
+                to,
+                RuntimeError::Transport {
+                    rank: to,
+                    detail: format!("chaos: injected corrupt wire #{}", self.scope.ops()),
+                },
+            ),
+            WireFate::Fail => Err(Error::Runtime(RuntimeError::Transport {
+                rank: to,
+                detail: format!("chaos: injected send failure on wire #{}", self.scope.ops()),
+            })),
         }
     }
 
@@ -129,7 +100,7 @@ mod tests {
     use super::*;
     use crate::transport::{ChannelMesh, MeshReceiver, RetryingSender};
     use std::time::Duration;
-    use zipper_types::RetryPolicy;
+    use zipper_types::{ChaosFault, RetryPolicy};
 
     fn mesh_pair() -> (MeshSender, MeshReceiver) {
         let mesh = ChannelMesh::new(1, 16);

@@ -25,7 +25,7 @@ pub mod assemble;
 pub mod buffer;
 pub mod consumer;
 pub mod fault;
-pub mod gate;
+mod gate;
 pub mod metrics;
 pub mod producer;
 pub mod transport;
@@ -35,7 +35,6 @@ pub use assemble::{Slab, StepAssembler};
 pub use buffer::BlockQueue;
 pub use consumer::{Consumer, ConsumerRecovery, SharedConsumerPolicy, ZipperReader};
 pub use fault::ChaosSender;
-pub use gate::GatedSender;
 pub use metrics::{ConsumerMetrics, ProducerMetrics};
 pub use producer::{Producer, SharedProducerPolicy, ZipperWriter};
 pub use transport::{

@@ -12,6 +12,7 @@
 // this module's job — the DES twin replays the same policy in virtual time.
 #![allow(clippy::disallowed_methods)]
 use crate::buffer::BlockQueue;
+use crate::gate::{GatedSender, SenderGate};
 use crate::metrics::ProducerMetrics;
 use crate::transport::{Wire, WireSender};
 use bytes::Bytes;
@@ -24,7 +25,7 @@ use zipper_trace::{
     SpanKind, TraceSink,
 };
 use zipper_types::{
-    panic_detail, Block, BlockId, Error, GlobalPos, MixedMessage, Rank, RuntimeError, SenderGate,
+    panic_detail, Block, BlockId, Error, GateWindow, GlobalPos, MixedMessage, Rank, RuntimeError,
     SimTime, StepId, ZipperTuning,
 };
 
@@ -120,7 +121,7 @@ impl Drop for WriterExit {
         // No writer will satisfy a steal-credit window any more: fail the
         // gate open so a held sender is released instead of wedged.
         if let Some(g) = &st.gate {
-            g.retire_writer();
+            g.cancel();
         }
     }
 }
@@ -260,7 +261,8 @@ pub struct Producer {
 impl Producer {
     /// Spawn the runtime module for producer `rank` with a private
     /// totals-mode trace sink, its own policy kernel, an attached sender
-    /// and no gate (stand-alone use; see [`Producer::spawn_with`]).
+    /// and no backpressure windows (stand-alone use; see
+    /// [`Producer::spawn_with`]).
     pub fn spawn(
         rank: Rank,
         tuning: ZipperTuning,
@@ -275,7 +277,7 @@ impl Producer {
             TraceSink::default(),
             None,
             false,
-            None,
+            Vec::new(),
         )
     }
 
@@ -301,14 +303,14 @@ impl Producer {
     ///   pending on-disk IDs, and announces EOS. Requires
     ///   `tuning.concurrent_transfer` — without a writer thread a detached
     ///   producer would ship nothing.
-    /// * `gate` — the producer-side half of a
-    ///   [`zipper_types::BackpressureScript`]. The gate itself is driven by
-    ///   a [`crate::GatedSender`] wrapped around `mesh` (it counts the
-    ///   rank's data wires and stalls at scripted ordinals); passing it here
-    ///   wires up the writer side: while a steal-credit window is armed the
-    ///   writer steals every buffered block (bypassing the high-water
-    ///   mark), reports each steal to the gate, and fail-opens the gate
-    ///   when it retires so an unmet window can never wedge the sender.
+    /// * `windows` — this rank's windows of a
+    ///   [`zipper_types::BackpressureScript`] (`windows_for(rank)`; empty
+    ///   for none). The producer owns the gate: it wraps `mesh` outermost
+    ///   so the rank's data wires stall at the scripted ordinals, and while
+    ///   a steal-credit window is armed the writer steals every buffered
+    ///   block (bypassing the high-water mark), credits each steal, and
+    ///   fails the gate open when it retires so an unmet window can never
+    ///   wedge the sender.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_with(
         rank: Rank,
@@ -318,7 +320,7 @@ impl Producer {
         sink: TraceSink,
         policy: Option<SharedProducerPolicy>,
         detach_sender: bool,
-        gate: Option<Arc<SenderGate>>,
+        windows: Vec<GateWindow>,
     ) -> Producer {
         tuning.validate().expect("invalid tuning");
         assert!(
@@ -341,6 +343,13 @@ impl Producer {
                 .with_telemetry(sink.telemetry().clone(), GaugeId::ProducerQueueDepth),
         );
         let metrics = Arc::new(Mutex::new(ProducerMetrics::default()));
+        // Arming a steal window must wake a writer already parked on an
+        // empty/below-threshold buffer so it re-reads the steal phase.
+        let gate = (!windows.is_empty()).then(|| {
+            let wake_queue = queue.clone();
+            let writer = move || wake_queue.nudge();
+            Arc::new(SenderGate::new(windows, tuning.concurrent_transfer, writer))
+        });
         let st = RankState {
             rank,
             queue: queue.clone(),
@@ -350,13 +359,6 @@ impl Producer {
             gate,
             causal: sink.causal().clone(),
         };
-
-        if let Some(g) = &st.gate {
-            // Arming a steal window must wake a writer already parked on an
-            // empty/below-threshold buffer so it re-reads `steal_phase`.
-            let wake_queue = queue.clone();
-            g.set_waker(move || wake_queue.nudge());
-        }
 
         let (alive, writer_gone) = mpsc::channel();
         let exit = WriterExit {
@@ -380,8 +382,7 @@ impl Producer {
                 },
             )
         } else {
-            // The sender is released and scripted steal windows degrade
-            // to no-ops.
+            // No writer: the sender is released at once.
             drop(exit);
             None
         };
@@ -389,6 +390,7 @@ impl Producer {
         let sender_thread = {
             let rec = sink.recorder(sender_lane(rank));
             let (squeue, sgate) = (queue.clone(), st.gate.clone());
+            let mesh = GatedSender::new(mesh, st.gate.clone(), &sink, sender_lane(rank));
             spawn_runtime_thread(
                 format!("zipper-sender-{rank}"),
                 move || sender_loop(st, mesh, writer_gone, rec, detach_sender),
@@ -401,7 +403,7 @@ impl Producer {
                 |_| {
                     squeue.close();
                     if let Some(g) = &sgate {
-                        g.close_windows();
+                        g.cancel();
                     }
                     metrics
                         .lock()
@@ -554,7 +556,7 @@ fn sender_loop(
     // wires): windows at higher ordinals can never arm, so cancel them to
     // release a writer parked between windows.
     if let Some(g) = &st.gate {
-        g.close_windows();
+        g.cancel();
     }
 
     // Announce one channel's end-of-stream to the targets the policy kernel
@@ -993,7 +995,7 @@ mod tests {
             TraceSink::default(),
             Some(policy.clone()),
             true,
-            None,
+            Vec::new(),
         );
         let writer = prod.writer(4096);
         let collector = collect_rank0(&mesh, 2); // Net + Disk channel marks
@@ -1043,7 +1045,7 @@ mod tests {
             sink.clone(),
             None,
             false,
-            None,
+            Vec::new(),
         );
         let writer = prod.writer(4096);
         let collector = collect_rank0(&mesh, 1);

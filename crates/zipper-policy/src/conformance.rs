@@ -96,6 +96,14 @@ pub fn config_c() -> PreflightInput {
     p.with_backpressure(config_c_script(2))
 }
 
+/// Config C with a zero target and two equal targets, `(1, 0), (2, 3),
+/// (4, 3)` on every producer: windows 1 and 4 find their targets met and
+/// pass unheld, so only wire 2 holds, for `b2 b3 b4`. Non-decreasing
+/// targets are valid; only a regressing one is malformed (ZV010).
+pub fn equal_and_zero_targets() -> PreflightInput {
+    config_c().with_backpressure(credit_windows(2, &[(1, 0), (2, 3), (4, 3)]))
+}
+
 /// Config D: degradation — transport faults (fail/drop/corrupt/delay), a
 /// lost Preserve put, and a swallowed EOS tripping consumer 0's watchdog.
 /// Message-only, so production order is wire order: each sender counts 8
@@ -216,17 +224,21 @@ pub fn seeded_chaos(seed: u64) -> PreflightInput {
     p.with_chaos(plan)
 }
 
-/// Seeded backpressure: Config C's shape with one credit window per
-/// producer, wire 1..=3 and a steal target inside the remaining 8-block
-/// budget — the window always arms and always leaves the sender blocks to
-/// finish with.
+/// Seeded backpressure: Config C's shape with two credit windows per
+/// producer — wire 1..=2 until 1..=2 steals, then a later wire until the
+/// same or a higher cumulative target, inside the 8-block budget. The
+/// first window always arms; the second arms or, on an equal target,
+/// passes met; both leave the sender blocks to finish with.
 pub fn seeded_gate(seed: u64) -> PreflightInput {
     let mut state = seed.wrapping_mul(0x5851_f42d_4c95_7f2d);
     let mut script = BackpressureScript::new();
     for p in 0..2 {
-        let wire = 1 + splitmix(&mut state) % 3;
-        let target = 1 + splitmix(&mut state) % (8 - wire - 1);
+        let wire = 1 + splitmix(&mut state) % 2;
+        let target = 1 + splitmix(&mut state) % 2;
+        let later = wire + 1 + splitmix(&mut state) % 2;
+        let raise = splitmix(&mut state) % (8 - later - target);
         script = script.with(Rank(p), wire, OpenAfterSteals(target));
+        script = script.with(Rank(p), later, OpenAfterSteals(target + raise));
     }
     config_c().with_backpressure(script)
 }
@@ -241,6 +253,7 @@ pub fn accepted_plans() -> Vec<(String, PreflightInput)> {
         ("config C".into(), config_c()),
         ("config D".into(), config_d()),
         ("config E".into(), config_e()),
+        ("equal and zero targets".into(), equal_and_zero_targets()),
         ("dropped EOS, concurrent".into(), dropped_eos_concurrent()),
         ("gate + chaos on one wire".into(), gate_and_chaos()),
         (format!("seeded chaos (seed {chaos})"), seeded_chaos(chaos)),

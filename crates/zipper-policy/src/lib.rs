@@ -22,6 +22,9 @@
 //!   protocol: producer-side fan-out ([`ProducerPolicy::announce_eos`]) and
 //!   consumer-side completion tracking ([`EosTracker`]), including the
 //!   watchdog-timeout and reader-abandonment transitions.
+//! * [`GateScript`] — one rank's scripted backpressure windows: when a
+//!   data wire is held, when a steal-credit window arms and opens, and
+//!   when the writer must wait for the next one.
 //!
 //! The substrates drive the kernel through two façades: [`ProducerPolicy`]
 //! (sender + writer threads of one simulation rank) and [`ConsumerPolicy`]
@@ -37,6 +40,7 @@
 pub mod conformance;
 pub mod consumer;
 pub mod eos;
+mod gate;
 pub mod preflight;
 pub mod preserve;
 pub mod producer;
@@ -46,6 +50,7 @@ pub mod trace;
 
 pub use consumer::ConsumerPolicy;
 pub use eos::{Channel, EosProgress, EosTargets, EosTracker};
+pub use gate::{GateScript, WireGate, WriterGate};
 pub use preflight::{
     CausalSkeleton, Diagnostic, Preflight, PreflightInput, PreflightReport, Severity, ZvCode,
 };

@@ -50,10 +50,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use crate::eos::Channel;
+use crate::gate::{GateScript, WireGate};
 use crate::producer::ProducerPolicy;
 use zipper_types::{
     BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, GateRule, Rank, StepId,
-    WorkflowConfig,
+    WireFate, WorkflowConfig,
 };
 
 /// Widest step index the wire tag format can carry (32-bit step field;
@@ -528,12 +529,6 @@ impl PreflightReport {
 /// Outcome of one rank's exact symbolic walk.
 #[derive(Clone, Debug, Default)]
 struct RankWalk {
-    /// Chaos-counted sender operations (attempted data wires in route
-    /// order, then Net EOS marks).
-    sender_ops: u64,
-    /// Chaos-counted writer operations (PFS put attempts, including
-    /// failed ones).
-    writer_ops: u64,
     /// Per consumer: DATA blocks delivered over the message channel
     /// (corrupted and dropped frames excluded).
     net_delivered: Vec<u64>,
@@ -542,16 +537,12 @@ struct RankWalk {
     disk_delivered: Vec<u64>,
     /// Per consumer: EOS marks delivered from this rank (both channels).
     eos_delivered: Vec<u64>,
-    /// Successful writer puts.
+    /// Successful writer puts: the rank's cumulative steal credit.
     writer_puts: u64,
     /// Writer revivals consumed.
     revivals: u32,
     /// The writer died past its revival budget.
     writer_died: bool,
-    /// Blocks left undrained when a detached rank's writer died.
-    stranded: u64,
-    /// Final attempted-wire count (for inert-window detection).
-    wires: u64,
 }
 
 /// The verifier entry point.
@@ -627,6 +618,17 @@ impl Preflight {
             pinned: all_pinned,
         }
     }
+
+    /// The script diagnostics of `input` alone (ZV010–ZV012, ZV051): the
+    /// one rule for which backpressure scripts are valid — windows on
+    /// existing ranks, wire ordinals 1-based and distinct per rank,
+    /// `OpenAfterSteals` targets non-decreasing per rank and each
+    /// statically satisfiable. `WorkflowSpec::validate` applies it too.
+    pub fn check_script(input: &PreflightInput) -> Vec<Diagnostic> {
+        let mut d = Vec::new();
+        check_script_shape(input, &mut d);
+        d
+    }
 }
 
 fn entity_sort_key(e: ChaosEntity) -> (u8, u32) {
@@ -696,7 +698,8 @@ fn check_config(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// ZV010–ZV012, ZV051: backpressure-script structure, before any walk.
+/// ZV010–ZV012, ZV051: backpressure-script structure, before any walk —
+/// the one rule for which scripts are valid (see [`Preflight::check_script`]).
 fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     let cfg = &input.workflow;
     let Some(script) = &input.backpressure else {
@@ -753,7 +756,8 @@ fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
             }
         }
     }
-    // Per-rank ordering and target monotonicity, the runtimes' contract.
+    // Per-rank ordering, and targets that never regress (they are
+    // cumulative: equal targets and a zero target are fine).
     for rank in 0..cfg.producers {
         let windows = script.windows_for(Rank(rank as u32));
         let mut last_wire = 0u64;
@@ -767,12 +771,12 @@ fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
             }
             last_wire = w.wire;
             if let GateRule::OpenAfterSteals(t) = w.rule {
-                if t <= last_target {
+                if t < last_target {
                     d.push(Diagnostic::plain(
                         ZvCode::MalformedScript,
                         format!(
-                            "rank {rank} wire {}: cumulative steal target {} does not \
-                             exceed the previous window's {}",
+                            "rank {rank} wire {}: cumulative steal target {} regresses \
+                             below the previous window's {}",
                             w.wire, t, last_target
                         ),
                     ));
@@ -899,30 +903,26 @@ fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The first fault scheduled at `ordinal`, mirroring `ChaosScope::next`.
-fn fault_at(faults: &[(u64, ChaosFault)], ordinal: u64) -> Option<ChaosFault> {
-    faults.iter().find(|&&(o, _)| o == ordinal).map(|&(_, f)| f)
-}
-
 /// Symbolically execute one pinned rank: the sender/writer take order,
-/// the shared router rotation, the gate windows, and the chaos scopes —
-/// exactly the decision sequence both substrates would produce.
+/// the shared router rotation, and the rank's gate script and chaos scopes
+/// ticked exactly where both substrates tick them.
 fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> RankWalk {
     let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let q = cfg.consumers;
     let n = input.blocks_per_rank();
-    let mut policy = ProducerPolicy::from_tuning(Rank(rank as u32), q, tuning);
-    let sender_entity = ChaosEntity::Sender(Rank(rank as u32));
-    let writer_entity = ChaosEntity::Writer(Rank(rank as u32));
-    let sender_faults = input.faults_for(sender_entity);
-    let writer_faults = input.faults_for(writer_entity);
+    let r = Rank(rank as u32);
+    let mut policy = ProducerPolicy::from_tuning(r, q, tuning);
+    let (sender_entity, writer_entity) = (ChaosEntity::Sender(r), ChaosEntity::Writer(r));
+    let plan = input.chaos.clone().unwrap_or_default();
+    let (sender, writer) = (plan.scope(sender_entity), plan.scope(writer_entity));
     let windows = input
         .backpressure
         .as_ref()
-        .map(|s| s.windows_for(Rank(rank as u32)))
+        .map(|s| s.windows_for(r))
         .unwrap_or_default();
-    let detached = input.detached(rank);
     let has_writer = tuning.concurrent_transfer;
+    let mut gate = GateScript::new(windows, has_writer);
+    let detached = input.detached(rank);
 
     let mut w = RankWalk {
         net_delivered: vec![0; q],
@@ -934,31 +934,26 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
     // Blocks in production order: steps outer, per-step index inner.
     let mut pending: VecDeque<BlockId> = (0..cfg.steps)
         .flat_map(|s| {
-            (0..input.blocks_per_rank_step())
-                .map(move |i| BlockId::new(Rank(rank as u32), StepId(s), i as u32))
+            (0..input.blocks_per_rank_step()).map(move |i| BlockId::new(r, StepId(s), i as u32))
         })
         .collect();
 
     let mut dead = vec![false; q];
-    let mut writer_alive = has_writer;
-    let mut steals_cum = 0u64;
-    let mut widx = 0usize;
     let max_revivals = tuning.recovery.max_writer_revivals;
 
     // One writer put attempt for `block`. Returns true when the block was
-    // written (steal credited), false when the writer died (block goes
-    // back to the front of the producer buffer).
+    // written (steal credited), false when the writer died: the block goes
+    // back to the front of the producer buffer, and the writer's exit
+    // fails the gate open.
     let writer_put = |block: BlockId,
                       policy: &mut ProducerPolicy,
                       w: &mut RankWalk,
-                      writer_alive: &mut bool,
-                      steals_cum: &mut u64,
+                      gate: &mut GateScript,
                       pending: &mut VecDeque<BlockId>|
      -> bool {
         loop {
             let dest = policy.route_disk(block);
-            w.writer_ops += 1;
-            if fault_at(&writer_faults, w.writer_ops) == Some(ChaosFault::PfsWriteFail) {
+            if writer.next() == Some(ChaosFault::PfsWriteFail) {
                 // The block returns to the FRONT of the buffer; a revival
                 // re-takes and re-routes it (the double route is
                 // intentional on both substrates).
@@ -967,7 +962,7 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
                     continue;
                 }
                 w.writer_died = true;
-                *writer_alive = false;
+                gate.cancel();
                 pending.push_front(block);
                 return false;
             }
@@ -975,7 +970,7 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
             // Disk-id notifications are plain sends outside the sender's
             // dead-destination bookkeeping: always delivered.
             w.disk_delivered[dest.idx()] += 1;
-            *steals_cum += 1;
+            gate.note_steal();
             return true;
         }
     };
@@ -985,9 +980,11 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
         // scripted credit window can never arm (the sender passes no data
         // wires); whether that wedges the run depends on whether the
         // producer can finish filling the buffer (see ZV011/ZV013 below).
-        let credit_windows: Vec<_> = windows
+        let credit_windows: Vec<u64> = gate
+            .unreached()
             .iter()
             .filter(|w| matches!(w.rule, GateRule::OpenAfterSteals(_)))
+            .map(|w| w.wire)
             .collect();
         if !credit_windows.is_empty() {
             if n > tuning.producer_slots as u64 {
@@ -1001,112 +998,78 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
                     ),
                 ));
             } else {
-                for cw in &credit_windows {
+                for wire in credit_windows {
                     d.push(Diagnostic::plain(
                         ZvCode::InertWindow,
                         format!(
-                            "rank {rank} wire {}: detached sender never arms this window; \
-                             it fails open when the drained queue closes",
-                            cw.wire
+                            "rank {rank} wire {wire}: detached sender never arms this window; \
+                             it fails open when the drained queue closes"
                         ),
                     ));
                 }
             }
         }
         while let Some(b) = pending.pop_front() {
-            if !writer_put(
-                b,
-                &mut policy,
-                &mut w,
-                &mut writer_alive,
-                &mut steals_cum,
-                &mut pending,
-            ) {
-                w.stranded = pending.len() as u64;
+            if !writer_put(b, &mut policy, &mut w, &mut gate, &mut pending) {
+                let stranded = pending.len();
                 d.push(Diagnostic::plain(
                     ZvCode::DetachedWriterDeath,
                     format!(
                         "rank {rank}: writer dies at put attempt {} past its revival \
-                         budget with {} blocks undrained; the detached sender takes \
-                         nothing, so the producer wedges forever",
-                        w.writer_ops, w.stranded
+                         budget with {stranded} blocks undrained; the detached sender \
+                         takes nothing, so the producer wedges forever",
+                        writer.ops()
                     ),
                 ));
                 break;
             }
         }
     } else {
-        // Sender take order, with the scripted windows' steal phases
-        // interleaved exactly where the gate arms them.
-        'sender: while let Some(b) = pending.pop_front() {
+        // Sender take order, with the writer's steals run inline wherever
+        // the script arms a window.
+        while let Some(b) = pending.pop_front() {
             let dest = policy.route_net(b);
             if dead[dest.idx()] {
                 // Skipped sends tick neither the gate nor the chaos scope.
                 continue;
             }
-            w.wires += 1;
-            if let Some(win) = windows.get(widx) {
-                if win.wire == w.wires {
-                    widx += 1;
-                    if let GateRule::OpenAfterSteals(target) = win.rule {
-                        if !has_writer {
-                            // Message-only: the gate was failed open at
-                            // spawn (retire_writer); the window is inert.
+            match gate.pass_wire() {
+                WireGate::Inert if !has_writer => d.push(Diagnostic::plain(
+                    ZvCode::InertWindow,
+                    format!(
+                        "rank {rank} wire {}: no writer exists in message-only mode; the \
+                         credit window fails open at spawn",
+                        gate.wires()
+                    ),
+                )),
+                WireGate::Armed { target } => {
+                    while gate.steal_phase() {
+                        let Some(s) = pending.pop_front() else {
                             d.push(Diagnostic::plain(
-                                ZvCode::InertWindow,
+                                ZvCode::UnsatisfiableWindow,
                                 format!(
-                                    "rank {rank} wire {}: no writer exists in message-only \
-                                     mode; the credit window fails open at spawn",
-                                    win.wire
+                                    "rank {rank} wire {}: the armed window needs {target} \
+                                     cumulative steals but the buffer drains at {}",
+                                    gate.wires(),
+                                    w.writer_puts
                                 ),
                             ));
-                        } else {
-                            while steals_cum < target && writer_alive {
-                                let Some(s) = pending.pop_front() else {
-                                    d.push(Diagnostic::plain(
-                                        ZvCode::UnsatisfiableWindow,
-                                        format!(
-                                            "rank {rank} wire {}: the armed window needs {} \
-                                             cumulative steals but the buffer drains at {}",
-                                            win.wire, target, steals_cum
-                                        ),
-                                    ));
-                                    break;
-                                };
-                                if !writer_put(
-                                    s,
-                                    &mut policy,
-                                    &mut w,
-                                    &mut writer_alive,
-                                    &mut steals_cum,
-                                    &mut pending,
-                                ) {
-                                    // Writer death fails the gate open
-                                    // (retire_ops → GATE_FLOOD); the held
-                                    // wire proceeds.
-                                    break;
-                                }
-                            }
-                        }
+                            break;
+                        };
+                        writer_put(s, &mut policy, &mut w, &mut gate, &mut pending);
                     }
                 }
+                _ => {}
             }
             // The held wire transmits: one chaos-counted send.
-            w.sender_ops += 1;
-            match fault_at(&sender_faults, w.sender_ops) {
-                Some(ChaosFault::FailSend) => {
-                    dead[dest.idx()] = true;
-                }
-                Some(ChaosFault::DropWire) | Some(ChaosFault::CorruptWire) => {}
-                _ => {
-                    w.net_delivered[dest.idx()] += 1;
-                }
-            }
-            if pending.is_empty() {
-                break 'sender;
+            match sender.wire_fate(false) {
+                WireFate::Fail => dead[dest.idx()] = true,
+                WireFate::Drop | WireFate::Corrupt => {}
+                WireFate::Deliver | WireFate::Delay(_) => w.net_delivered[dest.idx()] += 1,
             }
         }
     }
+    let wires = gate.wires();
 
     // Queue closed. A live writer drains nothing more in a pinned
     // schedule (hwm >= n keeps Algorithm 1 quiet; detached already
@@ -1114,15 +1077,15 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
 
     // Inert windows past the last attempted wire (chaos can shrink the
     // wire count below a scripted ordinal): they fail open at close.
-    if !detached {
-        for win in windows.iter().skip(widx) {
-            if matches!(win.rule, GateRule::OpenAfterSteals(_)) && has_writer {
+    if !detached && has_writer {
+        for win in gate.unreached() {
+            if matches!(win.rule, GateRule::OpenAfterSteals(_)) {
                 d.push(Diagnostic::plain(
                     ZvCode::InertWindow,
                     format!(
-                        "rank {rank} wire {}: only {} data wires are ever attempted; the \
-                         window never arms and fails open at close",
-                        win.wire, w.wires
+                        "rank {rank} wire {}: only {wires} data wires are ever attempted; \
+                         the window never arms and fails open at close",
+                        win.wire
                     ),
                 ));
             }
@@ -1132,15 +1095,11 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
     // Net EOS fan-out: chaos-counted sends in consumer-rank order,
     // attempted (and delivered) even toward dead destinations.
     for target in policy.announce_eos(Channel::Net) {
-        w.sender_ops += 1;
-        match fault_at(&sender_faults, w.sender_ops) {
-            Some(ChaosFault::DropEos)
-            | Some(ChaosFault::FailSend)
-            | Some(ChaosFault::DropWire)
-            | Some(ChaosFault::CorruptWire) => {}
-            _ => {
-                w.eos_delivered[target.idx()] += 1;
-            }
+        if matches!(
+            sender.wire_fate(true),
+            WireFate::Deliver | WireFate::Delay(_)
+        ) {
+            w.eos_delivered[target.idx()] += 1;
         }
     }
     // Disk EOS fan-out (concurrent only): plain uncounted sends, covered
@@ -1156,39 +1115,38 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
                 "rank {rank}: writer dies at put attempt {} past its revival budget; the \
                  rank degrades to message-only and the sender covers the disk channel's \
                  EOS (fail-soft by construction)",
-                w.writer_ops
+                writer.ops()
             ),
         ));
     }
 
     // Sender-entity ordinal liveness against the exact op count.
-    for &(ord, _) in &sender_faults {
-        if ord > w.sender_ops {
+    let sender_ops = sender.ops();
+    for &(ord, _) in &input.faults_for(sender_entity) {
+        if ord > sender_ops {
             d.push(Diagnostic::at(
                 ZvCode::DeadOrdinal,
                 sender_entity,
                 ord,
                 format!(
-                    "sender performs exactly {} chaos-counted operations ({} data wires \
-                     + {} EOS marks); ordinal {ord} never fires",
-                    w.sender_ops,
-                    w.wires,
-                    w.sender_ops - w.wires
+                    "sender performs exactly {sender_ops} chaos-counted operations ({wires} \
+                     data wires + {} EOS marks); ordinal {ord} never fires",
+                    sender_ops - wires
                 ),
             ));
         }
     }
     // Writer-entity ordinal liveness.
     if has_writer {
-        for &(ord, _) in &writer_faults {
-            if ord > w.writer_ops {
+        for &(ord, _) in &input.faults_for(writer_entity) {
+            if ord > writer.ops() {
                 d.push(Diagnostic::at(
                     ZvCode::DeadOrdinal,
                     writer_entity,
                     ord,
                     format!(
                         "writer performs exactly {} put attempts; ordinal {ord} never fires",
-                        w.writer_ops
+                        writer.ops()
                     ),
                 ));
             }
@@ -1631,6 +1589,37 @@ mod tests {
             "{}",
             report.render()
         );
+    }
+
+    /// The script rule on Config C's shape (8 blocks per rank): zero,
+    /// duplicate and regressing windows are malformed, an unsatisfiable
+    /// target is ZV011, and equal or zero targets are fine.
+    #[test]
+    fn validate_rejects_bad_scripts() {
+        let verdict = |script: BackpressureScript| {
+            let mut input = config_c();
+            input.backpressure = Some(script);
+            Preflight::check_script(&input)
+                .iter()
+                .map(|d| d.code)
+                .collect::<Vec<_>>()
+        };
+        let steals = |windows: &[(u64, u64)]| {
+            windows
+                .iter()
+                .fold(BackpressureScript::new(), |s, &(wire, t)| {
+                    s.with(Rank(0), wire, GateRule::OpenAfterSteals(t))
+                })
+        };
+        let malformed = vec![ZvCode::MalformedScript];
+        assert_eq!(verdict(steals(&[(0, 1)])), malformed, "zero wire");
+        assert_eq!(verdict(steals(&[(3, 1), (3, 2)])), malformed, "duplicate");
+        assert_eq!(verdict(steals(&[(2, 3), (5, 1)])), malformed, "regress");
+        assert_eq!(
+            verdict(steals(&[(4, 5)])),
+            vec![ZvCode::UnsatisfiableWindow]
+        );
+        assert_eq!(verdict(steals(&[(1, 0), (2, 3), (4, 3)])), vec![]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::time::Duration;
 use zipper_apps::{AppCostModel, Complexity};
 use zipper_model::ModelInput;
 use zipper_pfs::OstModelConfig;
-use zipper_policy::PreflightInput;
+use zipper_policy::{Preflight, PreflightInput, Severity};
 use zipper_types::{
     BackpressureScript, ByteSize, ChaosPlan, NodeId, PreserveMode, RecoveryPolicy, RoutingPolicy,
     SimTime, WorkflowConfig, ZipperTuning,
@@ -78,8 +78,8 @@ pub struct WorkflowSpec {
     pub chaos: Option<ChaosPlan>,
     /// Scripted flow-control gates interpreted by the Zipper sender/writer
     /// processes (`None` = ungated). Wire ordinals follow the same
-    /// data-wire counting as [`ChaosPlan`], so one script drives both the
-    /// threaded runtime's `GatedSender` and the DES NIC model.
+    /// data-wire counting as [`ChaosPlan`], so one script drives the
+    /// threaded producer's gate and the DES NIC model alike.
     pub backpressure: Option<BackpressureScript>,
     /// Recovery budgets handed to every policy kernel (writer revival,
     /// consumer restart). Default: recovery disabled.
@@ -298,11 +298,13 @@ impl WorkflowSpec {
                 return Err("DetachSender requires concurrent_transfer".into());
             }
         }
-        if let Some(script) = &self.backpressure {
-            // Steal-credit satisfiability is checked against the per-rank
-            // block budget, so an unsatisfiable script is rejected here
-            // instead of (fail-open) degrading at run time.
-            script.validate(Some(self.steps * self.blocks_per_rank_step()))?;
+        if self.backpressure.is_some() {
+            // Preflight's structural rule (ZV010-ZV012) is the one rule for
+            // which scripts are valid.
+            let errors = Preflight::check_script(&self.preflight_input());
+            if let Some(e) = errors.iter().find(|d| d.code.severity() == Severity::Error) {
+                return Err(e.to_string());
+            }
         }
         Ok(())
     }

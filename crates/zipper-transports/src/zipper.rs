@@ -41,19 +41,18 @@
 //! ## Scripted backpressure
 //!
 //! When [`WorkflowSpec::backpressure`] carries a
-//! [`BackpressureScript`](zipper_types::BackpressureScript), the sender
-//! process models a flow-controlled NIC: at each scripted data-wire
-//! ordinal the taken block is held in xmit-wait until the gate opens — a
-//! fixed virtual-time `Hold`, or an `OpenAfterSteals` credit window that
-//! opens once the rank's writer has stolen the scripted cumulative block
-//! count. The held span is recorded as `Stall` and charged to
-//! `net.backpressure_ns` plus the node's XmitWait counter, exactly like
-//! the threaded `GatedSender`. While a credit window is armed, the writer
-//! steals every buffered block regardless of the high-water mark (the
-//! threaded `SenderGate::steal_phase` override), so a script pins an
-//! exact partial steal schedule on both substrates. All gates fail open:
-//! a retiring writer floods the credit gate, a closing sender floods the
-//! window gate.
+//! [`BackpressureScript`](zipper_types::BackpressureScript), a rank's
+//! sender and writer share one [`GateScript`] kernel the way they share
+//! the policy, and the sender process models a flow-controlled NIC: a
+//! wire the kernel holds waits in xmit-wait — a fixed virtual-time `Hold`,
+//! or an armed credit window parked on the steal-credit engine gate. The
+//! held span is recorded as `Stall` and charged to `net.backpressure_ns`
+//! plus the node's XmitWait counter, as on threads. While a credit window
+//! is armed the writer steals every buffered block regardless of the
+//! high-water mark, so a script pins an exact partial steal schedule on
+//! both substrates. The engine gates carry only the wake-ups, and fail
+//! open with the kernel: a retiring writer floods the credit gate, a
+//! closing sender floods the arm gate.
 
 use crate::spec::{tag, ClusterLayout, WorkflowSpec};
 use hpcsim::{BufferTaken, GateId, Op, ProcCtx, Program, Simulator, Step};
@@ -61,12 +60,12 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use zipper_apps::AppCostModel;
 use zipper_policy::{
-    Channel, ConsumerPolicy, DecisionTrace, EosTargets, ProducerPolicy, RetireReason,
+    Channel, ConsumerPolicy, DecisionTrace, EosTargets, GateScript, ProducerPolicy, RetireReason,
+    WireGate, WriterGate,
 };
 use zipper_trace::SpanKind;
 use zipper_types::{
-    BlockId, ChaosEntity, ChaosFault, ChaosScope, GateRule, GateWindow, ProcId, Rank, SimTime,
-    StepId,
+    BlockId, ChaosEntity, ChaosFault, ChaosScope, ProcId, Rank, SimTime, StepId, WireFate,
 };
 
 /// Gate-flood quantum for fail-open paths: large enough that no realistic
@@ -238,23 +237,16 @@ impl Program for ComputeProc {
     }
 }
 
-/// Sender-side interpreter state of one rank's backpressure script: the
-/// DES analogue of the wire-counting half of the threaded
-/// [`zipper_types::SenderGate`].
-struct SenderGateScript {
-    /// This rank's scripted windows, in ordinal order.
-    windows: Vec<GateWindow>,
-    /// Index of the next window not yet reached.
-    next: usize,
-    /// Data wires attempted so far (the gate ordinal counter).
-    wires: u64,
-    /// Cumulative-steal credit gate, signalled by the writer per steal.
-    gate_s: GateId,
-    /// Window-arm gate, signalled here as each credit window is reached.
-    gate_w: GateId,
-    /// Fail-open flag shared with the writer: set when either side can no
-    /// longer participate (sender drained, writer dead).
-    cancelled: Rc<Cell<bool>>,
+/// One rank's backpressure script, shared by its sender and writer
+/// processes: the kernel decides, the two engine gates carry the
+/// wake-ups.
+#[derive(Clone)]
+struct ScriptGates {
+    script: Rc<RefCell<GateScript>>,
+    /// Cumulative steal credit, signalled by the writer per steal.
+    steals: GateId,
+    /// Credit windows armed, signalled by the sender per arming.
+    arms: GateId,
 }
 
 /// The sender thread: drain the producer buffer over the message channel,
@@ -269,7 +261,7 @@ struct SenderProc {
     receivers: Rc<Vec<ProcId>>,
     policy: SharedProducerPolicy,
     chaos: Rc<ChaosScope>,
-    script: Option<SenderGateScript>,
+    gates: Option<ScriptGates>,
     /// Concurrent-transfer shutdown interlock: the threaded sender's
     /// `writer_done.wait()`. The gate opens when the writer retires; the
     /// flag says whether it died faulted, in which case this sender covers
@@ -298,40 +290,26 @@ enum SenderShutdown {
 }
 
 impl SenderProc {
-    /// Count one attempted data wire against the script and emit the gate
-    /// ops of a window landing on this ordinal. The caller appends the
-    /// wire's own ops *after* these, so the block is popped and routed
-    /// first, then held pre-transmit — the threaded `GatedSender` order.
+    /// Count one attempted data wire against the script and emit the hold
+    /// the kernel decides for it. The caller appends the wire's own ops
+    /// *after* these, so the block is popped and routed first, then held
+    /// pre-transmit — the order of the threaded producer's gate.
     fn gate_ops(&mut self, ops: &mut Vec<Op>) {
-        let Some(s) = &mut self.script else { return };
-        s.wires += 1;
-        let Some(w) = s.windows.get(s.next) else {
-            return;
-        };
-        if s.wires != w.wire {
-            return;
-        }
-        let rule = w.rule;
-        s.next += 1;
-        match rule {
-            GateRule::Hold(d) => {
+        let Some(g) = &self.gates else { return };
+        match g.script.borrow_mut().pass_wire() {
+            WireGate::Pass | WireGate::Inert => {}
+            WireGate::Hold(d) => {
                 let dur = sim_dur(d);
                 if dur > SimTime::ZERO {
                     ops.push(Op::Backpressure { dur });
                 }
             }
-            GateRule::OpenAfterSteals(target) => {
-                if s.cancelled.get() {
-                    return;
-                }
-                // Arm the window (waking the writer into its steal loop),
-                // then stall until the cumulative credit target is met.
-                ops.push(Op::GateSignal {
-                    gate: s.gate_w,
-                    n: 1,
-                });
+            WireGate::Armed { target } => {
+                // Wake the writer into its steal loop, then stall until
+                // the cumulative credit target is met.
+                ops.push(Op::GateSignal { gate: g.arms, n: 1 });
                 ops.push(Op::GateWait {
-                    gate: s.gate_s,
+                    gate: g.steals,
                     need: target,
                     kind: SpanKind::Stall,
                 });
@@ -351,10 +329,9 @@ impl SenderProc {
     }
 
     /// One chaos-counted wire send (data-carrying message or EOS mark):
-    /// tick this sender's scope and emit whatever the scheduled fault
-    /// implies — nothing for a drop, a corrupted frame the receiver will
-    /// discard, a virtual-time delay before the real send, or the send
-    /// itself.
+    /// tick this sender's scope and emit what the wire's fate implies —
+    /// nothing for a drop, a corrupted frame the receiver will discard, a
+    /// virtual-time delay before the real send, or the send itself.
     fn wire_ops(&mut self, ops: &mut Vec<Op>, dest: usize, bytes: u64, tag: u64, step: u64) {
         let to = self.receivers[dest];
         let send = move |tag| Op::Send {
@@ -363,18 +340,17 @@ impl SenderProc {
             tag,
             kind: SpanKind::Send,
         };
-        match self.chaos.next() {
-            Some(ChaosFault::FailSend) => self.dead[dest] = true,
-            Some(ChaosFault::DropWire) => {}
-            Some(ChaosFault::DropEos) if tag::kind(tag) == tag::SEOS => {}
-            Some(ChaosFault::CorruptWire) => {
+        match self.chaos.wire_fate(tag::kind(tag) == tag::SEOS) {
+            WireFate::Fail => self.dead[dest] = true,
+            WireFate::Drop => {}
+            WireFate::Corrupt => {
                 ops.push(send(tag::make(
                     tag::CORRUPT,
                     tag::step(tag),
                     tag::info(tag),
                 )));
             }
-            Some(ChaosFault::DelayWire(d)) => {
+            WireFate::Delay(d) => {
                 ops.push(Op::Compute {
                     dur: sim_dur(d),
                     kind: SpanKind::Retry,
@@ -382,12 +358,12 @@ impl SenderProc {
                 });
                 ops.push(send(tag));
             }
-            None | Some(_) => ops.push(send(tag)),
+            WireFate::Deliver => ops.push(send(tag)),
         }
     }
 
     /// The producer buffer closed: the next batch of the shutdown
-    /// sequence — fail the window gate open, announce SEOS to every
+    /// sequence — fail the script open, announce SEOS to every
     /// consumer the kernel names, wait for the writer to retire, and cover
     /// its WEOS if it died. The kernel decides (and records) each fan-out
     /// once, when it starts; the marks then stream [`EOS_CHUNK`] at a time.
@@ -396,12 +372,12 @@ impl SenderProc {
         loop {
             match std::mem::replace(&mut self.shutdown, SenderShutdown::Done) {
                 SenderShutdown::Draining => {
-                    if let Some(s) = &self.script {
+                    if let Some(g) = &self.gates {
                         // Windows past the last data wire can never arm:
-                        // fail the writer's window wait open first.
-                        s.cancelled.set(true);
+                        // fail the writer's wait for one open first.
+                        g.script.borrow_mut().cancel();
                         ops.push(Op::GateSignal {
-                            gate: s.gate_w,
+                            gate: g.arms,
                             n: GATE_FLOOD,
                         });
                     }
@@ -486,7 +462,7 @@ impl Program for SenderProc {
                 if !self.dead[dest.idx()] {
                     // Gate ordinals tick before the chaos scope consults its
                     // plan — parity with the threaded stack, where the
-                    // outermost `GatedSender` sees the wire first.
+                    // producer's gate wraps outermost.
                     self.gate_ops(&mut ops);
                     let tag = tag::make(tag::DATA, id.step.0, id.idx as u64);
                     self.wire_ops(&mut ops, dest.idx(), bytes, tag, id.step.0);
@@ -499,23 +475,6 @@ impl Program for SenderProc {
     }
 }
 
-/// Writer-side interpreter state of one rank's backpressure script: the
-/// credit windows only (`Hold` windows never involve the writer).
-struct WriterGateScript {
-    /// Cumulative steal targets, one per `OpenAfterSteals` window, in
-    /// script order.
-    targets: Vec<u64>,
-    /// Index of the current (or next) credit window.
-    widx: usize,
-    /// Steals credited so far (mirrors the `gate_s` count).
-    steals: u64,
-    /// True once the sender armed window `widx`.
-    armed: bool,
-    gate_s: GateId,
-    gate_w: GateId,
-    cancelled: Rc<Cell<bool>>,
-}
-
 /// Control state of the writer process. `last_take` persists across
 /// resumes in the engine, so a writer interleaving gate waits with buffer
 /// takes must know *why* it was woken — an explicit mode, not the stale
@@ -523,7 +482,8 @@ struct WriterGateScript {
 enum WriterMode {
     /// Not yet started.
     Start,
-    /// Parked on `gate_w` until the sender arms the next credit window.
+    /// Parked on the arm gate until the sender arms the next credit
+    /// window.
     AwaitWindow,
     /// Inside an armed window: steal every buffered block (occupancy ≥ 1)
     /// until the cumulative target is met.
@@ -552,7 +512,7 @@ struct WriterProc {
     receivers: Rc<Vec<ProcId>>,
     policy: SharedProducerPolicy,
     chaos: Rc<ChaosScope>,
-    script: Option<WriterGateScript>,
+    gates: Option<ScriptGates>,
     /// Retirement interlock shared with this rank's sender: signal the
     /// gate once on any exit; set the flag when dying faulted.
     done_gate: GateId,
@@ -574,38 +534,37 @@ impl WriterProc {
         }
     }
 
-    /// Pick the next phase and return the op that enters it: wait for the
-    /// next credit window to arm, take inside the armed window, or the
-    /// normal high-water-mark take. Windows whose cumulative target is
-    /// already met pass through without steals.
+    /// Pick the next phase, as the kernel answers the writer's question,
+    /// and return the op that enters it: take inside an armed window, wait
+    /// for the next credit window to arm, or the normal high-water-mark
+    /// take.
     fn schedule(&mut self) -> Op {
-        if let Some(s) = &mut self.script {
-            if s.cancelled.get() {
-                s.widx = s.targets.len();
-            }
-            while s.widx < s.targets.len() && s.steals >= s.targets[s.widx] {
-                s.widx += 1;
-                s.armed = false;
-            }
-            if s.widx < s.targets.len() {
-                if s.armed {
-                    self.mode = WriterMode::Stealing;
-                    return Op::BufferTake {
-                        buf: self.buf,
-                        min_occupancy: 1,
-                        kind: SpanKind::Idle,
-                    };
-                }
-                self.mode = WriterMode::AwaitWindow;
-                return Op::GateWait {
-                    gate: s.gate_w,
-                    need: (s.widx + 1) as u64,
+        let verdict = self
+            .gates
+            .as_ref()
+            .map(|g| (g.script.borrow().writer(), g.arms));
+        match verdict {
+            Some((WriterGate::Steal, _)) => {
+                self.mode = WriterMode::Stealing;
+                Op::BufferTake {
+                    buf: self.buf,
+                    min_occupancy: 1,
                     kind: SpanKind::Idle,
-                };
+                }
+            }
+            Some((WriterGate::Wait { arm }, gate)) => {
+                self.mode = WriterMode::AwaitWindow;
+                Op::GateWait {
+                    gate,
+                    need: arm,
+                    kind: SpanKind::Idle,
+                }
+            }
+            Some((WriterGate::Free, _)) | None => {
+                self.mode = WriterMode::Normal;
+                self.take()
             }
         }
-        self.mode = WriterMode::Normal;
-        self.take()
     }
 
     /// The writer stops stealing, at this instant: what its sender reads
@@ -616,8 +575,8 @@ impl WriterProc {
         if fatal {
             self.died.set(true);
         }
-        if let Some(s) = &self.script {
-            s.cancelled.set(true);
+        if let Some(g) = &self.gates {
+            g.script.borrow_mut().cancel();
         }
     }
 
@@ -625,9 +584,9 @@ impl WriterProc {
     /// stalled sender wire is released, and open the sender's shutdown
     /// interlock.
     fn retire_ops(&mut self, ops: &mut Vec<Op>) {
-        if let Some(s) = &self.script {
+        if let Some(g) = &self.gates {
             ops.push(Op::GateSignal {
-                gate: s.gate_s,
+                gate: g.steals,
                 n: GATE_FLOOD,
             });
         }
@@ -665,11 +624,8 @@ impl Program for WriterProc {
             WriterMode::Announcing(_) => return self.announce_ops(),
             WriterMode::Start => return Step::Ops(vec![self.schedule()]),
             WriterMode::AwaitWindow => {
-                // Woken by the sender arming window `widx` (or flooding the
-                // gate on close); `schedule` tells the cases apart.
-                if let Some(s) = &mut self.script {
-                    s.armed = true;
-                }
+                // Woken by the sender arming a window (or flooding the
+                // gate on close); the kernel tells the cases apart.
                 return Step::Ops(vec![self.schedule()]);
             }
             WriterMode::Stealing | WriterMode::Normal => {}
@@ -728,13 +684,13 @@ impl Program for WriterProc {
                         kind: SpanKind::Send,
                     },
                 ];
-                if let Some(s) = &mut self.script {
+                if let Some(g) = &self.gates {
                     // Credit the steal whichever phase earned it — normal
-                    // steals count toward the cumulative target too, same
-                    // as the threaded `SenderGate::note_steal` placement.
-                    s.steals += 1;
+                    // steals count toward the cumulative target too, as on
+                    // threads.
+                    g.script.borrow_mut().note_steal();
                     ops.push(Op::GateSignal {
-                        gate: s.gate_s,
+                        gate: g.steals,
                         n: 1,
                     });
                 }
@@ -1240,52 +1196,20 @@ pub(crate) fn build(
             policies.producers.push(policy.clone());
         }
 
-        // Backpressure-script gates for this rank. Without a writer there
-        // is no one to earn steal credits, so in message-only mode credit
-        // windows are failed open at build time (the threaded gate does
-        // the same through `retire_writer` at spawn); `Hold` windows still
-        // apply.
-        let mut windows = spec
+        // This rank's backpressure script, if it has windows.
+        let gates = spec
             .backpressure
             .as_ref()
             .map(|s| s.windows_for(Rank(r as u32)))
-            .unwrap_or_default();
-        if !spec.concurrent_transfer {
-            windows.retain(|w| matches!(w.rule, GateRule::Hold(_)));
-        }
-        let (sender_script, writer_script) = if windows.is_empty() {
-            (None, None)
-        } else {
-            let gate_s = sim.add_gate();
-            let gate_w = sim.add_gate();
-            let cancelled = Rc::new(Cell::new(false));
-            let targets: Vec<u64> = windows
-                .iter()
-                .filter_map(|w| match w.rule {
-                    GateRule::OpenAfterSteals(t) => Some(t),
-                    GateRule::Hold(_) => None,
-                })
-                .collect();
-            (
-                Some(SenderGateScript {
+            .filter(|windows| !windows.is_empty())
+            .map(|windows| ScriptGates {
+                script: Rc::new(RefCell::new(GateScript::new(
                     windows,
-                    next: 0,
-                    wires: 0,
-                    gate_s,
-                    gate_w,
-                    cancelled: cancelled.clone(),
-                }),
-                Some(WriterGateScript {
-                    targets,
-                    widx: 0,
-                    steals: 0,
-                    armed: false,
-                    gate_s,
-                    gate_w,
-                    cancelled,
-                }),
-            )
-        };
+                    spec.concurrent_transfer,
+                ))),
+                steals: sim.add_gate(),
+                arms: sim.add_gate(),
+            });
         // The writer-retirement interlock exists for every concurrent
         // rank, scripted or not: it is how writer death propagates to the
         // consumers (the sender covers the disk channel's EOS).
@@ -1302,7 +1226,7 @@ pub(crate) fn build(
                 receivers: receivers.clone(),
                 policy: policy.clone(),
                 chaos: Rc::new(plan.scope(ChaosEntity::Sender(Rank(r as u32)))),
-                script: sender_script,
+                gates: gates.clone(),
                 writer_done: writer_done.clone(),
                 dead: vec![false; spec.ana_ranks],
                 started: false,
@@ -1319,7 +1243,7 @@ pub(crate) fn build(
                     receivers: receivers.clone(),
                     policy,
                     chaos: Rc::new(plan.scope(ChaosEntity::Writer(Rank(r as u32)))),
-                    script: writer_script,
+                    gates,
                     done_gate,
                     died,
                     key_base: (r as u64) << 32,
@@ -1755,6 +1679,24 @@ mod tests {
 
     const WIDE: usize = 1000;
 
+    /// Shared script gates whose one credit window (at a wire no test
+    /// reaches) keeps the writer waiting until the script is cancelled.
+    fn pending_gates() -> ScriptGates {
+        let window = zipper_types::GateWindow {
+            wire: 99,
+            rule: zipper_types::GateRule::OpenAfterSteals(1),
+        };
+        ScriptGates {
+            script: Rc::new(RefCell::new(GateScript::new(vec![window], true))),
+            steals: 0,
+            arms: 1,
+        }
+    }
+
+    fn cancelled(gates: &ScriptGates) -> bool {
+        gates.script.borrow().writer() == WriterGate::Free
+    }
+
     fn wide_policy() -> SharedProducerPolicy {
         Rc::new(RefCell::new(
             ProducerPolicy::new(
@@ -1770,7 +1712,7 @@ mod tests {
 
     /// A sender's shutdown at Q = 1,000 streams in bounded batches, and
     /// the batches concatenate to the whole sequence, as one batch would
-    /// issue it: window-gate flood first, one SEOS per consumer in rank
+    /// issue it: arm-gate flood first, one SEOS per consumer in rank
     /// order with chaos ordinals landing inside the fan-out (a dropped
     /// mark, a failed send), the wait for the writer last — then, the
     /// writer having died, its WEOS marks.
@@ -1782,21 +1724,14 @@ mod tests {
             .with(ChaosEntity::Sender(Rank(0)), 100, ChaosFault::DropEos)
             .with(ChaosEntity::Sender(Rank(0)), 500, ChaosFault::FailSend);
         let policy = wide_policy();
-        let cancelled = Rc::new(Cell::new(false));
+        let gates = pending_gates();
         let mut sender = SenderProc {
             buf: 0,
             rank: 0,
             receivers: receivers.clone(),
             policy: policy.clone(),
             chaos: Rc::new(plan.scope(ChaosEntity::Sender(Rank(0)))),
-            script: Some(SenderGateScript {
-                windows: Vec::new(),
-                next: 0,
-                wires: 0,
-                gate_s: 0,
-                gate_w: 1,
-                cancelled: cancelled.clone(),
-            }),
+            gates: Some(gates.clone()),
             writer_done: Some((2, Rc::new(Cell::new(true)))),
             dead: vec![false; WIDE],
             started: true,
@@ -1829,7 +1764,7 @@ mod tests {
         let want: Vec<String> = want.iter().map(|op| format!("{op:?}")).collect();
         assert_eq!(got, want);
 
-        assert!(cancelled.get());
+        assert!(cancelled(&gates));
         assert!(sender.dead[499], "the failed send killed its destination");
         // The kernel recorded each fan-out once, whole.
         let t = policy.borrow().trace().canonical();
@@ -1843,22 +1778,14 @@ mod tests {
     #[test]
     fn writer_eos_fan_out_streams_the_same_ops_in_bounded_batches() {
         let receivers: Rc<Vec<ProcId>> = Rc::new((0..WIDE as u32).map(ProcId).collect());
-        let cancelled = Rc::new(Cell::new(false));
+        let gates = pending_gates();
         let mut writer = WriterProc {
             buf: 0,
             rank: 0,
             receivers: receivers.clone(),
             policy: wide_policy(),
             chaos: Rc::new(zipper_types::ChaosPlan::new().scope(ChaosEntity::Writer(Rank(0)))),
-            script: Some(WriterGateScript {
-                targets: Vec::new(),
-                widx: 0,
-                steals: 0,
-                armed: false,
-                gate_s: 0,
-                gate_w: 1,
-                cancelled: cancelled.clone(),
-            }),
+            gates: Some(gates.clone()),
             done_gate: 2,
             died: Rc::new(Cell::new(false)),
             key_base: 0,
@@ -1866,7 +1793,7 @@ mod tests {
             mode: WriterMode::Normal,
         };
         let got = closed_buffer_stream(&mut writer, || {
-            assert!(cancelled.get(), "the script is cancelled at retirement");
+            assert!(cancelled(&gates), "the script is cancelled at retirement");
         });
 
         let mut want: Vec<Op> = receivers.iter().map(|&to| weos_send(to)).collect();

@@ -30,20 +30,16 @@
 //! in route order. Disk-only ID flushes, EOS markers, and sends skipped
 //! for dead destinations are *not* counted.
 //!
-//! The threaded interpreter is [`SenderGate`]: the producer's transport
-//! wrapper calls [`SenderGate::pass_data_wire`] before each data wire,
-//! and the writer thread reports progress through
-//! [`SenderGate::note_steal`]. While a steal window is armed the writer's
-//! take predicate treats the queue as over the high-water mark
-//! ([`SenderGate::steal_phase`]), which is exactly the condition real
-//! backpressure produces. Every blocking path fails open: a retired
-//! writer cancels all pending windows rather than deadlocking the sender.
-//! The DES interprets the same script directly with engine gate events —
-//! see `zipper-transports`' zipper model.
+//! What a window means — when it arms, when it opens, how it fails open
+//! — is decided in one place, `zipper_policy::GateScript`. Three
+//! interpreters drive that kernel and keep only their way of waiting: the
+//! threaded producer (`zipper-core`), the DES sender and writer procs
+//! (`zipper-transports`), and preflight's symbolic walk. Which scripts are
+//! valid is decided in one place too: `zipper_policy::Preflight::check_script`
+//! (ZV010–ZV012), which the DES spec's validation also applies.
 
 use crate::ids::Rank;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// When a gated wire is allowed through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,9 +60,8 @@ pub struct GateWindow {
     pub rule: GateRule,
 }
 
-/// A substrate-independent backpressure script: plain data, interpreted
-/// by the threaded runtime's [`SenderGate`] and by the DES's flow-control
-/// gate events.
+/// A substrate-independent backpressure script: plain data, one rank's
+/// windows ([`BackpressureScript::windows_for`]) per interpreter.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BackpressureScript {
     pub gates: Vec<(Rank, GateWindow)>,
@@ -84,11 +79,6 @@ impl BackpressureScript {
         self
     }
 
-    /// True when nothing is scripted.
-    pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
-    }
-
     /// The windows scripted for `rank`, sorted by wire ordinal.
     pub fn windows_for(&self, rank: Rank) -> Vec<GateWindow> {
         let mut v: Vec<GateWindow> = self
@@ -100,256 +90,11 @@ impl BackpressureScript {
         v.sort_by_key(|w| w.wire);
         v
     }
-
-    /// Structural validation: per rank, wire ordinals must be ≥ 1 and
-    /// strictly increasing, and `OpenAfterSteals` targets non-decreasing
-    /// (they are cumulative). With `blocks_per_rank` known, each steal
-    /// window must also be satisfiable: the sender sends `wire` blocks
-    /// and the writer steals `target`, so `wire + target` cannot exceed
-    /// the rank's total production — an unsatisfiable window would stall
-    /// the sender forever (the interpreters still fail open, but the run
-    /// would no longer exercise the scripted schedule).
-    pub fn validate(&self, blocks_per_rank: Option<u64>) -> Result<(), String> {
-        let mut ranks: Vec<Rank> = self.gates.iter().map(|&(r, _)| r).collect();
-        ranks.sort_by_key(|r| r.0);
-        ranks.dedup();
-        for rank in ranks {
-            let windows = self.windows_for(rank);
-            let mut last_wire = 0u64;
-            let mut last_target = 0u64;
-            for w in &windows {
-                if w.wire == 0 {
-                    return Err(format!("rank {}: gate wire ordinals are 1-based", rank.0));
-                }
-                if w.wire <= last_wire {
-                    return Err(format!(
-                        "rank {}: duplicate or unsorted gate at wire {}",
-                        rank.0, w.wire
-                    ));
-                }
-                last_wire = w.wire;
-                if let GateRule::OpenAfterSteals(target) = w.rule {
-                    if target < last_target {
-                        return Err(format!(
-                            "rank {}: steal target {} at wire {} regresses below {} \
-                             (targets are cumulative)",
-                            rank.0, target, w.wire, last_target
-                        ));
-                    }
-                    last_target = target;
-                    if let Some(total) = blocks_per_rank {
-                        if w.wire + target > total {
-                            return Err(format!(
-                                "rank {}: window at wire {} needs {} sent + {} stolen \
-                                 but the rank produces only {} blocks",
-                                rank.0, w.wire, w.wire, target, total
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    /// Data wires counted so far (1-based after increment).
-    wires: u64,
-    /// Blocks the writer has stolen so far.
-    steals: u64,
-    /// Index of the next unconsumed window.
-    next: usize,
-    /// The cumulative steal target of the currently armed window, if a
-    /// steal window is holding the sender right now.
-    armed: Option<u64>,
-    /// Set when the writer retires: every present and future window
-    /// fails open.
-    cancelled: bool,
-}
-
-type Waker = Box<dyn Fn() + Send + Sync>;
-
-/// The threaded interpreter of one rank's [`BackpressureScript`] windows.
-///
-/// Shared between the rank's transport wrapper (which calls
-/// [`SenderGate::pass_data_wire`] and blocks inside it) and its writer
-/// thread (which polls [`SenderGate::steal_phase`] inside the queue's
-/// take predicate and reports [`SenderGate::note_steal`]). The optional
-/// waker lets an armed window nudge a writer parked on the queue's
-/// condition variable; it is always invoked *outside* the gate lock
-/// (lock order anywhere in the runtime is queue → gate, never both
-/// held).
-pub struct SenderGate {
-    windows: Vec<GateWindow>,
-    state: Mutex<GateState>,
-    opened: Condvar,
-    waker: Mutex<Option<Waker>>,
-}
-
-impl SenderGate {
-    /// Interpret `windows` (sorted by wire ordinal; [`BackpressureScript::windows_for`]
-    /// provides them sorted).
-    pub fn new(mut windows: Vec<GateWindow>) -> Self {
-        windows.sort_by_key(|w| w.wire);
-        SenderGate {
-            windows,
-            state: Mutex::new(GateState::default()),
-            opened: Condvar::new(),
-            waker: Mutex::new(None),
-        }
-    }
-
-    /// True when no windows are scripted — the wrapper can skip the
-    /// lock entirely.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Register the callback an arming window uses to wake the writer
-    /// (typically the producer queue's `nudge`).
-    pub fn set_waker(&self, f: impl Fn() + Send + Sync + 'static) {
-        *self.waker.lock().unwrap() = Some(Box::new(f));
-    }
-
-    fn wake(&self) {
-        if let Some(f) = self.waker.lock().unwrap().as_ref() {
-            f();
-        }
-    }
-
-    /// Count one data wire; if it is gated, hold until the window opens.
-    /// Returns the time spent held (zero for ungated wires), which the
-    /// caller charges to `net.backpressure_ns`.
-    // Threaded-substrate interpreter: Hold sleeps the real sender and the
-    // armed-window wait is timed on the wall clock; the DES interprets the
-    // same script in virtual time (zipper-transports::gate).
-    #[allow(clippy::disallowed_methods)]
-    pub fn pass_data_wire(&self) -> Duration {
-        let mut g = self.state.lock().unwrap();
-        g.wires += 1;
-        let Some(&window) = self.windows.get(g.next) else {
-            return Duration::ZERO;
-        };
-        if g.wires != window.wire {
-            return Duration::ZERO;
-        }
-        g.next += 1;
-        match window.rule {
-            GateRule::Hold(d) => {
-                drop(g);
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
-                d
-            }
-            GateRule::OpenAfterSteals(target) => {
-                if g.steals >= target || g.cancelled {
-                    return Duration::ZERO;
-                }
-                g.armed = Some(target);
-                drop(g);
-                // The writer may be parked on the queue below the
-                // high-water mark (nudge) or between windows inside
-                // `await_steal_window` (notify); wake both paths so the
-                // armed window is observed.
-                self.opened.notify_all();
-                self.wake();
-                let t0 = Instant::now();
-                let mut g = self.state.lock().unwrap();
-                while g.steals < target && !g.cancelled {
-                    g = self.opened.wait(g).unwrap();
-                }
-                g.armed = None;
-                drop(g);
-                // Disarming changes the writer's predicate back; wake it
-                // again so it re-parks at its normal threshold instead
-                // of stealing past the window.
-                self.wake();
-                t0.elapsed()
-            }
-        }
-    }
-
-    /// Whether a steal window is armed and unmet — the writer's take
-    /// predicate treats this exactly like queue-over-high-water-mark.
-    pub fn steal_phase(&self) -> bool {
-        let g = self.state.lock().unwrap();
-        !g.cancelled && g.armed.is_some_and(|target| g.steals < target)
-    }
-
-    /// The writer stole one block; open any window this satisfies.
-    pub fn note_steal(&self) {
-        let mut g = self.state.lock().unwrap();
-        g.steals += 1;
-        drop(g);
-        self.opened.notify_all();
-    }
-
-    /// The writer retired (drained or dead): cancel every window so no
-    /// sender blocks on steals that can never happen.
-    pub fn retire_writer(&self) {
-        self.cancel();
-    }
-
-    /// The sender drained the queue (or is detached and never passes
-    /// wires): no further data wire exists, so windows at higher ordinals
-    /// can never arm. Cancel them so a writer parked in
-    /// [`SenderGate::await_steal_window`] retires instead of waiting for
-    /// a wire that will never come.
-    pub fn close_windows(&self) {
-        self.cancel();
-    }
-
-    fn cancel(&self) {
-        let mut g = self.state.lock().unwrap();
-        g.cancelled = true;
-        drop(g);
-        self.opened.notify_all();
-    }
-
-    /// Writer-side park between windows: block until an unmet steal
-    /// window is armed (returns `true` — go steal) or no window can ever
-    /// arm again (cancelled, or every remaining window's cumulative
-    /// target is already met — returns `false` — retire).
-    ///
-    /// The threaded queue reports "closed" to the writer as soon as the
-    /// app finishes, even while the sender still holds undrained blocks
-    /// behind a scripted gate; without this park the writer would retire
-    /// between windows and fail the rest of the script open, diverging
-    /// from the DES (whose writer waits on the window gate, not the
-    /// buffer).
-    pub fn await_steal_window(&self) -> bool {
-        let mut g = self.state.lock().unwrap();
-        loop {
-            if g.cancelled {
-                return false;
-            }
-            if g.armed.is_some_and(|target| g.steals < target) {
-                return true;
-            }
-            let pending = self.windows[g.next..].iter().any(|w| match w.rule {
-                GateRule::OpenAfterSteals(target) => g.steals < target,
-                GateRule::Hold(_) => false,
-            });
-            if !pending {
-                return false;
-            }
-            g = self.opened.wait(g).unwrap();
-        }
-    }
-
-    /// Blocks stolen so far (test observability).
-    pub fn steals(&self) -> u64 {
-        self.state.lock().unwrap().steals
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn script_windows_are_per_rank_and_sorted() {
@@ -357,127 +102,10 @@ mod tests {
             .with(Rank(1), 4, GateRule::OpenAfterSteals(2))
             .with(Rank(0), 2, GateRule::Hold(Duration::from_millis(1)))
             .with(Rank(1), 2, GateRule::OpenAfterSteals(1));
-        assert!(!s.is_empty());
         let w1 = s.windows_for(Rank(1));
         assert_eq!(w1.len(), 2);
         assert_eq!(w1[0].wire, 2);
         assert_eq!(w1[1].wire, 4);
         assert_eq!(s.windows_for(Rank(2)), Vec::new());
-        s.validate(Some(8)).unwrap();
-    }
-
-    #[test]
-    fn validate_rejects_bad_scripts() {
-        let zero = BackpressureScript::new().with(Rank(0), 0, GateRule::OpenAfterSteals(1));
-        assert!(zero.validate(None).is_err());
-        let dup = BackpressureScript::new()
-            .with(Rank(0), 3, GateRule::OpenAfterSteals(1))
-            .with(Rank(0), 3, GateRule::OpenAfterSteals(2));
-        assert!(dup.validate(None).is_err());
-        let regress = BackpressureScript::new()
-            .with(Rank(0), 2, GateRule::OpenAfterSteals(3))
-            .with(Rank(0), 5, GateRule::OpenAfterSteals(1));
-        assert!(regress.validate(None).is_err());
-        let unsat = BackpressureScript::new().with(Rank(0), 4, GateRule::OpenAfterSteals(5));
-        assert!(unsat.validate(Some(8)).is_err());
-        assert!(unsat.validate(None).is_ok(), "satisfiability needs totals");
-    }
-
-    #[test]
-    fn ungated_wires_pass_without_blocking() {
-        let gate = SenderGate::new(vec![GateWindow {
-            wire: 3,
-            rule: GateRule::OpenAfterSteals(1),
-        }]);
-        assert_eq!(gate.pass_data_wire(), Duration::ZERO); // wire 1
-        assert_eq!(gate.pass_data_wire(), Duration::ZERO); // wire 2
-        assert!(!gate.steal_phase());
-    }
-
-    #[test]
-    fn steal_window_blocks_until_target_met() {
-        let gate = Arc::new(SenderGate::new(vec![GateWindow {
-            wire: 1,
-            rule: GateRule::OpenAfterSteals(2),
-        }]));
-        let g2 = gate.clone();
-        let writer = std::thread::spawn(move || {
-            while !g2.steal_phase() {
-                std::thread::yield_now();
-            }
-            g2.note_steal();
-            assert!(g2.steal_phase(), "one steal of two leaves the window armed");
-            g2.note_steal();
-        });
-        let held = gate.pass_data_wire();
-        writer.join().unwrap();
-        assert!(!gate.steal_phase(), "window disarmed after opening");
-        assert_eq!(gate.steals(), 2);
-        let _ = held; // duration is timing-dependent; reaching here is the assertion
-    }
-
-    #[test]
-    fn satisfied_or_cancelled_windows_fail_open() {
-        let gate = SenderGate::new(vec![
-            GateWindow {
-                wire: 1,
-                rule: GateRule::OpenAfterSteals(1),
-            },
-            GateWindow {
-                wire: 2,
-                rule: GateRule::OpenAfterSteals(5),
-            },
-        ]);
-        gate.note_steal();
-        assert_eq!(
-            gate.pass_data_wire(),
-            Duration::ZERO,
-            "target already met: no hold"
-        );
-        gate.retire_writer();
-        assert_eq!(
-            gate.pass_data_wire(),
-            Duration::ZERO,
-            "retired writer cancels the window"
-        );
-        assert!(!gate.steal_phase());
-    }
-
-    #[test]
-    fn hold_window_sleeps_and_reports() {
-        let gate = SenderGate::new(vec![GateWindow {
-            wire: 2,
-            rule: GateRule::Hold(Duration::from_millis(20)),
-        }]);
-        assert_eq!(gate.pass_data_wire(), Duration::ZERO);
-        // Timed test of the real hold: wall clock is the thing under test.
-        #[allow(clippy::disallowed_methods)]
-        let t0 = Instant::now();
-        let held = gate.pass_data_wire();
-        assert_eq!(held, Duration::from_millis(20));
-        assert!(t0.elapsed() >= Duration::from_millis(15));
-    }
-
-    #[test]
-    fn waker_fires_on_arm_and_disarm() {
-        let gate = Arc::new(SenderGate::new(vec![GateWindow {
-            wire: 1,
-            rule: GateRule::OpenAfterSteals(1),
-        }]));
-        let nudges = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let n2 = nudges.clone();
-        gate.set_waker(move || {
-            n2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        let g2 = gate.clone();
-        let writer = std::thread::spawn(move || {
-            while !g2.steal_phase() {
-                std::thread::yield_now();
-            }
-            g2.note_steal();
-        });
-        gate.pass_data_wire();
-        writer.join().unwrap();
-        assert_eq!(nudges.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 }

@@ -73,6 +73,21 @@ pub enum ChaosFault {
     DetachSender,
 }
 
+/// What one chaos-counted sender wire suffers ([`ChaosScope::wire_fate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WireFate {
+    /// Sent as is.
+    Deliver,
+    /// Sent after this extra delay.
+    Delay(Duration),
+    /// Lost: the send reports success and nothing arrives.
+    Drop,
+    /// Arrives as garbage the receiver discards.
+    Corrupt,
+    /// The send fails; the sender treats the destination as dead.
+    Fail,
+}
+
 /// One scripted fault: `fault` strikes `entity`'s `ordinal`-th operation
 /// (1-based; see the module docs for what each entity counts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,6 +168,21 @@ impl ChaosScope {
             .iter()
             .find(|&&(ord, _)| ord == n)
             .map(|&(_, f)| f)
+    }
+
+    /// Count one sender wire — a data wire, or a message-channel EOS mark
+    /// when `eos` — and say what happens to it. The one map from a
+    /// scheduled fault to a wire's fate: `DropEos` drops marks only, and
+    /// faults a sender never interprets deliver.
+    pub fn wire_fate(&self, eos: bool) -> WireFate {
+        match self.next() {
+            Some(ChaosFault::FailSend) => WireFate::Fail,
+            Some(ChaosFault::DropWire) => WireFate::Drop,
+            Some(ChaosFault::DropEos) if eos => WireFate::Drop,
+            Some(ChaosFault::CorruptWire) => WireFate::Corrupt,
+            Some(ChaosFault::DelayWire(d)) => WireFate::Delay(d),
+            _ => WireFate::Deliver,
+        }
     }
 
     /// Whether this entity is structurally detached

@@ -23,11 +23,11 @@ pub mod retry;
 pub mod size;
 pub mod time;
 
-pub use backpressure::{BackpressureScript, GateRule, GateWindow, SenderGate};
+pub use backpressure::{BackpressureScript, GateRule, GateWindow};
 pub use block::{Block, BlockHeader, GlobalPos, MixedMessage};
 pub use config::{PreserveMode, RecoveryPolicy, RoutingPolicy, WorkflowConfig, ZipperTuning};
 pub use error::{panic_detail, Error, Result, RuntimeError};
-pub use fault::{ChaosEntity, ChaosEvent, ChaosFault, ChaosPlan, ChaosScope};
+pub use fault::{ChaosEntity, ChaosEvent, ChaosFault, ChaosPlan, ChaosScope, WireFate};
 pub use ids::{BlockId, NodeId, ProcId, Rank, StepId};
 pub use retry::RetryPolicy;
 pub use size::ByteSize;

@@ -7,15 +7,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zipper_core::{
-    ChannelMesh, ChaosSender, Consumer, GatedSender, Producer, RetryingSender, TracedSender,
-    WireSender, ZipperReader, ZipperWriter,
+    ChannelMesh, ChaosSender, Consumer, Producer, RetryingSender, TracedSender, WireSender,
+    ZipperReader, ZipperWriter,
 };
 use zipper_pfs::{ChaosFs, MemFs, RetryingFs, Storage, ThrottledFs};
 use zipper_policy::{ConsumerPolicy, Preflight, PreflightInput, PreflightReport, ProducerPolicy};
 use zipper_trace::{SampleSeries, Sampler, Telemetry, TraceMode, TraceSink};
 use zipper_types::{
     panic_detail, BackpressureScript, ChaosEntity, ChaosPlan, Rank, RetryPolicy, RuntimeError,
-    SenderGate, WorkflowConfig,
+    WorkflowConfig,
 };
 
 /// Message-channel options for a run.
@@ -30,11 +30,11 @@ pub struct NetworkOptions {
     /// `Retry` spans on lane `net/p{rank}/retry` and counted in
     /// [`WorkflowReport::net_retries`].
     pub retry: Option<RetryPolicy>,
-    /// Optional scripted backpressure: each producer whose rank the script
-    /// names gets its sender wrapped outermost in a [`GatedSender`]
-    /// holding the scripted data-wire ordinals until their gate opens
-    /// (a fixed hold, or a cumulative writer-steal credit target). Held
-    /// time is charged to `net.backpressure_ns`.
+    /// Optional scripted backpressure: each producer is spawned with the
+    /// script's windows for its rank, and holds its scripted data wires
+    /// until their window opens (a fixed hold, or a cumulative
+    /// writer-steal credit target). Held time is charged to
+    /// `net.backpressure_ns`.
     pub backpressure: Option<BackpressureScript>,
 }
 
@@ -70,13 +70,6 @@ impl NetworkOptions {
     /// Retry failed sends under `policy`.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
-        self
-    }
-
-    /// Hold scripted data wires under `script` (see
-    /// [`NetworkOptions::backpressure`]).
-    pub fn with_backpressure(mut self, script: BackpressureScript) -> Self {
-        self.backpressure = Some(script);
         self
     }
 }
@@ -341,8 +334,9 @@ where
 /// Each producer's sender is the stack `mesh → chaos → trace → retry →
 /// gate`, innermost first: fault injection sits at the wire (as a lossy
 /// network would), tracing observes it, retry rides over it, and the
-/// backpressure gate wraps outermost — a retried send must not pass the
-/// gate twice, and held time is not the inner transport's.
+/// backpressure gate, which the producer adds itself, wraps outermost — a
+/// retried send must not pass the gate twice, and held time is not the
+/// inner transport's.
 pub fn run_workflow_with<R, P, C>(
     cfg: &WorkflowConfig,
     opts: RunOptions,
@@ -548,20 +542,6 @@ where
             }
             None => traced,
         };
-        let gate = net
-            .backpressure
-            .as_ref()
-            .map(|s| s.windows_for(rank))
-            .filter(|w| !w.is_empty())
-            .map(|w| Arc::new(SenderGate::new(w)));
-        let sender: Box<dyn WireSender> = match &gate {
-            Some(g) => Box::new(
-                GatedSender::new(retried, g.clone())
-                    .with_telemetry(sink.telemetry().clone())
-                    .with_causal(sink.causal().clone(), format!("sim/p{p}/send")),
-            ),
-            None => retried,
-        };
         let mut pp = ProducerPolicy::from_tuning(rank, cfg.consumers, &cfg.tuning);
         if trace.policy {
             pp = pp.recorded();
@@ -580,12 +560,15 @@ where
         let mut prod = Producer::spawn_with(
             rank,
             cfg.tuning,
-            sender,
+            retried,
             producer_storage,
             sink.clone(),
             Some(policy),
             detach_sender,
-            gate,
+            net.backpressure
+                .as_ref()
+                .map(|s| s.windows_for(rank))
+                .unwrap_or_default(),
         );
         let writer = prod.writer(cfg.tuning.block_size.as_u64() as usize);
         producer_runtimes.push(prod);

@@ -293,11 +293,32 @@ fn seeded_backpressure_gate_traces_match() {
     assert_same(&format!("seeded gate (seed {seed})"), &threaded, &des);
 }
 
+/// Equal targets and a zero target are a valid script: the windows whose
+/// target is already met pass unheld on both substrates, and only wire 2
+/// holds, for the steals of `b2 b3 b4`.
+#[test]
+fn equal_and_zero_target_gate_traces_match() {
+    let plan = conformance::equal_and_zero_targets();
+    let threaded = run_threaded(&plan);
+    let des = run_des(&plan);
+    for (p, t) in threaded.0.iter().enumerate() {
+        let stolen: Vec<usize> = t
+            .routes
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, _, ch))| *ch == Channel::Disk)
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(stolen, vec![2, 3, 4], "producer {p} steal schedule");
+    }
+    assert_same("equal and zero targets", &threaded, &des);
+}
+
 /// Composition on a single wire: each producer's data wire #2 is both
 /// held by a backpressure gate window (until 3 cumulative steals) and
 /// scripted by a chaos ordinal (producer 0: dropped; producer 1:
 /// delayed). Both substrates order the mechanisms gate-before-chaos —
-/// the threaded `GatedSender` wraps outermost around the `ChaosSender`,
+/// the threaded producer's gate wraps outermost around the `ChaosSender`,
 /// and the DES ticks gate ordinals before the chaos scope consults its
 /// own — so the held wire still burns its fault ordinal on release and
 /// the fault lands on the same block everywhere: canonical decision
@@ -321,9 +342,11 @@ fn gate_and_chaos_compose_on_the_same_wire() {
 /// Run `plan` over real loopback sockets (framed TCP) and return canonical
 /// traces by rank. Sender-entity chaos is honoured by wrapping each
 /// producer's [`zipper_core::TcpSender`] in a [`zipper_core::ChaosSender`]
-/// — the same wrapper the mesh driver uses, counting the same ordinals.
-/// Injected faults surface as per-rank runtime errors by design, so
-/// runtime error lists are only asserted empty for fault-free runs.
+/// — the same wrapper the mesh driver uses, counting the same ordinals —
+/// and a backpressure script by spawning each producer with its rank's
+/// windows, as the driver does. Injected faults surface as per-rank
+/// runtime errors by design, so runtime error lists are only asserted
+/// empty for fault-free runs.
 fn run_tcp(plan: &PreflightInput) -> Traces {
     use parking_lot::Mutex;
     use zipper_core::{listen_consumers, ChaosSender, TcpSender};
@@ -381,7 +404,10 @@ fn run_tcp(plan: &PreflightInput) -> Traces {
             sink.clone(),
             Some(policy),
             false,
-            None,
+            plan.backpressure
+                .as_ref()
+                .map(|s| s.windows_for(rank))
+                .unwrap_or_default(),
         );
         let writer = prod.writer(BLOCK as usize);
         producer_runtimes.push(prod);
@@ -425,14 +451,18 @@ fn run_tcp(plan: &PreflightInput) -> Traces {
 
 /// The framed-TCP transport must be decision-invisible: the same
 /// workload over real loopback sockets yields the same canonical traces
-/// as the in-process mesh (Config B's scenario). Closes the ROADMAP item
-/// on extending conformance to the TCP path.
+/// as the in-process mesh — Config B's scenario, and Config C's scripted
+/// partial steal schedule, whose windows the TCP producers honour too.
 #[test]
 fn tcp_transport_matches_mesh_canonical_traces() {
-    let plan = conformance::config_b();
-    let mesh_traces = run_threaded(&plan);
-    let tcp_traces = run_tcp(&plan);
-    assert_same("tcp vs mesh", &tcp_traces, &mesh_traces);
+    for (name, plan) in [
+        ("config B", conformance::config_b()),
+        ("config C", conformance::config_c()),
+    ] {
+        let mesh_traces = run_threaded(&plan);
+        let tcp_traces = run_tcp(&plan);
+        assert_same(&format!("tcp vs mesh, {name}"), &tcp_traces, &mesh_traces);
+    }
 }
 
 /// Scripted sender chaos over framed TCP: Config D's sender faults — the

@@ -95,6 +95,63 @@ fn every_interpreter_reads_the_same_plan() {
     }
 }
 
+/// One rule says which scripts are valid. The DES spec refuses a plan
+/// exactly when preflight calls it structurally malformed — a script error
+/// (ZV010-ZV012) or a config one (ZV001-ZV004, which the spec checks too).
+/// Checked over the catalogue, the negative plans, and Config C under the
+/// scripts `validate_rejects_bad_scripts` (in `zipper-policy`) rejects plus
+/// a window on a rank that does not exist; the catalogue's equal-and-zero
+/// targets plan is the case the two rules used to disagree on.
+#[test]
+fn spec_validation_and_preflight_agree_on_which_scripts_are_valid() {
+    use ZvCode::*;
+    let credit = |rank, windows: &[(u64, u64)]| {
+        let script = windows
+            .iter()
+            .fold(BackpressureScript::new(), |s, &(wire, target)| {
+                s.with(Rank(rank), wire, GateRule::OpenAfterSteals(target))
+            });
+        conformance::config_c().with_backpressure(script)
+    };
+    let bad_scripts = [
+        ("zero wire", credit(0, &[(0, 1)])),
+        ("duplicate wire", credit(0, &[(3, 1), (3, 2)])),
+        ("regressing target", credit(0, &[(2, 3), (5, 1)])),
+        ("unsatisfiable window", credit(0, &[(4, 5)])),
+        ("rank out of range", credit(7, &[(1, 1)])),
+    ]
+    .map(|(name, plan)| (name.to_string(), plan));
+    let negatives = conformance::negative_plans()
+        .into_iter()
+        .map(|(name, plan, _)| (name.to_string(), plan));
+    let plans = conformance::accepted_plans()
+        .into_iter()
+        .chain(negatives)
+        .chain(bad_scripts);
+    for (name, plan) in plans {
+        let report = Preflight::check(&plan);
+        let malformed = report.errors().any(|d| {
+            matches!(
+                d.code,
+                InvalidConfig
+                    | HighWaterMark
+                    | TagStepOverflow
+                    | TagBlockOverflow
+                    | MalformedScript
+                    | UnsatisfiableWindow
+                    | GateRankOutOfRange
+            )
+        });
+        let valid = WorkflowSpec::from_plan(&plan).validate();
+        assert_eq!(
+            valid.is_ok(),
+            !malformed,
+            "{name}: spec says {valid:?}, preflight says\n{}",
+            report.render()
+        );
+    }
+}
+
 /// `run_with_detail` is the one DES run call. Totals mode records nothing
 /// new — no decision traces, no causal log — and processes exactly the
 /// events the pre-collapse `build` path did (counts pinned from the parent
