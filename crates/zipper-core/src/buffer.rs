@@ -11,17 +11,24 @@
 //!   signal … when #Blocks in ProducerBuffer > Threshold").
 //!
 //! All three return the time they spent blocked so callers can account
-//! stalls without extra instrumentation.
+//! stalls without extra instrumentation. That time is zero unless the call
+//! contended for the queue lock or waited on a condition: a call that finds
+//! the lock free and the queue ready reads no clock.
 
 // Threaded substrate: blocking waits and stall-time spans ARE this module's
 // job — the DES twin models the same queue in virtual time. Decisions stay in
 // zipper-policy, which this lint keeps wall-clock-free.
 #![allow(clippy::disallowed_methods)]
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use zipper_trace::{CounterId, GaugeId, Telemetry};
 use zipper_types::{Block, Error, Result};
+
+/// Time since a call started to block; zero for a call that never did.
+fn elapsed(blocked_since: Option<Instant>) -> Duration {
+    blocked_since.map_or(Duration::ZERO, |t0| t0.elapsed())
+}
 
 #[derive(Default)]
 struct Inner {
@@ -83,6 +90,19 @@ impl BlockQueue {
         (g.peak, g.total_in)
     }
 
+    /// The queue lock, and the instant the call started to block if taking
+    /// the lock did: a free lock reads no clock, a contended one starts the
+    /// timer before `lock()` so the contention counts as blocked time.
+    fn lock_timed(&self) -> (MutexGuard<'_, Inner>, Option<Instant>) {
+        match self.inner.try_lock() {
+            Some(g) => (g, None),
+            None => {
+                let t0 = Instant::now();
+                (self.inner.lock(), Some(t0))
+            }
+        }
+    }
+
     /// Insert a block, blocking while the queue is full. Returns the time
     /// spent blocked (the producer stall).
     ///
@@ -91,9 +111,9 @@ impl BlockQueue {
     /// are normal — the caller absorbs the error and drops the block
     /// instead of the whole process aborting.
     pub fn push(&self, block: Block) -> Result<Duration> {
-        let t0 = Instant::now();
-        let mut g = self.inner.lock();
+        let (mut g, mut t0) = self.lock_timed();
         while g.items.len() >= self.capacity && !g.closed {
+            t0.get_or_insert_with(Instant::now);
             self.not_full.wait(&mut g);
         }
         if g.closed {
@@ -105,7 +125,7 @@ impl BlockQueue {
         g.peak = g.peak.max(len);
         drop(g);
         self.not_empty.notify_all();
-        let stalled = t0.elapsed();
+        let stalled = elapsed(t0);
         self.telemetry.gauge_add(self.depth_gauge, 1);
         self.telemetry.add(CounterId::BlocksEnqueued, 1);
         self.telemetry
@@ -125,8 +145,7 @@ impl BlockQueue {
         mut decide: impl FnMut(&Block) -> R,
         wait_counter: Option<CounterId>,
     ) -> (Option<(Block, R)>, Duration) {
-        let t0 = Instant::now();
-        let mut g = self.inner.lock();
+        let (mut g, mut t0) = self.lock_timed();
         let taken = loop {
             if ready(g.items.len()) {
                 let b = g.items.pop_front().expect("`ready` approved occupancy > 0");
@@ -136,6 +155,7 @@ impl BlockQueue {
             if g.closed {
                 break None;
             }
+            t0.get_or_insert_with(Instant::now);
             self.not_empty.wait(&mut g);
         };
         drop(g);
@@ -146,7 +166,7 @@ impl BlockQueue {
             self.telemetry.gauge_add(self.depth_gauge, -1);
             self.telemetry.add(CounterId::BlocksDequeued, 1);
         }
-        let waited = t0.elapsed();
+        let waited = elapsed(t0);
         if let Some(counter) = wait_counter {
             self.telemetry.add_time(counter, waited);
         }
@@ -451,6 +471,86 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>(), "each block taken once");
         assert_eq!(*order.lock(), (0..n).collect::<Vec<_>>(), "decide order");
+    }
+
+    #[test]
+    fn ready_queue_calls_report_no_blocked_time() {
+        // Uncontended and ready: no wait, so no blocked time is returned
+        // or charged to the stall counters.
+        let telemetry = Telemetry::on();
+        let q = BlockQueue::new(4).with_telemetry(telemetry.clone(), GaugeId::ProducerQueueDepth);
+        for i in 0..4 {
+            assert_eq!(q.push(block(i)).unwrap(), Duration::ZERO);
+        }
+        let (popped, waited) = q.pop();
+        assert_eq!((popped.unwrap().id().idx, waited), (0, Duration::ZERO));
+        let (stolen, waited) = q.steal(1);
+        assert_eq!((stolen.unwrap().id().idx, waited), (1, Duration::ZERO));
+        let (taken, waited) = q.steal_then(|occ| occ > 0, |b| b.id().idx);
+        assert_eq!((taken.unwrap().1, waited), (2, Duration::ZERO));
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter(CounterId::QueuePushStallNs), 0);
+        assert_eq!(snap.counter(CounterId::QueuePopWaitNs), 0);
+        assert_eq!(snap.counter(CounterId::BlocksEnqueued), 4);
+        assert_eq!(snap.counter(CounterId::BlocksDequeued), 3);
+    }
+
+    #[test]
+    fn capacity_one_race_takes_every_block_once_in_decide_order() {
+        // One pusher, one popper and one stealer on a one-slot queue: every
+        // hand-off goes through a condvar wait or a skipped wake. A lost
+        // wakeup strands a taker (or the pusher) and trips the deadline.
+        let n = 100_000u32;
+        // Ordinals past the 16-bit block index spill into the step.
+        let nth = |i: u32| {
+            let (step, idx) = (StepId(u64::from(i >> 16)), i & 0xffff);
+            let id = BlockId::new(Rank(0), step, idx);
+            Block::from_payload(
+                Rank(0),
+                step,
+                idx,
+                1 << 16,
+                GlobalPos::default(),
+                deterministic_payload(id, 16),
+            )
+        };
+        let ordinal = |b: &Block| (b.id().step.0 as u32) << 16 | b.id().idx;
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let q = Arc::new(BlockQueue::new(1));
+            let order = Arc::new(parking_lot::Mutex::new(Vec::with_capacity(n as usize)));
+            let taker = |steal: bool| {
+                let (q, order) = (q.clone(), order.clone());
+                std::thread::spawn(move || {
+                    let log = |b: &Block| order.lock().push(ordinal(b));
+                    let mut mine = Vec::new();
+                    loop {
+                        let (taken, _) = if steal {
+                            q.steal_then(|occ| occ > 0, log)
+                        } else {
+                            q.pop_then(log)
+                        };
+                        let Some((b, ())) = taken else { break mine };
+                        mine.push(ordinal(&b));
+                    }
+                })
+            };
+            let (popper, stealer) = (taker(false), taker(true));
+            for i in 0..n {
+                q.push(nth(i)).unwrap();
+            }
+            q.close();
+            let mut got = popper.join().unwrap();
+            got.extend(stealer.join().unwrap());
+            got.sort_unstable();
+            let decided = std::mem::take(&mut *order.lock());
+            let _ = done.send((got, decided));
+        });
+        let (got, decided) = finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the race panicked, or made no progress in 120 s (lost wakeup?)");
+        assert_eq!(got, (0..n).collect::<Vec<_>>(), "each block taken once");
+        assert_eq!(decided, (0..n).collect::<Vec<_>>(), "decide order");
     }
 
     #[test]

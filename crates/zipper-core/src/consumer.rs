@@ -2,19 +2,21 @@
 //! (Preserve mode) output thread feeding a consumer buffer, behind the
 //! `Zipper.read()` API.
 //!
-//! Like the producer module, every thread records spans to the run's
-//! [`TraceSink`]: the receiver lane captures message-channel recv time,
-//! the reader lane captures PFS fetch time, and the application lane
-//! captures read-wait (blocked in `Zipper.read`) and analysis time (the
-//! step-marked gaps between reads). [`ConsumerMetrics`] time fields are
-//! derived from these lanes at [`Consumer::join`].
+//! Like the producer module, every thread records contiguous spans to the
+//! run's [`TraceSink`], one clock read per boundary: the receiver lane
+//! captures message-channel recv time, the reader lane captures PFS fetch
+//! time, and the application lane captures read-wait (blocked in
+//! `Zipper.read`) and analysis time (the step-marked gaps between reads).
+//! A blocked push into the consumer buffer is stall on either runtime
+//! lane. [`ConsumerMetrics`] time fields are derived from these lanes at
+//! [`Consumer::join`].
 
 // Threaded substrate: read-wait and receive timing against the real clock is
 // this module's job — the DES twin replays the same policy in virtual time.
 #![allow(clippy::disallowed_methods)]
 use crate::buffer::BlockQueue;
 use crate::metrics::ConsumerMetrics;
-use crate::producer::{causal_token, chan_code, record_wait, spawn_runtime_thread};
+use crate::producer::{causal_token, chan_code, spawn_runtime_thread};
 use crate::transport::{MeshReceiver, Wire};
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
@@ -22,7 +24,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use zipper_pfs::Storage;
 use zipper_policy::ConsumerPolicy;
-use zipper_trace::{eos_token, CausalSink, EdgeKind, GaugeId, LaneRecorder, SpanKind, TraceSink};
+use zipper_trace::{
+    eos_token, CausalSink, EdgeKind, GaugeId, LaneRecorder, Span, SpanKind, TraceSink,
+};
 use zipper_types::{
     panic_detail, Block, BlockId, ChaosFault, ChaosScope, Error, Rank, RuntimeError, ZipperTuning,
 };
@@ -107,10 +111,9 @@ impl ZipperReader {
         delivered: Option<Arc<Mutex<Vec<BlockId>>>>,
         chaos: Option<Arc<ChaosScope>>,
     ) -> ZipperReader {
-        let mut rec = sink.recorder(analysis_lane(rank));
-        // Arm the analysis-gap marker: time from here to the first read is
-        // the analysis setup attributed to step 0.
-        rec.mark();
+        // The lane opens here: time from now to the first read is the
+        // analysis setup, attributed to step 0.
+        let rec = sink.recorder(analysis_lane(rank));
         ZipperReader {
             rank,
             queue: queue.clone(),
@@ -131,10 +134,12 @@ impl ZipperReader {
     /// Fetch the next available block; `None` once every producer finished
     /// and all their blocks were delivered.
     ///
-    /// Time blocked in here is recorded as a `ReadWait` span; the time
-    /// *since the previous call* is recorded as a step-marked `Analysis`
-    /// span — from the trace's point of view, whatever the application did
-    /// between reads was analyzing the previously delivered block.
+    /// Time blocked in here is recorded as a `ReadWait` span; the gap
+    /// since the previous call's last boundary (the end of the previous
+    /// `read`, or the reader's creation) is recorded as a step-marked
+    /// `Analysis` span — from the trace's point of view, whatever the
+    /// application did between reads, and a take that did not block, was
+    /// analyzing the previously delivered block.
     pub fn read(&self) -> Option<Block> {
         if let Some(scope) = &self.chaos {
             // The scope counts read *calls*; a scripted CrashApp fires
@@ -144,15 +149,17 @@ impl ZipperReader {
                 panic!("chaos: injected application crash on read #{}", scope.ops());
             }
         }
+        let (block, waited) = self.queue.pop();
         let mut g = self.lane.lock();
         let prev_step = g.step;
-        g.rec.close_gap(SpanKind::Analysis, prev_step);
-        let (block, waited) = self.queue.pop();
-        record_wait(&mut g.rec, SpanKind::ReadWait, waited);
+        g.rec.boundary(
+            SpanKind::Analysis,
+            prev_step,
+            Some((SpanKind::ReadWait, waited)),
+        );
         match &block {
             Some(b) => {
                 g.step = b.id().step.0;
-                g.rec.mark();
                 self.causal
                     .queue_pop(&self.queue_label, causal_token(b.id()), &self.app_label);
                 if let Some(log) = &self.delivered {
@@ -402,10 +409,13 @@ impl Consumer {
                     let _closes_queue = closes_queue;
                     let mut discarding = false;
                     loop {
-                        let wire = rec.time(SpanKind::Recv, || match eos_timeout {
+                        let wire = match eos_timeout {
                             Some(t) => mesh_rx.recv_timeout(t),
                             None => mesh_rx.recv(),
-                        });
+                        };
+                        // Since the last boundary: the previous message's
+                        // handling and the wait for this one, all recv.
+                        rec.boundary(SpanKind::Recv, Span::NO_STEP, None);
                         match wire {
                             Ok(Wire::Msg(m)) => {
                                 for id in m.on_disk {
@@ -433,7 +443,13 @@ impl Consumer {
                                     }
                                     match queue.push(b) {
                                         Ok(stalled) => {
-                                            record_wait(&mut rec, SpanKind::Stall, stalled);
+                                            if !stalled.is_zero() {
+                                                rec.boundary(
+                                                    SpanKind::Recv,
+                                                    Span::NO_STEP,
+                                                    Some((SpanKind::Stall, stalled)),
+                                                );
+                                            }
                                             causal.queue_push(&cq_label, token, &rlane);
                                         }
                                         Err(_) => {
@@ -514,10 +530,14 @@ impl Consumer {
                 move || {
                     let _closes_queue = closes_queue;
                     for id in ids_rx {
+                        // Since the last boundary: waiting for an ID.
+                        rec.boundary(SpanKind::Idle, Span::NO_STEP, None);
                         let token = causal_token(id);
                         causal.queue_pop(&ids_label, token, &flane);
                         let t0 = causal.now();
-                        match rec.time(SpanKind::FsRead, || storage.get(id)) {
+                        let fetched = storage.get(id);
+                        rec.boundary(SpanKind::FsRead, Span::NO_STEP, None);
+                        match fetched {
                             Ok(b) => {
                                 // The fetch itself is a Pfs self-edge: the
                                 // stolen block's detour back from the PFS.
@@ -532,7 +552,13 @@ impl Consumer {
                                 tm.lock().blocks_disk += 1;
                                 match queue.push(b) {
                                     Ok(stalled) => {
-                                        record_wait(&mut rec, SpanKind::Stall, stalled);
+                                        if !stalled.is_zero() {
+                                            rec.boundary(
+                                                SpanKind::FsRead,
+                                                Span::NO_STEP,
+                                                Some((SpanKind::Stall, stalled)),
+                                            );
+                                        }
                                         causal.queue_push(&cq_label, token, &flane);
                                     }
                                     Err(_) => {
@@ -669,9 +695,10 @@ impl Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::producer::Producer;
+    use crate::producer::{app_lane, sender_lane, writer_lane, Producer};
     use crate::transport::ChannelMesh;
     use zipper_pfs::MemFs;
+    use zipper_trace::TraceMode;
     use zipper_types::block::deterministic_payload;
     use zipper_types::{ByteSize, GlobalPos, PreserveMode, RoutingPolicy, StepId};
 
@@ -689,9 +716,10 @@ mod tests {
         }
     }
 
+    /// One producer and one consumer rank on a shared totals-mode sink;
+    /// returns the delivered IDs, both ranks' metrics, the PFS and the sink.
     fn run_pipeline(
-        preserve: PreserveMode,
-        concurrent: bool,
+        t: ZipperTuning,
         throttle: Option<f64>,
         n_blocks: u32,
         block_len: usize,
@@ -701,6 +729,7 @@ mod tests {
         crate::metrics::ProducerMetrics,
         ConsumerMetrics,
         Arc<MemFs>,
+        TraceSink,
     ) {
         let inbox = if throttle.is_some() { 2 } else { 64 };
         let mut mesh = ChannelMesh::new(1, inbox);
@@ -708,16 +737,27 @@ mod tests {
             mesh = mesh.with_throttle(bw, std::time::Duration::ZERO);
         }
         let storage = Arc::new(MemFs::new());
-        let t = tuning(preserve, concurrent);
-        let mut cons = Consumer::spawn(
+        let sink = TraceSink::wall(TraceMode::Totals);
+        let mut cons = Consumer::spawn_with(
             Rank(0),
             t,
             1,
             mesh.take_receiver(Rank(0)).unwrap(),
             storage.clone(),
+            sink.clone(),
+            None,
         );
         let reader = cons.reader();
-        let mut prod = Producer::spawn(Rank(0), t, mesh.sender(), storage.clone());
+        let mut prod = Producer::spawn_with(
+            Rank(0),
+            t,
+            mesh.sender(),
+            storage.clone(),
+            sink.clone(),
+            None,
+            false,
+            Vec::new(),
+        );
         let writer = prod.writer(block_len);
 
         let feeder = std::thread::spawn(move || {
@@ -750,14 +790,19 @@ mod tests {
         feeder.join().unwrap();
         let pm = prod.join();
         let cm = cons.join();
-        (got, pm, cm, storage)
+        (got, pm, cm, storage, sink)
     }
 
     #[test]
     fn every_block_delivered_exactly_once_fast_network() {
-        let (mut got, pm, cm, storage) = run_pipeline(
-            PreserveMode::NoPreserve,
-            true,
+        // The writer thread runs, but its high-water mark is one the 50
+        // blocks cannot exceed: however the OS schedules the sender,
+        // nothing is ever stolen.
+        let mut t = tuning(PreserveMode::NoPreserve, true);
+        t.producer_slots = 64;
+        t.high_water_mark = 50;
+        let (mut got, pm, cm, storage, _) = run_pipeline(
+            t,
             None,
             50,
             512,
@@ -769,7 +814,8 @@ mod tests {
         assert_eq!(pm.blocks_written, 50);
         assert_eq!(cm.blocks_delivered, 50);
         assert!(cm.errors.is_empty(), "{:?}", cm.errors);
-        // Fast network: nothing needed the file path, nothing persisted.
+        // Nothing needed the file path, nothing persisted.
+        assert_eq!(pm.blocks_stolen, 0);
         assert_eq!(storage.len(), 0);
         // The consumer spent time waiting for the compute-bound producer,
         // and that wait is visible through the derived view.
@@ -780,8 +826,13 @@ mod tests {
     #[test]
     fn dual_channel_blocks_arrive_via_both_paths() {
         // Slow network forces stealing; every block still arrives once.
-        let (mut got, pm, cm, _storage) =
-            run_pipeline(PreserveMode::NoPreserve, true, Some(0.5e6), 40, 8192, None);
+        let (mut got, pm, cm, _, _) = run_pipeline(
+            tuning(PreserveMode::NoPreserve, true),
+            Some(0.5e6),
+            40,
+            8192,
+            None,
+        );
         got.sort();
         got.dedup();
         assert_eq!(got.len(), 40, "all blocks exactly once");
@@ -796,8 +847,13 @@ mod tests {
 
     #[test]
     fn preserve_mode_stores_every_block() {
-        let (got, pm, cm, storage) =
-            run_pipeline(PreserveMode::Preserve, true, Some(1e6), 30, 4096, None);
+        let (got, pm, cm, storage, _) = run_pipeline(
+            tuning(PreserveMode::Preserve, true),
+            Some(1e6),
+            30,
+            4096,
+            None,
+        );
         assert_eq!(got.len(), 30);
         // Every block ends on the PFS exactly once: stolen ones by the
         // writer thread, network ones by the output thread.
@@ -810,10 +866,49 @@ mod tests {
 
     #[test]
     fn no_preserve_without_stealing_keeps_pfs_empty() {
-        let (_, pm, _, storage) =
-            run_pipeline(PreserveMode::NoPreserve, false, None, 25, 256, None);
+        let (_, pm, _, storage, _) =
+            run_pipeline(tuning(PreserveMode::NoPreserve, false), None, 25, 256, None);
         assert_eq!(pm.blocks_stolen, 0);
         assert_eq!(storage.len(), 0);
+    }
+
+    #[test]
+    fn runtime_lanes_are_contiguous_over_their_extent() {
+        // Throttled network: the writer steals, so all six runtime lanes
+        // (app, sender, writer; receiver, reader, analysis) do work. Each
+        // lane's spans must cover its extent: a stretch between two
+        // boundaries that went unrecorded would show as a gap here.
+        let (got, pm, _, _, sink) = run_pipeline(
+            tuning(PreserveMode::NoPreserve, true),
+            Some(0.5e6),
+            40,
+            8192,
+            None,
+        );
+        assert_eq!(got.len(), 40);
+        assert!(
+            pm.blocks_stolen > 0,
+            "the writer and reader lanes need work"
+        );
+        let log = sink.snapshot();
+        for label in [
+            app_lane(Rank(0)),
+            sender_lane(Rank(0)),
+            writer_lane(Rank(0)),
+            recv_lane(Rank(0)),
+            reader_lane(Rank(0)),
+            analysis_lane(Rank(0)),
+        ] {
+            let lane = log.lane_by_label(&label).expect("lane recorded");
+            let (first, last) = log.lane_extent(lane);
+            let extent = last.saturating_sub(first).as_nanos();
+            let covered = log.lane_totals(lane).total().as_nanos();
+            assert!(extent > 0, "{label}: empty extent");
+            assert!(
+                covered * 100 >= extent * 95,
+                "{label}: spans cover {covered} of {extent} ns"
+            );
+        }
     }
 
     #[test]

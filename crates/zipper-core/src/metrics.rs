@@ -110,7 +110,8 @@ pub struct ConsumerMetrics {
     pub blocks_stored: u64,
     /// Span-time breakdown of the receiver thread's lane (recv + stall).
     pub recv: KindBreakdown,
-    /// Span-time breakdown of the reader thread's lane (fs-read).
+    /// Span-time breakdown of the reader thread's lane (fs-read + idle +
+    /// stall).
     pub disk: KindBreakdown,
     /// Span-time breakdown of the application (deliver) lane
     /// (read-wait + analysis).

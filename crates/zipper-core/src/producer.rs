@@ -1,10 +1,11 @@
 //! The producer runtime module (Fig. 8): producer buffer + sender thread +
 //! work-stealing writer thread, behind the `Zipper.write()` API.
 //!
-//! Every thread of the module records spans to the run's
-//! [`TraceSink`]: the application lane captures compute (the gaps
-//! between `write` calls, step-marked) and stall (blocked on a full
-//! buffer), the sender lane captures send/idle, and the writer lane
+//! Every thread of the module records contiguous spans to the run's
+//! [`TraceSink`], one clock read per boundary
+//! ([`LaneRecorder::boundary`]): the application lane captures compute
+//! (the gaps between `write` calls, step-marked) and stall (blocked on a
+//! full buffer), the sender lane captures send/idle, and the writer lane
 //! captures fs-write/idle. The per-rank [`ProducerMetrics`] time fields
 //! are views over these lanes, derived at [`Producer::join`].
 
@@ -22,11 +23,11 @@ use std::thread::JoinHandle;
 use zipper_policy::{Channel, ProducerPolicy, RetireReason};
 use zipper_trace::{
     block_token, eos_token, CausalSink, EdgeKind, GaugeId, HistogramId, LaneRecorder, MetricShard,
-    SpanKind, TraceSink,
+    Span, SpanKind, TraceSink,
 };
 use zipper_types::{
     panic_detail, Block, BlockId, Error, GateWindow, GlobalPos, MixedMessage, Rank, RuntimeError,
-    SimTime, StepId, ZipperTuning,
+    StepId, ZipperTuning,
 };
 
 /// Pending on-disk block IDs, bucketed by destination consumer. The writer
@@ -141,15 +142,6 @@ pub(crate) fn spawn_runtime_thread(
         .ok()
 }
 
-/// Record a wait that ended "now" and lasted `waited` as a span of `kind`.
-pub(crate) fn record_wait(rec: &mut LaneRecorder, kind: SpanKind, waited: std::time::Duration) {
-    if rec.enabled() && !waited.is_zero() {
-        let t1 = rec.now();
-        let t0 = t1.saturating_sub(SimTime::from_nanos(waited.as_nanos() as u64));
-        rec.record(kind, t0, t1);
-    }
-}
-
 /// Application-facing writer handle: the paper's
 /// `Zipper.write(block_id, data, block_size)`.
 pub struct ZipperWriter {
@@ -176,19 +168,21 @@ impl ZipperWriter {
     /// Hand one pre-built fine-grain block to the runtime. Blocks while the
     /// producer buffer is full — that time is recorded as simulation stall.
     ///
-    /// The time *between* runtime calls is recorded as a step-marked
-    /// compute span: from the trace's point of view, whatever the
-    /// application did since it last handed over a block is simulation
-    /// compute.
+    /// The gap since the previous call's last boundary (the end of the
+    /// previous `write`, or the handle's creation) is recorded as a
+    /// step-marked compute span, up to the stall that ended it: from the
+    /// trace's point of view, whatever the application did since it last
+    /// handed over a block, and a hand-off that did not block, is
+    /// simulation compute.
     pub fn write(&self, block: Block) {
         let id = block.id();
-        let mut rec = self.recorder.lock();
-        rec.close_gap(SpanKind::Compute, id.step.0);
-        match self.queue.push(block) {
-            Ok(stall) => {
-                record_wait(&mut rec, SpanKind::Stall, stall);
-                rec.mark();
-                drop(rec);
+        let pushed = self.queue.push(block);
+        let stall = pushed.as_ref().ok().map(|&stall| (SpanKind::Stall, stall));
+        self.recorder
+            .lock()
+            .boundary(SpanKind::Compute, id.step.0, stall);
+        match pushed {
+            Ok(_) => {
                 self.causal
                     .queue_push(&self.queue_label, causal_token(id), &self.app_label);
                 self.metrics.lock().blocks_written += 1;
@@ -197,8 +191,6 @@ impl ZipperWriter {
                 // Shutdown race: the queue closed under us. The block is
                 // dropped and the condition recorded; the application keeps
                 // running.
-                rec.mark();
-                drop(rec);
                 self.metrics.lock().errors.push(RuntimeError::QueueClosed {
                     rank: self.rank,
                     context: "producer write",
@@ -433,10 +425,9 @@ impl Producer {
         assert!(!self.writer_taken, "writer handle already taken");
         assert!(block_size > 0, "block size must be positive");
         self.writer_taken = true;
-        let mut recorder = self.sink.recorder(app_lane(self.rank));
-        // Arm the compute-gap marker: time from here to the first write is
-        // the first step's compute.
-        recorder.mark();
+        // The lane opens here: time from now to the first write is the
+        // first step's compute.
+        let recorder = self.sink.recorder(app_lane(self.rank));
         ZipperWriter {
             rank: self.rank,
             queue: self.queue.clone(),
@@ -521,7 +512,9 @@ fn sender_loop(
     if !detached {
         loop {
             let (taken, idle) = st.queue.pop_then(|b| st.policy.lock().route_net(b.id()));
-            record_wait(&mut rec, SpanKind::Idle, idle);
+            // Since the last boundary: the previous wire and its
+            // bookkeeping (send), then the wait for data, if any (idle).
+            rec.boundary(SpanKind::Send, Span::NO_STEP, Some((SpanKind::Idle, idle)));
             let Some((block, dest)) = taken else { break };
             let token = causal_token(block.id());
             st.causal.queue_pop(&qlabel, token, &slane);
@@ -534,7 +527,7 @@ fn sender_loop(
                 data: Some(block),
                 on_disk,
             };
-            match rec.time(SpanKind::Send, || mesh.send(dest, Wire::Msg(msg))) {
+            match mesh.send(dest, Wire::Msg(msg)) {
                 Ok(()) => {
                     // The edge's source is the moment the wire cleared this
                     // sender (post gate hold / throttle); the receiver's
@@ -648,7 +641,13 @@ fn writer_loop(
             },
             |b| st.policy.lock().route_disk(b.id()),
         );
-        record_wait(&mut rec, SpanKind::Idle, idle);
+        // Since the last boundary: the previous store and its bookkeeping
+        // (fs-write), then the wait for the steal condition, if any (idle).
+        rec.boundary(
+            SpanKind::FsWrite,
+            Span::NO_STEP,
+            Some((SpanKind::Idle, idle)),
+        );
         let Some((block, dest)) = taken else {
             // Queue closed below threshold. The queue closes as soon as
             // the app finishes, which can be long before the sender has
@@ -660,6 +659,7 @@ fn writer_loop(
             // the remaining windows once it drains, releasing this wait.
             if let Some(g) = &st.gate {
                 if g.await_steal_window() {
+                    rec.boundary(SpanKind::Idle, Span::NO_STEP, None);
                     continue;
                 }
             }
@@ -671,8 +671,7 @@ fn writer_loop(
         let token = causal_token(block.id());
         st.causal.queue_pop(&qlabel, token, &wlane);
         shard.observe(HistogramId::PfsWriteBytes, block.header.len);
-        let stored = rec.time(SpanKind::FsWrite, || storage.put(&block));
-        if let Err(e) = stored {
+        if let Err(e) = storage.put(&block) {
             // PFS failure: the stolen block goes back to the *front* of
             // the producer buffer (the next taker re-takes and re-routes
             // it — the DES writer proc mirrors this requeue-retire-revive
@@ -707,7 +706,12 @@ fn writer_loop(
             }
             if revive {
                 if !cooldown.is_zero() {
-                    rec.time(SpanKind::Retry, || std::thread::sleep(cooldown));
+                    std::thread::sleep(cooldown);
+                    rec.boundary(
+                        SpanKind::FsWrite,
+                        Span::NO_STEP,
+                        Some((SpanKind::Retry, cooldown)),
+                    );
                 }
                 continue;
             }
@@ -1030,6 +1034,78 @@ mod tests {
             "the fault is still reported: {:?}",
             metrics.errors
         );
+    }
+
+    #[test]
+    fn blocked_write_is_stall_on_a_contiguous_app_lane() {
+        // Nobody drains the mesh for `delay` after the writes start. Until
+        // then the rank holds at most 6 blocks (4 buffered, 1 in the
+        // sender's hand, 1 in the one-message inbox), so the 7th write
+        // blocks until the collector wakes. The app thread's only unblocked
+        // work in that window is a few pushes of pre-built blocks, so its
+        // stall is the delay less microseconds.
+        let delay = std::time::Duration::from_millis(100);
+        let sink = TraceSink::wall(TraceMode::Totals);
+        let mesh = ChannelMesh::new(1, 1);
+        let mut prod = Producer::spawn_with(
+            Rank(0),
+            tuning(false),
+            mesh.sender(),
+            Arc::new(MemFs::new()),
+            sink.clone(),
+            None,
+            false,
+            Vec::new(),
+        );
+        let writer = prod.writer(4096);
+        let n = 12u32;
+        let blocks: Vec<Block> = (0..n)
+            .map(|i| {
+                let id = BlockId::new(Rank(0), StepId(0), i);
+                Block::from_payload(
+                    Rank(0),
+                    StepId(0),
+                    i,
+                    n,
+                    GlobalPos::default(),
+                    deterministic_payload(id, 256),
+                )
+            })
+            .collect();
+        let rx = mesh.take_receiver(Rank(0)).unwrap();
+        let (go, started) = mpsc::channel();
+        let collector = std::thread::spawn(move || {
+            started.recv().unwrap();
+            std::thread::sleep(delay);
+            let mut data = 0;
+            while let Wire::Msg(m) = rx.recv().unwrap() {
+                data += usize::from(m.data.is_some());
+            }
+            data
+        });
+        go.send(()).unwrap();
+        for b in blocks {
+            writer.write(b);
+        }
+        writer.finish();
+        let metrics = prod.join();
+        assert_eq!(collector.join().unwrap(), n as usize);
+        assert!(
+            metrics.stall() >= delay.mul_f64(0.9),
+            "stall {:?} < injected delay {delay:?}",
+            metrics.stall()
+        );
+        let log = sink.snapshot();
+        for label in [app_lane(Rank(0)), sender_lane(Rank(0))] {
+            let lane = log.lane_by_label(&label).expect("lane recorded");
+            let (first, last) = log.lane_extent(lane);
+            let extent = last.saturating_sub(first).as_nanos();
+            let covered = log.lane_totals(lane).total().as_nanos();
+            assert!(
+                covered * 100 >= extent * 95,
+                "{label}: spans cover {covered} of {extent} ns"
+            );
+        }
     }
 
     #[test]

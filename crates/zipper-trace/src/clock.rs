@@ -18,7 +18,7 @@ use zipper_types::SimTime;
 
 /// A monotonic time source yielding [`SimTime`] nanoseconds.
 ///
-/// Implementations must be cheap (called twice per recorded span on hot
+/// Implementations must be cheap (called once per lane boundary on hot
 /// paths) and monotone non-decreasing per thread.
 pub trait Clock: Send + Sync {
     fn now(&self) -> SimTime;

@@ -6,9 +6,10 @@
 //! [`LaneRecorder`]: spans and per-kind totals accumulate in lane-local
 //! buffers with *no* shared state touched, and are merged into the run's
 //! [`TraceSink`] when the lane finishes (or when a large local buffer
-//! rotates). Recording cost per span is two [`Clock`] reads and a couple
-//! of adds; with tracing [`TraceMode::Off`] the clock is never read at
-//! all.
+//! rotates). The runtime lanes keep their spans contiguous: each
+//! [`LaneRecorder::boundary`] is one [`Clock`] read that closes the lane's
+//! open span and opens the next, plus a couple of adds; with tracing
+//! [`TraceMode::Off`] the clock is never read at all.
 //!
 //! Three fidelity levels:
 //!
@@ -26,6 +27,7 @@ use crate::span::{LaneId, Span, SpanKind};
 use crate::stats::KindBreakdown;
 use crate::telemetry::Telemetry;
 use std::sync::Arc;
+use std::time::Duration;
 use zipper_types::SimTime;
 
 /// How much the run records.
@@ -154,7 +156,9 @@ impl TraceSink {
     }
 
     /// Open a recorder for one lane. The label is interned immediately so
-    /// lanes appear in creation order even before they record.
+    /// lanes appear in creation order even before they record, and the
+    /// lane's first span opens now (the start of its first
+    /// [`LaneRecorder::boundary`] span).
     pub fn recorder(&self, label: impl Into<String>) -> LaneRecorder {
         if !self.mode.enabled() {
             return LaneRecorder::inert();
@@ -162,6 +166,7 @@ impl TraceSink {
         let lane = self.log.lane(label);
         LaneRecorder {
             shared: Some(self.log.clone()),
+            open: self.clock.now(),
             clock: Arc::clone(&self.clock),
             lane,
             keep_spans: self.mode.keeps_spans(),
@@ -169,7 +174,6 @@ impl TraceSink {
             totals: KindBreakdown::default(),
             first: SimTime::MAX,
             last: SimTime::ZERO,
-            mark: None,
         }
     }
 
@@ -221,7 +225,8 @@ pub struct LaneRecorder {
     totals: KindBreakdown,
     first: SimTime,
     last: SimTime,
-    mark: Option<SimTime>,
+    /// Start of the lane's open span: the last boundary.
+    open: SimTime,
 }
 
 /// Placeholder clock for inert recorders (never read).
@@ -245,17 +250,11 @@ impl LaneRecorder {
             totals: KindBreakdown::default(),
             first: SimTime::MAX,
             last: SimTime::ZERO,
-            mark: None,
+            open: SimTime::ZERO,
         }
     }
 
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
-    /// Current time on the run's clock (ZERO when inert — callers use the
-    /// `enabled()` guard or `time()` to avoid depending on it).
+    /// Current time on the run's clock (ZERO when inert).
     #[inline]
     pub fn now(&self) -> SimTime {
         if self.shared.is_some() {
@@ -293,7 +292,9 @@ impl LaneRecorder {
     }
 
     /// Time `f` and record it as one `kind` span. When inert the closure
-    /// runs untimed — no clock reads.
+    /// runs untimed — no clock reads. For lanes that record isolated
+    /// operations; a lane kept contiguous by [`LaneRecorder::boundary`]
+    /// must not mix the two, or the spans overlap.
     #[inline]
     pub fn time<R>(&mut self, kind: SpanKind, f: impl FnOnce() -> R) -> R {
         if self.shared.is_none() {
@@ -306,31 +307,33 @@ impl LaneRecorder {
         r
     }
 
-    /// Set the gap marker to "now": the start point of the next
-    /// [`close_gap`] span.
+    /// One lane boundary, one clock read: close the lane's open span at
+    /// "now" and open the next one there. With `wait = Some((wait_kind,
+    /// d))` the closed span's last `d` (a wait that ended at this
+    /// boundary, as its call reported it) is recorded as `wait_kind`; the
+    /// rest is recorded as `kind`, step-marked unless `step` is
+    /// [`Span::NO_STEP`].
     ///
-    /// [`close_gap`]: LaneRecorder::close_gap
-    #[inline]
-    pub fn mark(&mut self) {
-        if self.shared.is_some() {
-            self.mark = Some(self.clock.now());
-        }
-    }
-
-    /// Record the time since the last mark as one `kind` span (step-marked
-    /// unless `step` is [`Span::NO_STEP`]) and re-arm the marker. This is
-    /// how application compute time is captured: the runtime marks when it
-    /// hands control back to the application and closes the gap at the
-    /// next runtime call — the gap *is* the application's compute span.
-    pub fn close_gap(&mut self, kind: SpanKind, step: u64) {
+    /// This is how every runtime lane is timed. The application lanes
+    /// close at each runtime call, so the gap since the previous call *is*
+    /// the application's compute or analysis span; a runtime thread closes
+    /// where its work changes kind. A call that did not block is charged
+    /// to `kind`, so the lane's spans cover its extent without gaps.
+    pub fn boundary(&mut self, kind: SpanKind, step: u64, wait: Option<(SpanKind, Duration)>) {
         if self.shared.is_none() {
             return;
         }
         let now = self.clock.now();
-        if let Some(t0) = self.mark.replace(now) {
-            if now > t0 {
-                self.record_span(Span::new(self.lane, kind, t0, now).with_step(step));
-            }
+        let t0 = std::mem::replace(&mut self.open, now);
+        let (wait_kind, waited) = wait.unwrap_or((kind, Duration::ZERO));
+        let split = now
+            .saturating_sub(SimTime::from_nanos(waited.as_nanos() as u64))
+            .max(t0);
+        if split > t0 {
+            self.record_span(Span::new(self.lane, kind, t0, split).with_step(step));
+        }
+        if now > split {
+            self.record_span(Span::new(self.lane, wait_kind, split, now));
         }
     }
 
@@ -395,13 +398,12 @@ mod tests {
     #[test]
     fn full_mode_keeps_spans_for_rendering() {
         let (sink, clock) = TraceSink::virtual_clock(TraceMode::Full);
-        let mut rec = sink.recorder("ana/q0/app");
         clock.set(ms(1));
-        rec.mark();
+        let mut rec = sink.recorder("ana/q0/app");
         clock.advance(ms(4));
-        rec.close_gap(SpanKind::Analysis, 0);
+        rec.boundary(SpanKind::Analysis, 0, None);
         clock.advance(ms(2));
-        rec.close_gap(SpanKind::Analysis, 1);
+        rec.boundary(SpanKind::Analysis, 1, None);
         rec.flush();
         let log = sink.snapshot();
         assert_eq!(log.spans().len(), 2);
@@ -413,15 +415,51 @@ mod tests {
     }
 
     #[test]
+    fn boundaries_keep_a_lane_contiguous_and_split_off_the_wait() {
+        let (sink, clock) = TraceSink::virtual_clock(TraceMode::Full);
+        clock.set(ms(2));
+        let mut rec = sink.recorder("sim/p0/app");
+        // 10 ms since the lane opened, the last 3 of them blocked.
+        clock.advance(ms(10));
+        rec.boundary(
+            SpanKind::Compute,
+            7,
+            Some((SpanKind::Stall, Duration::from_millis(3))),
+        );
+        // A wait reported longer than the open span is clamped to it.
+        clock.advance(ms(1));
+        rec.boundary(
+            SpanKind::Compute,
+            8,
+            Some((SpanKind::Stall, Duration::from_millis(5))),
+        );
+        // No time since the last boundary: nothing to record.
+        rec.boundary(SpanKind::Compute, 9, None);
+        rec.flush();
+        let got: Vec<_> = sink
+            .snapshot()
+            .spans()
+            .iter()
+            .map(|s| (s.kind, s.t0, s.t1, s.step))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (SpanKind::Compute, ms(2), ms(9), 7),
+                (SpanKind::Stall, ms(9), ms(12), Span::NO_STEP),
+                (SpanKind::Stall, ms(12), ms(13), Span::NO_STEP),
+            ]
+        );
+    }
+
+    #[test]
     fn inert_recorder_costs_nothing_and_records_nothing() {
         let sink = TraceSink::off();
         let mut rec = sink.recorder("sim/p0/app");
-        assert!(!rec.enabled());
-        rec.mark();
         rec.record(SpanKind::Compute, ms(0), ms(5));
         let x = rec.time(SpanKind::Send, || 5);
         assert_eq!(x, 5);
-        rec.close_gap(SpanKind::Compute, 0);
+        rec.boundary(SpanKind::Compute, 0, None);
         drop(rec);
         let log = sink.snapshot();
         assert_eq!(log.lane_count(), 0);
