@@ -47,7 +47,7 @@ pub fn run_ablations(scale: Scale) -> String {
             ByteSize::mib(16),
         ] {
             let mut s = syn.clone();
-            s.block_size = block.as_u64();
+            s.tuning.block_size = block;
             let r = run_with_detail(TransportKind::Zipper, &s, false);
             assert!(r.is_clean(), "{:?}", r.fault);
             let per = s.sim_ranks as u64;
@@ -72,11 +72,11 @@ pub fn run_ablations(scale: Scale) -> String {
         ]);
         for hwm in [8usize, 24, 48, 62] {
             let mut s = syn.clone();
-            s.high_water_mark = hwm;
+            s.tuning.high_water_mark = hwm;
             let r = run_with_detail(TransportKind::Zipper, &s, false);
             assert!(r.is_clean(), "{:?}", r.fault);
             t.row(vec![
-                format!("{hwm}/{}", s.producer_slots),
+                format!("{hwm}/{}", s.tuning.producer_slots),
                 secs(r.sim_finish),
                 secs(r.stall / s.sim_ranks as u64),
                 (r.pfs_requests / 2).to_string(),
@@ -91,8 +91,8 @@ pub fn run_ablations(scale: Scale) -> String {
         let mut t = Table::new(&["producer slots", "sim-wallclock(s)", "stall/rank(s)"]);
         for slots in [8usize, 16, 64, 256] {
             let mut s = syn.clone();
-            s.producer_slots = slots;
-            s.high_water_mark = slots * 3 / 4;
+            s.tuning.producer_slots = slots;
+            s.tuning.high_water_mark = slots * 3 / 4;
             let r = run_with_detail(TransportKind::Zipper, &s, false);
             assert!(r.is_clean(), "{:?}", r.fault);
             t.row(vec![
@@ -115,7 +115,7 @@ pub fn run_ablations(scale: Scale) -> String {
         ]);
         for conc in [false, true] {
             let mut s = syn.clone();
-            s.concurrent_transfer = conc;
+            s.tuning.concurrent_transfer = conc;
             let r = run_with_detail(TransportKind::Zipper, &s, false);
             assert!(r.is_clean(), "{:?}", r.fault);
             t.row(vec![
@@ -137,7 +137,7 @@ pub fn run_ablations(scale: Scale) -> String {
         let mut t = Table::new(&["block size", "e2e(s)"]);
         for block in [ByteSize::mib(1), ByteSize::mib(16)] {
             let mut s = base.clone();
-            s.block_size = block.as_u64();
+            s.tuning.block_size = block;
             let r = run_with_detail(TransportKind::Zipper, &s, false);
             assert!(r.is_clean(), "{:?}", r.fault);
             t.row(vec![block.to_string(), secs(r.end_to_end)]);

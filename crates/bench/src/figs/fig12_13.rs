@@ -14,7 +14,7 @@ use zipper_apps::Complexity;
 use zipper_trace::stats::kind_time_filtered;
 use zipper_trace::SpanKind;
 use zipper_transports::{run_with_detail, TransportKind, WorkflowSpec};
-use zipper_types::{ByteSize, SimTime};
+use zipper_types::{ByteSize, PreserveMode, SimTime};
 
 /// Per-configuration breakdown row.
 pub struct Breakdown {
@@ -43,7 +43,11 @@ pub fn run_one(
         bytes_per_rank.as_u64(),
         block.as_u64(),
     );
-    spec.preserve = preserve;
+    spec.tuning.preserve = if preserve {
+        PreserveMode::Preserve
+    } else {
+        PreserveMode::NoPreserve
+    };
     spec.seed = seed;
     let r = run_with_detail(TransportKind::Zipper, &spec, false);
     assert!(r.is_clean(), "{:?} {:?}", r.fault, r.deadlocked);

@@ -42,7 +42,7 @@ fn measure(c: Complexity, cores: usize, concurrent: bool, scale: Scale) -> Point
         bytes_per_rank.as_u64(),
         ByteSize::mib(1).as_u64(),
     );
-    spec.concurrent_transfer = concurrent;
+    spec.tuning.concurrent_transfer = concurrent;
     spec.seed = 11;
     let r: TransportResult = run_with_detail(TransportKind::Zipper, &spec, false);
     assert!(r.is_clean(), "{:?} {:?}", r.fault, r.deadlocked);
@@ -182,8 +182,8 @@ fn route_point(cores: usize, routing: RoutingPolicy) -> (f64, u64, f64) {
         ByteSize::mib(128).as_u64(),
         ByteSize::mib(1).as_u64(),
     );
-    spec.concurrent_transfer = true;
-    spec.routing = routing;
+    spec.tuning.concurrent_transfer = true;
+    spec.tuning.routing = routing;
     spec.seed = 11;
     let r = run_with_detail(TransportKind::Zipper, &spec, false);
     assert!(r.is_clean(), "{:?} {:?}", r.fault, r.deadlocked);

@@ -12,7 +12,7 @@ use zipper_types::{ByteSize, SimTime};
 /// Build the model input for a spec: `t_c`/`t_a` from the cost model,
 /// `t_m` from the NIC bandwidth (the transfer channel each producer owns).
 fn model_input(spec: &WorkflowSpec) -> ModelInput {
-    let block = spec.block_size;
+    let block = spec.tuning.block_size.as_u64();
     let tc = if spec.cost.step_phases().is_some() {
         // Stepped apps: per-block share of the step compute.
         let per_step = spec.cost.step_time().unwrap();

@@ -84,9 +84,9 @@ pub fn run_setup(scale: Scale) -> String {
         "Zipper".into(),
         format!(
             "{} MiB blocks; {} buffer slots; HWM {}; dual-channel work stealing",
-            spec.block_size >> 20,
-            spec.producer_slots,
-            spec.high_water_mark
+            spec.tuning.block_size.as_u64() >> 20,
+            spec.tuning.producer_slots,
+            spec.tuning.high_water_mark
         ),
     ]);
     t2.row(vec![

@@ -89,11 +89,6 @@ impl OstModelConfig {
         }
         Ok(())
     }
-
-    /// Aggregate nominal bandwidth (all OSTs, no background load).
-    pub fn aggregate_bandwidth(&self) -> f64 {
-        self.ost_bandwidth * self.n_osts as f64
-    }
 }
 
 /// The stateful model: per-OST busy horizons plus a deterministic jitter

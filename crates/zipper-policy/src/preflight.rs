@@ -53,13 +53,13 @@ use crate::eos::Channel;
 use crate::gate::{GateScript, WireGate};
 use crate::producer::ProducerPolicy;
 use zipper_types::{
-    BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, GateRule, Rank, StepId,
-    WireFate, WorkflowConfig,
+    BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, ConfigError, GateRule, Rank,
+    StepId, WireFate, WorkflowConfig,
 };
 
 /// Widest step index the wire tag format can carry (32-bit step field;
-/// kept in sync with `zipper-transports::spec::tag` by a parity test
-/// there).
+/// the DES tag scheme, `zipper-transports::spec::tag`, is defined from
+/// these two limits).
 pub const TAG_STEP_LIMIT: u64 = (1 << 32) - 1;
 /// Widest per-step block index the wire tag format can carry (24-bit
 /// info field).
@@ -552,9 +552,7 @@ impl Preflight {
     /// Statically verify `input`. Never runs either substrate.
     pub fn check(input: &PreflightInput) -> PreflightReport {
         let cfg = &input.workflow;
-        let mut d = Vec::new();
-        check_config(input, &mut d);
-        check_script_shape(input, &mut d);
+        let mut d = Preflight::check_shape(input);
         check_chaos_shape(input, &mut d);
         if d.iter()
             .any(|x: &Diagnostic| x.code.severity() == Severity::Error)
@@ -619,14 +617,20 @@ impl Preflight {
         }
     }
 
-    /// The script diagnostics of `input` alone (ZV010–ZV012, ZV051): the
-    /// one rule for which backpressure scripts are valid — windows on
-    /// existing ranks, wire ordinals 1-based and distinct per rank,
-    /// `OpenAfterSteals` targets non-decreasing per rank and each
-    /// statically satisfiable. `WorkflowSpec::validate` applies it too.
-    pub fn check_script(input: &PreflightInput) -> Vec<Diagnostic> {
+    /// The structural diagnostics of `input`: the one rule for which
+    /// plans can run at all, applied by [`Preflight::check`], by
+    /// `WorkflowSpec::validate` on the DES and by `run_workflow_with` on
+    /// threads before any thread spawns. It covers the config scalars
+    /// ([`WorkflowConfig::validate`]: ZV001, ZV002), the wire-tag fit
+    /// (ZV003, ZV004), the backpressure script (ZV010–ZV012 and the ZV051
+    /// lint: windows on existing ranks, wire ordinals 1-based and distinct
+    /// per rank, `OpenAfterSteals` targets non-decreasing per rank and each
+    /// statically satisfiable) and a detached sender's writer (ZV024).
+    pub fn check_shape(input: &PreflightInput) -> Vec<Diagnostic> {
         let mut d = Vec::new();
+        check_config(input, &mut d);
         check_script_shape(input, &mut d);
+        check_detach(input, &mut d);
         d
     }
 }
@@ -640,42 +644,15 @@ fn entity_sort_key(e: ChaosEntity) -> (u8, u32) {
     }
 }
 
-/// ZV001–ZV004: configuration scalars and wire-tag bounds.
+/// ZV001–ZV004: the config rule's first breach, and wire-tag bounds.
 fn check_config(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
-    let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
-    let mut bad = |what: &str| {
-        d.push(Diagnostic::plain(
-            ZvCode::InvalidConfig,
-            format!("{what} must be at least 1"),
-        ));
-    };
-    if cfg.producers == 0 {
-        bad("producer count");
-    }
-    if cfg.consumers == 0 {
-        bad("consumer count");
-    }
-    if cfg.steps == 0 {
-        bad("step count");
-    }
-    if input.blocks_per_rank_step() == 0 {
-        bad("blocks per rank-step");
-    }
-    if tuning.producer_slots == 0 {
-        bad("producer buffer slots");
-    }
-    if tuning.consumer_slots == 0 {
-        bad("consumer buffer slots");
-    }
-    if tuning.producer_slots > 0 && tuning.high_water_mark >= tuning.producer_slots {
-        d.push(Diagnostic::plain(
-            ZvCode::HighWaterMark,
-            format!(
-                "high-water mark {} must be below the producer buffer's {} slots \
-                 (Algorithm 1 could never relieve a full buffer)",
-                tuning.high_water_mark, tuning.producer_slots
-            ),
-        ));
+    let cfg = &input.workflow;
+    if let Err(e) = cfg.validate() {
+        let code = match e {
+            ConfigError::Zero(_) => ZvCode::InvalidConfig,
+            ConfigError::HighWaterMark { .. } => ZvCode::HighWaterMark,
+        };
+        d.push(Diagnostic::plain(code, e.to_string()));
     }
     if cfg.steps > TAG_STEP_LIMIT {
         d.push(Diagnostic::plain(
@@ -698,8 +675,8 @@ fn check_config(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// ZV010–ZV012, ZV051: backpressure-script structure, before any walk —
-/// the one rule for which scripts are valid (see [`Preflight::check_script`]).
+/// ZV010–ZV012, ZV051: backpressure-script structure, before any walk
+/// (see [`Preflight::check_shape`]).
 fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     let cfg = &input.workflow;
     let Some(script) = &input.backpressure else {
@@ -787,7 +764,28 @@ fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// ZV022–ZV026 (shape half): per-event checks that need no walk.
+/// ZV024: `DetachSender` on an existing sender needs the writer thread.
+fn check_detach(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
+    if input.workflow.tuning.concurrent_transfer {
+        return;
+    }
+    for ev in input.chaos_ref() {
+        let on_a_sender =
+            matches!(ev.entity, ChaosEntity::Sender(r) if r.idx() < input.workflow.producers);
+        if ev.fault == ChaosFault::DetachSender && on_a_sender {
+            d.push(Diagnostic::at(
+                ZvCode::DetachWithoutWriter,
+                ev.entity,
+                ev.ordinal,
+                "DetachSender without concurrent_transfer: no writer exists to drain the \
+                 detached rank's blocks",
+            ));
+        }
+    }
+}
+
+/// ZV020–ZV026 (shape half): per-event checks that need no walk (ZV024
+/// is [`Preflight::check_shape`]'s).
 fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let events = input.chaos_ref();
@@ -811,27 +809,13 @@ fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
             continue;
         }
         if ev.fault == ChaosFault::DetachSender {
-            match ev.entity {
-                ChaosEntity::Sender(_) if !tuning.concurrent_transfer => {
-                    d.push(Diagnostic::at(
-                        ZvCode::DetachWithoutWriter,
-                        ev.entity,
-                        ev.ordinal,
-                        "DetachSender without concurrent_transfer: no writer exists to \
-                         drain the detached rank's blocks"
-                            .to_string(),
-                    ));
-                }
-                ChaosEntity::Sender(_) => {}
-                _ => {
-                    d.push(Diagnostic::at(
-                        ZvCode::InertFault,
-                        ev.entity,
-                        ev.ordinal,
-                        "DetachSender only detaches senders; on this entity it is a no-op"
-                            .to_string(),
-                    ));
-                }
+            if !matches!(ev.entity, ChaosEntity::Sender(_)) {
+                d.push(Diagnostic::at(
+                    ZvCode::InertFault,
+                    ev.entity,
+                    ev.ordinal,
+                    "DetachSender only detaches senders; on this entity it is a no-op",
+                ));
             }
             continue;
         }
@@ -1599,7 +1583,7 @@ mod tests {
         let verdict = |script: BackpressureScript| {
             let mut input = config_c();
             input.backpressure = Some(script);
-            Preflight::check_script(&input)
+            Preflight::check_shape(&input)
                 .iter()
                 .map(|d| d.code)
                 .collect::<Vec<_>>()

@@ -1,9 +1,8 @@
 //! Trace export: Chrome-trace JSON (`chrome://tracing` / Perfetto) and
 //! JSONL event logs.
 //!
-//! The vendored `serde` stand-in derives are inert in this offline build,
-//! so both formats are emitted by hand through small string builders. The
-//! emitters are deterministic — lanes in interning order, spans through
+//! The workspace has no serialization dependency, so both formats are
+//! emitted by hand through small string builders. The emitters are deterministic — lanes in interning order, spans through
 //! [`TraceLog::sorted_spans`], samples in capture order, metrics in
 //! dense-id order, and timestamps rendered as exact `ns/1000` microsecond
 //! strings — so the export of a deterministic DES run is byte-stable and

@@ -1,13 +1,12 @@
 //! Span vocabulary.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use zipper_types::SimTime;
 
 /// A trace lane: one row in a timeline. A lane is usually one rank or one
 /// runtime thread of a rank ("r12/sender"). Lanes are created through
 /// [`crate::TraceLog::lane`] which interns the label.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LaneId(pub u32);
 
 impl LaneId {
@@ -19,7 +18,7 @@ impl LaneId {
 
 /// What a lane was doing during a span. The variants mirror the activity
 /// categories visible in the paper's TAU/ITAC screenshots.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SpanKind {
     /// Generic application computation.
     Compute,
@@ -193,7 +192,7 @@ impl fmt::Display for SpanKind {
 
 /// One recorded interval on one lane. Spans may carry a step marker so the
 /// window statistics can count completed steps (Figs. 17/19).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     pub lane: LaneId,
     pub kind: SpanKind,

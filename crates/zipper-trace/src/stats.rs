@@ -3,11 +3,10 @@
 
 use crate::log::TraceLog;
 use crate::span::{LaneId, Span, SpanKind};
-use serde::{Deserialize, Serialize};
 use zipper_types::SimTime;
 
 /// Time accumulated per [`SpanKind`].
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct KindBreakdown {
     totals: [u64; SpanKind::ALL.len()],
 }
@@ -67,7 +66,7 @@ impl KindBreakdown {
 }
 
 /// Per-lane summary.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LaneStats {
     pub lane: LaneId,
     pub label: String,
@@ -86,7 +85,7 @@ impl LaneStats {
 /// Statistics of a time window `[a, b)` across a set of lanes — the
 /// machine-readable version of "in the same 1.3 s snapshot Zipper runs
 /// 3 steps and Decaf runs 2 with significant stall" (Fig. 17).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WindowStats {
     pub a: SimTime,
     pub b: SimTime,

@@ -2,21 +2,21 @@
 //! model.
 
 use hpcsim::{NetworkConfig, SimConfig};
-use std::time::Duration;
 use zipper_apps::{AppCostModel, Complexity};
 use zipper_model::ModelInput;
 use zipper_pfs::OstModelConfig;
 use zipper_policy::{Preflight, PreflightInput, Severity};
 use zipper_types::{
-    BackpressureScript, ByteSize, ChaosPlan, NodeId, PreserveMode, RecoveryPolicy, RoutingPolicy,
-    SimTime, WorkflowConfig, ZipperTuning,
+    BackpressureScript, ByteSize, ChaosPlan, NodeId, SimTime, WorkflowConfig, ZipperTuning,
 };
 
-/// The virtual-time EOS watchdog deadline every plan-derived spec uses
-/// (see [`WorkflowSpec::from_plan`]).
+/// The virtual-time EOS watchdog deadline a DES receiver arms whenever
+/// the spec's tuning sets an `eos_timeout`, whatever its wall-clock length.
 pub const VIRTUAL_EOS_DEADLINE: SimTime = SimTime::from_nanos(1_000_000_000);
 
-/// Everything that defines one simulated workflow run.
+/// Everything that defines one simulated workflow run: the plan (the
+/// workflow, its Zipper tuning and its scripts, as [`PreflightInput`]
+/// holds them) and the platform it runs on.
 #[derive(Clone, Debug)]
 pub struct WorkflowSpec {
     /// Simulation (producer) ranks.
@@ -25,29 +25,27 @@ pub struct WorkflowSpec {
     pub ana_ranks: usize,
     /// Simulation time steps.
     pub steps: u64,
-    /// The coupled application pair (drives compute/analysis costs).
-    pub cost: AppCostModel,
     /// Output bytes per simulation rank per step.
     pub bytes_per_rank_step: u64,
-    /// Zipper's fine-grain block size (baseline transports move the whole
-    /// per-step slab at once — that is their defining difference).
-    pub block_size: u64,
+    /// Zipper's knobs, the same value the threaded runtime and preflight
+    /// read. Its block size is Zipper's alone: the baseline transports move
+    /// the whole per-step slab at once — that is their defining difference
+    /// — and are inherently source-affine, ignoring `routing`.
+    pub tuning: ZipperTuning,
+    /// Scripted fault schedule interpreted by the Zipper DES processes
+    /// (`None` = fault-free). Ordinals follow the conventions in
+    /// `zipper_types::fault` so the same plan drives the threaded runtime.
+    pub chaos: Option<ChaosPlan>,
+    /// Scripted flow-control gates interpreted by the Zipper sender/writer
+    /// processes (`None` = ungated). Wire ordinals follow the same
+    /// data-wire counting as [`ChaosPlan`], so one script drives the
+    /// threaded producer's gate and the DES NIC model alike.
+    pub backpressure: Option<BackpressureScript>,
+    /// The coupled application pair (drives compute/analysis costs).
+    pub cost: AppCostModel,
     /// Application ranks per compute node (28 on Bridges, 68 on
     /// Stampede2).
     pub ranks_per_node: usize,
-    /// Zipper producer-buffer capacity in blocks.
-    pub producer_slots: usize,
-    /// Zipper high-water mark (Algorithm 1 threshold), in blocks.
-    pub high_water_mark: usize,
-    /// Zipper consumer-buffer capacity in blocks.
-    pub consumer_slots: usize,
-    /// Dual-channel (message + file) optimization on/off.
-    pub concurrent_transfer: bool,
-    /// Preserve mode: every block must end on the PFS.
-    pub preserve: bool,
-    /// Zipper's producer→consumer routing policy (the baseline transports
-    /// are inherently source-affine and ignore this).
-    pub routing: RoutingPolicy,
     /// DataSpaces/DIMES staging-server process count.
     pub staging_servers: usize,
     /// Staging queue depth in steps (DIMES circular lock slots, Flexpath
@@ -72,43 +70,27 @@ pub struct WorkflowSpec {
     pub cpu_slowdown: f64,
     /// RNG seed (PFS background-load jitter etc.).
     pub seed: u64,
-    /// Scripted fault schedule interpreted by the Zipper DES processes
-    /// (`None` = fault-free). Ordinals follow the conventions in
-    /// `zipper_types::fault` so the same plan drives the threaded runtime.
-    pub chaos: Option<ChaosPlan>,
-    /// Scripted flow-control gates interpreted by the Zipper sender/writer
-    /// processes (`None` = ungated). Wire ordinals follow the same
-    /// data-wire counting as [`ChaosPlan`], so one script drives the
-    /// threaded producer's gate and the DES NIC model alike.
-    pub backpressure: Option<BackpressureScript>,
-    /// Recovery budgets handed to every policy kernel (writer revival,
-    /// consumer restart). Default: recovery disabled.
-    pub recovery: RecoveryPolicy,
-    /// When set, consumer receivers arm an EOS watchdog: this much virtual
-    /// time with no traffic reconciles the `EosTracker` and shuts the rank
-    /// down — the DES mirror of the threaded receiver's `recv_timeout`.
-    pub virtual_eos_timeout: Option<SimTime>,
 }
 
 impl WorkflowSpec {
     /// The Fig. 2 / Fig. 16 CFD workflow: 2/3 sim + 1/3 analysis ranks,
-    /// 16 MB per rank per step, 1 MiB Zipper blocks.
+    /// 16 MB per rank per step, the default tuning (1 MiB Zipper blocks)
+    /// with no EOS watchdog.
     pub fn cfd(sim_ranks: usize, ana_ranks: usize, steps: u64) -> Self {
         let cost = AppCostModel::cfd();
         WorkflowSpec {
             sim_ranks,
             ana_ranks,
             steps,
-            cost,
             bytes_per_rank_step: cost.step_output_bytes().unwrap().as_u64(),
-            block_size: ByteSize::mib(1).as_u64(),
+            tuning: ZipperTuning {
+                eos_timeout: None,
+                ..Default::default()
+            },
+            chaos: None,
+            backpressure: None,
+            cost,
             ranks_per_node: 28,
-            producer_slots: 64,
-            high_water_mark: 48,
-            consumer_slots: 256,
-            concurrent_transfer: true,
-            preserve: false,
-            routing: RoutingPolicy::SourceAffine,
             staging_servers: 32,
             staging_slots: 2,
             decaf_links: 64,
@@ -118,10 +100,6 @@ impl WorkflowSpec {
             leaf_uplinks: 8,
             cpu_slowdown: 1.0,
             seed: 42,
-            chaos: None,
-            backpressure: None,
-            recovery: RecoveryPolicy::default(),
-            virtual_eos_timeout: None,
         }
     }
 
@@ -132,7 +110,7 @@ impl WorkflowSpec {
         let mut s = Self::cfd(sim_ranks, ana_ranks, steps);
         s.cost = cost;
         s.bytes_per_rank_step = cost.step_output_bytes().unwrap().as_u64();
-        s.block_size = (12 * ByteSize::mib(1).as_u64()) / 10; // 1.2 MB
+        s.tuning.block_size = ByteSize::bytes(12 * ByteSize::mib(1).as_u64() / 10); // 1.2 MB
         s.ranks_per_node = 68; // Stampede2 KNL
         s.cpu_slowdown = 2.0; // KNL single-thread penalty
         s.leaf_uplinks = 16; // Stampede2's fatter spine
@@ -153,9 +131,7 @@ impl WorkflowSpec {
         let mut s = Self::cfd(sim_ranks, ana_ranks, 1);
         s.cost = AppCostModel::synthetic(complexity);
         s.bytes_per_rank_step = bytes_per_rank;
-        s.block_size = block_size;
-        s.producer_slots = 64;
-        s.high_water_mark = 48;
+        s.tuning.block_size = ByteSize::bytes(block_size);
         s
     }
 
@@ -166,7 +142,12 @@ impl WorkflowSpec {
 
     /// Blocks per rank per step (ceiling split of the slab).
     pub fn blocks_per_rank_step(&self) -> u64 {
-        self.bytes_per_rank_step.div_ceil(self.block_size)
+        self.bytes_per_rank_step.div_ceil(self.block_size())
+    }
+
+    /// Zipper's block size in bytes.
+    fn block_size(&self) -> u64 {
+        self.tuning.block_size.as_u64()
     }
 
     /// Byte length of block `idx` within a step slab.
@@ -174,9 +155,9 @@ impl WorkflowSpec {
         let n = self.blocks_per_rank_step();
         debug_assert!(idx < n);
         if idx + 1 == n {
-            self.bytes_per_rank_step - (n - 1) * self.block_size
+            self.bytes_per_rank_step - (n - 1) * self.block_size()
         } else {
-            self.block_size
+            self.block_size()
         }
     }
 
@@ -199,7 +180,8 @@ impl WorkflowSpec {
     /// Consumer rank that analyses producer `p`'s data under the
     /// source-affine baseline mapping. The baseline transports hard-wire
     /// this; Zipper's DES consults the `zipper-policy` kernel instead,
-    /// which reproduces this mapping for [`RoutingPolicy::SourceAffine`].
+    /// which reproduces this mapping for
+    /// [`RoutingPolicy::SourceAffine`](zipper_types::RoutingPolicy::SourceAffine).
     pub fn consumer_of(&self, p: usize) -> usize {
         p % self.ana_ranks
     }
@@ -235,7 +217,7 @@ impl WorkflowSpec {
         let tc = SimTime::from_nanos((step_compute + gen).as_nanos() / nb_per_step);
         let layout = ClusterLayout::new(self, 0);
         let net = sim_config(self, &layout).network;
-        let tm = SimTime::for_bytes(self.block_size, net.nic_bw)
+        let tm = SimTime::for_bytes(self.block_size(), net.nic_bw)
             + net.per_msg_overhead
             + net.link_latency;
         ModelInput {
@@ -244,121 +226,49 @@ impl WorkflowSpec {
             total_bytes: ByteSize::bytes(
                 self.sim_ranks as u64 * self.bytes_per_rank_step * self.steps,
             ),
-            block_size: ByteSize::bytes(self.block_size),
+            block_size: self.tuning.block_size,
             tc,
             tm,
-            ta: self.cost.analysis_block_time(self.block_size),
+            ta: self.cost.analysis_block_time(self.block_size()),
             transfer_lanes: layout.sim_nodes.min(layout.ana_nodes).max(1) as u64,
         }
     }
 
+    /// The platform's own checks, then the plan's structural rule
+    /// ([`Preflight::check_shape`]: config, tag fit, scripts, detached
+    /// senders) — the rule preflight and the threaded driver apply too.
     pub fn validate(&self) -> Result<(), String> {
-        if self.sim_ranks == 0 || self.ana_ranks == 0 {
-            return Err("need at least one sim and one analysis rank".into());
-        }
-        if self.steps == 0 {
-            return Err("need at least one step".into());
-        }
-        if self.block_size == 0 || self.bytes_per_rank_step == 0 {
-            return Err("block and slab sizes must be positive".into());
-        }
         if self.ranks_per_node == 0 {
             return Err("ranks_per_node must be positive".into());
-        }
-        if self.high_water_mark >= self.producer_slots {
-            return Err("high-water mark must be below producer_slots".into());
-        }
-        if self.consumer_slots == 0 {
-            return Err("consumer_slots must be positive".into());
         }
         if self.staging_servers == 0 || self.decaf_links == 0 || self.staging_slots == 0 {
             return Err("staging parameters must be positive".into());
         }
-        // The message-tag scheme carries the step in a 32-bit field and
-        // the block index in a 24-bit field; reject specs that overflow
-        // either before they can corrupt tags mid-run.
-        if self.steps > tag::STEP_MASK {
-            return Err(format!(
-                "steps ({}) exceed the tag scheme's 32-bit step field",
-                self.steps
-            ));
+        let shape = Preflight::check_shape(&self.preflight_input());
+        match shape.iter().find(|d| d.code.severity() == Severity::Error) {
+            Some(e) => Err(e.to_string()),
+            None => Ok(()),
         }
-        if self.blocks_per_rank_step() > tag::INFO_MASK {
-            return Err(format!(
-                "blocks per rank-step ({}) exceed the tag scheme's 24-bit info field",
-                self.blocks_per_rank_step()
-            ));
-        }
-        if let Some(plan) = &self.chaos {
-            let detaches = plan
-                .events
-                .iter()
-                .any(|ev| ev.fault == zipper_types::ChaosFault::DetachSender);
-            if detaches && !self.concurrent_transfer {
-                return Err("DetachSender requires concurrent_transfer".into());
-            }
-        }
-        if self.backpressure.is_some() {
-            // Preflight's structural rule (ZV010-ZV012) is the one rule for
-            // which scripts are valid.
-            let errors = Preflight::check_script(&self.preflight_input());
-            if let Some(e) = errors.iter().find(|d| d.code.severity() == Severity::Error) {
-                return Err(e.to_string());
-            }
-        }
-        Ok(())
     }
 
     /// The DES's reading of a plan: the synthetic linear-cost application
-    /// on two-rank nodes, every plan field copied. The clocks are not
-    /// comparable across substrates — only the timeout *decision* is — so
-    /// a wall-clock `eos_timeout` of any length becomes the fixed
-    /// [`VIRTUAL_EOS_DEADLINE`].
+    /// on two-rank nodes, running the plan's workflow, tuning and scripts
+    /// as they are.
     pub fn from_plan(plan: &PreflightInput) -> Self {
         let w = &plan.workflow;
-        let t = &w.tuning;
         let mut s = Self::synthetic(
             Complexity::Linear,
             w.producers,
             w.consumers,
             w.bytes_per_rank_step.as_u64(),
-            t.block_size.as_u64(),
+            w.tuning.block_size.as_u64(),
         );
         s.steps = w.steps;
         s.ranks_per_node = 2;
-        s.producer_slots = t.producer_slots;
-        s.high_water_mark = t.high_water_mark;
-        s.consumer_slots = t.consumer_slots;
-        s.concurrent_transfer = t.concurrent_transfer;
-        s.preserve = t.preserve.is_preserve();
-        s.routing = t.routing;
-        s.recovery = t.recovery;
-        s.virtual_eos_timeout = t.eos_timeout.map(|_| VIRTUAL_EOS_DEADLINE);
+        s.tuning = w.tuning;
         s.chaos = plan.chaos.clone();
         s.backpressure = plan.backpressure.clone();
         s
-    }
-
-    /// The Zipper tuning knobs of this spec, as the type the policy
-    /// kernels are built from on every substrate.
-    pub fn tuning(&self) -> ZipperTuning {
-        ZipperTuning {
-            block_size: ByteSize::bytes(self.block_size),
-            producer_slots: self.producer_slots,
-            high_water_mark: self.high_water_mark,
-            consumer_slots: self.consumer_slots,
-            concurrent_transfer: self.concurrent_transfer,
-            preserve: if self.preserve {
-                PreserveMode::Preserve
-            } else {
-                PreserveMode::NoPreserve
-            },
-            routing: self.routing,
-            eos_timeout: self
-                .virtual_eos_timeout
-                .map(|t| Duration::from_nanos(t.as_nanos())),
-            recovery: self.recovery,
-        }
     }
 
     /// The plan this spec's Zipper processes interpret — the inverse of
@@ -370,7 +280,7 @@ impl WorkflowSpec {
                 consumers: self.ana_ranks,
                 steps: self.steps,
                 bytes_per_rank_step: ByteSize::bytes(self.bytes_per_rank_step),
-                tuning: self.tuning(),
+                tuning: self.tuning,
             },
             chaos: self.chaos.clone(),
             backpressure: self.backpressure.clone(),
@@ -469,11 +379,15 @@ pub fn sim_config(spec: &WorkflowSpec, layout: &ClusterLayout) -> SimConfig {
 }
 
 /// Message-tag scheme: 8-bit kind | 32-bit step | 24-bit payload info.
+/// The field widths are preflight's tag limits, so a plan preflight
+/// accepts fits its tags.
 pub mod tag {
-    pub const KIND_SHIFT: u64 = 56;
-    pub const STEP_SHIFT: u64 = 24;
-    pub const INFO_MASK: u64 = (1 << STEP_SHIFT) - 1;
-    pub const STEP_MASK: u64 = (1 << 32) - 1;
+    use zipper_policy::preflight::{TAG_BLOCK_LIMIT, TAG_STEP_LIMIT};
+
+    pub const INFO_MASK: u64 = TAG_BLOCK_LIMIT;
+    pub const STEP_MASK: u64 = TAG_STEP_LIMIT;
+    pub const STEP_SHIFT: u64 = INFO_MASK.count_ones() as u64;
+    pub const KIND_SHIFT: u64 = STEP_SHIFT + STEP_MASK.count_ones() as u64;
 
     pub const HALO: u64 = 1;
     pub const DATA: u64 = 2;
@@ -540,7 +454,7 @@ mod tests {
     fn uneven_block_split_has_short_tail() {
         let mut s = WorkflowSpec::cfd(4, 2, 1);
         s.bytes_per_rank_step = 2_500_000;
-        s.block_size = 1 << 20;
+        s.tuning.block_size = ByteSize::mib(1);
         assert_eq!(s.blocks_per_rank_step(), 3);
         assert_eq!(s.block_len(2), 2_500_000 - 2 * (1 << 20));
     }
@@ -586,6 +500,7 @@ mod tests {
 
     #[test]
     fn tags_round_trip() {
+        assert_eq!((tag::STEP_SHIFT, tag::KIND_SHIFT), (24, 56));
         let t = tag::make(tag::DATA, 12345, 999);
         assert_eq!(tag::kind(t), tag::DATA);
         assert_eq!(tag::step(t), 12345);
@@ -603,7 +518,7 @@ mod tests {
         assert!(s.validate().is_err(), "steps beyond the 32-bit tag field");
 
         let mut s = WorkflowSpec::cfd(4, 2, 1);
-        s.block_size = 1;
+        s.tuning.block_size = ByteSize::bytes(1);
         s.bytes_per_rank_step = tag::INFO_MASK + 1;
         assert!(s.validate().is_err(), "block idx beyond the 24-bit field");
     }
@@ -619,7 +534,7 @@ mod tests {
     fn lammps_spec_uses_1_2mb_blocks() {
         let s = WorkflowSpec::lammps(136, 68, 10);
         s.validate().unwrap();
-        assert_eq!(s.block_size, 1_258_291);
+        assert_eq!(s.tuning.block_size, ByteSize::bytes(1_258_291));
         assert_eq!(s.bytes_per_rank_step, 20 << 20);
         assert!(s.decaf_crash_cores.is_none());
     }
@@ -627,17 +542,8 @@ mod tests {
     #[test]
     fn zero_consumer_slots_is_rejected() {
         let mut s = WorkflowSpec::cfd(4, 2, 1);
-        s.consumer_slots = 0;
+        s.tuning.consumer_slots = 0;
         assert!(s.validate().is_err());
-    }
-
-    /// The preflight verifier's tag-bound constants must track the wire
-    /// tag scheme: a drift here would let `Preflight::check` accept a
-    /// spec whose tags corrupt mid-run.
-    #[test]
-    fn preflight_tag_limits_match_the_tag_scheme() {
-        assert_eq!(zipper_policy::preflight::TAG_STEP_LIMIT, tag::STEP_MASK);
-        assert_eq!(zipper_policy::preflight::TAG_BLOCK_LIMIT, tag::INFO_MASK);
     }
 
     /// A clean spec passes preflight; the same overflow `validate`

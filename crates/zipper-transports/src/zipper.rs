@@ -3,7 +3,7 @@
 //! (compute / sender / work-stealing writer) sharing a bounded producer
 //! buffer; each analysis rank is receiver / reader / analysis (+ output in
 //! Preserve mode) around a consumer buffer. Blocks are fine-grain
-//! (`spec.block_size`), transfers are fully asynchronous, and the only
+//! (`spec.tuning.block_size`), transfers are fully asynchronous, and the only
 //! inter-application coupling is data availability — no barriers, no
 //! locks, no servers (§4's design points 1–4).
 //!
@@ -54,7 +54,7 @@
 //! open with the kernel: a retiring writer floods the credit gate, a
 //! closing sender floods the arm gate.
 
-use crate::spec::{tag, ClusterLayout, WorkflowSpec};
+use crate::spec::{tag, ClusterLayout, WorkflowSpec, VIRTUAL_EOS_DEADLINE};
 use hpcsim::{BufferTaken, GateId, Op, ProcCtx, Program, Simulator, Step};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -161,7 +161,7 @@ impl ComputeProc {
             me,
             steps: spec.steps,
             blocks_per_step: spec.blocks_per_rank_step(),
-            block_size: spec.block_size,
+            block_size: spec.tuning.block_size.as_u64(),
             slab_bytes: spec.bytes_per_rank_step,
             phases: spec.cost.step_phases(),
             halo_bytes: spec.cost.halo_bytes(),
@@ -781,7 +781,7 @@ impl Program for ReceiverProc {
             return Step::Ops(vec![self.recv()]);
         }
         let Some(msg) = ctx.last_msg else {
-            // The watchdog fired: no traffic for `virtual_eos_timeout`.
+            // The watchdog fired: no traffic for `VIRTUAL_EOS_DEADLINE`.
             // The kernel reconciles the EOS tracker (recording the
             // timeout decision) and the rank shuts down.
             assert!(self.timeout.is_some(), "receiver resumed without message");
@@ -1099,29 +1099,35 @@ pub(crate) fn build(
     layout: &ClusterLayout,
     recorded: bool,
 ) -> ZipperPolicies {
-    spec.validate().expect("invalid spec");
+    let tuning = &spec.tuning;
     let plan = spec.chaos.clone().unwrap_or_default();
-    let per_c = 3 + usize::from(spec.preserve);
-    let per_s = 2 + usize::from(spec.concurrent_transfer);
+    let per_c = 3 + usize::from(tuning.preserve.is_preserve());
+    let per_s = 2 + usize::from(tuning.concurrent_transfer);
     let receiver_pid = |q: usize| ProcId((q * per_c) as u32);
     let compute_base = spec.ana_ranks * per_c;
     let compute_pid = |r: usize| ProcId((compute_base + r * per_s) as u32);
     let receivers: Rc<Vec<ProcId>> = Rc::new((0..spec.ana_ranks).map(receiver_pid).collect());
-    let tuning = spec.tuning();
+    // The clocks differ across substrates and only the timeout decision is
+    // compared, so a wall-clock watchdog of any length arms one fixed
+    // virtual deadline.
+    let eos_timeout = tuning.eos_timeout.map(|_| VIRTUAL_EOS_DEADLINE);
     let mut policies = ZipperPolicies::default();
 
     for q in 0..spec.ana_ranks {
         let node = layout.ana_node(q);
-        let bufc = sim.add_buffer(spec.consumer_slots);
+        let bufc = sim.add_buffer(tuning.consumer_slots);
         let ids = sim.add_buffer(spec.ids_queue_capacity());
-        let out = spec.preserve.then(|| sim.add_buffer(spec.consumer_slots));
+        let out = tuning
+            .preserve
+            .is_preserve()
+            .then(|| sim.add_buffer(tuning.consumer_slots));
         // Causal queues mirror the threaded runtime's; the Preserve output
         // queue records no edge on either substrate.
         sim.record_queue(bufc);
         sim.record_queue(ids);
         // EOS is broadcast: every producer announces to every consumer,
         // so even a consumer no block routes to terminates cleanly.
-        let mut cp = ConsumerPolicy::from_tuning(Rank(q as u32), spec.sim_ranks, &tuning);
+        let mut cp = ConsumerPolicy::from_tuning(Rank(q as u32), spec.sim_ranks, tuning);
         if recorded {
             cp = cp.recorded();
         }
@@ -1139,7 +1145,7 @@ pub(crate) fn build(
                 policy: policy.clone(),
                 compute_base,
                 per_s,
-                timeout: spec.virtual_eos_timeout,
+                timeout: eos_timeout,
                 started: false,
                 closing: false,
             },
@@ -1177,7 +1183,7 @@ pub(crate) fn build(
 
     for r in 0..spec.sim_ranks {
         let node = layout.sim_node(r);
-        let buf = sim.add_buffer(spec.producer_slots);
+        let buf = sim.add_buffer(tuning.producer_slots);
         sim.record_queue(buf);
         let left = compute_pid((r + spec.sim_ranks - 1) % spec.sim_ranks);
         let right = compute_pid((r + 1) % spec.sim_ranks);
@@ -1187,7 +1193,7 @@ pub(crate) fn build(
             ComputeProc::new(r, spec, left, right, Some(buf)),
         );
         assert_eq!(pid, compute_pid(r), "spawn order drifted");
-        let mut pp = ProducerPolicy::from_tuning(Rank(r as u32), spec.ana_ranks, &tuning);
+        let mut pp = ProducerPolicy::from_tuning(Rank(r as u32), spec.ana_ranks, tuning);
         if recorded {
             pp = pp.recorded();
         }
@@ -1205,7 +1211,7 @@ pub(crate) fn build(
             .map(|windows| ScriptGates {
                 script: Rc::new(RefCell::new(GateScript::new(
                     windows,
-                    spec.concurrent_transfer,
+                    tuning.concurrent_transfer,
                 ))),
                 steals: sim.add_gate(),
                 arms: sim.add_gate(),
@@ -1213,7 +1219,7 @@ pub(crate) fn build(
         // The writer-retirement interlock exists for every concurrent
         // rank, scripted or not: it is how writer death propagates to the
         // consumers (the sender covers the disk channel's EOS).
-        let writer_done = spec
+        let writer_done = tuning
             .concurrent_transfer
             .then(|| (sim.add_gate(), Rc::new(Cell::new(false))));
 
@@ -1306,9 +1312,9 @@ mod tests {
             1 << 20,
         );
         s.ranks_per_node = 2;
-        s.producer_slots = 4;
-        s.high_water_mark = 2;
-        s.concurrent_transfer = concurrent;
+        s.tuning.producer_slots = 4;
+        s.tuning.high_water_mark = 2;
+        s.tuning.concurrent_transfer = concurrent;
         s
     }
 
@@ -1346,7 +1352,7 @@ mod tests {
     #[test]
     fn preserve_mode_stores_every_block() {
         let mut spec = tiny_synthetic(true);
-        spec.preserve = true;
+        spec.tuning.preserve = zipper_types::PreserveMode::Preserve;
         let (r, sim) = run_spec(&spec);
         assert!(r.is_clean(), "{r:?}");
         // Every one of the 32 blocks hits the PFS exactly once (writer or
@@ -1397,8 +1403,8 @@ mod tests {
         // before the policy-kernel refactor: the DES hard-wired
         // source-affine destinations into each proc.
         let mut spec = tiny_synthetic(true);
-        spec.routing = zipper_types::RoutingPolicy::RoundRobin;
-        spec.preserve = true;
+        spec.tuning.routing = zipper_types::RoutingPolicy::RoundRobin;
+        spec.tuning.preserve = zipper_types::PreserveMode::Preserve;
         let layout = ClusterLayout::new(&spec, 0);
         let mut sim = Simulator::new(sim_config(&spec, &layout));
         let policies = build(&mut sim, &spec, &layout, true);
@@ -1444,9 +1450,9 @@ mod tests {
         // Deterministic steal schedule: senders detached, hwm = 0, so
         // every block drains through the writers in production order.
         let mut spec = tiny_synthetic(true);
-        spec.preserve = true;
-        spec.high_water_mark = 0;
-        spec.recovery = RecoveryPolicy {
+        spec.tuning.preserve = zipper_types::PreserveMode::Preserve;
+        spec.tuning.high_water_mark = 0;
+        spec.tuning.recovery = RecoveryPolicy {
             writer_cooldown: std::time::Duration::from_millis(1),
             max_writer_revivals: 1,
             max_consumer_restarts: 0,
@@ -1494,9 +1500,9 @@ mod tests {
         // on its own, and the script forces exactly four steals per rank —
         // wire 2 holds until 3 blocks are stolen, wire 4 until a 4th.
         let mut spec = tiny_synthetic(true);
-        spec.producer_slots = 16;
-        spec.high_water_mark = 8;
-        spec.routing = zipper_types::RoutingPolicy::RoundRobin;
+        spec.tuning.producer_slots = 16;
+        spec.tuning.high_water_mark = 8;
+        spec.tuning.routing = zipper_types::RoutingPolicy::RoundRobin;
         spec.backpressure = Some(zipper_policy::conformance::config_c_script(spec.sim_ranks));
         let (r, sim, policies) = recorded_run(&spec);
         assert!(r.is_clean(), "{r:?}");
@@ -1541,10 +1547,10 @@ mod tests {
         // sender cover the disk channel's EOS, so every consumer still
         // terminates cleanly — the threaded runtime's fail-soft path.
         let mut spec = tiny_synthetic(true);
-        spec.producer_slots = 16; // dead writer leaves blocks unclaimed
-        spec.high_water_mark = 0;
-        spec.virtual_eos_timeout = None;
-        spec.recovery = RecoveryPolicy {
+        spec.tuning.producer_slots = 16; // dead writer leaves blocks unclaimed
+        spec.tuning.high_water_mark = 0;
+        spec.tuning.eos_timeout = None;
+        spec.tuning.recovery = RecoveryPolicy {
             writer_cooldown: std::time::Duration::ZERO,
             max_writer_revivals: 0,
             max_consumer_restarts: 0,
@@ -1589,8 +1595,8 @@ mod tests {
     fn chaos_crash_app_records_restart_with_replayed_backlog() {
         use zipper_types::{ChaosPlan, RecoveryPolicy};
         let mut spec = tiny_synthetic(false);
-        spec.preserve = true; // parity with the threaded replay's requirement
-        spec.recovery = RecoveryPolicy {
+        spec.tuning.preserve = zipper_types::PreserveMode::Preserve; // parity with the threaded replay's requirement
+        spec.tuning.recovery = RecoveryPolicy {
             writer_cooldown: std::time::Duration::ZERO,
             max_writer_revivals: 0,
             max_consumer_restarts: 1,
@@ -1612,7 +1618,7 @@ mod tests {
     fn chaos_dropped_eos_trips_the_virtual_watchdog() {
         use zipper_types::ChaosPlan;
         let mut spec = tiny_synthetic(false);
-        spec.virtual_eos_timeout = Some(SimTime::from_secs_f64(1.0));
+        spec.tuning.eos_timeout = Some(std::time::Duration::from_secs(1));
         // Sender 0: 8 data sends (ordinals 1-8), then EOS to consumer 0
         // (ordinal 9, swallowed) and consumer 1 (ordinal 10).
         spec.chaos =
@@ -1855,9 +1861,9 @@ mod tests {
     fn slow_analysis_causes_producer_stall_without_dual_channel() {
         // Make the consumer the bottleneck: tiny buffers, message-only.
         let mut spec = tiny_synthetic(false);
-        spec.producer_slots = 2;
-        spec.high_water_mark = 1;
-        spec.consumer_slots = 2;
+        spec.tuning.producer_slots = 2;
+        spec.tuning.high_water_mark = 1;
+        spec.tuning.consumer_slots = 2;
         let (r, sim) = run_spec(&spec);
         assert!(r.is_clean(), "{r:?}");
         let stall: u64 = sim

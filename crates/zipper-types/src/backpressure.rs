@@ -35,8 +35,9 @@
 //! interpreters drive that kernel and keep only their way of waiting: the
 //! threaded producer (`zipper-core`), the DES sender and writer procs
 //! (`zipper-transports`), and preflight's symbolic walk. Which scripts are
-//! valid is decided in one place too: `zipper_policy::Preflight::check_script`
-//! (ZV010–ZV012), which the DES spec's validation also applies.
+//! valid is decided in one place too: `zipper_policy::Preflight::check_shape`
+//! (ZV010–ZV012), which preflight, the DES spec's validation and the
+//! threaded driver all apply.
 
 use crate::ids::Rank;
 use std::time::Duration;

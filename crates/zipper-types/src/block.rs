@@ -12,12 +12,11 @@
 
 use crate::ids::{BlockId, Rank, StepId};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Position of a block's subdomain within the global input domain, as a
 /// 3-D offset (in domain cells). For non-grid applications (MD, synthetic)
 /// only `x` is meaningful and denotes the element offset.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct GlobalPos {
     pub x: u64,
     pub y: u64,
@@ -37,7 +36,7 @@ impl GlobalPos {
 }
 
 /// Self-describing metadata carried with every fine-grain block.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BlockHeader {
     /// Unique identity: producing rank + step + per-step block index.
     pub id: BlockId,

@@ -1,7 +1,7 @@
 //! Configuration shared by the threaded runtime and the experiment drivers.
 
 use crate::size::ByteSize;
-use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::time::Duration;
 
 /// Whether computed results are kept on the parallel file system for future
@@ -13,7 +13,7 @@ use std::time::Duration;
 ///   and stored.
 /// * `NoPreserve` — blocks are discarded after analysis; the PFS is used
 ///   only as the overflow channel of the concurrent-transfer optimization.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PreserveMode {
     Preserve,
     NoPreserve,
@@ -26,7 +26,7 @@ impl PreserveMode {
 }
 
 /// How producer blocks are mapped to consumer ranks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoutingPolicy {
     /// Blocks of producer rank `p` always go to consumer `p % Q`. Keeps all
     /// of a rank's domain on one analyzer (good locality for domain-local
@@ -44,7 +44,7 @@ pub enum RoutingPolicy {
 /// recorded in the policy-kernel decision trace (`WriterRevived`,
 /// `ConsumerRestarted`), so both substrates heal through the same
 /// decision sequence.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryPolicy {
     /// How long a retired writer waits before it is re-probed and
     /// revived (wall time on the threaded runtime, the same span of
@@ -75,7 +75,7 @@ impl RecoveryPolicy {
 }
 
 /// Tuning knobs of the Zipper runtime (producer/consumer modules, §4.2–4.3).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ZipperTuning {
     /// Fine-grain block size (1–8 MiB in the paper).
     pub block_size: ByteSize,
@@ -123,32 +123,65 @@ impl Default for ZipperTuning {
     }
 }
 
+/// The first rule a config breaks — the one statement of the scalar rules,
+/// which every interpreter applies (static preflight maps `Zero` to ZV001
+/// and `HighWaterMark` to ZV002).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A count that must be at least 1 is zero; names the count.
+    Zero(&'static str),
+    /// `high_water_mark >= producer_slots`: Algorithm 1 could never
+    /// relieve a full buffer.
+    HighWaterMark {
+        high_water_mark: usize,
+        producer_slots: usize,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Zero(what) => write!(f, "{what} must be at least 1"),
+            ConfigError::HighWaterMark {
+                high_water_mark,
+                producer_slots,
+            } => write!(
+                f,
+                "high-water mark {high_water_mark} must be below the producer buffer's \
+                 {producer_slots} slots (Algorithm 1 could never relieve a full buffer)"
+            ),
+        }
+    }
+}
+
+/// `Err(Zero(what))` for the first zero count in `counts`.
+fn nonzero(counts: &[(u64, &'static str)]) -> Result<(), ConfigError> {
+    match counts.iter().find(|&&(n, _)| n == 0) {
+        Some(&(_, what)) => Err(ConfigError::Zero(what)),
+        None => Ok(()),
+    }
+}
+
 impl ZipperTuning {
-    /// Validate internal consistency; returns a description of the first
-    /// problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.block_size.as_u64() == 0 {
-            return Err("block_size must be positive".into());
-        }
-        if self.producer_slots == 0 {
-            return Err("producer_slots must be at least 1".into());
-        }
-        if self.consumer_slots == 0 {
-            return Err("consumer_slots must be at least 1".into());
-        }
+    /// Validate internal consistency; returns the first rule broken.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        nonzero(&[
+            (self.block_size.as_u64(), "block size"),
+            (self.producer_slots as u64, "producer buffer slots"),
+            (self.consumer_slots as u64, "consumer buffer slots"),
+        ])?;
         if self.high_water_mark >= self.producer_slots {
-            return Err(format!(
-                "high_water_mark ({}) must be below producer_slots ({}); \
-                 otherwise the writer thread can never steal",
-                self.high_water_mark, self.producer_slots
-            ));
+            return Err(ConfigError::HighWaterMark {
+                high_water_mark: self.high_water_mark,
+                producer_slots: self.producer_slots,
+            });
         }
         Ok(())
     }
 }
 
 /// Top-level description of one coupled workflow run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkflowConfig {
     /// Number of simulation (producer) ranks, the paper's `P`.
     pub producers: usize,
@@ -179,16 +212,14 @@ impl WorkflowConfig {
         self.blocks_per_rank_step() * self.producers as u64 * self.steps
     }
 
-    pub fn validate(&self) -> Result<(), String> {
-        if self.producers == 0 {
-            return Err("at least one producer rank required".into());
-        }
-        if self.consumers == 0 {
-            return Err("at least one consumer rank required".into());
-        }
-        if self.steps == 0 {
-            return Err("at least one step required".into());
-        }
+    /// Validate the workflow and its tuning; returns the first rule broken.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        nonzero(&[
+            (self.producers as u64, "producer count"),
+            (self.consumers as u64, "consumer count"),
+            (self.steps, "step count"),
+            (self.bytes_per_rank_step.as_u64(), "blocks per rank-step"),
+        ])?;
         self.tuning.validate()
     }
 }
@@ -249,6 +280,14 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
+        let cfg = WorkflowConfig {
+            bytes_per_rank_step: ByteSize::ZERO,
+            ..Default::default()
+        };
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Zero("blocks per rank-step"))
+        );
         let t = ZipperTuning {
             block_size: ByteSize::ZERO,
             ..Default::default()

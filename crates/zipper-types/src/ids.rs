@@ -5,7 +5,6 @@
 //! distinct types (rather than bare `u32`s) prevents the classic bug family
 //! of passing a node index where a rank was expected.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An application-level process rank, as in `MPI_Comm_rank`.
@@ -15,7 +14,7 @@ use std::fmt;
 /// and consumer (analysis) applications each have their own rank space, as
 /// they do in the paper where each application is launched by its own
 /// `mpirun` (multiple failure domains, §2).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u32);
 
 impl Rank {
@@ -42,7 +41,7 @@ impl fmt::Display for Rank {
 ///
 /// The paper's workflows run a fixed number of steps (100 in the Fig. 2
 /// setup), each producing one slab of output per simulation rank.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StepId(pub u64);
 
 impl StepId {
@@ -66,7 +65,7 @@ impl fmt::Display for StepId {
 }
 
 /// A compute-node identifier inside the simulated cluster.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -88,7 +87,7 @@ impl fmt::Debug for NodeId {
 /// virtual processes (e.g. a Zipper simulation rank is a *compute* process,
 /// a *sender* thread process, and a *writer* thread process sharing one
 /// producer buffer, exactly mirroring §4.2).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub u32);
 
 impl ProcId {
@@ -110,7 +109,7 @@ impl fmt::Debug for ProcId {
 /// belongs to, and its index within that rank's per-step output. The paper's
 /// consumer runtime uses exactly this information (plus the global position
 /// carried in the header) to know "which specific block it receives" (§4.2).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId {
     /// Producing (simulation) rank.
     pub src: Rank,

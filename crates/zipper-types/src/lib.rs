@@ -25,7 +25,9 @@ pub mod time;
 
 pub use backpressure::{BackpressureScript, GateRule, GateWindow};
 pub use block::{Block, BlockHeader, GlobalPos, MixedMessage};
-pub use config::{PreserveMode, RecoveryPolicy, RoutingPolicy, WorkflowConfig, ZipperTuning};
+pub use config::{
+    ConfigError, PreserveMode, RecoveryPolicy, RoutingPolicy, WorkflowConfig, ZipperTuning,
+};
 pub use error::{panic_detail, Error, Result, RuntimeError};
 pub use fault::{ChaosEntity, ChaosEvent, ChaosFault, ChaosPlan, ChaosScope, WireFate};
 pub use ids::{BlockId, NodeId, ProcId, Rank, StepId};

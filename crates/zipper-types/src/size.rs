@@ -5,12 +5,11 @@
 //! keeps those quantities readable in configuration code and renders them
 //! back in human units in reports.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul};
 
 /// A byte count. Uses binary units (1 MiB = 2^20) as HPC I/O tooling does.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {

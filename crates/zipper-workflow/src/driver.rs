@@ -11,7 +11,9 @@ use zipper_core::{
     ZipperReader, ZipperWriter,
 };
 use zipper_pfs::{ChaosFs, MemFs, RetryingFs, Storage, ThrottledFs};
-use zipper_policy::{ConsumerPolicy, Preflight, PreflightInput, PreflightReport, ProducerPolicy};
+use zipper_policy::{
+    ConsumerPolicy, Preflight, PreflightInput, PreflightReport, ProducerPolicy, Severity,
+};
 use zipper_trace::{SampleSeries, Sampler, Telemetry, TraceMode, TraceSink};
 use zipper_types::{
     panic_detail, BackpressureScript, ChaosEntity, ChaosPlan, Rank, RetryPolicy, RuntimeError,
@@ -249,11 +251,16 @@ impl RunOptions {
     /// `PreflightInput` the DES builds its spec from
     /// (`WorkflowSpec::from_plan` in `zipper-transports`).
     pub fn preflight(&self, cfg: &WorkflowConfig) -> PreflightReport {
-        Preflight::check(&PreflightInput {
+        Preflight::check(&self.plan(cfg))
+    }
+
+    /// The plan a run of `cfg` under these options interprets.
+    fn plan(&self, cfg: &WorkflowConfig) -> PreflightInput {
+        PreflightInput {
             workflow: cfg.clone(),
             chaos: self.chaos.clone(),
             backpressure: self.net.backpressure.clone(),
-        })
+        }
     }
 }
 
@@ -331,6 +338,14 @@ where
 /// `Err` only when [`RunOptions::preflight_gate`] is set and the plan is
 /// rejected — before any thread is spawned, carrying the verdict.
 ///
+/// # Panics
+///
+/// Ungated, on a plan that breaks the structural rule every interpreter
+/// applies ([`Preflight::check_shape`]: a zero count, a high-water mark
+/// at capacity, a tag overflow, a malformed script, a `DetachSender`
+/// without `concurrent_transfer`) — before any thread is spawned, with
+/// the diagnostic's `ZV0xx` code in the message.
+///
 /// Each producer's sender is the stack `mesh → chaos → trace → retry →
 /// gate`, innermost first: fault injection sits at the wire (as a lossy
 /// network would), tracing observes it, retry rides over it, and the
@@ -348,10 +363,15 @@ where
     P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
     C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
 {
-    let preflight = match opts.preflight_gate.then(|| opts.preflight(cfg)) {
+    let plan = opts.plan(cfg);
+    let preflight = match opts.preflight_gate.then(|| Preflight::check(&plan)) {
         Some(verdict) if verdict.is_rejected() => return Err(Box::new(verdict)),
         verdict => verdict,
     };
+    let shape = Preflight::check_shape(&plan);
+    if let Some(e) = shape.iter().find(|d| d.code.severity() == Severity::Error) {
+        panic!("invalid workflow plan: {e}");
+    }
     let RunOptions {
         net,
         storage: storage_opts,
@@ -361,7 +381,6 @@ where
     } = opts;
     let chaos = chaos.filter(|plan| !plan.is_empty());
     let chaos = chaos.as_ref();
-    cfg.validate().expect("invalid workflow config");
     let telemetry = if trace.telemetry {
         Telemetry::on()
     } else {

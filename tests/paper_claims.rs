@@ -176,9 +176,9 @@ fn crash_matrix_matches_the_paper() {
 fn fine_grain_blocks_do_not_lose_to_whole_step_slabs() {
     let mut fine = WorkflowSpec::cfd(32, 16, 6);
     fine.ranks_per_node = 16;
-    fine.block_size = 1 << 20;
+    fine.tuning.block_size = ByteSize::mib(1);
     let mut coarse = fine.clone();
-    coarse.block_size = coarse.bytes_per_rank_step; // one block per step
+    coarse.tuning.block_size = ByteSize::bytes(coarse.bytes_per_rank_step); // one block per step
     let rf = run_with_detail(TransportKind::Zipper, &fine, true);
     let rc = run_with_detail(TransportKind::Zipper, &coarse, true);
     assert!(rf.is_clean() && rc.is_clean());

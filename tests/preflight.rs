@@ -9,7 +9,9 @@
 //!   preflight").
 //! * Three interpreters, one plan: for every catalogue entry the DES spec
 //!   round-trips to the plan it was built from, and the threaded driver's
-//!   preflight renders the same report as `Preflight::check`.
+//!   preflight renders the same report as `Preflight::check`. One
+//!   structural rule (`Preflight::check_shape`) refuses the same plans on
+//!   all three.
 //! * The statically derived causal skeleton matches the
 //!   decision-determined part of the edge multiset the DES causal
 //!   engine records at runtime (Configs B, C, E).
@@ -24,7 +26,6 @@ use std::time::Duration;
 use zipper_policy::conformance::{self, BLOCK};
 use zipper_policy::{Preflight, PreflightInput, ZvCode};
 use zipper_trace::CausalGraph;
-use zipper_transports::spec::VIRTUAL_EOS_DEADLINE;
 use zipper_transports::{run_with_detail, TransportKind, WorkflowSpec};
 use zipper_types::{
     BackpressureScript, ByteSize, ChaosEntity, ChaosFault, ChaosPlan, GateRule, PreserveMode, Rank,
@@ -68,21 +69,17 @@ fn negative_plans_reject_with_documented_codes() {
 }
 
 /// Three interpreters, one plan. The DES spec built from a plan reads
-/// back as that plan field for field — except the watchdog's length, which
-/// the virtual clock fixes at `VIRTUAL_EOS_DEADLINE` — and the threaded
-/// driver's options preflight to the same report as the plan itself.
+/// back as exactly that plan, and the threaded driver's options preflight
+/// to the same report as the plan itself.
 #[test]
 fn every_interpreter_reads_the_same_plan() {
     let negatives = conformance::negative_plans()
         .into_iter()
         .map(|(name, plan, _)| (name.to_string(), plan));
     for (name, plan) in conformance::accepted_plans().into_iter().chain(negatives) {
-        let mut want = plan.clone();
-        let watchdog = &mut want.workflow.tuning.eos_timeout;
-        *watchdog = watchdog.map(|_| Duration::from_nanos(VIRTUAL_EOS_DEADLINE.as_nanos()));
         assert_eq!(
             WorkflowSpec::from_plan(&plan).preflight_input(),
-            want,
+            plan,
             "{name}: the DES reads a different plan"
         );
         assert_eq!(
@@ -95,10 +92,75 @@ fn every_interpreter_reads_the_same_plan() {
     }
 }
 
-/// One rule says which scripts are valid. The DES spec refuses a plan
-/// exactly when preflight calls it structurally malformed — a script error
-/// (ZV010-ZV012) or a config one (ZV001-ZV004, which the spec checks too).
-/// Checked over the catalogue, the negative plans, and Config C under the
+/// Two structurally invalid plans: a zero-byte slab (ZV001) and a
+/// detached sender with no writer to drain it (ZV024).
+fn structurally_invalid_plans() -> [(&'static str, PreflightInput, ZvCode); 2] {
+    let mut zero_slab = conformance::base();
+    zero_slab.workflow.bytes_per_rank_step = ByteSize::ZERO;
+    let detached = conformance::base().with_chaos(ChaosPlan::new().with(
+        ChaosEntity::Sender(Rank(0)),
+        1,
+        ChaosFault::DetachSender,
+    ));
+    [
+        ("zero-byte slab", zero_slab, ZvCode::InvalidConfig),
+        (
+            "detached sender, no writer",
+            detached,
+            ZvCode::DetachWithoutWriter,
+        ),
+    ]
+}
+
+/// One structural rule, three interpreters: preflight rejects each plan
+/// with its code, the DES spec refuses it, and the threaded driver panics
+/// with the code before it spawns a thread (no application closure runs).
+#[test]
+fn structurally_invalid_plans_are_refused_by_every_interpreter() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use zipper_workflow::run_workflow_with;
+
+    for (name, plan, code) in structurally_invalid_plans() {
+        let report = Preflight::check(&plan);
+        assert!(
+            report.is_rejected() && report.has(code),
+            "{name}: {}",
+            report.render()
+        );
+
+        let spec = WorkflowSpec::from_plan(&plan).validate();
+        let why = spec.expect_err(&format!("{name}: the DES spec accepts it"));
+        assert!(why.contains(code.code()), "{name}: {why}");
+
+        static APP_CALLS: AtomicUsize = AtomicUsize::new(0);
+        let opts = common::threaded_options(&plan, TraceOptions::off());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_workflow_with(
+                &plan.workflow,
+                opts,
+                |_, _| {
+                    APP_CALLS.fetch_add(1, Ordering::SeqCst);
+                },
+                |_, _| {
+                    APP_CALLS.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        let payload = run
+            .err()
+            .unwrap_or_else(|| panic!("{name}: the driver ran it"));
+        let msg = zipper_types::panic_detail(payload.as_ref());
+        assert!(msg.contains(code.code()), "{name}: {msg}");
+        assert_eq!(APP_CALLS.load(Ordering::SeqCst), 0, "{name}: an app ran");
+    }
+}
+
+/// One rule says which plans are structurally valid. The DES spec refuses
+/// a plan exactly when preflight calls it structurally malformed — a
+/// config error (ZV001-ZV004), a script error (ZV010-ZV012) or a detached
+/// sender without a writer (ZV024). Checked over the catalogue, the
+/// negative plans, the structurally invalid plans, and Config C under the
 /// scripts `validate_rejects_bad_scripts` (in `zipper-policy`) rejects plus
 /// a window on a rank that does not exist; the catalogue's equal-and-zero
 /// targets plan is the case the two rules used to disagree on.
@@ -124,9 +186,11 @@ fn spec_validation_and_preflight_agree_on_which_scripts_are_valid() {
     let negatives = conformance::negative_plans()
         .into_iter()
         .map(|(name, plan, _)| (name.to_string(), plan));
+    let invalid = structurally_invalid_plans().map(|(name, plan, _)| (name.to_string(), plan));
     let plans = conformance::accepted_plans()
         .into_iter()
         .chain(negatives)
+        .chain(invalid)
         .chain(bad_scripts);
     for (name, plan) in plans {
         let report = Preflight::check(&plan);
@@ -140,6 +204,7 @@ fn spec_validation_and_preflight_agree_on_which_scripts_are_valid() {
                     | MalformedScript
                     | UnsatisfiableWindow
                     | GateRankOutOfRange
+                    | DetachWithoutWriter
             )
         });
         let valid = WorkflowSpec::from_plan(&plan).validate();

@@ -156,7 +156,7 @@ fn dual_channel_reduces_producer_stall_when_network_is_the_bottleneck() {
     // O(n) producers overwhelm the NICs (the Fig. 14a regime).
     let mk = |concurrent| {
         let mut s = WorkflowSpec::synthetic(Complexity::Linear, 56, 28, 256 << 20, 1 << 20);
-        s.concurrent_transfer = concurrent;
+        s.tuning.concurrent_transfer = concurrent;
         s
     };
     let msg_only = run_with_detail(TransportKind::Zipper, &mk(false), false);
@@ -180,7 +180,7 @@ fn compute_bound_producer_never_steals() {
     // O(n^1.5): the buffer stays near-empty, the optimization falls back
     // to message passing (Fig. 14c).
     let mut s = WorkflowSpec::synthetic(Complexity::N32, 12, 6, 64 << 20, 1 << 20);
-    s.concurrent_transfer = true;
+    s.tuning.concurrent_transfer = true;
     let r = run_with_detail(TransportKind::Zipper, &s, false);
     assert!(r.is_clean());
     assert_eq!(r.pfs_requests, 0, "no stealing opportunities");
@@ -209,8 +209,8 @@ fn fig14_point(
     let sim = cores * 2 / 3;
     let ana = cores - sim;
     let mut s = WorkflowSpec::synthetic(Complexity::Linear, sim, ana, 128 << 20, 1 << 20);
-    s.concurrent_transfer = true;
-    s.routing = routing;
+    s.tuning.concurrent_transfer = true;
+    s.tuning.routing = routing;
     s.seed = 11;
     s.backpressure = script;
     let r = run_with_detail(TransportKind::Zipper, &s, false);
