@@ -756,7 +756,6 @@ mod tests {
             sink.clone(),
             None,
             false,
-            Vec::new(),
         );
         let writer = prod.writer(block_len);
 
@@ -1133,7 +1132,6 @@ mod tests {
             sink.clone(),
             None,
             false,
-            Vec::new(),
         );
         let w = prod.writer(256);
         for s in 0..3u64 {

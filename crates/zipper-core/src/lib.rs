@@ -25,7 +25,6 @@ pub mod assemble;
 pub mod buffer;
 pub mod consumer;
 pub mod fault;
-mod gate;
 pub mod metrics;
 pub mod producer;
 pub mod transport;
@@ -36,7 +35,7 @@ pub use buffer::BlockQueue;
 pub use consumer::{Consumer, ConsumerRecovery, SharedConsumerPolicy, ZipperReader};
 pub use fault::ChaosSender;
 pub use metrics::{ConsumerMetrics, ProducerMetrics};
-pub use producer::{Producer, SharedProducerPolicy, ZipperWriter};
+pub use producer::{Producer, ZipperWriter};
 pub use transport::{
     ChannelMesh, MeshReceiver, MeshSender, RetryingSender, TracedSender, Wire, WireItem, WireSender,
 };

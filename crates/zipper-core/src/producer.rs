@@ -1,6 +1,14 @@
 //! The producer runtime module (Fig. 8): producer buffer + sender thread +
 //! work-stealing writer thread, behind the `Zipper.write()` API.
 //!
+//! Every decision of the rank — routing, dead destinations, scripted
+//! backpressure windows, writer revival and retirement, end-of-stream
+//! fan-out — is its [`RankScript`]'s, behind one lock the two threads
+//! share. The threads keep only their locks, clocks and I/O: the sender
+//! holds a data wire where the kernel says (sleeping out a `Hold`, or
+//! waiting on the rank's condition variable while a credit window is
+//! armed), and the writer parks between windows on the same variable.
+//!
 //! Every thread of the module records contiguous spans to the run's
 //! [`TraceSink`], one clock read per boundary
 //! ([`LaneRecorder::boundary`]): the application lane captures compute
@@ -10,23 +18,25 @@
 //! are views over these lanes, derived at [`Producer::join`].
 
 // Threaded substrate: producer compute/stall timing against the real clock is
-// this module's job — the DES twin replays the same policy in virtual time.
+// this module's job — the DES twin replays the same kernel in virtual time.
 #![allow(clippy::disallowed_methods)]
 use crate::buffer::BlockQueue;
-use crate::gate::{GatedSender, SenderGate};
 use crate::metrics::ProducerMetrics;
 use crate::transport::{Wire, WireSender};
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use zipper_policy::{Channel, ProducerPolicy, RetireReason};
+use std::time::Instant;
+use zipper_policy::{
+    Channel, EosTargets, NetVerdict, ProducerPolicy, PutVerdict, RankScript, WireGate, WriterGate,
+};
 use zipper_trace::{
-    block_token, eos_token, CausalSink, EdgeKind, GaugeId, HistogramId, LaneRecorder, MetricShard,
-    Span, SpanKind, TraceSink,
+    block_token, eos_token, CausalSink, CounterId, EdgeKind, GaugeId, HistogramId, LaneRecorder,
+    MetricShard, Span, SpanKind, Telemetry, TraceSink,
 };
 use zipper_types::{
-    panic_detail, Block, BlockId, Error, GateWindow, GlobalPos, MixedMessage, Rank, RuntimeError,
+    panic_detail, Block, BlockId, Error, GlobalPos, MixedMessage, Rank, RuntimeError, SimTime,
     StepId, ZipperTuning,
 };
 
@@ -34,12 +44,6 @@ use zipper_types::{
 /// thread fills these; the sender thread piggybacks them onto its next
 /// message to that consumer (the paper's "mixed messages").
 type PendingIds = Arc<Mutex<Vec<Vec<BlockId>>>>;
-
-/// One producer rank's decision kernel, shared by its sender and writer
-/// threads. Both consult it through the buffer's atomic take-and-route
-/// path ([`BlockQueue::pop_then`] / [`BlockQueue::steal_then`]), so
-/// routing order equals take order. Lock order is queue → policy.
-pub type SharedProducerPolicy = Arc<Mutex<ProducerPolicy>>;
 
 /// Lane label of producer `rank`'s application (compute) lane.
 pub fn app_lane(rank: Rank) -> String {
@@ -83,9 +87,74 @@ struct RankState {
     queue: Arc<BlockQueue>,
     pending: PendingIds,
     metrics: Arc<Mutex<ProducerMetrics>>,
-    policy: SharedProducerPolicy,
-    gate: Option<Arc<SenderGate>>,
+    /// The rank's kernel, consulted inside the buffer's take
+    /// ([`BlockQueue::pop_then`] / [`BlockQueue::steal_then`]) so decision
+    /// order equals take order. Lock order is queue → kernel.
+    script: Arc<Mutex<RankScript>>,
+    /// Signalled when the script may have opened a window or failed open;
+    /// a held sender and a writer parked between windows wait on it.
+    changed: Arc<Condvar>,
+    telemetry: Telemetry,
     causal: CausalSink,
+}
+
+impl RankState {
+    /// Hold one data wire as the kernel decided, before it enters the
+    /// transport stack (a retried send is not held twice). Held time is
+    /// charged to `net.backpressure_ns`, like a full consumer inbox's — a
+    /// scripted gate *is* modelled backpressure — and recorded as an
+    /// [`EdgeKind::Gate`] self-edge on `lane` keyed by the wire's ordinal.
+    fn hold(&self, gate: WireGate, wire: u64, lane: &str) {
+        let held = match gate {
+            WireGate::Pass | WireGate::Inert => return,
+            WireGate::Hold(d) => {
+                std::thread::sleep(d);
+                d
+            }
+            WireGate::Armed { .. } => {
+                // The writer may be parked on the queue below the
+                // high-water mark (nudge) or between windows (notify): wake
+                // both, outside the kernel's lock (lock order).
+                self.changed.notify_all();
+                self.queue.nudge();
+                let t0 = Instant::now();
+                let mut script = self.script.lock();
+                while script.writer_gate() == WriterGate::Steal {
+                    self.changed.wait(&mut script);
+                }
+                t0.elapsed()
+            }
+        };
+        if held.is_zero() {
+            return;
+        }
+        self.telemetry.add_time(CounterId::NetBackpressureNs, held);
+        self.telemetry
+            .observe(HistogramId::StallNs, held.as_nanos() as u64);
+        let t1 = self.causal.now();
+        let t0 = t1.saturating_sub(SimTime::from_nanos(held.as_nanos() as u64));
+        self.causal
+            .edge_at(EdgeKind::Gate, lane, t0, lane, t1, wire);
+    }
+
+    /// Writer-side park between windows, once the queue reports closed:
+    /// `true` when an unmet window is armed (go steal), `false` when none
+    /// can arm any more (retire).
+    ///
+    /// The threaded queue reports "closed" as soon as the app finishes,
+    /// while the sender may still hold undrained blocks behind a scripted
+    /// gate; retiring then would fail the rest of the script open and
+    /// diverge from the DES, whose writer waits on the window gate.
+    fn await_steal_window(&self) -> bool {
+        let mut script = self.script.lock();
+        loop {
+            match script.writer_gate() {
+                WriterGate::Steal => return true,
+                WriterGate::Free => return false,
+                WriterGate::Wait { .. } => self.changed.wait(&mut script),
+            }
+        }
+    }
 }
 
 /// The fact "this rank's writer thread is gone", produced once: the writer
@@ -96,10 +165,6 @@ struct RankState {
 /// the ID of a block still being stored must not miss the flush.
 struct WriterExit {
     st: RankState,
-    /// Set once the policy kernel has been told how the writer ended, or
-    /// when no writer was configured. Unset in `drop`, the loop panicked
-    /// or never ran: accounted like a death by fault.
-    retired: bool,
     /// Dropped after `drop`'s body; the disconnect is what the sender's
     /// `recv` returns with.
     _alive: mpsc::Sender<()>,
@@ -108,22 +173,18 @@ struct WriterExit {
 impl Drop for WriterExit {
     fn drop(&mut self) {
         let st = &self.st;
-        if !self.retired {
-            st.policy.lock().writer_retired(RetireReason::Fault);
-            // A refused spawn is reported by the spawner, with the OS
-            // error; only the unwind has no other reporter.
-            if std::thread::panicking() {
-                st.metrics.lock().errors.push(RuntimeError::WriterRetired {
-                    rank: st.rank,
-                    detail: "writer thread panicked".into(),
-                });
-            }
+        // A writer that ended without a verdict (it panicked, or never
+        // ran) died by fault. A refused spawn is reported by the spawner,
+        // with the OS error; only the unwind has no other reporter.
+        if st.script.lock().writer_exited() && std::thread::panicking() {
+            st.metrics.lock().errors.push(RuntimeError::WriterRetired {
+                rank: st.rank,
+                detail: "writer thread panicked".into(),
+            });
         }
-        // No writer will satisfy a steal-credit window any more: fail the
-        // gate open so a held sender is released instead of wedged.
-        if let Some(g) = &st.gate {
-            g.cancel();
-        }
+        // However the writer ended, the kernel failed the script open:
+        // release a held sender instead of wedging it.
+        st.changed.notify_all();
     }
 }
 
@@ -252,8 +313,8 @@ pub struct Producer {
 
 impl Producer {
     /// Spawn the runtime module for producer `rank` with a private
-    /// totals-mode trace sink, its own policy kernel, an attached sender
-    /// and no backpressure windows (stand-alone use; see
+    /// totals-mode trace sink, its own kernel without backpressure windows,
+    /// and an attached sender (stand-alone use; see
     /// [`Producer::spawn_with`]).
     pub fn spawn(
         rank: Rank,
@@ -269,7 +330,6 @@ impl Producer {
             TraceSink::default(),
             None,
             false,
-            Vec::new(),
         )
     }
 
@@ -282,11 +342,13 @@ impl Producer {
     ///   (ignored when `tuning.concurrent_transfer` is off).
     /// * `sink` — the run's trace sink; all lanes of all ranks of one run
     ///   should share one sink so their spans share a time axis.
-    /// * `policy` — a caller-supplied policy kernel, the hook the
-    ///   conformance harness uses to record a
-    ///   [`zipper_policy::DecisionTrace`] of every choice this rank makes
-    ///   (pass a [`ProducerPolicy::recorded`] policy and keep a clone of
-    ///   the `Arc`); `None` builds one from `tuning`.
+    /// * `script` — a caller-supplied kernel for this rank: its policy (the
+    ///   hook the conformance harness uses to record a
+    ///   [`zipper_policy::DecisionTrace`]: build it from a
+    ///   [`ProducerPolicy::recorded`] policy and keep a clone of the `Arc`)
+    ///   and its windows of a [`zipper_types::BackpressureScript`]
+    ///   (`windows_for(rank)`). `None` builds one from `tuning`, with no
+    ///   windows.
     /// * `detach_sender` — the chaos engine's `ChaosFault::DetachSender`. A
     ///   detached sender takes no blocks (with the high-water mark at zero
     ///   every block drains through the work-stealing writer in production
@@ -295,24 +357,14 @@ impl Producer {
     ///   pending on-disk IDs, and announces EOS. Requires
     ///   `tuning.concurrent_transfer` — without a writer thread a detached
     ///   producer would ship nothing.
-    /// * `windows` — this rank's windows of a
-    ///   [`zipper_types::BackpressureScript`] (`windows_for(rank)`; empty
-    ///   for none). The producer owns the gate: it wraps `mesh` outermost
-    ///   so the rank's data wires stall at the scripted ordinals, and while
-    ///   a steal-credit window is armed the writer steals every buffered
-    ///   block (bypassing the high-water mark), credits each steal, and
-    ///   fails the gate open when it retires so an unmet window can never
-    ///   wedge the sender.
-    #[allow(clippy::too_many_arguments)]
     pub fn spawn_with(
         rank: Rank,
         tuning: ZipperTuning,
         mesh: impl WireSender + 'static,
         storage: Arc<dyn zipper_pfs::Storage>,
         sink: TraceSink,
-        policy: Option<SharedProducerPolicy>,
+        script: Option<Arc<Mutex<RankScript>>>,
         detach_sender: bool,
-        windows: Vec<GateWindow>,
     ) -> Producer {
         tuning.validate().expect("invalid tuning");
         assert!(
@@ -320,43 +372,34 @@ impl Producer {
             "a detached sender needs the writer thread (concurrent_transfer)"
         );
         let consumers = mesh.consumers();
-        let policy = policy.unwrap_or_else(|| {
-            Arc::new(Mutex::new(ProducerPolicy::from_tuning(
-                rank, consumers, &tuning,
-            )))
+        let script = script.unwrap_or_else(|| {
+            let policy = ProducerPolicy::from_tuning(rank, consumers, &tuning);
+            Arc::new(Mutex::new(RankScript::new(policy, Vec::new())))
         });
         {
-            let p = policy.lock();
-            assert_eq!(p.consumers(), consumers, "policy/mesh consumer mismatch");
-            assert_eq!(p.rank(), rank, "policy built for a different rank");
+            let p = script.lock();
+            let built_for = (p.policy().rank(), p.policy().consumers());
+            assert_eq!(built_for, (rank, consumers), "kernel/rank or mesh mismatch");
         }
         let queue = Arc::new(
             BlockQueue::new(tuning.producer_slots)
                 .with_telemetry(sink.telemetry().clone(), GaugeId::ProducerQueueDepth),
         );
         let metrics = Arc::new(Mutex::new(ProducerMetrics::default()));
-        // Arming a steal window must wake a writer already parked on an
-        // empty/below-threshold buffer so it re-reads the steal phase.
-        let gate = (!windows.is_empty()).then(|| {
-            let wake_queue = queue.clone();
-            let writer = move || wake_queue.nudge();
-            Arc::new(SenderGate::new(windows, tuning.concurrent_transfer, writer))
-        });
         let st = RankState {
             rank,
             queue: queue.clone(),
             pending: Arc::new(Mutex::new(vec![Vec::new(); consumers])),
             metrics: metrics.clone(),
-            policy,
-            gate,
+            script,
+            changed: Arc::new(Condvar::new()),
+            telemetry: sink.telemetry().clone(),
             causal: sink.causal().clone(),
         };
 
         let (alive, writer_gone) = mpsc::channel();
         let exit = WriterExit {
             st: st.clone(),
-            // With no writer configured there is nothing to tell the kernel.
-            retired: !tuning.concurrent_transfer,
             _alive: alive,
         };
         let writer_thread = if tuning.concurrent_transfer {
@@ -381,22 +424,21 @@ impl Producer {
 
         let sender_thread = {
             let rec = sink.recorder(sender_lane(rank));
-            let (squeue, sgate) = (queue.clone(), st.gate.clone());
-            let mesh = GatedSender::new(mesh, st.gate.clone(), &sink, sender_lane(rank));
+            let refused = st.clone();
             spawn_runtime_thread(
                 format!("zipper-sender-{rank}"),
                 move || sender_loop(st, mesh, writer_gone, rec, detach_sender),
                 // Without a sender nothing can be shipped; close the queue
                 // so writes fail soft instead of filling forever, and
                 // record why. The consumers' EOS watchdog covers the
-                // missing end-of-stream markers. No wire will ever pass,
-                // so scripted windows can never arm — cancel them to
-                // release a writer parked between windows.
+                // end-of-stream marks the kernel names but no thread can
+                // send. No wire will ever pass, so scripted windows can
+                // never arm — the kernel fails them open, releasing a
+                // writer parked between windows.
                 |_| {
-                    squeue.close();
-                    if let Some(g) = &sgate {
-                        g.cancel();
-                    }
+                    refused.queue.close();
+                    refused.script.lock().sender_drained();
+                    refused.changed.notify_all();
                     metrics
                         .lock()
                         .errors
@@ -486,15 +528,16 @@ fn wire_fault(rank: Rank, e: Error) -> RuntimeError {
 /// Sender thread (Fig. 8): drain the producer buffer over the message
 /// channel, piggybacking any on-disk block IDs destined for the same
 /// consumer; at end-of-stream flush leftover IDs and announce EOS to the
-/// targets the policy kernel names.
+/// targets the kernel names.
 ///
-/// Every routing decision comes from the shared [`ProducerPolicy`],
-/// consulted atomically with the take ([`BlockQueue::pop_then`]) so the
-/// sender and writer see one rotation in take order.
+/// Every block's verdict comes from the rank's [`RankScript`], consulted
+/// atomically with the take ([`BlockQueue::pop_then`]) so the sender and
+/// writer see one rotation in take order.
 ///
-/// Fail-soft: a consumer whose channel fails is marked dead and recorded
-/// once; blocks routed to it are dropped while the rest of the mesh keeps
-/// flowing, and the thread itself never panics or aborts the run.
+/// Fail-soft: a consumer whose channel fails is dead to the kernel and
+/// recorded once; blocks routed to it are dropped while the rest of the
+/// mesh keeps flowing, and the thread itself never panics or aborts the
+/// run.
 ///
 /// A `detached` sender skips the drain loop entirely — the writer carries
 /// every block — but still performs the end-of-stream duties below it.
@@ -508,20 +551,20 @@ fn sender_loop(
     let rank = st.rank;
     let slane = sender_lane(rank);
     let qlabel = producer_queue(rank);
-    let mut dead = vec![false; st.policy.lock().consumers()];
     if !detached {
         loop {
-            let (taken, idle) = st.queue.pop_then(|b| st.policy.lock().route_net(b.id()));
+            let (taken, idle) = st.queue.pop_then(|b| st.script.lock().take_net(b.id()));
             // Since the last boundary: the previous wire and its
             // bookkeeping (send), then the wait for data, if any (idle).
             rec.boundary(SpanKind::Send, Span::NO_STEP, Some((SpanKind::Idle, idle)));
-            let Some((block, dest)) = taken else { break };
+            let Some((block, verdict)) = taken else { break };
             let token = causal_token(block.id());
             st.causal.queue_pop(&qlabel, token, &slane);
-            if dead[dest.idx()] {
+            let NetVerdict::Send { dest, gate, wire } = verdict else {
                 continue; // destination already failed; drop, error recorded
-            }
+            };
             let on_disk = std::mem::take(&mut st.pending.lock()[dest.idx()]);
+            st.hold(gate, wire, &slane);
             let bytes = block.header.len;
             let msg = MixedMessage {
                 data: Some(block),
@@ -538,25 +581,18 @@ fn sender_loop(
                     m.bytes_sent += bytes;
                 }
                 Err(e) => {
-                    dead[dest.idx()] = true;
+                    st.script.lock().send_failed(dest);
                     st.metrics.lock().errors.push(wire_fault(rank, e));
                 }
             }
         }
     }
 
-    // The queue is drained (or this sender is detached and never passes
-    // wires): windows at higher ordinals can never arm, so cancel them to
-    // release a writer parked between windows.
-    if let Some(g) = &st.gate {
-        g.cancel();
-    }
-
-    // Announce one channel's end-of-stream to the targets the policy kernel
+    // Announce one channel's end-of-stream to the targets the kernel
     // names. Every target is attempted even when some already failed, and
     // an aggregated error is unpacked into individual reports.
-    let announce = |channel: Channel| {
-        let targets: Vec<Rank> = st.policy.lock().announce_eos(channel).collect();
+    let announce = |channel: Channel, targets: EosTargets| {
+        let targets: Vec<Rank> = targets.collect();
         if let Err(e) = mesh.send_eos(rank, channel, &targets) {
             let mut m = st.metrics.lock();
             match e {
@@ -576,13 +612,17 @@ fn sender_loop(
         }
     };
 
-    // End of the *message* channel: the buffer is drained, so no data wire
-    // can follow — the Net-channel EOS ships now, without waiting for the
-    // writer. Per-connection FIFO ordering keeps it behind every data
-    // message. (One mark per channel lets a chaos plan drop one channel's
-    // mark without silencing the other — the DES sends per-channel marks
-    // too.)
-    announce(Channel::Net);
+    // End of the *message* channel: the buffer is drained (or this sender
+    // is detached and never passes wires), so no data wire can follow and
+    // no window ahead can arm — the kernel fails them open, releasing a
+    // writer parked between windows, and the Net-channel EOS ships now,
+    // without waiting for the writer. Per-connection FIFO ordering keeps it
+    // behind every data message. (One mark per channel lets a chaos plan
+    // drop one channel's mark without silencing the other — the DES sends
+    // per-channel marks too.)
+    let targets = st.script.lock().sender_drained();
+    st.changed.notify_all();
+    announce(Channel::Net, targets);
 
     // The writer may still be storing its final stolen block: wait for it
     // to be gone before flushing, so every on-disk ID is announced before
@@ -591,14 +631,15 @@ fn sender_loop(
     // ever sent: `recv` returns when the [`WriterExit`] has been dropped.
     let _ = writer_gone.recv();
 
-    // Flush IDs the writer parked after the last data message per consumer.
+    // Flush IDs the writer parked after the last data message per consumer
+    // — to a dead destination too: the blocks are on the PFS, and the dead
+    // set covers data wires only.
     {
         let mut p = st.pending.lock();
         for (q, ids) in p.iter_mut().enumerate() {
-            if !ids.is_empty() && !dead[q] {
+            if !ids.is_empty() {
                 let msg = MixedMessage::disk_only(std::mem::take(ids));
                 if let Err(e) = mesh.send(Rank(q as u32), Wire::Msg(msg)) {
-                    dead[q] = true;
                     st.metrics.lock().errors.push(wire_fault(rank, e));
                 }
             }
@@ -607,20 +648,23 @@ fn sender_loop(
     // File-channel EOS after every ID has shipped (FIFO keeps the flushed
     // IDs ahead of it). On a message-passing-only run the kernel reports
     // the file channel inactive — no targets, no wire.
-    announce(Channel::Disk);
+    let targets = st.script.lock().disk_eos();
+    announce(Channel::Disk, targets);
 }
 
-/// Writer thread (Fig. 8 + Algorithm 1): steal blocks once the policy
-/// kernel's high-water-mark condition fires, store them on the PFS, and
-/// announce their IDs for the sender to piggyback. The steal condition and
-/// the stolen block's destination both come from the shared
-/// [`ProducerPolicy`], consulted atomically with the take
-/// ([`BlockQueue::steal_then`]).
+/// Writer thread (Fig. 8 + Algorithm 1): steal blocks once the kernel's
+/// steal condition fires, store them on the PFS, and announce their IDs
+/// for the sender to piggyback. The steal condition and the stolen block's
+/// destination both come from the rank's [`RankScript`], consulted
+/// atomically with the take ([`BlockQueue::steal_then`]); each put's
+/// result goes back to it, and its verdict says whether the writer goes
+/// on, revives after a cooldown, or stops.
 ///
 /// The loop only *returns*; everything that must happen once the writer is
-/// gone — failing the gate open, releasing the sender — is `exit`'s drop.
+/// gone — releasing a held sender and the sender's flush — is `exit`'s
+/// drop.
 fn writer_loop(
-    mut exit: WriterExit,
+    exit: WriterExit,
     storage: Arc<dyn zipper_pfs::Storage>,
     mut rec: LaneRecorder,
     mut shard: MetricShard,
@@ -631,15 +675,8 @@ fn writer_loop(
     let qlabel = producer_queue(rank);
     loop {
         let (taken, idle) = st.queue.steal_then(
-            // An armed steal-credit window overrides the high-water mark:
-            // the sender is parked at a scripted gate and every buffered
-            // block behind it is the writer's to steal. Outside a window
-            // the kernel's Algorithm-1 condition decides alone.
-            |occupancy| {
-                (occupancy > 0 && st.gate.as_ref().is_some_and(|g| g.steal_phase()))
-                    || st.policy.lock().should_steal(occupancy)
-            },
-            |b| st.policy.lock().route_disk(b.id()),
+            |occupancy| st.script.lock().steal_wanted(occupancy),
+            |b| st.script.lock().take_disk(b.id()),
         );
         // Since the last boundary: the previous store and its bookkeeping
         // (fs-write), then the wait for the steal condition, if any (idle).
@@ -655,17 +692,15 @@ fn writer_loop(
             // windows, blocks parked behind a future gate are this
             // writer's to steal, so wait for the window to arm instead of
             // retiring (which would fail the rest of the script open and
-            // desynchronize the scripted schedule). The sender cancels
-            // the remaining windows once it drains, releasing this wait.
-            if let Some(g) = &st.gate {
-                if g.await_steal_window() {
-                    rec.boundary(SpanKind::Idle, Span::NO_STEP, None);
-                    continue;
-                }
+            // desynchronize the scripted schedule). The kernel fails the
+            // remaining windows open once the sender drains, releasing
+            // this wait.
+            if st.await_steal_window() {
+                rec.boundary(SpanKind::Idle, Span::NO_STEP, None);
+                continue;
             }
             // The normal end of stream.
-            st.policy.lock().writer_retired(RetireReason::Drained);
-            exit.retired = true;
+            st.script.lock().writer_drained();
             return;
         };
         let token = causal_token(block.id());
@@ -675,7 +710,7 @@ fn writer_loop(
             // PFS failure: the stolen block goes back to the *front* of
             // the producer buffer (the next taker re-takes and re-routes
             // it — the DES writer proc mirrors this requeue-retire-revive
-            // sequence exactly), and the writer retires. With a revival
+            // sequence exactly), and the writer retires. Within its revival
             // budget the kernel grants a comeback: the writer sleeps the
             // configured cooldown and resumes stealing; otherwise the run
             // degrades to message-passing-only. A queue already closed at
@@ -686,11 +721,7 @@ fn writer_loop(
             // The block's next pop, whoever takes it, pairs with this
             // push: writer→taker causality.
             st.causal.queue_push(&qlabel, token, &wlane);
-            let (revive, cooldown) = {
-                let mut p = st.policy.lock();
-                p.writer_retired(RetireReason::Fault);
-                (p.try_revive_writer(), p.recovery().writer_cooldown)
-            };
+            let verdict = st.script.lock().put_result(false);
             {
                 let mut m = st.metrics.lock();
                 if closed {
@@ -704,28 +735,25 @@ fn writer_loop(
                     detail: e.to_string(),
                 });
             }
-            if revive {
-                if !cooldown.is_zero() {
-                    std::thread::sleep(cooldown);
-                    rec.boundary(
-                        SpanKind::FsWrite,
-                        Span::NO_STEP,
-                        Some((SpanKind::Retry, cooldown)),
-                    );
-                }
-                continue;
+            let PutVerdict::Revive(cooldown) = verdict else {
+                return; // dying without a comeback
+            };
+            if !cooldown.is_zero() {
+                std::thread::sleep(cooldown);
+                rec.boundary(
+                    SpanKind::FsWrite,
+                    Span::NO_STEP,
+                    Some((SpanKind::Retry, cooldown)),
+                );
             }
-            // Dying without a comeback.
-            exit.retired = true;
-            return;
+            continue;
         }
         // Steal announce: the block became fetchable the moment the put
         // completed; the consumer's `end` half (on-disk ID arrival) joins.
         st.causal.begin(EdgeKind::Steal, token, &wlane);
         st.pending.lock()[dest.idx()].push(block.id());
-        if let Some(g) = &st.gate {
-            g.note_steal();
-        }
+        st.script.lock().put_result(true);
+        st.changed.notify_all();
         let mut m = st.metrics.lock();
         m.blocks_stolen += 1;
         m.bytes_stolen += block.header.len;
@@ -990,16 +1018,16 @@ mod tests {
             max_writer_revivals: 1,
             max_consumer_restarts: 0,
         };
-        let policy = Arc::new(Mutex::new(ProducerPolicy::from_tuning(Rank(0), 1, &t)));
+        let policy = ProducerPolicy::from_tuning(Rank(0), 1, &t).recorded();
+        let script = Arc::new(Mutex::new(RankScript::new(policy, Vec::new())));
         let mut prod = Producer::spawn_with(
             Rank(0),
             t,
             mesh.sender(),
             storage.clone(),
             TraceSink::default(),
-            Some(policy.clone()),
+            Some(script.clone()),
             true,
-            Vec::new(),
         );
         let writer = prod.writer(4096);
         let collector = collect_rank0(&mesh, 2); // Net + Disk channel marks
@@ -1025,7 +1053,7 @@ mod tests {
         assert_eq!(metrics.blocks_sent, 0);
         assert_eq!(metrics.blocks_stolen, 6);
         assert_eq!(storage.inner().len(), 6);
-        assert_eq!(policy.lock().revivals_used(), 1);
+        assert_eq!(script.lock().policy().trace().canonical().revivals, 1);
         assert!(
             metrics
                 .errors
@@ -1055,7 +1083,6 @@ mod tests {
             sink.clone(),
             None,
             false,
-            Vec::new(),
         );
         let writer = prod.writer(4096);
         let n = 12u32;
@@ -1121,7 +1148,6 @@ mod tests {
             sink.clone(),
             None,
             false,
-            Vec::new(),
         );
         let writer = prod.writer(4096);
         let collector = collect_rank0(&mesh, 1);

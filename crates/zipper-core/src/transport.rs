@@ -157,7 +157,7 @@ pub trait WireSender: Send {
     /// given consumers.
     ///
     /// Pure mechanism: *which* consumers must hear the announcement is a
-    /// policy decision ([`zipper_policy::ProducerPolicy::announce_eos`]),
+    /// policy decision ([`zipper_policy::RankScript::sender_drained`]),
     /// not the transport's. Every target is attempted even when an earlier
     /// one fails — a dead consumer must not starve the remaining ones of
     /// the EOS they are waiting on. Failures are aggregated into a single

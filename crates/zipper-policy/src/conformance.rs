@@ -176,6 +176,18 @@ pub fn gate_and_chaos() -> PreflightInput {
         ))
 }
 
+/// Config C with one credit window, `(wire 2, 3 steals)`, per producer, and
+/// sender 0's wire 1 failed: consumer 0 is dead to producer 0's data wires
+/// from the first one on, so its `b6` is skipped, while the IDs of the
+/// `b2 b4` its writer stole for consumer 0 are still announced — the blocks
+/// are on the PFS, and the dead set covers data wires only. Consumer 0
+/// analyses 6 blocks on every interpreter.
+pub fn fail_send_under_steal_window() -> PreflightInput {
+    config_c()
+        .with_backpressure(credit_windows(2, &[(2, 3)]))
+        .with_chaos(ChaosPlan::new().with(Sender(Rank(0)), 1, FailSend))
+}
+
 /// splitmix64: decorrelates the per-producer draws derived from one seed.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -256,6 +268,10 @@ pub fn accepted_plans() -> Vec<(String, PreflightInput)> {
         ("equal and zero targets".into(), equal_and_zero_targets()),
         ("dropped EOS, concurrent".into(), dropped_eos_concurrent()),
         ("gate + chaos on one wire".into(), gate_and_chaos()),
+        (
+            "FailSend under a steal window".into(),
+            fail_send_under_steal_window(),
+        ),
         (format!("seeded chaos (seed {chaos})"), seeded_chaos(chaos)),
         (format!("seeded gate (seed {gate})"), seeded_gate(gate)),
     ]

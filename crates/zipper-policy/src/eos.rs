@@ -4,9 +4,9 @@
 //! announces end-of-stream independently, on every channel it used, and each
 //! consumer keeps analyzing until it has seen every mark it expects. This
 //! module holds both halves of that protocol as pure bookkeeping — the
-//! producer-side fan-out lives in
-//! [`ProducerPolicy::announce_eos`](crate::ProducerPolicy::announce_eos),
-//! the consumer-side completion tracking in [`EosTracker`].
+//! producer-side fan-out is handed out by a rank's
+//! [`RankScript`](crate::RankScript) (`sender_drained`, `disk_eos`), the
+//! consumer-side completion tracking lives in [`EosTracker`].
 
 use zipper_types::Rank;
 

@@ -1,35 +1,34 @@
-//! Scripted backpressure, decided once: the per-rank state machine every
-//! interpreter of a [`BackpressureScript`](zipper_types::BackpressureScript)
-//! drives.
+//! Scripted backpressure, decided once: one rank's windows of a
+//! [`BackpressureScript`](zipper_types::BackpressureScript), as the state
+//! its [`RankScript`](crate::RankScript) keeps.
 //!
 //! What a window *means* is written here and nowhere else: which data wire
 //! it lands on, when a credit window arms and when it opens, that a
 //! cancelled script fails open, that a rank without a writer has no credit
 //! to earn, and the writer's question "is there an unmet credit window I
-//! must wait for". The interpreters keep only their way of waiting: a
-//! mutex and condition variable on threads (`zipper-core`), engine gates
-//! on the DES (`zipper-transports`), and nothing in preflight's symbolic
-//! walk, which runs the writer's steals inline where a window arms.
+//! must wait for".
 
 use std::time::Duration;
 use zipper_types::{GateRule, GateWindow};
 
-/// What one data wire meets at the gate ([`GateScript::pass_wire`]).
+/// What one data wire meets at the gate
+/// ([`RankScript::take_net`](crate::RankScript::take_net)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireGate {
     /// No window lands on this wire, or its credit target is already met.
     Pass,
     /// A `Hold` window: stall the wire this long, then send it.
     Hold(Duration),
-    /// A credit window armed: the wire is held while
-    /// [`GateScript::steal_phase`] lasts — until the writer's cumulative
-    /// steals reach `target`, or the script is cancelled.
+    /// A credit window armed: the wire is held while the writer is told to
+    /// steal ([`WriterGate::Steal`]) — until its cumulative steals reach
+    /// `target`, or the script is cancelled.
     Armed { target: u64 },
     /// A credit window of a cancelled script: it fails open.
     Inert,
 }
 
-/// The writer's side of the script ([`GateScript::writer`]).
+/// The writer's side of the script
+/// ([`RankScript::writer_gate`](crate::RankScript::writer_gate)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriterGate {
     /// An armed window is unmet: steal every buffered block.
@@ -45,7 +44,7 @@ pub enum WriterGate {
 /// the data-wire ordinal, the cumulative steal credit, the armed target
 /// and the cancel flag.
 #[derive(Clone, Debug)]
-pub struct GateScript {
+pub(crate) struct GateScript {
     /// The rank's windows, sorted by wire ordinal.
     windows: Vec<GateWindow>,
     /// Windows the sender has reached; `windows[next..]` lie ahead.
@@ -63,7 +62,7 @@ impl GateScript {
     /// Interpret one rank's `windows`. Without a `writer` no one can earn
     /// steal credit, so credit windows are inert from the start; `Hold`
     /// windows hold either way.
-    pub fn new(mut windows: Vec<GateWindow>, writer: bool) -> Self {
+    pub(crate) fn new(mut windows: Vec<GateWindow>, writer: bool) -> Self {
         windows.sort_by_key(|w| w.wire);
         GateScript {
             windows,
@@ -78,7 +77,7 @@ impl GateScript {
 
     /// Count one data wire and say what it meets. A credit window whose
     /// target the writer has already met passes unheld; an unmet one arms.
-    pub fn pass_wire(&mut self) -> WireGate {
+    pub(crate) fn pass_wire(&mut self) -> WireGate {
         self.wires += 1;
         let Some(&window) = self.windows.get(self.next) else {
             return WireGate::Pass;
@@ -101,7 +100,7 @@ impl GateScript {
 
     /// The writer stole one block — in a window or not, every steal counts
     /// toward the cumulative targets. Meeting the armed target opens it.
-    pub fn note_steal(&mut self) {
+    pub(crate) fn note_steal(&mut self) {
         self.steals += 1;
         if self.armed.is_some_and(|target| self.steals >= target) {
             self.armed = None;
@@ -111,7 +110,7 @@ impl GateScript {
     /// Fail every present and future credit window open: the writer
     /// retired (drained or dead), or the sender drained and no wire is
     /// left to arm one.
-    pub fn cancel(&mut self) {
+    pub(crate) fn cancel(&mut self) {
         self.cancelled = true;
         self.armed = None;
     }
@@ -119,7 +118,7 @@ impl GateScript {
     /// Whether an armed credit window is unmet: the sender holds its wire,
     /// and the writer treats the queue as over the high-water mark — the
     /// condition real backpressure produces.
-    pub fn steal_phase(&self) -> bool {
+    pub(crate) fn steal_phase(&self) -> bool {
         self.armed.is_some()
     }
 
@@ -127,7 +126,7 @@ impl GateScript {
     /// at the high-water mark or retire on a closed queue. Targets are
     /// non-decreasing, so "some window ahead is unmet" is "the next unmet
     /// one will arm".
-    pub fn writer(&self) -> WriterGate {
+    pub(crate) fn writer(&self) -> WriterGate {
         if self.steal_phase() {
             return WriterGate::Steal;
         }
@@ -143,12 +142,12 @@ impl GateScript {
     }
 
     /// The windows the sender has not reached yet.
-    pub fn unreached(&self) -> &[GateWindow] {
+    pub(crate) fn unreached(&self) -> &[GateWindow] {
         &self.windows[self.next..]
     }
 
     /// Data wires counted so far: the ordinal of the latest one.
-    pub fn wires(&self) -> u64 {
+    pub(crate) fn wires(&self) -> u64 {
         self.wires
     }
 }

@@ -19,23 +19,24 @@
 //!   network-delivered blocks must be persisted by the output thread, while
 //!   file-path blocks are already on the PFS.
 //! * [`EosProtocol`](EosTracker) — the fully-asynchronous end-of-stream
-//!   protocol: producer-side fan-out ([`ProducerPolicy::announce_eos`]) and
+//!   protocol: producer-side fan-out ([`RankScript::sender_drained`]) and
 //!   consumer-side completion tracking ([`EosTracker`]), including the
 //!   watchdog-timeout and reader-abandonment transitions.
-//! * [`GateScript`] — one rank's scripted backpressure windows: when a
-//!   data wire is held, when a steal-credit window arms and opens, and
-//!   when the writer must wait for the next one.
+//! * [`WireGate`] / [`WriterGate`] — one rank's scripted backpressure
+//!   windows: when a data wire is held, when a steal-credit window arms
+//!   and opens, and when the writer must wait for the next one.
 //!
-//! The substrates drive the kernel through two façades: [`ProducerPolicy`]
-//! (sender + writer threads of one simulation rank) and [`ConsumerPolicy`]
-//! (receiver/reader/output threads of one analysis rank). Both can record a
+//! The substrates drive the kernel through two façades: [`RankScript`]
+//! (sender + writer threads of one simulation rank, around its
+//! [`ProducerPolicy`]) and [`ConsumerPolicy`] (receiver/reader/output
+//! threads of one analysis rank). Both can record a
 //! [`DecisionTrace`] of every choice made; the traces canonicalize
 //! ([`CanonicalTrace`]) into a schedule-independent form that the
 //! differential conformance harness compares across substrates.
 //!
 //! The crate depends only on `zipper-types` — no clocks, no threads, no
-//! channels — so the DES can wrap policies in `Rc<RefCell<..>>` and the
-//! threaded runtime in `Arc<Mutex<..>>` without feature gymnastics.
+//! channels — so the DES can wrap a rank's script in `Rc<RefCell<..>>` and
+//! the threaded runtime in `Arc<Mutex<..>>` without feature gymnastics.
 
 pub mod conformance;
 pub mod consumer;
@@ -44,18 +45,20 @@ mod gate;
 pub mod preflight;
 pub mod preserve;
 pub mod producer;
+mod rank;
 pub mod route;
 pub mod steal;
 pub mod trace;
 
 pub use consumer::ConsumerPolicy;
 pub use eos::{Channel, EosProgress, EosTargets, EosTracker};
-pub use gate::{GateScript, WireGate, WriterGate};
+pub use gate::{WireGate, WriterGate};
 pub use preflight::{
     CausalSkeleton, Diagnostic, Preflight, PreflightInput, PreflightReport, Severity, ZvCode,
 };
 pub use preserve::PreservePlan;
 pub use producer::ProducerPolicy;
+pub use rank::{NetVerdict, PutVerdict, RankScript};
 pub use route::Router;
 pub use steal::StealPolicy;
 pub use trace::{CanonicalTrace, DecisionTrace, PolicyEvent, RetireReason};

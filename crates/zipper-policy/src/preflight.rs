@@ -49,9 +49,9 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use crate::eos::Channel;
-use crate::gate::{GateScript, WireGate};
+use crate::gate::{WireGate, WriterGate};
 use crate::producer::ProducerPolicy;
+use crate::rank::{NetVerdict, PutVerdict, RankScript};
 use zipper_types::{
     BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, ConfigError, GateRule, Rank,
     StepId, WireFate, WorkflowConfig,
@@ -539,10 +539,6 @@ struct RankWalk {
     eos_delivered: Vec<u64>,
     /// Successful writer puts: the rank's cumulative steal credit.
     writer_puts: u64,
-    /// Writer revivals consumed.
-    revivals: u32,
-    /// The writer died past its revival budget.
-    writer_died: bool,
 }
 
 /// The verifier entry point.
@@ -887,15 +883,14 @@ fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Symbolically execute one pinned rank: the sender/writer take order,
-/// the shared router rotation, and the rank's gate script and chaos scopes
-/// ticked exactly where both substrates tick them.
+/// Symbolically execute one pinned rank: its [`RankScript`] driven in the
+/// sender/writer take order, with the rank's chaos scopes ticked exactly
+/// where both substrates tick them.
 fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> RankWalk {
     let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let q = cfg.consumers;
     let n = input.blocks_per_rank();
     let r = Rank(rank as u32);
-    let mut policy = ProducerPolicy::from_tuning(r, q, tuning);
     let (sender_entity, writer_entity) = (ChaosEntity::Sender(r), ChaosEntity::Writer(r));
     let plan = input.chaos.clone().unwrap_or_default();
     let (sender, writer) = (plan.scope(sender_entity), plan.scope(writer_entity));
@@ -905,7 +900,7 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
         .map(|s| s.windows_for(r))
         .unwrap_or_default();
     let has_writer = tuning.concurrent_transfer;
-    let mut gate = GateScript::new(windows, has_writer);
+    let mut script = RankScript::new(ProducerPolicy::from_tuning(r, q, tuning), windows);
     let detached = input.detached(rank);
 
     let mut w = RankWalk {
@@ -922,41 +917,20 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
         })
         .collect();
 
-    let mut dead = vec![false; q];
-    let max_revivals = tuning.recovery.max_writer_revivals;
-
-    // One writer put attempt for `block`. Returns true when the block was
-    // written (steal credited), false when the writer died: the block goes
-    // back to the front of the producer buffer, and the writer's exit
-    // fails the gate open.
-    let writer_put = |block: BlockId,
-                      policy: &mut ProducerPolicy,
-                      w: &mut RankWalk,
-                      gate: &mut GateScript,
-                      pending: &mut VecDeque<BlockId>|
-     -> bool {
-        loop {
-            let dest = policy.route_disk(block);
-            if writer.next() == Some(ChaosFault::PfsWriteFail) {
-                // The block returns to the FRONT of the buffer; a revival
-                // re-takes and re-routes it (the double route is
-                // intentional on both substrates).
-                if w.revivals < max_revivals {
-                    w.revivals += 1;
-                    continue;
-                }
-                w.writer_died = true;
-                gate.cancel();
-                pending.push_front(block);
-                return false;
+    // One writer put attempt for the block at the front of the buffer. A
+    // failed put sends it back to the front, where a revived writer
+    // re-takes (and re-routes) it; false once the writer died.
+    let steal = |script: &mut RankScript, w: &mut RankWalk, pending: &mut VecDeque<BlockId>| {
+        let block = pending.pop_front().expect("a block to steal");
+        let dest = script.take_disk(block);
+        match script.put_result(writer.next() != Some(ChaosFault::PfsWriteFail)) {
+            PutVerdict::Stored => {
+                w.writer_puts += 1;
+                w.disk_delivered[dest.idx()] += 1;
             }
-            w.writer_puts += 1;
-            // Disk-id notifications are plain sends outside the sender's
-            // dead-destination bookkeeping: always delivered.
-            w.disk_delivered[dest.idx()] += 1;
-            gate.note_steal();
-            return true;
+            PutVerdict::Revive(_) | PutVerdict::Retire => pending.push_front(block),
         }
+        !script.writer_dead()
     };
 
     if detached {
@@ -964,7 +938,8 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
         // scripted credit window can never arm (the sender passes no data
         // wires); whether that wedges the run depends on whether the
         // producer can finish filling the buffer (see ZV011/ZV013 below).
-        let credit_windows: Vec<u64> = gate
+        let credit_windows: Vec<u64> = script
+            .gate()
             .unreached()
             .iter()
             .filter(|w| matches!(w.rule, GateRule::OpenAfterSteals(_)))
@@ -993,8 +968,8 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
                 }
             }
         }
-        while let Some(b) = pending.pop_front() {
-            if !writer_put(b, &mut policy, &mut w, &mut gate, &mut pending) {
+        while !pending.is_empty() {
+            if !steal(&mut script, &mut w, &mut pending) {
                 let stranded = pending.len();
                 d.push(Diagnostic::plain(
                     ZvCode::DetachedWriterDeath,
@@ -1012,57 +987,54 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
         // Sender take order, with the writer's steals run inline wherever
         // the script arms a window.
         while let Some(b) = pending.pop_front() {
-            let dest = policy.route_net(b);
-            if dead[dest.idx()] {
-                // Skipped sends tick neither the gate nor the chaos scope.
+            let NetVerdict::Send { dest, gate, wire } = script.take_net(b) else {
                 continue;
-            }
-            match gate.pass_wire() {
+            };
+            match gate {
                 WireGate::Inert if !has_writer => d.push(Diagnostic::plain(
                     ZvCode::InertWindow,
                     format!(
-                        "rank {rank} wire {}: no writer exists in message-only mode; the \
-                         credit window fails open at spawn",
-                        gate.wires()
+                        "rank {rank} wire {wire}: no writer exists in message-only mode; the \
+                         credit window fails open at spawn"
                     ),
                 )),
                 WireGate::Armed { target } => {
-                    while gate.steal_phase() {
-                        let Some(s) = pending.pop_front() else {
+                    while script.writer_gate() == WriterGate::Steal {
+                        if pending.is_empty() {
                             d.push(Diagnostic::plain(
                                 ZvCode::UnsatisfiableWindow,
                                 format!(
-                                    "rank {rank} wire {}: the armed window needs {target} \
+                                    "rank {rank} wire {wire}: the armed window needs {target} \
                                      cumulative steals but the buffer drains at {}",
-                                    gate.wires(),
                                     w.writer_puts
                                 ),
                             ));
                             break;
-                        };
-                        writer_put(s, &mut policy, &mut w, &mut gate, &mut pending);
+                        }
+                        steal(&mut script, &mut w, &mut pending);
                     }
                 }
                 _ => {}
             }
             // The held wire transmits: one chaos-counted send.
             match sender.wire_fate(false) {
-                WireFate::Fail => dead[dest.idx()] = true,
+                WireFate::Fail => script.send_failed(dest),
                 WireFate::Drop | WireFate::Corrupt => {}
                 WireFate::Deliver | WireFate::Delay(_) => w.net_delivered[dest.idx()] += 1,
             }
         }
     }
-    let wires = gate.wires();
+    let wires = script.gate().wires();
 
     // Queue closed. A live writer drains nothing more in a pinned
     // schedule (hwm >= n keeps Algorithm 1 quiet; detached already
     // drained everything) and retires Drained.
+    script.writer_drained();
 
     // Inert windows past the last attempted wire (chaos can shrink the
     // wire count below a scripted ordinal): they fail open at close.
     if !detached && has_writer {
-        for win in gate.unreached() {
+        for win in script.gate().unreached() {
             if matches!(win.rule, GateRule::OpenAfterSteals(_)) {
                 d.push(Diagnostic::plain(
                     ZvCode::InertWindow,
@@ -1076,9 +1048,8 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
         }
     }
 
-    // Net EOS fan-out: chaos-counted sends in consumer-rank order,
-    // attempted (and delivered) even toward dead destinations.
-    for target in policy.announce_eos(Channel::Net) {
+    // Net EOS fan-out: chaos-counted sends in consumer-rank order.
+    for target in script.sender_drained() {
         if matches!(
             sender.wire_fate(true),
             WireFate::Deliver | WireFate::Delay(_)
@@ -1086,13 +1057,12 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
             w.eos_delivered[target.idx()] += 1;
         }
     }
-    // Disk EOS fan-out (concurrent only): plain uncounted sends, covered
-    // by the sender when the writer died — always delivered.
-    for target in policy.announce_eos(Channel::Disk) {
+    // Disk EOS fan-out (concurrent only): plain uncounted sends.
+    for target in script.disk_eos() {
         w.eos_delivered[target.idx()] += 1;
     }
 
-    if w.writer_died && !detached {
+    if script.writer_dead() && !detached {
         d.push(Diagnostic::plain(
             ZvCode::WriterFailSoft,
             format!(

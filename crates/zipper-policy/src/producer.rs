@@ -1,12 +1,12 @@
 //! The producer-side façade: every decision made by one simulation rank's
 //! sender and writer threads (§4.2, Algorithm 1).
 //!
-//! One `ProducerPolicy` is shared by the rank's sender and writer — behind
-//! `Arc<Mutex<..>>` on the threaded substrate, `Rc<RefCell<..>>` in the
-//! DES — so both channels consult the *same* router rotation and the same
-//! steal threshold. Substrates must consult the policy while holding the
-//! producer-buffer lock (or, in the DES, atomically with the buffer take),
-//! so that decision order equals take order.
+//! One `ProducerPolicy` is shared by the rank's sender and writer inside
+//! its [`RankScript`](crate::RankScript), so both channels consult the
+//! *same* router rotation and the same steal threshold. Substrates must
+//! consult it while holding the producer-buffer lock (or, in the DES,
+//! atomically with the buffer take), so that decision order equals take
+//! order.
 
 use crate::eos::{Channel, EosTargets};
 use crate::route::Router;
@@ -21,7 +21,6 @@ pub struct ProducerPolicy {
     router: Router,
     steal: StealPolicy,
     recovery: RecoveryPolicy,
-    revivals_used: u32,
     trace: DecisionTrace,
 }
 
@@ -39,7 +38,6 @@ impl ProducerPolicy {
             router: Router::new(routing, consumers),
             steal: StealPolicy::new(high_water_mark, concurrent_transfer),
             recovery: RecoveryPolicy::default(),
-            revivals_used: 0,
             trace: DecisionTrace::default(),
         }
     }
@@ -57,13 +55,13 @@ impl ProducerPolicy {
     }
 
     /// Set the self-healing budgets (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
+    pub(crate) fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
         self
     }
 
     /// The configured self-healing budgets.
-    pub fn recovery(&self) -> RecoveryPolicy {
+    pub(crate) fn recovery(&self) -> RecoveryPolicy {
         self.recovery
     }
 
@@ -84,7 +82,7 @@ impl ProducerPolicy {
     }
 
     /// Whether the dual-channel (writer thread) optimization is on.
-    pub fn concurrent_transfer(&self) -> bool {
+    pub(crate) fn concurrent_transfer(&self) -> bool {
         self.steal.is_enabled()
     }
 
@@ -102,7 +100,7 @@ impl ProducerPolicy {
     /// Route a block the *writer* stole from the buffer (file channel).
     /// Records the steal itself and the routing verdict for the block's id,
     /// which the sender will piggyback on a later message.
-    pub fn route_disk(&mut self, block: BlockId) -> Rank {
+    pub(crate) fn route_disk(&mut self, block: BlockId) -> Rank {
         self.trace.record(PolicyEvent::Steal { block });
         let dest = self.router.route(block);
         self.trace.record(PolicyEvent::Route {
@@ -120,32 +118,18 @@ impl ProducerPolicy {
 
     /// Minimum occupancy at which the writer should wake (see
     /// [`StealPolicy::wake_occupancy`]).
-    pub fn steal_wake_occupancy(&self) -> usize {
+    pub(crate) fn steal_wake_occupancy(&self) -> usize {
         self.steal.wake_occupancy()
     }
 
     /// Record that this rank's writer retired.
-    pub fn writer_retired(&mut self, reason: RetireReason) {
+    pub(crate) fn writer_retired(&mut self, reason: RetireReason) {
         self.trace.record(PolicyEvent::WriterRetired { reason });
     }
 
-    /// Decide whether a fault-retired writer may be revived. Consumes one
-    /// revival from the budget and records [`PolicyEvent::WriterRevived`]
-    /// when granted; the caller is responsible for observing the cooldown
-    /// ([`RecoveryPolicy::writer_cooldown`]) in its own notion of time
-    /// before resuming steals.
-    pub fn try_revive_writer(&mut self) -> bool {
-        if self.revivals_used >= self.recovery.max_writer_revivals {
-            return false;
-        }
-        self.revivals_used += 1;
+    /// Record that a fault-retired writer was revived.
+    pub(crate) fn writer_revived(&mut self) {
         self.trace.record(PolicyEvent::WriterRevived);
-        true
-    }
-
-    /// Revivals granted so far.
-    pub fn revivals_used(&self) -> u32 {
-        self.revivals_used
     }
 
     /// End-of-stream fan-out for one channel: the consumers this producer
@@ -155,7 +139,7 @@ impl ProducerPolicy {
     /// that returns no targets. Every announcement is recorded here, at
     /// the decision; the returned cursor only tells the substrate whom to
     /// send to.
-    pub fn announce_eos(&mut self, channel: Channel) -> EosTargets {
+    pub(crate) fn announce_eos(&mut self, channel: Channel) -> EosTargets {
         if !Channel::active(self.concurrent_transfer()).contains(&channel) {
             return EosTargets::new(0);
         }
@@ -225,31 +209,6 @@ mod tests {
         assert_eq!(c.routes.len(), 2);
         assert_eq!(c.steals, vec![id(1)]);
         assert_eq!(c.retires, vec![RetireReason::Drained]);
-    }
-
-    #[test]
-    fn writer_revival_consumes_the_budget() {
-        let recovery = RecoveryPolicy {
-            max_writer_revivals: 1,
-            ..Default::default()
-        };
-        let mut p = ProducerPolicy::new(Rank(0), 2, RoutingPolicy::RoundRobin, 0, true)
-            .with_recovery(recovery)
-            .recorded();
-        p.writer_retired(RetireReason::Fault);
-        assert!(p.try_revive_writer(), "first revival within budget");
-        assert_eq!(p.revivals_used(), 1);
-        assert!(!p.try_revive_writer(), "budget of one is exhausted");
-        let c = p.trace().canonical();
-        assert_eq!(c.retires, vec![RetireReason::Fault]);
-        assert_eq!(c.revivals, 1, "denied revival leaves no trace");
-    }
-
-    #[test]
-    fn default_policy_never_revives() {
-        let mut p = ProducerPolicy::new(Rank(0), 2, RoutingPolicy::RoundRobin, 0, true).recorded();
-        assert!(!p.try_revive_writer());
-        assert_eq!(p.trace().canonical().revivals, 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn inject(log: &mut TraceLog, entity: &str, trace: &DecisionTrace) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zipper_policy::ProducerPolicy;
+    use zipper_policy::{ProducerPolicy, RankScript};
     use zipper_types::{BlockId, Rank, RoutingPolicy, StepId};
 
     #[test]
@@ -57,12 +57,12 @@ mod tests {
 
     #[test]
     fn decisions_become_ordinal_policy_markers() {
-        let mut policy =
-            ProducerPolicy::new(Rank(1), 2, RoutingPolicy::RoundRobin, 4, true).recorded();
-        policy.route_net(BlockId::new(Rank(1), StepId(7), 0));
-        policy.route_disk(BlockId::new(Rank(1), StepId(7), 1));
+        let policy = ProducerPolicy::new(Rank(1), 2, RoutingPolicy::RoundRobin, 4, true);
+        let mut script = RankScript::new(policy.recorded(), Vec::new());
+        script.take_net(BlockId::new(Rank(1), StepId(7), 0));
+        script.take_disk(BlockId::new(Rank(1), StepId(7), 1));
         let mut log = TraceLog::new();
-        inject(&mut log, "p1", policy.trace());
+        inject(&mut log, "p1", script.policy().trace());
 
         let lane = log.lane_by_label("policy/p1").expect("lane exists");
         let spans = log.lane_spans(lane);

@@ -8,60 +8,45 @@
 //! locks, no servers (§4's design points 1–4).
 //!
 //! Every *decision* — which consumer a block goes to, when the writer may
-//! steal, who gets an end-of-stream marker, whether an arriving block must
-//! be preserved — is delegated to the same `zipper-policy` kernel the
-//! threaded runtime uses. The DES processes here are pure substrate: they
-//! move simulated bytes and time, the kernel decides. Sender and writer of
-//! one rank share a single [`ProducerPolicy`] (via `Rc<RefCell<..>>`, the
-//! single-threaded analogue of the threaded runtime's `Arc<Mutex<..>>`),
-//! so round-robin routing rotates one counter across both channels.
-
+//! steal, which destination is dead, whether a faulted writer revives, who
+//! gets an end-of-stream marker, whether an arriving block must be
+//! preserved — is delegated to the same `zipper-policy` kernel the threaded
+//! runtime uses: a rank's sender and writer share one [`RankScript`]
+//! (`Rc<RefCell<..>>`, the single-threaded analogue of the threaded
+//! runtime's `Arc<Mutex<..>>`). The processes here move simulated bytes
+//! and time.
 //!
 //! ## Fault injection
 //!
-//! When [`WorkflowSpec::chaos`] carries a [`ChaosPlan`](zipper_types::ChaosPlan), each process
-//! interprets its entity's [`ChaosScope`] under the ordinal conventions of
-//! `zipper_types::fault`, mirroring the threaded runtime's injection
-//! wrappers: the sender counts data-carrying and EOS sends (skipping
-//! destinations an earlier `FailSend` killed, uncounted), the writer and
-//! output procs count PFS put attempts, the analysis proc counts read
-//! calls. Recovery is the same policy-kernel conversation as the threaded
-//! runtime: a faulted writer requeues its block, retires, and — within the
-//! [`RecoveryPolicy`](zipper_types::RecoveryPolicy) budget — revives after
-//! the cooldown; a crashed
-//! analysis rank records its abandonment and restart (the replay the
+//! When [`WorkflowSpec::chaos`] carries a
+//! [`ChaosPlan`](zipper_types::ChaosPlan), each process interprets its
+//! entity's [`ChaosScope`] under the ordinal conventions of
+//! `zipper_types::fault`, as the threaded runtime's wrappers do: the sender
+//! counts data wires and message-channel EOS marks, the writer and output
+//! procs count PFS put attempts, the analysis proc counts reads. A crashed
+//! analysis rank records its abandonment and restart; the replay the
 //! threaded supervisor performs is a no-op here, because the DES never
 //! lost the blocks, but the scope advances over the replay's ordinals so
-//! later faults stay aligned). Both substrates send *per-channel*
-//! end-of-stream wires (the sender's SEOS when the buffer drains, the
-//! writer's WEOS after the last stolen ID shipped), and both count only
-//! data wires and message-channel marks against chaos ordinals — so a
-//! `DropEos` plan conforms across substrates in either transfer mode.
+//! later faults stay aligned.
 //!
 //! ## Scripted backpressure
 //!
-//! When [`WorkflowSpec::backpressure`] carries a
-//! [`BackpressureScript`](zipper_types::BackpressureScript), a rank's
-//! sender and writer share one [`GateScript`] kernel the way they share
-//! the policy, and the sender process models a flow-controlled NIC: a
-//! wire the kernel holds waits in xmit-wait — a fixed virtual-time `Hold`,
-//! or an armed credit window parked on the steal-credit engine gate. The
-//! held span is recorded as `Stall` and charged to `net.backpressure_ns`
-//! plus the node's XmitWait counter, as on threads. While a credit window
-//! is armed the writer steals every buffered block regardless of the
-//! high-water mark, so a script pins an exact partial steal schedule on
-//! both substrates. The engine gates carry only the wake-ups, and fail
-//! open with the kernel: a retiring writer floods the credit gate, a
-//! closing sender floods the arm gate.
+//! With a [`BackpressureScript`](zipper_types::BackpressureScript), the
+//! sender models a flow-controlled NIC: a wire the kernel holds waits in
+//! xmit-wait — a fixed `Hold`, or an armed credit window parked on the
+//! steal-credit engine gate — recorded as `Stall` and charged to
+//! `net.backpressure_ns` and the node's XmitWait counter, as on threads.
+//! The engine gates carry only the wake-ups and fail open with the kernel:
+//! a retiring writer floods the credit gate, a closing sender the arm gate.
 
 use crate::spec::{tag, ClusterLayout, WorkflowSpec, VIRTUAL_EOS_DEADLINE};
 use hpcsim::{BufferTaken, GateId, Op, ProcCtx, Program, Simulator, Step};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 use zipper_apps::AppCostModel;
 use zipper_policy::{
-    Channel, ConsumerPolicy, DecisionTrace, EosTargets, GateScript, ProducerPolicy, RetireReason,
-    WireGate, WriterGate,
+    Channel, ConsumerPolicy, DecisionTrace, EosTargets, NetVerdict, ProducerPolicy, PutVerdict,
+    RankScript, WireGate, WriterGate,
 };
 use zipper_trace::SpanKind;
 use zipper_types::{
@@ -87,10 +72,10 @@ fn sim_dur(d: std::time::Duration) -> SimTime {
     SimTime::from_nanos(d.as_nanos() as u64)
 }
 
-/// One simulation rank's policy kernel, shared by its sender and writer
+/// One simulation rank's kernel, shared by its sender and writer
 /// processes. `Rc<RefCell<..>>` because DES processes run on one OS
 /// thread; the threaded runtime wraps the same type in `Arc<Mutex<..>>`.
-type SharedProducerPolicy = Rc<RefCell<ProducerPolicy>>;
+type SharedRankScript = Rc<RefCell<RankScript>>;
 
 /// One analysis rank's policy kernel, owned by its receiver process (the
 /// handle is shared with the harness for trace extraction).
@@ -101,7 +86,7 @@ type SharedConsumerPolicy = Rc<RefCell<ConsumerPolicy>>;
 /// an unrecorded build, the baseline transports).
 #[derive(Default)]
 pub(crate) struct ZipperPolicies {
-    pub(crate) producers: Vec<SharedProducerPolicy>,
+    pub(crate) producers: Vec<SharedRankScript>,
     pub(crate) consumers: Vec<SharedConsumerPolicy>,
 }
 
@@ -111,7 +96,7 @@ impl ZipperPolicies {
         (
             self.producers
                 .iter()
-                .map(|p| p.borrow().trace().clone())
+                .map(|p| p.borrow().policy().trace().clone())
                 .collect(),
             self.consumers
                 .iter()
@@ -237,12 +222,11 @@ impl Program for ComputeProc {
     }
 }
 
-/// One rank's backpressure script, shared by its sender and writer
-/// processes: the kernel decides, the two engine gates carry the
+/// The engine gates of one rank's backpressure script, shared by its
+/// sender and writer processes: the kernel decides, the gates carry the
 /// wake-ups.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct ScriptGates {
-    script: Rc<RefCell<GateScript>>,
     /// Cumulative steal credit, signalled by the writer per steal.
     steals: GateId,
     /// Credit windows armed, signalled by the sender per arming.
@@ -250,7 +234,7 @@ struct ScriptGates {
 }
 
 /// The sender thread: drain the producer buffer over the message channel,
-/// asking the shared policy kernel which consumer each block goes to; when
+/// asking the shared kernel which consumer each block goes to; when
 /// the buffer closes, announce stream-EOS to every consumer the kernel
 /// names (the net channel's half of the EOS protocol). With a backpressure
 /// script, the sender doubles as the flow-controlled NIC model: scripted
@@ -259,18 +243,14 @@ struct SenderProc {
     buf: usize,
     rank: usize,
     receivers: Rc<Vec<ProcId>>,
-    policy: SharedProducerPolicy,
+    script: SharedRankScript,
     chaos: Rc<ChaosScope>,
     gates: Option<ScriptGates>,
     /// Concurrent-transfer shutdown interlock: the threaded sender's
-    /// `writer_done.wait()`. The gate opens when the writer retires; the
-    /// flag says whether it died faulted, in which case this sender covers
-    /// the disk channel's EOS so consumers terminate without the watchdog.
-    writer_done: Option<(GateId, Rc<Cell<bool>>)>,
-    /// Destinations an injected `FailSend` killed: data sends to them are
-    /// skipped (uncounted), exactly like the threaded sender's fail-soft
-    /// bookkeeping. EOS marks are still attempted toward them.
-    dead: Vec<bool>,
+    /// wait for its writer. The gate opens when the writer retires; if it
+    /// died, the kernel hands this sender the disk channel's EOS so
+    /// consumers terminate without the watchdog.
+    writer_done: Option<GateId>,
     started: bool,
     shutdown: SenderShutdown,
 }
@@ -284,19 +264,17 @@ enum SenderShutdown {
     /// Every SEOS handed over, and the wait for the writer's retirement
     /// with them (concurrent transfer only).
     WriterAwaited,
-    /// The writer died unannounced: streaming its WEOS marks for it.
+    /// The writer died: streaming its WEOS marks for it.
     DiskEos(EosTargets),
     Done,
 }
 
 impl SenderProc {
-    /// Count one attempted data wire against the script and emit the hold
-    /// the kernel decides for it. The caller appends the wire's own ops
-    /// *after* these, so the block is popped and routed first, then held
-    /// pre-transmit — the order of the threaded producer's gate.
-    fn gate_ops(&mut self, ops: &mut Vec<Op>) {
-        let Some(g) = &self.gates else { return };
-        match g.script.borrow_mut().pass_wire() {
+    /// Emit the hold the kernel decided for a data wire. The caller appends
+    /// the wire's own ops *after* these, so the block is popped and routed
+    /// first, then held pre-transmit — the order of the threaded sender.
+    fn gate_ops(&self, ops: &mut Vec<Op>, gate: WireGate) {
+        match gate {
             WireGate::Pass | WireGate::Inert => {}
             WireGate::Hold(d) => {
                 let dur = sim_dur(d);
@@ -307,6 +285,7 @@ impl SenderProc {
             WireGate::Armed { target } => {
                 // Wake the writer into its steal loop, then stall until
                 // the cumulative credit target is met.
+                let g = self.gates.expect("an armed window has engine gates");
                 ops.push(Op::GateSignal { gate: g.arms, n: 1 });
                 ops.push(Op::GateWait {
                     gate: g.steals,
@@ -341,7 +320,7 @@ impl SenderProc {
             kind: SpanKind::Send,
         };
         match self.chaos.wire_fate(tag::kind(tag) == tag::SEOS) {
-            WireFate::Fail => self.dead[dest] = true,
+            WireFate::Fail => self.script.borrow_mut().send_failed(Rank(dest as u32)),
             WireFate::Drop => {}
             WireFate::Corrupt => {
                 ops.push(send(tag::make(
@@ -365,23 +344,23 @@ impl SenderProc {
     /// The producer buffer closed: the next batch of the shutdown
     /// sequence — fail the script open, announce SEOS to every
     /// consumer the kernel names, wait for the writer to retire, and cover
-    /// its WEOS if it died. The kernel decides (and records) each fan-out
-    /// once, when it starts; the marks then stream [`EOS_CHUNK`] at a time.
+    /// the WEOS the kernel still holds (a dead writer's). The kernel
+    /// decides (and records) each fan-out once, when it starts; the marks
+    /// then stream [`EOS_CHUNK`] at a time.
     fn shutdown_ops(&mut self) -> Step {
         let mut ops = Vec::with_capacity(EOS_CHUNK + 2);
         loop {
             match std::mem::replace(&mut self.shutdown, SenderShutdown::Done) {
                 SenderShutdown::Draining => {
+                    // Windows past the last data wire can never arm: the
+                    // kernel fails the writer's wait for one open.
+                    let targets = self.script.borrow_mut().sender_drained();
                     if let Some(g) = &self.gates {
-                        // Windows past the last data wire can never arm:
-                        // fail the writer's wait for one open first.
-                        g.script.borrow_mut().cancel();
                         ops.push(Op::GateSignal {
                             gate: g.arms,
                             n: GATE_FLOOD,
                         });
                     }
-                    let targets = self.policy.borrow_mut().announce_eos(Channel::Net);
                     self.shutdown = SenderShutdown::NetEos(targets);
                 }
                 SenderShutdown::NetEos(mut targets) => {
@@ -393,13 +372,13 @@ impl SenderProc {
                         self.shutdown = SenderShutdown::NetEos(targets);
                         return Step::Ops(ops);
                     }
-                    if let Some((gate, _)) = &self.writer_done {
+                    if let Some(gate) = self.writer_done {
                         // Hold this rank's shutdown until the writer retired
-                        // (the threaded sender's `writer_done.wait()`), so a
+                        // (the threaded sender's wait for its writer), so a
                         // dead writer's file channel can still be closed
                         // below.
                         ops.push(Op::GateWait {
-                            gate: *gate,
+                            gate,
                             need: 1,
                             kind: SpanKind::Idle,
                         });
@@ -407,17 +386,16 @@ impl SenderProc {
                     self.shutdown = SenderShutdown::WriterAwaited;
                     return Step::Ops(ops);
                 }
-                SenderShutdown::WriterAwaited => match self.writer_done.take() {
-                    // The writer died without announcing the file channel's
-                    // EOS; cover it here, as the threaded sender does after
-                    // `writer_done.wait()`, so consumers terminate cleanly
-                    // with no watchdog.
-                    Some((_, died)) if died.get() => {
-                        let targets = self.policy.borrow_mut().announce_eos(Channel::Disk);
-                        self.shutdown = SenderShutdown::DiskEos(targets);
+                SenderShutdown::WriterAwaited => {
+                    // A drained writer took the file channel's EOS; one
+                    // that died left it here, so consumers terminate
+                    // cleanly with no watchdog.
+                    let targets = self.script.borrow_mut().disk_eos();
+                    if targets.len() == 0 {
+                        return Step::Done;
                     }
-                    _ => return Step::Done,
-                },
+                    self.shutdown = SenderShutdown::DiskEos(targets);
+                }
                 SenderShutdown::DiskEos(mut targets) => {
                     // Plain sends: the threaded chaos wrapper does not count
                     // disk-channel marks either.
@@ -457,13 +435,13 @@ impl Program for SenderProc {
         match ctx.last_take.expect("sender resumed without take result") {
             BufferTaken::Item { bytes, token } => {
                 let id = token_block(self.rank, token);
-                let dest = self.policy.borrow_mut().route_net(id);
                 let mut ops = Vec::with_capacity(5);
-                if !self.dead[dest.idx()] {
+                let verdict = self.script.borrow_mut().take_net(id);
+                if let NetVerdict::Send { dest, gate, .. } = verdict {
                     // Gate ordinals tick before the chaos scope consults its
-                    // plan — parity with the threaded stack, where the
-                    // producer's gate wraps outermost.
-                    self.gate_ops(&mut ops);
+                    // plan — parity with the threaded sender, which holds
+                    // the wire before calling its transport stack.
+                    self.gate_ops(&mut ops, gate);
                     let tag = tag::make(tag::DATA, id.step.0, id.idx as u64);
                     self.wire_ops(&mut ops, dest.idx(), bytes, tag, id.step.0);
                 }
@@ -501,7 +479,7 @@ enum WriterMode {
 /// buffer occupancy strictly exceeds the high-water mark, park it on the
 /// PFS, and notify the stolen block's consumer's reader with a tiny
 /// disk-id message. Both the wake threshold and the destination come from
-/// the shared policy kernel; when the buffer drains, the writer retires
+/// the shared kernel; when the buffer drains, the writer retires
 /// and announces the disk channel's EOS to every consumer the kernel
 /// names. A backpressure script overlays scripted steal windows: while one
 /// is armed the writer drains the buffer regardless of the high-water
@@ -510,13 +488,12 @@ struct WriterProc {
     buf: usize,
     rank: usize,
     receivers: Rc<Vec<ProcId>>,
-    policy: SharedProducerPolicy,
+    script: SharedRankScript,
     chaos: Rc<ChaosScope>,
     gates: Option<ScriptGates>,
-    /// Retirement interlock shared with this rank's sender: signal the
-    /// gate once on any exit; set the flag when dying faulted.
+    /// Retirement interlock shared with this rank's sender: signalled once
+    /// on any exit.
     done_gate: GateId,
-    died: Rc<Cell<bool>>,
     key_base: u64,
     counter: u64,
     mode: WriterMode,
@@ -529,7 +506,7 @@ impl WriterProc {
             // Engine semantics: wake at occupancy ≥ min. The kernel's wake
             // occupancy is hwm + 1, i.e. Algorithm 1's strict
             // occupancy > threshold steal condition.
-            min_occupancy: self.policy.borrow().steal_wake_occupancy(),
+            min_occupancy: self.script.borrow().wake_occupancy(),
             kind: SpanKind::Idle,
         }
     }
@@ -539,12 +516,9 @@ impl WriterProc {
     /// for the next credit window to arm, or the normal high-water-mark
     /// take.
     fn schedule(&mut self) -> Op {
-        let verdict = self
-            .gates
-            .as_ref()
-            .map(|g| (g.script.borrow().writer(), g.arms));
+        let verdict = self.script.borrow().writer_gate();
         match verdict {
-            Some((WriterGate::Steal, _)) => {
+            WriterGate::Steal => {
                 self.mode = WriterMode::Stealing;
                 Op::BufferTake {
                     buf: self.buf,
@@ -552,31 +526,18 @@ impl WriterProc {
                     kind: SpanKind::Idle,
                 }
             }
-            Some((WriterGate::Wait { arm }, gate)) => {
+            WriterGate::Wait { arm } => {
                 self.mode = WriterMode::AwaitWindow;
                 Op::GateWait {
-                    gate,
+                    gate: self.gates.expect("a pending window has engine gates").arms,
                     need: arm,
                     kind: SpanKind::Idle,
                 }
             }
-            Some((WriterGate::Free, _)) | None => {
+            WriterGate::Free => {
                 self.mode = WriterMode::Normal;
                 self.take()
             }
-        }
-    }
-
-    /// The writer stops stealing, at this instant: what its sender reads
-    /// from shared state — the script is cancelled, and whether the writer
-    /// died — changes now, ahead of the ops [`WriterProc::retire_ops`]
-    /// issues last.
-    fn retire(&mut self, fatal: bool) {
-        if fatal {
-            self.died.set(true);
-        }
-        if let Some(g) = &self.gates {
-            g.script.borrow_mut().cancel();
         }
     }
 
@@ -633,43 +594,36 @@ impl Program for WriterProc {
         match ctx.last_take.expect("writer resumed without take result") {
             BufferTaken::Item { bytes, token } => {
                 let id = token_block(self.rank, token);
-                let dest = self.policy.borrow_mut().route_disk(id);
-                if self.chaos.next() == Some(ChaosFault::PfsWriteFail) {
+                let dest = self.script.borrow_mut().take_disk(id);
+                let stored = self.chaos.next() != Some(ChaosFault::PfsWriteFail);
+                let verdict = self.script.borrow_mut().put_result(stored);
+                if verdict != PutVerdict::Stored {
                     // The threaded writer's fault path, move for move: the
                     // stolen block returns to the *front* of the producer
-                    // buffer (the next take re-takes and re-routes it —
-                    // the double route is intentional on both substrates),
-                    // the kernel records the retirement, and a revival
-                    // budget buys a cooldown-delayed comeback.
-                    let (revive, cooldown) = {
-                        let mut p = self.policy.borrow_mut();
-                        p.writer_retired(RetireReason::Fault);
-                        (p.try_revive_writer(), p.recovery().writer_cooldown)
-                    };
+                    // buffer (the next take re-takes and re-routes it — the
+                    // double route is intentional on both substrates).
                     let mut ops = vec![Op::BufferRequeue {
                         buf: self.buf,
                         bytes,
                         token,
                     }];
-                    if revive {
-                        if !cooldown.is_zero() {
-                            ops.push(Op::Compute {
-                                dur: sim_dur(cooldown),
-                                kind: SpanKind::Retry,
-                                step: id.step.0,
-                            });
+                    match verdict {
+                        // The revived writer resumes whatever phase it was
+                        // in after the cooldown — mid-window it keeps
+                        // stealing.
+                        PutVerdict::Revive(cooldown) => {
+                            if !cooldown.is_zero() {
+                                ops.push(Op::Compute {
+                                    dur: sim_dur(cooldown),
+                                    kind: SpanKind::Retry,
+                                    step: id.step.0,
+                                });
+                            }
+                            ops.push(self.schedule());
                         }
-                        // A revived writer resumes whatever phase it was
-                        // in — mid-window it keeps stealing.
-                        ops.push(self.schedule());
-                    } else {
-                        // Out of revivals: die without announcing the disk
-                        // channel's EOS, exactly like the threaded writer.
-                        // The retirement interlock tells this rank's sender
-                        // to cover the disk channel (fail-soft shutdown,
-                        // no EOS watchdog needed).
-                        self.retire(true);
-                        self.retire_ops(&mut ops);
+                        // Out of revivals: the kernel left the disk
+                        // channel's EOS to this rank's sender.
+                        _ => self.retire_ops(&mut ops),
                     }
                     return Step::Ops(ops);
                 }
@@ -685,10 +639,9 @@ impl Program for WriterProc {
                     },
                 ];
                 if let Some(g) = &self.gates {
-                    // Credit the steal whichever phase earned it — normal
+                    // Signal the credit whichever phase earned it — normal
                     // steals count toward the cumulative target too, as on
                     // threads.
-                    g.script.borrow_mut().note_steal();
                     ops.push(Op::GateSignal {
                         gate: g.steals,
                         n: 1,
@@ -698,11 +651,10 @@ impl Program for WriterProc {
                 Step::Ops(ops)
             }
             BufferTaken::Closed => {
-                let mut p = self.policy.borrow_mut();
-                p.writer_retired(RetireReason::Drained);
-                let targets = p.announce_eos(Channel::Disk);
-                drop(p);
-                self.retire(false);
+                let mut script = self.script.borrow_mut();
+                script.writer_drained();
+                let targets = script.disk_eos();
+                drop(script);
                 self.mode = WriterMode::Announcing(targets);
                 self.announce_ops()
             }
@@ -1197,31 +1149,24 @@ pub(crate) fn build(
         if recorded {
             pp = pp.recorded();
         }
-        let policy = Rc::new(RefCell::new(pp));
-        if recorded {
-            policies.producers.push(policy.clone());
-        }
-
-        // This rank's backpressure script, if it has windows.
-        let gates = spec
+        // This rank's backpressure windows, and engine gates if it has any.
+        let windows = spec
             .backpressure
             .as_ref()
             .map(|s| s.windows_for(Rank(r as u32)))
-            .filter(|windows| !windows.is_empty())
-            .map(|windows| ScriptGates {
-                script: Rc::new(RefCell::new(GateScript::new(
-                    windows,
-                    tuning.concurrent_transfer,
-                ))),
-                steals: sim.add_gate(),
-                arms: sim.add_gate(),
-            });
+            .unwrap_or_default();
+        let gates = (!windows.is_empty()).then(|| ScriptGates {
+            steals: sim.add_gate(),
+            arms: sim.add_gate(),
+        });
+        let script = Rc::new(RefCell::new(RankScript::new(pp, windows)));
+        if recorded {
+            policies.producers.push(script.clone());
+        }
         // The writer-retirement interlock exists for every concurrent
         // rank, scripted or not: it is how writer death propagates to the
         // consumers (the sender covers the disk channel's EOS).
-        let writer_done = tuning
-            .concurrent_transfer
-            .then(|| (sim.add_gate(), Rc::new(Cell::new(false))));
+        let writer_done = tuning.concurrent_transfer.then(|| sim.add_gate());
 
         sim.spawn(
             node,
@@ -1230,16 +1175,15 @@ pub(crate) fn build(
                 buf,
                 rank: r,
                 receivers: receivers.clone(),
-                policy: policy.clone(),
+                script: script.clone(),
                 chaos: Rc::new(plan.scope(ChaosEntity::Sender(Rank(r as u32)))),
-                gates: gates.clone(),
-                writer_done: writer_done.clone(),
-                dead: vec![false; spec.ana_ranks],
+                gates,
+                writer_done,
                 started: false,
                 shutdown: SenderShutdown::Draining,
             },
         );
-        if let Some((done_gate, died)) = writer_done {
+        if let Some(done_gate) = writer_done {
             sim.spawn(
                 node,
                 format!("sim/r{r}/writer"),
@@ -1247,11 +1191,10 @@ pub(crate) fn build(
                     buf,
                     rank: r,
                     receivers: receivers.clone(),
-                    policy,
+                    script,
                     chaos: Rc::new(plan.scope(ChaosEntity::Writer(Rank(r as u32)))),
                     gates,
                     done_gate,
-                    died,
                     key_base: (r as u64) << 32,
                     counter: 0,
                     mode: WriterMode::Start,
@@ -1302,6 +1245,7 @@ mod tests {
     use crate::spec::sim_config;
     use hpcsim::Simulator;
     use zipper_apps::Complexity;
+    use zipper_policy::RetireReason;
 
     fn tiny_synthetic(concurrent: bool) -> WorkflowSpec {
         let mut s = WorkflowSpec::synthetic(
@@ -1412,7 +1356,7 @@ mod tests {
         assert!(r.is_clean(), "{r:?}");
 
         for (rank, p) in policies.producers.iter().enumerate() {
-            let t = p.borrow().trace().canonical();
+            let t = p.borrow().policy().trace().canonical();
             // 8 blocks per producer, dealt 0,1,0,1,… over the 2 consumers
             // regardless of which channel carried each block.
             assert_eq!(t.routes.len(), 8, "producer {rank} routed all blocks");
@@ -1472,13 +1416,13 @@ mod tests {
         // Writer 0's 2nd put faulted: the block went back to the front,
         // was re-taken and re-routed (9 routes for 8 blocks), and the
         // writer revived within its budget.
-        let t = policies.producers[0].borrow().trace().canonical();
+        let t = policies.producers[0].borrow().policy().trace().canonical();
         assert_eq!(t.routes.len(), 9, "double-route of the requeued block");
         assert_eq!(t.retires, vec![RetireReason::Fault, RetireReason::Drained]);
         assert_eq!(t.revivals, 1);
         // No other producer was disturbed...
         for p in &policies.producers[1..] {
-            let t = p.borrow().trace().canonical();
+            let t = p.borrow().policy().trace().canonical();
             assert_eq!(t.routes.len(), 8);
             assert_eq!(t.retires, vec![RetireReason::Drained]);
             assert_eq!(t.revivals, 0);
@@ -1507,7 +1451,7 @@ mod tests {
         let (r, sim, policies) = recorded_run(&spec);
         assert!(r.is_clean(), "{r:?}");
         for (rank, p) in policies.producers.iter().enumerate() {
-            let t = p.borrow().trace().canonical();
+            let t = p.borrow().policy().trace().canonical();
             // Take order b0 b1 | b2 b3 b4 stolen | b5 b6 | b7 stolen.
             let stolen: Vec<u32> = t.steals.iter().map(|b| b.idx).collect();
             assert_eq!(stolen, vec![2, 3, 4, 7], "rank {rank} steal schedule");
@@ -1567,7 +1511,7 @@ mod tests {
         spec.chaos = Some(plan);
         let (r, sim, policies) = recorded_run(&spec);
         assert!(r.is_clean(), "{r:?}");
-        let t = policies.producers[0].borrow().trace().canonical();
+        let t = policies.producers[0].borrow().policy().trace().canonical();
         assert_eq!(t.retires, vec![RetireReason::Fault], "died unrevived");
         assert_eq!(t.revivals, 0);
         // b0 stolen, b1 routed (the steal decision is recorded before the
@@ -1685,35 +1629,31 @@ mod tests {
 
     const WIDE: usize = 1000;
 
-    /// Shared script gates whose one credit window (at a wire no test
-    /// reaches) keeps the writer waiting until the script is cancelled.
-    fn pending_gates() -> ScriptGates {
+    const GATES: ScriptGates = ScriptGates { steals: 0, arms: 1 };
+
+    /// A recorded kernel for Q = 1,000 whose one credit window (at a wire
+    /// no test reaches) keeps the writer waiting until the script is
+    /// cancelled.
+    fn wide_script() -> SharedRankScript {
         let window = zipper_types::GateWindow {
             wire: 99,
             rule: zipper_types::GateRule::OpenAfterSteals(1),
         };
-        ScriptGates {
-            script: Rc::new(RefCell::new(GateScript::new(vec![window], true))),
-            steals: 0,
-            arms: 1,
-        }
+        let policy = ProducerPolicy::new(
+            Rank(0),
+            WIDE,
+            zipper_types::RoutingPolicy::RoundRobin,
+            0,
+            true,
+        );
+        Rc::new(RefCell::new(RankScript::new(
+            policy.recorded(),
+            vec![window],
+        )))
     }
 
-    fn cancelled(gates: &ScriptGates) -> bool {
-        gates.script.borrow().writer() == WriterGate::Free
-    }
-
-    fn wide_policy() -> SharedProducerPolicy {
-        Rc::new(RefCell::new(
-            ProducerPolicy::new(
-                Rank(0),
-                WIDE,
-                zipper_types::RoutingPolicy::RoundRobin,
-                0,
-                true,
-            )
-            .recorded(),
-        ))
+    fn cancelled(script: &SharedRankScript) -> bool {
+        script.borrow().writer_gate() == WriterGate::Free
     }
 
     /// A sender's shutdown at Q = 1,000 streams in bounded batches, and
@@ -1729,17 +1669,15 @@ mod tests {
         let plan = ChaosPlan::new()
             .with(ChaosEntity::Sender(Rank(0)), 100, ChaosFault::DropEos)
             .with(ChaosEntity::Sender(Rank(0)), 500, ChaosFault::FailSend);
-        let policy = wide_policy();
-        let gates = pending_gates();
+        let script = wide_script();
         let mut sender = SenderProc {
             buf: 0,
             rank: 0,
             receivers: receivers.clone(),
-            policy: policy.clone(),
+            script: script.clone(),
             chaos: Rc::new(plan.scope(ChaosEntity::Sender(Rank(0)))),
-            gates: Some(gates.clone()),
-            writer_done: Some((2, Rc::new(Cell::new(true)))),
-            dead: vec![false; WIDE],
+            gates: Some(GATES),
+            writer_done: Some(2),
             started: true,
             shutdown: SenderShutdown::Draining,
         };
@@ -1770,10 +1708,9 @@ mod tests {
         let want: Vec<String> = want.iter().map(|op| format!("{op:?}")).collect();
         assert_eq!(got, want);
 
-        assert!(cancelled(&gates));
-        assert!(sender.dead[499], "the failed send killed its destination");
+        assert!(cancelled(&script));
         // The kernel recorded each fan-out once, whole.
-        let t = policy.borrow().trace().canonical();
+        let t = script.borrow().policy().trace().canonical();
         assert_eq!(t.eos_announced.len(), 2 * WIDE);
     }
 
@@ -1784,22 +1721,21 @@ mod tests {
     #[test]
     fn writer_eos_fan_out_streams_the_same_ops_in_bounded_batches() {
         let receivers: Rc<Vec<ProcId>> = Rc::new((0..WIDE as u32).map(ProcId).collect());
-        let gates = pending_gates();
+        let script = wide_script();
         let mut writer = WriterProc {
             buf: 0,
             rank: 0,
             receivers: receivers.clone(),
-            policy: wide_policy(),
+            script: script.clone(),
             chaos: Rc::new(zipper_types::ChaosPlan::new().scope(ChaosEntity::Writer(Rank(0)))),
-            gates: Some(gates.clone()),
+            gates: Some(GATES),
             done_gate: 2,
-            died: Rc::new(Cell::new(false)),
             key_base: 0,
             counter: 0,
             mode: WriterMode::Normal,
         };
         let got = closed_buffer_stream(&mut writer, || {
-            assert!(cancelled(&gates), "the script is cancelled at retirement");
+            assert!(cancelled(&script), "the script is cancelled at retirement");
         });
 
         let mut want: Vec<Op> = receivers.iter().map(|&to| weos_send(to)).collect();
@@ -1810,7 +1746,7 @@ mod tests {
         want.push(Op::GateSignal { gate: 2, n: 1 });
         let want: Vec<String> = want.iter().map(|op| format!("{op:?}")).collect();
         assert_eq!(got, want);
-        let t = writer.policy.borrow().trace().canonical();
+        let t = script.borrow().policy().trace().canonical();
         assert_eq!(t.retires, vec![RetireReason::Drained]);
         assert_eq!(t.eos_announced.len(), WIDE);
     }

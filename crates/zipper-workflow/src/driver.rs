@@ -12,7 +12,8 @@ use zipper_core::{
 };
 use zipper_pfs::{ChaosFs, MemFs, RetryingFs, Storage, ThrottledFs};
 use zipper_policy::{
-    ConsumerPolicy, Preflight, PreflightInput, PreflightReport, ProducerPolicy, Severity,
+    ConsumerPolicy, Preflight, PreflightInput, PreflightReport, ProducerPolicy, RankScript,
+    Severity,
 };
 use zipper_trace::{SampleSeries, Sampler, Telemetry, TraceMode, TraceSink};
 use zipper_types::{
@@ -346,12 +347,12 @@ where
 /// without `concurrent_transfer`) — before any thread is spawned, with
 /// the diagnostic's `ZV0xx` code in the message.
 ///
-/// Each producer's sender is the stack `mesh → chaos → trace → retry →
-/// gate`, innermost first: fault injection sits at the wire (as a lossy
-/// network would), tracing observes it, retry rides over it, and the
-/// backpressure gate, which the producer adds itself, wraps outermost — a
-/// retried send must not pass the gate twice, and held time is not the
-/// inner transport's.
+/// Each producer's sender is the stack `mesh → chaos → trace → retry`,
+/// innermost first: fault injection sits at the wire (as a lossy network
+/// would), tracing observes it, and retry rides over it. The backpressure
+/// gate is not a layer: the sender thread holds a data wire where its
+/// rank's kernel says before calling the stack, so a retried send is not
+/// held twice, and held time is not the transport's.
 pub fn run_workflow_with<R, P, C>(
     cfg: &WorkflowConfig,
     opts: RunOptions,
@@ -404,7 +405,7 @@ where
     let consume = Arc::new(consume);
     // Every rank's policy kernel, by rank: read back after the joins for
     // the decision traces.
-    let mut producer_policies = Vec::with_capacity(cfg.producers);
+    let mut producer_scripts = Vec::with_capacity(cfg.producers);
     let mut consumer_policies = Vec::with_capacity(cfg.consumers);
     // Failures observed by the driver itself (an app thread panicking, a
     // thread that could not be spawned) — merged into the report alongside
@@ -565,8 +566,13 @@ where
         if trace.policy {
             pp = pp.recorded();
         }
-        let policy = Arc::new(Mutex::new(pp));
-        producer_policies.push(policy.clone());
+        let windows = net
+            .backpressure
+            .as_ref()
+            .map(|s| s.windows_for(rank))
+            .unwrap_or_default();
+        let script = Arc::new(Mutex::new(RankScript::new(pp, windows)));
+        producer_scripts.push(script.clone());
         // Chaos: scripted PFS faults hit this rank's writer thread through
         // a ChaosFs wrap of the shared store.
         let producer_storage: Arc<dyn Storage> = match chaos {
@@ -582,12 +588,8 @@ where
             retried,
             producer_storage,
             sink.clone(),
-            Some(policy),
+            Some(script),
             detach_sender,
-            net.backpressure
-                .as_ref()
-                .map(|s| s.windows_for(rank))
-                .unwrap_or_default(),
         );
         let writer = prod.writer(cfg.tuning.block_size.as_u64() as usize);
         producer_runtimes.push(prod);
@@ -673,8 +675,8 @@ where
     let mut producer_decisions = Vec::new();
     let mut consumer_decisions = Vec::new();
     if trace.policy {
-        for (p, policy) in producer_policies.iter().enumerate() {
-            let decisions = policy.lock().trace().clone();
+        for (p, script) in producer_scripts.iter().enumerate() {
+            let decisions = script.lock().policy().trace().clone();
             zipper_trace::policy::inject(&mut trace_log, &format!("p{p}"), &decisions);
             producer_decisions.push(decisions);
         }
@@ -938,11 +940,13 @@ mod tests {
             (total - makespan).abs() / makespan < 0.01,
             "attribution {total} vs makespan {makespan}"
         );
-        // It ends in analysis and crossed the wire to get there.
+        // It ends in analysis and crossed from simulation to get there: by
+        // a block's wire or steal, or — when the last block lands before
+        // the last end-of-stream mark, as it can under load — by that mark.
         let sig = path.signature(&graph);
         assert!(
             sig.iter()
-                .any(|s| s.starts_with("wire:") || s.starts_with("steal:")),
+                .any(|s| ["wire:", "steal:", "eos:"].iter().any(|k| s.starts_with(k))),
             "path crosses a substrate edge: {sig:?}"
         );
         // …ending on an analysis lane before the virtual-sink pad hop.

@@ -177,6 +177,22 @@ fn config_c_critical_paths_conform() {
     );
 }
 
+/// A failed data send under a credit window: both graphs carry all six
+/// steal edges, including the two whose blocks producer 0's writer stole
+/// for the consumer its sender lost.
+#[test]
+fn fail_send_under_a_steal_window_conforms() {
+    let c = assert_conformant(
+        "FailSend under a steal window",
+        &conformance::fail_send_under_steal_window(),
+    );
+    let steals = c
+        .profile
+        .iter()
+        .find(|(sig, _)| sig == "steal:sim/writer=>ana/recv");
+    assert_eq!(steals.map(|&(_, n)| n), Some(6), "{:?}", c.profile);
+}
+
 /// Config E: both substrates must degrade *and heal* through the same
 /// causal structure.
 #[test]

@@ -18,9 +18,9 @@ use zipper_core::{Consumer, Producer};
 use zipper_policy::conformance::{self, BLOCK};
 use zipper_policy::{
     CanonicalTrace, Channel, DecisionTrace, PolicyEvent, PreflightInput, ProducerPolicy,
-    RetireReason,
+    RankScript, RetireReason,
 };
-use zipper_trace::{TraceMode, TraceSink};
+use zipper_trace::{SpanKind, TraceMode, TraceSink};
 use zipper_types::{ChaosEntity, ChaosFault, Rank, RoutingPolicy};
 use zipper_workflow::TraceOptions;
 
@@ -104,9 +104,8 @@ fn round_robin_concurrent_preserve_traces_match() {
 /// replay's canonical trace. Proves the trace is substrate-free: the
 /// kernel reproduces it exactly from the observed take order.
 fn replay(rank: Rank, consumers: usize, recorded: &DecisionTrace) -> CanonicalTrace {
-    let mut fresh =
-        ProducerPolicy::new(rank, consumers, RoutingPolicy::RoundRobin, 0, true).recorded();
-    let mut announced: Vec<Channel> = Vec::new();
+    let policy = ProducerPolicy::new(rank, consumers, RoutingPolicy::RoundRobin, 0, true);
+    let mut fresh = RankScript::new(policy.recorded(), Vec::new());
     for ev in recorded.events() {
         match *ev {
             PolicyEvent::Route {
@@ -114,28 +113,37 @@ fn replay(rank: Rank, consumers: usize, recorded: &DecisionTrace) -> CanonicalTr
                 channel: Channel::Net,
                 ..
             } => {
-                fresh.route_net(block);
+                fresh.take_net(block);
             }
             PolicyEvent::Route {
                 block,
                 channel: Channel::Disk,
                 ..
             } => {
-                fresh.route_disk(block);
+                fresh.take_disk(block);
             }
-            // Recorded as a side effect of route_disk in the replay.
+            // Recorded as a side effect of take_disk in the replay.
             PolicyEvent::Steal { .. } => {}
-            PolicyEvent::WriterRetired { reason } => fresh.writer_retired(reason),
-            PolicyEvent::EosAnnounced { channel, .. } => {
-                if !announced.contains(&channel) {
-                    announced.push(channel);
-                    fresh.announce_eos(channel);
-                }
+            PolicyEvent::WriterRetired {
+                reason: RetireReason::Drained,
+            } => fresh.writer_drained(),
+            // The kernel hands each channel's fan-out out once.
+            PolicyEvent::EosAnnounced {
+                channel: Channel::Net,
+                ..
+            } => {
+                fresh.sender_drained();
+            }
+            PolicyEvent::EosAnnounced {
+                channel: Channel::Disk,
+                ..
+            } => {
+                fresh.disk_eos();
             }
             ref other => panic!("unexpected producer event {other:?}"),
         }
     }
-    fresh.trace().canonical()
+    fresh.policy().trace().canonical()
 }
 
 /// Config C: some blocks stolen, some sent, byte-identical canonical
@@ -339,6 +347,41 @@ fn gate_and_chaos_compose_on_the_same_wire() {
     assert_same("gate+chaos same wire", &threaded, &des);
 }
 
+/// A failed data send under a credit window: producer 0's consumer 0 is
+/// dead to its data wires, but the blocks its writer stole for consumer 0
+/// are on the PFS and their IDs are still announced. Canonical traces
+/// match, and each consumer analyses on threads exactly the blocks it
+/// analyses on the DES — 6 for consumer 0.
+#[test]
+fn fail_send_under_a_steal_window_delivers_the_same_blocks() {
+    let plan = conformance::fail_send_under_steal_window();
+    let report = common::run_threaded(&plan, TraceOptions::default().with_policy());
+    let threaded = canon(&report.producer_decisions, &report.consumer_decisions);
+    let r = common::run_des(&plan);
+    assert_same(
+        "FailSend under a steal window",
+        &threaded,
+        &canon(&r.producer_decisions, &r.consumer_decisions),
+    );
+    let analysed: Vec<u64> = (0..plan.workflow.consumers)
+        .map(|q| {
+            let lane = r.trace.lane_by_label(&format!("ana/q{q}/ana")).unwrap();
+            let spans = r.trace.lane_spans(lane);
+            spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Analysis)
+                .count() as u64
+        })
+        .collect();
+    assert_eq!(analysed, vec![6, 8], "DES analyses");
+    let delivered: Vec<u64> = report
+        .consumers
+        .iter()
+        .map(|c| c.blocks_delivered)
+        .collect();
+    assert_eq!(delivered, analysed, "threaded deliveries vs DES analyses");
+}
+
 /// Run `plan` over real loopback sockets (framed TCP) and return canonical
 /// traces by rank. Sender-entity chaos is honoured by wrapping each
 /// producer's [`zipper_core::TcpSender`] in a [`zipper_core::ChaosSender`]
@@ -382,15 +425,19 @@ fn run_tcp(plan: &PreflightInput) -> Traces {
         drains.push(std::thread::spawn(move || common::drain(rank, &reader)));
     }
 
-    let mut producer_policies = Vec::new();
+    let mut producer_scripts = Vec::new();
     let mut producer_apps = Vec::new();
     let mut producer_runtimes = Vec::new();
     for p in 0..cfg.producers {
         let rank = Rank(p as u32);
-        let policy = Arc::new(Mutex::new(
-            ProducerPolicy::from_tuning(rank, cfg.consumers, &tuning).recorded(),
-        ));
-        producer_policies.push(policy.clone());
+        let windows = plan
+            .backpressure
+            .as_ref()
+            .map(|s| s.windows_for(rank))
+            .unwrap_or_default();
+        let policy = ProducerPolicy::from_tuning(rank, cfg.consumers, &tuning).recorded();
+        let script = Arc::new(Mutex::new(RankScript::new(policy, windows)));
+        producer_scripts.push(script.clone());
         // An empty scope passes every wire through.
         let sender = ChaosSender::new(
             TcpSender::connect(&addrs).unwrap(),
@@ -402,12 +449,8 @@ fn run_tcp(plan: &PreflightInput) -> Traces {
             sender,
             storage.clone(),
             sink.clone(),
-            Some(policy),
+            Some(script),
             false,
-            plan.backpressure
-                .as_ref()
-                .map(|s| s.windows_for(rank))
-                .unwrap_or_default(),
         );
         let writer = prod.writer(BLOCK as usize);
         producer_runtimes.push(prod);
@@ -438,9 +481,9 @@ fn run_tcp(plan: &PreflightInput) -> Traces {
     }
 
     (
-        producer_policies
+        producer_scripts
             .iter()
-            .map(|p| p.lock().trace().canonical())
+            .map(|s| s.lock().policy().trace().canonical())
             .collect(),
         consumer_policies
             .iter()

@@ -253,6 +253,10 @@ fn skeleton_matches_des_edge_profile() {
         ("config B", conformance::config_b()),
         ("config C", conformance::config_c()),
         ("config E", conformance::config_e()),
+        (
+            "FailSend under a steal window",
+            conformance::fail_send_under_steal_window(),
+        ),
     ] {
         let report = Preflight::check(&plan);
         assert!(!report.is_rejected(), "{name}: {}", report.render());
