@@ -24,10 +24,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    pub fn is_quick(self) -> bool {
-        self == Scale::Quick
-    }
-
     /// Pick `q` in quick mode, `f` in full mode.
     pub fn pick<T>(self, q: T, f: T) -> T {
         match self {

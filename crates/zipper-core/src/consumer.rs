@@ -15,7 +15,7 @@
 // this module's job — the DES twin replays the same policy in virtual time.
 #![allow(clippy::disallowed_methods)]
 use crate::buffer::BlockQueue;
-use crate::metrics::ConsumerMetrics;
+use crate::metrics::{ConsumerMetrics, LaneCounts};
 use crate::producer::{causal_token, chan_code, spawn_runtime_thread};
 use crate::transport::{MeshReceiver, Wire};
 use crossbeam::channel::unbounded;
@@ -407,6 +407,7 @@ impl Consumer {
                 format!("zipper-receiver-{rank}"),
                 move || {
                     let _closes_queue = closes_queue;
+                    let mut net = LaneCounts::new(&tm, ConsumerMetrics::merge);
                     let mut discarding = false;
                     loop {
                         let wire = match eos_timeout {
@@ -429,7 +430,7 @@ impl Consumer {
                                 if let Some(b) = m.data {
                                     let token = causal_token(b.id());
                                     causal.end(EdgeKind::Wire, token, &rlane);
-                                    tm.lock().blocks_net += 1;
+                                    net.local.blocks_net += 1;
                                     if rpolicy.lock().store_on_arrival(b.id()) {
                                         // Network blocks are not yet on the
                                         // PFS: Preserve mode must store them
@@ -529,6 +530,7 @@ impl Consumer {
                 format!("zipper-reader-{rank}"),
                 move || {
                     let _closes_queue = closes_queue;
+                    let mut disk = LaneCounts::new(&tm, ConsumerMetrics::merge);
                     for id in ids_rx {
                         // Since the last boundary: waiting for an ID.
                         rec.boundary(SpanKind::Idle, Span::NO_STEP, None);
@@ -549,7 +551,7 @@ impl Consumer {
                                     causal.now(),
                                     token,
                                 );
-                                tm.lock().blocks_disk += 1;
+                                disk.local.blocks_disk += 1;
                                 match queue.push(b) {
                                     Ok(stalled) => {
                                         if !stalled.is_zero() {

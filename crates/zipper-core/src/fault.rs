@@ -13,7 +13,7 @@ use crate::transport::{MeshSender, Wire, WireSender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use zipper_policy::Channel;
-use zipper_types::{ChaosScope, Error, Rank, Result, RuntimeError, WireFate};
+use zipper_types::{ChaosScope, Error, MixedMessage, Rank, Result, RuntimeError, WireFate};
 
 /// A [`WireSender`] interpreting one sender entity's [`ChaosScope`].
 ///
@@ -31,7 +31,8 @@ use zipper_types::{ChaosScope, Error, Rank, Result, RuntimeError, WireFate};
 /// `Fail` returns a transient [`RuntimeError::Transport`] (an unretried
 /// caller marks the destination dead), `Drop` reports success without
 /// delivering, `Corrupt` delivers an in-band [`RuntimeError::Transport`]
-/// instead of the wire, and `Delay(d)` delivers after an extra `d`.
+/// instead of the wire, and `Delay(d)` delivers after an extra `d`. A
+/// dropped or corrupted wire's on-disk IDs still arrive.
 pub struct ChaosSender<S = MeshSender> {
     inner: S,
     scope: Arc<ChaosScope>,
@@ -52,6 +53,19 @@ impl<S: WireSender> ChaosSender<S> {
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
+
+    /// A dropped or corrupted data wire loses its block, not the on-disk
+    /// IDs it carried: those blocks are on the PFS, so the IDs go on as an
+    /// uncounted disk-only message (the DES writer sends them apart from
+    /// any data wire).
+    fn forward_ids(&self, to: Rank, wire: Wire) -> Result<()> {
+        match wire {
+            Wire::Msg(m) if !m.on_disk.is_empty() => self
+                .inner
+                .send(to, Wire::Msg(MixedMessage::disk_only(m.on_disk))),
+            _ => Ok(()),
+        }
+    }
 }
 
 impl<S: WireSender> WireSender for ChaosSender<S> {
@@ -71,14 +85,20 @@ impl<S: WireSender> WireSender for ChaosSender<S> {
                 std::thread::sleep(d);
                 self.inner.send(to, wire)
             }
-            WireFate::Drop => Ok(()),
-            WireFate::Corrupt => self.inner.send_fault(
-                to,
-                RuntimeError::Transport {
-                    rank: to,
-                    detail: format!("chaos: injected corrupt wire #{}", self.scope.ops()),
-                },
-            ),
+            WireFate::Drop => self.forward_ids(to, wire),
+            WireFate::Corrupt => {
+                self.inner.send_fault(
+                    to,
+                    RuntimeError::Transport {
+                        rank: to,
+                        detail: format!("chaos: injected corrupt wire #{}", self.scope.ops()),
+                    },
+                )?;
+                self.forward_ids(to, wire)
+            }
+            // The caller owns a failed wire's IDs: a retry layer above
+            // re-sends them with the wire, and the sender loop re-parks
+            // them once the send fails for good.
             WireFate::Fail => Err(Error::Runtime(RuntimeError::Transport {
                 rank: to,
                 detail: format!("chaos: injected send failure on wire #{}", self.scope.ops()),

@@ -8,6 +8,8 @@
 //! directly — there is no second, hand-maintained time bookkeeping to
 //! drift out of sync with the trace.
 
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 use zipper_trace::{KindBreakdown, SpanKind};
 use zipper_types::RuntimeError;
@@ -59,19 +61,9 @@ impl ProducerMetrics {
         as_duration(self.sender.get(SpanKind::Send))
     }
 
-    /// Sender-thread idle time (waiting for data).
-    pub fn send_idle(&self) -> Duration {
-        as_duration(self.sender.get(SpanKind::Idle))
-    }
-
     /// Writer-thread busy time (storing stolen blocks to the PFS).
     pub fn fs_busy(&self) -> Duration {
         as_duration(self.writer.get(SpanKind::FsWrite))
-    }
-
-    /// Writer-thread idle time (queue below the high-water mark).
-    pub fn fs_idle(&self) -> Duration {
-        as_duration(self.writer.get(SpanKind::Idle))
     }
 
     /// Fraction of written blocks that took the file path.
@@ -154,6 +146,32 @@ impl ConsumerMetrics {
     }
 }
 
+/// A runtime thread's own copy of its rank's block counters: the
+/// per-block path bumps `local` without the shared lock, and `drop` merges
+/// it into the shared metrics once, however the thread ends — before
+/// `join` reads them. Errors still go to the shared metrics directly.
+pub(crate) struct LaneCounts<M> {
+    pub(crate) local: M,
+    shared: Arc<Mutex<M>>,
+    merge: fn(&mut M, &M),
+}
+
+impl<M: Default> LaneCounts<M> {
+    pub(crate) fn new(shared: &Arc<Mutex<M>>, merge: fn(&mut M, &M)) -> Self {
+        LaneCounts {
+            local: M::default(),
+            shared: shared.clone(),
+            merge,
+        }
+    }
+}
+
+impl<M> Drop for LaneCounts<M> {
+    fn drop(&mut self) {
+        (self.merge)(&mut self.shared.lock(), &self.local);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,9 +204,7 @@ mod tests {
         assert_eq!(m.stall(), Duration::from_millis(10));
         assert_eq!(m.compute(), Duration::from_millis(30));
         assert_eq!(m.send_busy(), Duration::from_millis(7));
-        assert_eq!(m.send_idle(), Duration::from_millis(3));
         assert_eq!(m.fs_busy(), Duration::from_millis(2));
-        assert_eq!(m.fs_idle(), Duration::ZERO);
 
         let mut c = ConsumerMetrics::default();
         c.app.add(SpanKind::ReadWait, ms(4));

@@ -21,7 +21,7 @@
 // this module's job — the DES twin replays the same kernel in virtual time.
 #![allow(clippy::disallowed_methods)]
 use crate::buffer::BlockQueue;
-use crate::metrics::ProducerMetrics;
+use crate::metrics::{LaneCounts, ProducerMetrics};
 use crate::transport::{Wire, WireSender};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -551,6 +551,7 @@ fn sender_loop(
     let rank = st.rank;
     let slane = sender_lane(rank);
     let qlabel = producer_queue(rank);
+    let mut sent = LaneCounts::new(&st.metrics, ProducerMetrics::merge);
     if !detached {
         loop {
             let (taken, idle) = st.queue.pop_then(|b| st.script.lock().take_net(b.id()));
@@ -566,23 +567,22 @@ fn sender_loop(
             let on_disk = std::mem::take(&mut st.pending.lock()[dest.idx()]);
             st.hold(gate, wire, &slane);
             let bytes = block.header.len;
-            let msg = MixedMessage {
-                data: Some(block),
-                on_disk,
-            };
+            let msg = MixedMessage::mixed(block, on_disk.clone());
             match mesh.send(dest, Wire::Msg(msg)) {
                 Ok(()) => {
                     // The edge's source is the moment the wire cleared this
                     // sender (post gate hold / throttle); the receiver's
                     // `end` half completes it.
                     st.causal.begin(EdgeKind::Wire, token, &slane);
-                    let mut m = st.metrics.lock();
-                    m.blocks_sent += 1;
-                    m.bytes_sent += bytes;
+                    sent.local.blocks_sent += 1;
+                    sent.local.bytes_sent += bytes;
                 }
                 Err(e) => {
                     st.script.lock().send_failed(dest);
                     st.metrics.lock().errors.push(wire_fault(rank, e));
+                    // The wire's IDs are of blocks on the PFS: park them
+                    // again, ahead of later ones, for the final flush.
+                    st.pending.lock()[dest.idx()].splice(0..0, on_disk);
                 }
             }
         }
@@ -673,6 +673,7 @@ fn writer_loop(
     let rank = st.rank;
     let wlane = writer_lane(rank);
     let qlabel = producer_queue(rank);
+    let mut stolen = LaneCounts::new(&st.metrics, ProducerMetrics::merge);
     loop {
         let (taken, idle) = st.queue.steal_then(
             |occupancy| st.script.lock().steal_wanted(occupancy),
@@ -754,9 +755,8 @@ fn writer_loop(
         st.pending.lock()[dest.idx()].push(block.id());
         st.script.lock().put_result(true);
         st.changed.notify_all();
-        let mut m = st.metrics.lock();
-        m.blocks_stolen += 1;
-        m.bytes_stolen += block.header.len;
+        stolen.local.blocks_stolen += 1;
+        stolen.local.bytes_stolen += block.header.len;
     }
 }
 

@@ -51,6 +51,11 @@ use zipper_types::{
 /// real mixed message (block payloads are megabytes).
 pub const MAX_FRAME: usize = 1 << 30;
 
+/// Most a frame's body buffer reserves before its bytes arrive; a longer
+/// body grows the buffer as it is read, so a length prefix alone (up to
+/// [`MAX_FRAME`]) cannot make the reader reserve more than this.
+const MAX_RESERVE: usize = 1 << 20;
+
 /// Wires a consumer's inbox holds before its socket readers block — the
 /// capacity `NetworkOptions::default()` gives the in-process mesh. A full
 /// inbox stops the readers, then the kernel's socket buffers fill, then
@@ -230,8 +235,9 @@ fn write_all_vectored(
 /// keep reading, because the length prefix kept the stream aligned.
 ///
 /// The body lands in a buffer that is reserved but never zeroed, sized by
-/// the (capped) prefix, and is frozen without a copy: the block decoded
-/// from it keeps this very allocation.
+/// the prefix up to [`MAX_RESERVE`] and grown as bytes arrive beyond it,
+/// and is frozen without a copy: the block decoded from it keeps this very
+/// allocation.
 fn read_body(stream: &mut impl Read) -> Result<Option<Bytes>> {
     let mut len_buf = [0u8; 8];
     match stream.read_exact(&mut len_buf) {
@@ -243,7 +249,7 @@ fn read_body(stream: &mut impl Read) -> Result<Option<Bytes>> {
     if len > MAX_FRAME as u64 {
         return Err(Error::Storage(format!("oversized TCP frame ({len} bytes)")));
     }
-    let mut body = Vec::with_capacity(len as usize);
+    let mut body = Vec::with_capacity((len as usize).min(MAX_RESERVE));
     let got = stream.take(len).read_to_end(&mut body)?;
     if (got as u64) < len {
         return Err(Error::Storage(format!(
@@ -253,11 +259,27 @@ fn read_body(stream: &mut impl Read) -> Result<Option<Bytes>> {
     Ok(Some(Bytes::from(body)))
 }
 
+/// Refuse an EOS mark or data block naming a producer rank at or above
+/// `producers`: the consumer's EOS tracker indexes by that rank, so a peer
+/// must not be able to name one the run does not have.
+fn known_producer(wire: Wire, producers: usize) -> Result<Wire> {
+    let src = match &wire {
+        Wire::Eos(p, _) => Some(*p),
+        Wire::Msg(m) => m.data.as_ref().map(|b| b.id().src),
+    };
+    match src {
+        Some(p) if p.idx() >= producers => Err(Error::Storage(format!(
+            "TCP frame names producer {p} of {producers}"
+        ))),
+        _ => Ok(wire),
+    }
+}
+
 /// One connection's reader thread: frames off `stream` into the consumer's
 /// inbox until the stream ends or the consumer is gone. A full inbox blocks
 /// here — with the socket unread, the kernel's buffers fill and the
 /// producer's write waits.
-fn read_frames(mut stream: TcpStream, rank: Rank, inbox: Sender<WireItem>) {
+fn read_frames(mut stream: TcpStream, rank: Rank, producers: usize, inbox: Sender<WireItem>) {
     let fault = |e: Error| RuntimeError::Transport {
         rank,
         detail: e.to_string(),
@@ -268,7 +290,9 @@ fn read_frames(mut stream: TcpStream, rank: Rank, inbox: Sender<WireItem>) {
             // the next frame: report the lost message in-band and keep
             // reading, instead of silently dying and leaving the consumer
             // waiting on this producer's EOS forever.
-            Ok(Some(frame)) => decode_frame(&frame).map_err(fault),
+            Ok(Some(frame)) => decode_frame(&frame)
+                .and_then(|w| known_producer(w, producers))
+                .map_err(fault),
             Ok(None) => return,
             // The socket failed (or the length prefix is untrustworthy):
             // surface the failure, then give up on this stream.
@@ -292,7 +316,8 @@ fn read_frames(mut stream: TcpStream, rank: Rank, inbox: Sender<WireItem>) {
 /// decodes frames into the consumer's wire channel. That channel is
 /// bounded (64 wires, like the mesh's default inbox): a consumer that falls
 /// behind blocks its readers, and through the socket buffers the producers'
-/// [`TcpSender::send`].
+/// [`TcpSender::send`]. A frame naming a producer rank at or above
+/// `producers` arrives as an in-band [`RuntimeError::Transport`].
 pub fn listen_consumers(
     consumers: usize,
     producers: usize,
@@ -322,7 +347,7 @@ pub fn listen_consumers(
                     let inbox = tx.clone();
                     let spawned = std::thread::Builder::new()
                         .name("zipper-tcp-read".into())
-                        .spawn(move || read_frames(stream, rank, inbox));
+                        .spawn(move || read_frames(stream, rank, producers, inbox));
                     if let Err(e) = spawned {
                         let _ = tx.send(Err(RuntimeError::Transport {
                             rank,
@@ -491,7 +516,7 @@ mod tests {
     use zipper_types::StepId;
 
     fn sample_block(len: usize) -> Block {
-        let id = BlockId::new(Rank(3), StepId(9), 2);
+        let id = BlockId::new(Rank(0), StepId(9), 2);
         Block::new(
             BlockHeader::new(id, GlobalPos::new(7, 8, 9), len as u64, 5),
             deterministic_payload(id, len),
@@ -808,7 +833,7 @@ mod tests {
             )
             .unwrap();
         sender
-            .send(Rank(1), Wire::Eos(Rank(7), Channel::Disk))
+            .send(Rank(1), Wire::Eos(Rank(0), Channel::Disk))
             .unwrap();
         match receivers[0].recv().unwrap() {
             Wire::Msg(m) => {
@@ -820,7 +845,7 @@ mod tests {
         }
         match receivers[1].recv().unwrap() {
             Wire::Eos(r, ch) => {
-                assert_eq!(r, Rank(7));
+                assert_eq!(r, Rank(0));
                 assert_eq!(ch, Channel::Disk);
             }
             w => panic!("unexpected {w:?}"),
@@ -837,7 +862,7 @@ mod tests {
             .unwrap();
         raw.write_all(&garbage).unwrap();
         // A valid frame right behind it must still get through.
-        let body = encode_wire(&Wire::Eos(Rank(5), Channel::Net));
+        let body = encode_wire(&Wire::Eos(Rank(0), Channel::Net));
         raw.write_all(&(body.len() as u64).to_le_bytes()).unwrap();
         raw.write_all(&body).unwrap();
         let err = receivers[0].recv().unwrap_err();
@@ -846,7 +871,7 @@ mod tests {
             "{err:?}"
         );
         match receivers[0].recv().unwrap() {
-            Wire::Eos(r, _) => assert_eq!(r, Rank(5)),
+            Wire::Eos(r, _) => assert_eq!(r, Rank(0)),
             w => panic!("unexpected {w:?}"),
         }
     }
@@ -865,7 +890,7 @@ mod tests {
             )
             .unwrap();
         sender
-            .send(Rank(0), Wire::Eos(Rank(2), Channel::Net))
+            .send(Rank(0), Wire::Eos(Rank(0), Channel::Net))
             .unwrap();
         let err = receivers[0].recv().unwrap_err();
         assert!(
@@ -874,7 +899,7 @@ mod tests {
         );
         match receivers[0].recv().unwrap() {
             Wire::Eos(r, ch) => {
-                assert_eq!(r, Rank(2));
+                assert_eq!(r, Rank(0));
                 assert_eq!(ch, Channel::Net);
             }
             w => panic!("unexpected {w:?}"),

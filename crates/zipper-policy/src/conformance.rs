@@ -188,6 +188,21 @@ pub fn fail_send_under_steal_window() -> PreflightInput {
         .with_chaos(ChaosPlan::new().with(Sender(Rank(0)), 1, FailSend))
 }
 
+/// Config C with faults on the data wires that carry stolen IDs: wire 3
+/// (`b5`, with `b3`'s ID, to consumer 1) and wire 4 (`b6`, with `b2 b4`'s,
+/// to consumer 0). Sender 0's wire 4 is dropped, sender 1's wire 3
+/// corrupted and its wire 4 failed. Each faulted wire loses its block, but
+/// its IDs still arrive, as the DES writer's separate messages do:
+/// consumer 0 analyses 6 blocks, consumer 1 7.
+pub fn faulted_wires_carrying_stolen_ids() -> PreflightInput {
+    config_c().with_chaos(
+        ChaosPlan::new()
+            .with(Sender(Rank(0)), 4, DropWire)
+            .with(Sender(Rank(1)), 3, CorruptWire)
+            .with(Sender(Rank(1)), 4, FailSend),
+    )
+}
+
 /// splitmix64: decorrelates the per-producer draws derived from one seed.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -271,6 +286,10 @@ pub fn accepted_plans() -> Vec<(String, PreflightInput)> {
         (
             "FailSend under a steal window".into(),
             fail_send_under_steal_window(),
+        ),
+        (
+            "faulted wires carrying stolen IDs".into(),
+            faulted_wires_carrying_stolen_ids(),
         ),
         (format!("seeded chaos (seed {chaos})"), seeded_chaos(chaos)),
         (format!("seeded gate (seed {gate})"), seeded_gate(gate)),

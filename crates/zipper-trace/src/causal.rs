@@ -927,10 +927,6 @@ impl CausalGraph {
         self.nodes[i]
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     pub fn edge(&self, i: usize) -> &GraphEdge {
         &self.edges[i]
     }

@@ -68,12 +68,6 @@ impl VirtualClock {
         Self::default()
     }
 
-    pub fn starting_at(t: SimTime) -> Self {
-        let c = Self::new();
-        c.set(t);
-        c
-    }
-
     /// Advance to `t`. Monotone: moving backwards is ignored rather than
     /// tearing earlier spans.
     pub fn set(&self, t: SimTime) {

@@ -54,7 +54,7 @@ pub use clock::{Clock, VirtualClock, WallClock};
 pub use log::{SharedTraceLog, TraceLog};
 pub use recorder::{LaneRecorder, TraceMode, TraceSink};
 pub use span::{LaneId, Span, SpanKind};
-pub use stats::{KindBreakdown, LaneStats, WindowStats};
+pub use stats::{KindBreakdown, WindowStats};
 pub use telemetry::{
     CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricShard, MetricsSnapshot, Probe,
     SamplePoint, SampleSeries, Sampler, Telemetry,

@@ -270,12 +270,6 @@ impl LaneRecorder {
         self.record_span(Span::new(self.lane, kind, t0, t1));
     }
 
-    /// Record a step-marked `[t0, t1)` span (feeds windowed step counts).
-    #[inline]
-    pub fn record_step(&mut self, kind: SpanKind, t0: SimTime, t1: SimTime, step: u64) {
-        self.record_span(Span::new(self.lane, kind, t0, t1).with_step(step));
-    }
-
     fn record_span(&mut self, span: Span) {
         if self.shared.is_none() {
             return;

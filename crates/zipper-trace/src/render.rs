@@ -232,30 +232,6 @@ pub fn render_timeline_critical(
     out
 }
 
-/// Export raw spans as CSV (`lane,label,kind,start_ns,end_ns,step`) for
-/// offline analysis in external tooling — the stand-in for TAU's trace
-/// files. Requires raw-span storage (the default).
-pub fn export_csv(log: &TraceLog) -> String {
-    let mut out = String::from("lane,label,kind,start_ns,end_ns,step\n");
-    for s in log.sorted_spans() {
-        let step = if s.step == crate::span::Span::NO_STEP {
-            String::new()
-        } else {
-            s.step.to_string()
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            s.lane.0,
-            log.lane_label(s.lane),
-            s.kind,
-            s.t0.as_nanos(),
-            s.t1.as_nanos(),
-            step
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,28 +365,5 @@ mod tests {
         let log = TraceLog::new();
         let s = render_timeline(&log, &RenderOptions::default());
         assert!(s.contains("empty"));
-    }
-
-    #[test]
-    fn csv_export_round_trips_fields() {
-        let mut log = TraceLog::new();
-        let l = log.lane("sim/r0");
-        log.record(
-            Span::new(
-                l,
-                SpanKind::Compute,
-                SimTime::from_millis(1),
-                SimTime::from_millis(3),
-            )
-            .with_step(7),
-        );
-        log.record_interval(l, SpanKind::Stall, SimTime::ZERO, SimTime::from_millis(1));
-        let csv = export_csv(&log);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "lane,label,kind,start_ns,end_ns,step");
-        // Sorted by start time: the stall comes first, without a step.
-        assert_eq!(lines[1], "0,sim/r0,stall,0,1000000,");
-        assert_eq!(lines[2], "0,sim/r0,compute,1000000,3000000,7");
     }
 }

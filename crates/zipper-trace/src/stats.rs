@@ -43,16 +43,6 @@ impl KindBreakdown {
         )
     }
 
-    /// Fraction of total time that is overhead; 0 when the lane is empty.
-    pub fn overhead_fraction(&self) -> f64 {
-        let total = self.total().as_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            self.overhead().as_nanos() as f64 / total as f64
-        }
-    }
-
     /// Kinds with non-zero time, largest first.
     pub fn ranked(&self) -> Vec<(SpanKind, SimTime)> {
         let mut v: Vec<(SpanKind, SimTime)> = SpanKind::ALL
@@ -62,23 +52,6 @@ impl KindBreakdown {
             .collect();
         v.sort_by_key(|(_, t)| std::cmp::Reverse(*t));
         v
-    }
-}
-
-/// Per-lane summary.
-#[derive(Clone, Debug)]
-pub struct LaneStats {
-    pub lane: LaneId,
-    pub label: String,
-    pub breakdown: KindBreakdown,
-    pub first: SimTime,
-    pub last: SimTime,
-}
-
-impl LaneStats {
-    /// Wall-clock span covered by this lane's activity.
-    pub fn makespan(&self) -> SimTime {
-        self.last.saturating_sub(self.first)
     }
 }
 
@@ -97,34 +70,6 @@ pub struct WindowStats {
     pub breakdown: KindBreakdown,
     /// Number of lanes that had any activity in the window.
     pub active_lanes: usize,
-}
-
-/// Compute per-lane statistics for the whole trace. The first/last extents
-/// need raw spans; with span storage disabled they degrade to
-/// `[ZERO, ZERO]` while the breakdowns (totals-based) stay exact.
-pub fn lane_stats(log: &TraceLog) -> Vec<LaneStats> {
-    let mut out: Vec<LaneStats> = log
-        .lanes()
-        .map(|lane| LaneStats {
-            lane,
-            label: log.lane_label(lane).to_string(),
-            breakdown: KindBreakdown::default(),
-            first: SimTime::MAX,
-            last: SimTime::ZERO,
-        })
-        .collect();
-    for s in log.spans() {
-        let st = &mut out[s.lane.idx()];
-        st.first = st.first.min(s.t0);
-        st.last = st.last.max(s.t1);
-    }
-    for (lane, st) in out.iter_mut().enumerate() {
-        st.breakdown = log.lane_totals(LaneId(lane as u32)).clone();
-        if st.first == SimTime::MAX {
-            st.first = SimTime::ZERO;
-        }
-    }
-    out
 }
 
 /// Aggregate breakdown over every lane in the trace (totals-based: exact
@@ -220,25 +165,9 @@ mod tests {
         assert_eq!(b.get(SpanKind::Compute), ms(12));
         assert_eq!(b.total(), ms(17));
         assert_eq!(b.overhead(), ms(5));
-        assert!((b.overhead_fraction() - 5.0 / 17.0).abs() < 1e-12);
         let ranked = b.ranked();
         assert_eq!(ranked[0].0, SpanKind::Compute);
         assert_eq!(ranked.len(), 2);
-    }
-
-    #[test]
-    fn lane_stats_cover_extent() {
-        let mut log = TraceLog::new();
-        let l0 = log.lane("r0");
-        let l1 = log.lane("r1");
-        log.record_interval(l0, SpanKind::Compute, ms(1), ms(4));
-        log.record_interval(l0, SpanKind::Stall, ms(4), ms(6));
-        log.record_interval(l1, SpanKind::Analysis, ms(2), ms(3));
-        let stats = lane_stats(&log);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].makespan(), ms(5));
-        assert_eq!(stats[0].breakdown.get(SpanKind::Stall), ms(2));
-        assert_eq!(stats[1].breakdown.get(SpanKind::Analysis), ms(1));
     }
 
     #[test]

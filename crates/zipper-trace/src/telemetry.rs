@@ -625,11 +625,6 @@ impl SampleSeries {
         self.points.windows(2).all(|w| w[0].t <= w[1].t)
     }
 
-    /// Extract one gauge as `(t, level)` pairs.
-    pub fn gauge_series(&self, id: GaugeId) -> Vec<(SimTime, i64)> {
-        self.points.iter().map(|p| (p.t, p.gauge(id))).collect()
-    }
-
     /// Extract one counter as `(t, total)` pairs.
     pub fn counter_series(&self, id: CounterId) -> Vec<(SimTime, u64)> {
         self.points.iter().map(|p| (p.t, p.counter(id))).collect()

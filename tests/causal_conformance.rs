@@ -193,6 +193,22 @@ fn fail_send_under_a_steal_window_conforms() {
     assert_eq!(steals.map(|&(_, n)| n), Some(6), "{:?}", c.profile);
 }
 
+/// Faulted data wires that carry stolen IDs: both graphs carry all eight
+/// steal edges, including the three whose IDs rode a dropped, corrupted
+/// or failed wire.
+#[test]
+fn faulted_wires_carrying_stolen_ids_conform() {
+    let c = assert_conformant(
+        "faulted wires carrying stolen IDs",
+        &conformance::faulted_wires_carrying_stolen_ids(),
+    );
+    let steals = c
+        .profile
+        .iter()
+        .find(|(sig, _)| sig == "steal:sim/writer=>ana/recv");
+    assert_eq!(steals.map(|&(_, n)| n), Some(8), "{:?}", c.profile);
+}
+
 /// Config E: both substrates must degrade *and heal* through the same
 /// causal structure.
 #[test]

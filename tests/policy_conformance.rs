@@ -347,23 +347,18 @@ fn gate_and_chaos_compose_on_the_same_wire() {
     assert_same("gate+chaos same wire", &threaded, &des);
 }
 
-/// A failed data send under a credit window: producer 0's consumer 0 is
-/// dead to its data wires, but the blocks its writer stole for consumer 0
-/// are on the PFS and their IDs are still announced. Canonical traces
-/// match, and each consumer analyses on threads exactly the blocks it
-/// analyses on the DES — 6 for consumer 0.
-#[test]
-fn fail_send_under_a_steal_window_delivers_the_same_blocks() {
-    let plan = conformance::fail_send_under_steal_window();
-    let report = common::run_threaded(&plan, TraceOptions::default().with_policy());
+/// Canonical traces match, and each consumer analyses on threads exactly
+/// the blocks it analyses on the DES, `analysed` by consumer.
+fn assert_same_deliveries(name: &str, plan: &PreflightInput, analysed: &[u64]) {
+    let report = common::run_threaded(plan, TraceOptions::default().with_policy());
     let threaded = canon(&report.producer_decisions, &report.consumer_decisions);
-    let r = common::run_des(&plan);
+    let r = common::run_des(plan);
     assert_same(
-        "FailSend under a steal window",
+        name,
         &threaded,
         &canon(&r.producer_decisions, &r.consumer_decisions),
     );
-    let analysed: Vec<u64> = (0..plan.workflow.consumers)
+    let des: Vec<u64> = (0..plan.workflow.consumers)
         .map(|q| {
             let lane = r.trace.lane_by_label(&format!("ana/q{q}/ana")).unwrap();
             let spans = r.trace.lane_spans(lane);
@@ -373,13 +368,39 @@ fn fail_send_under_a_steal_window_delivers_the_same_blocks() {
                 .count() as u64
         })
         .collect();
-    assert_eq!(analysed, vec![6, 8], "DES analyses");
+    assert_eq!(des, analysed, "{name}: DES analyses");
     let delivered: Vec<u64> = report
         .consumers
         .iter()
         .map(|c| c.blocks_delivered)
         .collect();
-    assert_eq!(delivered, analysed, "threaded deliveries vs DES analyses");
+    assert_eq!(
+        delivered, des,
+        "{name}: threaded deliveries vs DES analyses"
+    );
+}
+
+/// A failed data send under a credit window: producer 0's consumer 0 is
+/// dead to its data wires, but the blocks its writer stole for consumer 0
+/// are on the PFS and their IDs are still announced — 6 for consumer 0.
+#[test]
+fn fail_send_under_a_steal_window_delivers_the_same_blocks() {
+    assert_same_deliveries(
+        "FailSend under a steal window",
+        &conformance::fail_send_under_steal_window(),
+        &[6, 8],
+    );
+}
+
+/// Dropped, corrupted and failed data wires that carry stolen IDs lose
+/// their own block, not the IDs: the stolen blocks are on the PFS.
+#[test]
+fn faulted_wires_carrying_stolen_ids_deliver_the_same_blocks() {
+    assert_same_deliveries(
+        "faulted wires carrying stolen IDs",
+        &conformance::faulted_wires_carrying_stolen_ids(),
+        &[6, 7],
+    );
 }
 
 /// Run `plan` over real loopback sockets (framed TCP) and return canonical

@@ -257,6 +257,10 @@ fn skeleton_matches_des_edge_profile() {
             "FailSend under a steal window",
             conformance::fail_send_under_steal_window(),
         ),
+        (
+            "faulted wires carrying stolen IDs",
+            conformance::faulted_wires_carrying_stolen_ids(),
+        ),
     ] {
         let report = Preflight::check(&plan);
         assert!(!report.is_rejected(), "{name}: {}", report.render());

@@ -2,17 +2,54 @@
 //! runtime modules exchanging mixed messages through real sockets —
 //! the cross-process deployment shape of the paper's workflows.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use zipper_core::{encode_wire, listen_consumers, Consumer, Producer, TcpSender, Wire, MAX_FRAME};
 use zipper_pfs::MemFs;
+use zipper_policy::Channel;
 use zipper_types::block::deterministic_payload;
 use zipper_types::MixedMessage;
 use zipper_types::{
-    Block, BlockId, ByteSize, GlobalPos, PreserveMode, Rank, RoutingPolicy, StepId, ZipperTuning,
+    Block, BlockId, ByteSize, GlobalPos, PreserveMode, Rank, RoutingPolicy, RuntimeError, StepId,
+    ZipperTuning,
 };
+
+/// This binary's allocator: the system one, recording the largest single
+/// request, so a test can show that no buffer was sized by a length
+/// prefix alone.
+struct LargestRequest;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// Write `wire` to `raw` as one frame.
+fn write_frame(raw: &mut TcpStream, wire: &Wire) {
+    let body = encode_wire(wire);
+    raw.write_all(&(body.len() as u64).to_le_bytes()).unwrap();
+    raw.write_all(&body).unwrap();
+}
 
 fn tuning() -> ZipperTuning {
     ZipperTuning {
@@ -180,6 +217,60 @@ fn oversized_length_prefix_drops_the_connection() {
     );
 }
 
+/// A length prefix of a full [`MAX_FRAME`] followed by a close: the
+/// reader reserves a bounded buffer, not the gibibyte the prefix claims,
+/// and the cut frame is a typed transport fault.
+#[test]
+fn a_gib_prefix_then_close_reserves_no_gib() {
+    let (addrs, receivers) = listen_consumers(1, 1).unwrap();
+    let mut raw = TcpStream::connect(addrs[0]).unwrap();
+    raw.write_all(&(MAX_FRAME as u64).to_le_bytes()).unwrap();
+    raw.write_all(&[0u8; 10]).unwrap();
+    drop(raw);
+    let err = receivers[0].recv().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            zipper_types::Error::Runtime(RuntimeError::Transport { .. })
+        ),
+        "{err:?}"
+    );
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(largest < MAX_FRAME, "a {largest}-byte buffer was reserved");
+}
+
+/// A data block or EOS mark naming a producer rank the listener was not
+/// built for is an in-band transport fault: the consumer records it and
+/// ends on the real producer's marks, instead of its receiver panicking on
+/// an unknown rank.
+#[test]
+fn a_foreign_producer_rank_is_a_transport_fault() {
+    let (addrs, receivers) = listen_consumers(1, 1).unwrap();
+    let rx = receivers.into_iter().next().unwrap();
+    let mut c = Consumer::spawn(Rank(0), tuning(), 1, rx, Arc::new(MemFs::new()));
+    let reader = c.reader();
+    let mut raw = TcpStream::connect(addrs[0]).unwrap();
+    let payload = deterministic_payload(BlockId::new(Rank(9), StepId(0), 0), 16);
+    write_frame(&mut raw, &frame_of(9, 0, &payload));
+    for (p, channel) in [(7, Channel::Net), (0, Channel::Net), (0, Channel::Disk)] {
+        write_frame(&mut raw, &Wire::Eos(Rank(p), channel));
+    }
+    assert!(reader.read().is_none(), "no foreign block is delivered");
+    drop(reader);
+    let m = c.join();
+    assert!(
+        matches!(
+            m.errors[..],
+            [
+                RuntimeError::Transport { .. },
+                RuntimeError::Transport { .. }
+            ]
+        ),
+        "{:?}",
+        m.errors
+    );
+}
+
 /// A stream that dies mid-body (short read) must not deliver a partial
 /// wire: frames already completed arrive, the truncated one does not.
 #[test]
@@ -187,13 +278,8 @@ fn truncated_frame_body_is_not_delivered() {
     let (addrs, receivers) = listen_consumers(1, 1).unwrap();
     let mut raw = TcpStream::connect(addrs[0]).unwrap();
     // One complete frame first.
-    let body = encode_wire(&Wire::Msg(MixedMessage::disk_only(vec![BlockId::new(
-        Rank(2),
-        StepId(0),
-        5,
-    )])));
-    raw.write_all(&(body.len() as u64).to_le_bytes()).unwrap();
-    raw.write_all(&body).unwrap();
+    let ids = vec![BlockId::new(Rank(2), StepId(0), 5)];
+    write_frame(&mut raw, &Wire::Msg(MixedMessage::disk_only(ids)));
     // Then a frame that claims 100 bytes but delivers 10 before dying.
     raw.write_all(&100u64.to_le_bytes()).unwrap();
     raw.write_all(&[0u8; 10]).unwrap();

@@ -214,6 +214,7 @@ fn stall_time_is_reported_when_consumer_is_slow() {
     cfg.consumers = 1;
     cfg.tuning.producer_slots = 2;
     cfg.tuning.high_water_mark = 1;
+    cfg.tuning.consumer_slots = 2;
     cfg.tuning.concurrent_transfer = false;
     let (report, _) = run_workflow(
         &cfg,
