@@ -85,11 +85,6 @@ impl NetworkConfig {
         self.compute_nodes + self.storage_nodes
     }
 
-    /// First storage node id.
-    pub fn first_storage_node(&self) -> NodeId {
-        NodeId(self.compute_nodes as u32)
-    }
-
     /// The storage node that hosts stripe-home `key` (hashed so structured
     /// keys spread evenly).
     pub fn storage_node_for(&self, key: u64) -> NodeId {
@@ -402,7 +397,6 @@ mod tests {
     #[test]
     fn storage_node_mapping_covers_all_storage_nodes() {
         let c = cfg();
-        assert_eq!(c.first_storage_node(), NodeId(8));
         let mut seen = std::collections::HashSet::new();
         for key in 0..64u64 {
             let n = c.storage_node_for(key);

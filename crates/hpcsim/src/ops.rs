@@ -168,11 +168,6 @@ pub struct ProcCtx<'a> {
 }
 
 impl ProcCtx<'_> {
-    /// Uniform f64 in [0, 1) from the engine RNG.
-    pub fn rand_unit(&mut self) -> f64 {
-        ((self.rng)() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Occupancy of buffer `buf`.
     pub fn buffer_len(&self, buf: BufId) -> usize {
         (self.buffer_len)(buf)

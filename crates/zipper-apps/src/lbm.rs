@@ -142,11 +142,6 @@ impl Lbm {
         self.nx * self.ny * self.nz
     }
 
-    /// Grid dimensions `(nx, ny, nz)`.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        (self.nx, self.ny, self.nz)
-    }
-
     /// Steps executed so far.
     pub fn steps_run(&self) -> u64 {
         self.steps_run
@@ -268,11 +263,6 @@ impl Lbm {
     /// Borrow the raw velocity field.
     pub fn velocities(&self) -> &[[f64; 3]] {
         &self.u
-    }
-
-    /// Borrow the density field.
-    pub fn densities(&self) -> &[f64] {
-        &self.rho
     }
 }
 

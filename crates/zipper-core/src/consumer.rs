@@ -20,20 +20,25 @@ use crate::producer::{causal_token, chan_code, spawn_runtime_thread};
 use crate::transport::{MeshReceiver, Wire};
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use zipper_pfs::Storage;
-use zipper_policy::ConsumerPolicy;
+use zipper_policy::{ConsumerPolicy, ReadScript, ReadVerdict};
 use zipper_trace::{
     eos_token, CausalSink, EdgeKind, GaugeId, LaneRecorder, Span, SpanKind, TraceSink,
 };
-use zipper_types::{
-    panic_detail, Block, BlockId, ChaosFault, ChaosScope, Error, Rank, RuntimeError, ZipperTuning,
-};
+use zipper_types::{panic_detail, Block, BlockId, Error, Rank, RuntimeError, ZipperTuning};
 
 /// One consumer rank's decision kernel, shared by its receiver thread (EOS
 /// completion, Preserve verdicts) and exposed to the conformance harness.
 pub type SharedConsumerPolicy = Arc<Mutex<ConsumerPolicy>>;
+
+/// How long a replay retries the fetch of one backlog block: a block the
+/// application already saw may not be durable yet, because the output
+/// thread persists network deliveries asynchronously.
+const REPLAY_FETCH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Lane label of consumer `rank`'s receiver thread.
 pub fn recv_lane(rank: Rank) -> String {
@@ -84,16 +89,12 @@ pub struct ZipperReader {
     queue: Arc<BlockQueue>,
     metrics: Arc<Mutex<ConsumerMetrics>>,
     lane: Mutex<AppLane>,
-    /// Log of every delivered block ID, shared with a
-    /// [`ConsumerRecovery`] handle — the replay backlog after a crash.
-    /// Having one makes this a recovery-managed reader: its `Drop` leaves
-    /// the queue open and the abandonment unaccounted, because the restart
-    /// supervisor owns both (it replays the backlog and hands out a fresh
-    /// reader instead of tearing the module down).
-    delivered: Option<Arc<Mutex<Vec<BlockId>>>>,
-    /// This consumer's `Analysis` chaos scope: scripted read ordinals
-    /// panic ([`ChaosFault::CrashApp`]) before any block is taken.
-    chaos: Option<Arc<ChaosScope>>,
+    /// The rank's read script, shared with its [`ConsumerRecovery`]: it
+    /// strikes scripted read calls before they take a block and keeps the
+    /// backlog a restart replays. Having one makes this a supervised
+    /// reader: its `Drop` leaves the queue open and the abandonment
+    /// unaccounted, because the supervisor owns both.
+    script: Option<Arc<Mutex<ReadScript<BlockId>>>>,
     /// Edge recording for queue handoffs (pop side).
     causal: CausalSink,
     queue_label: String,
@@ -101,15 +102,14 @@ pub struct ZipperReader {
 }
 
 impl ZipperReader {
-    /// A reader on `rank`'s analysis lane (see the fields for what
-    /// `delivered` and `chaos` make of it).
+    /// A reader on `rank`'s analysis lane, supervised when it has a
+    /// `script`.
     fn new(
         rank: Rank,
         queue: &Arc<BlockQueue>,
         metrics: &Arc<Mutex<ConsumerMetrics>>,
         sink: &TraceSink,
-        delivered: Option<Arc<Mutex<Vec<BlockId>>>>,
-        chaos: Option<Arc<ChaosScope>>,
+        script: Option<Arc<Mutex<ReadScript<BlockId>>>>,
     ) -> ZipperReader {
         // The lane opens here: time from now to the first read is the
         // analysis setup, attributed to step 0.
@@ -123,8 +123,7 @@ impl ZipperReader {
                 step: 0,
                 done: false,
             }),
-            delivered,
-            chaos,
+            script,
             causal: sink.causal().clone(),
             queue_label: consumer_queue(rank),
             app_label: analysis_lane(rank),
@@ -141,12 +140,15 @@ impl ZipperReader {
     /// application did between reads, and a take that did not block, was
     /// analyzing the previously delivered block.
     pub fn read(&self) -> Option<Block> {
-        if let Some(scope) = &self.chaos {
-            // The scope counts read *calls*; a scripted CrashApp fires
-            // before the pop, so the current block stays in the queue and
-            // the delivered log holds exactly the pre-crash backlog.
-            if scope.next() == Some(ChaosFault::CrashApp) {
-                panic!("chaos: injected application crash on read #{}", scope.ops());
+        // A supervised read holds its script across the pop, so the tick
+        // and the backlog entry are one lock; the supervisor takes it only
+        // once this reader is gone.
+        let mut script = self.script.as_ref().map(|s| s.lock());
+        if let Some(s) = &mut script {
+            if s.read() == ReadVerdict::Crash {
+                let n = s.ops();
+                drop(script);
+                panic!("chaos: injected application crash on read #{n}");
             }
         }
         let (block, waited) = self.queue.pop();
@@ -162,8 +164,8 @@ impl ZipperReader {
                 g.step = b.id().step.0;
                 self.causal
                     .queue_pop(&self.queue_label, causal_token(b.id()), &self.app_label);
-                if let Some(log) = &self.delivered {
-                    log.lock().push(b.id());
+                if let Some(s) = &mut script {
+                    s.delivered(b.id());
                 }
                 self.metrics.lock().blocks_delivered += 1;
             }
@@ -185,7 +187,7 @@ impl Drop for ZipperReader {
     fn drop(&mut self) {
         // The application abandoned the stream (panicked or returned
         // early) unless it read to the end or a supervisor owns the queue.
-        if self.delivered.is_none() && !self.lane.lock().done {
+        if self.script.is_none() && !self.lane.lock().done {
             abandon(self.rank, &self.queue, &self.metrics);
         }
     }
@@ -204,14 +206,13 @@ fn abandon(rank: Rank, queue: &BlockQueue, metrics: &Mutex<ConsumerMetrics>) {
 }
 
 /// Recovery handle for one consumer rank, taken instead of the plain
-/// reader ([`Consumer::recovery`]). It hands out *recoverable* readers and
-/// owns the delivered-block log a restart supervisor replays from the
-/// Preserve store after a [`ChaosFault::CrashApp`] (or any application
-/// panic): the crashed closure's partial progress is discarded, the
-/// already-delivered backlog is re-fetched from storage and requeued at
-/// the front of the consumer buffer in original delivery order, and a
-/// fresh reader rejoins the still-flowing live traffic — no block is lost
-/// or duplicated in the final (successful) pass.
+/// reader ([`Consumer::recovery`]): the restart supervisor. It runs the
+/// application on supervised readers and heals each crash — a scripted
+/// [`zipper_types::ChaosFault::CrashApp`] or any panic — as the rank's
+/// [`ReadScript`] decides: the crashed pass's backlog is fetched from the
+/// Preserve store and requeued at the front of the consumer buffer in
+/// delivery order, and a fresh reader rejoins the live traffic, so the
+/// final pass sees every block exactly once.
 ///
 /// Replay requires Preserve mode: only there is every delivered block
 /// durable on the PFS.
@@ -220,72 +221,67 @@ pub struct ConsumerRecovery {
     queue: Arc<BlockQueue>,
     metrics: Arc<Mutex<ConsumerMetrics>>,
     sink: TraceSink,
-    delivered: Arc<Mutex<Vec<BlockId>>>,
-    chaos: Option<Arc<ChaosScope>>,
+    storage: Arc<dyn Storage>,
+    policy: SharedConsumerPolicy,
+    script: Arc<Mutex<ReadScript<BlockId>>>,
 }
 
 impl ConsumerRecovery {
-    /// A fresh recoverable reader on this rank's analysis lane. Call once
-    /// per (re)start; readers crash-closed by a panic are simply dropped.
-    pub fn fresh_reader(&self) -> ZipperReader {
-        ZipperReader::new(
-            self.rank,
-            &self.queue,
-            &self.metrics,
-            &self.sink,
-            Some(self.delivered.clone()),
-            self.chaos.clone(),
-        )
+    /// Run `app` on a fresh reader until a pass returns, restarting it
+    /// after each crash the kernel heals. Past the restart budget, or when
+    /// the backlog cannot be fetched, the rank is abandoned (its queue
+    /// closes, so the runtime threads fail soft) and the error says why.
+    pub fn run<R>(&self, mut app: impl FnMut(&ZipperReader) -> R) -> Result<R, String> {
+        loop {
+            let reader = ZipperReader::new(
+                self.rank,
+                &self.queue,
+                &self.metrics,
+                &self.sink,
+                Some(self.script.clone()),
+            );
+            let run = catch_unwind(AssertUnwindSafe(|| app(&reader)));
+            drop(reader);
+            let payload = match run {
+                Ok(r) => return Ok(r),
+                Err(payload) => payload,
+            };
+            let backlog = self.script.lock().crashed(&mut self.policy.lock());
+            let failed = match backlog {
+                None => panic_detail(payload.as_ref()),
+                Some(ids) => match self.replay(&ids) {
+                    Ok(()) => continue,
+                    Err(e) => format!("backlog replay after a crash failed: {e}"),
+                },
+            };
+            abandon(self.rank, &self.queue, &self.metrics);
+            return Err(failed);
+        }
     }
 
-    /// Replay the crashed reader's backlog: take (and clear) the delivered
-    /// log, fetch each block from `storage`, and requeue it at the front
-    /// of the consumer buffer in original delivery order. Returns the
-    /// number of blocks replayed.
-    ///
-    /// Network-delivered blocks are persisted by the asynchronous output
-    /// thread, so a block the application already saw may not be durable
-    /// yet at crash time — each fetch is retried until `fetch_timeout`
-    /// elapses before the replay gives up.
-    pub fn replay_from(
-        &self,
-        storage: &dyn Storage,
-        fetch_timeout: std::time::Duration,
-    ) -> zipper_types::Result<usize> {
-        let ids = std::mem::take(&mut *self.delivered.lock());
+    /// Fetch each backlog block from the store, retrying while the output
+    /// thread catches up, and requeue it at the front of the consumer
+    /// buffer so the fresh reader re-reads the backlog in delivery order.
+    fn replay(&self, ids: &[BlockId]) -> zipper_types::Result<()> {
         let (queue, lane) = (consumer_queue(self.rank), analysis_lane(self.rank));
-        // Requeue in reverse: the last push_front ends up first, so the
-        // fresh reader re-reads the backlog in the original order.
+        // Requeue in reverse: the last push_front ends up first.
         for id in ids.iter().rev() {
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let block = loop {
-                match storage.get(*id) {
+                match self.storage.get(*id) {
                     Ok(b) => break b,
-                    Err(e) => {
-                        if t0.elapsed() >= fetch_timeout {
-                            return Err(e);
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
+                    Err(e) if t0.elapsed() >= REPLAY_FETCH_TIMEOUT => return Err(e),
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
                 }
             };
             self.queue.requeue(block);
             // A replayed block's next pop pairs with this push, attributed
-            // to the analysis lane (the restart supervisor acts for the app).
+            // to the analysis lane (the supervisor acts for the app).
             self.sink
                 .causal()
                 .queue_push(&queue, causal_token(*id), &lane);
         }
-        Ok(ids.len())
-    }
-
-    /// Give up on this rank for good: close the consumer buffer so the
-    /// runtime threads fail soft instead of blocking on a reader that
-    /// will never return. A restart supervisor calls this when the
-    /// restart budget is exhausted — it is the recoverable counterpart of
-    /// a plain reader's abandoning `Drop`.
-    pub fn abandon(&self) {
-        abandon(self.rank, &self.queue, &self.metrics);
+        Ok(())
     }
 }
 
@@ -305,6 +301,8 @@ pub struct Consumer {
     queue: Arc<BlockQueue>,
     metrics: Arc<Mutex<ConsumerMetrics>>,
     sink: TraceSink,
+    storage: Arc<dyn Storage>,
+    policy: SharedConsumerPolicy,
     receiver: Option<JoinHandle<()>>,
     reader: Option<JoinHandle<()>>,
     output: Option<JoinHandle<()>>,
@@ -594,6 +592,7 @@ impl Consumer {
         // network-delivered blocks. A store failure loses preservation for
         // that block only; the stream keeps flowing.
         let output = out_rx.and_then(|rx| {
+            let storage = storage.clone();
             let out_metrics = metrics.clone();
             let mut rec = sink.recorder(format!("ana/q{}/out", rank.0));
             spawn_runtime_thread(
@@ -623,6 +622,8 @@ impl Consumer {
             queue,
             metrics,
             sink,
+            storage,
+            policy,
             receiver,
             reader,
             output,
@@ -634,22 +635,13 @@ impl Consumer {
     pub fn reader(&mut self) -> ZipperReader {
         assert!(!self.reader_taken, "reader handle already taken");
         self.reader_taken = true;
-        ZipperReader::new(
-            self.rank,
-            &self.queue,
-            &self.metrics,
-            &self.sink,
-            None,
-            None,
-        )
+        ZipperReader::new(self.rank, &self.queue, &self.metrics, &self.sink, None)
     }
 
-    /// The recovery handle (take *instead of* [`Consumer::reader`]): hands
-    /// out recoverable readers whose crashes a restart supervisor can heal
-    /// by Preserve-store replay. `chaos` optionally attaches this rank's
-    /// `Analysis` chaos scope, whose scripted ordinals panic inside
-    /// [`ZipperReader::read`].
-    pub fn recovery(&mut self, chaos: Option<Arc<ChaosScope>>) -> ConsumerRecovery {
+    /// The restart supervisor (take *instead of* [`Consumer::reader`]):
+    /// runs the application on readers `script` supervises and heals
+    /// their crashes by Preserve-store replay.
+    pub fn recovery(&mut self, script: ReadScript<BlockId>) -> ConsumerRecovery {
         assert!(!self.reader_taken, "reader handle already taken");
         self.reader_taken = true;
         ConsumerRecovery {
@@ -657,8 +649,9 @@ impl Consumer {
             queue: self.queue.clone(),
             metrics: self.metrics.clone(),
             sink: self.sink.clone(),
-            delivered: Arc::new(Mutex::new(Vec::new())),
-            chaos,
+            storage: self.storage.clone(),
+            policy: self.policy.clone(),
+            script: Arc::new(Mutex::new(script)),
         }
     }
 
@@ -1036,7 +1029,6 @@ mod tests {
 
     #[test]
     fn crashed_reader_replays_from_preserve_and_loses_nothing() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         use zipper_types::{ChaosEntity, ChaosFault, ChaosPlan};
 
         // Preserve mode: every block becomes durable, so a crashed
@@ -1047,21 +1039,27 @@ mod tests {
         let storage = Arc::new(MemFs::new());
         // Message-only: arrival order equals production order, so the
         // recovered stream can be asserted block-for-block.
-        let t = tuning(PreserveMode::Preserve, false);
+        let mut t = tuning(PreserveMode::Preserve, false);
+        t.recovery.max_consumer_restarts = 1;
         let plan = ChaosPlan::new().with(
             ChaosEntity::Analysis(Rank(0)),
             crash_at,
             ChaosFault::CrashApp,
         );
-        let scope = Arc::new(plan.scope(ChaosEntity::Analysis(Rank(0))));
-        let mut cons = Consumer::spawn(
+        let policy = Arc::new(Mutex::new(
+            ConsumerPolicy::from_tuning(Rank(0), 1, &t).recorded(),
+        ));
+        let mut cons = Consumer::spawn_with(
             Rank(0),
             t,
             1,
             mesh.take_receiver(Rank(0)).unwrap(),
             storage.clone(),
+            TraceSink::default(),
+            Some(policy.clone()),
         );
-        let recovery = cons.recovery(Some(scope));
+        let script = ReadScript::supervised(Some(&plan), Rank(0), &t.recovery);
+        let recovery = cons.recovery(script.expect("a crash is scripted"));
 
         let mut prod = Producer::spawn(Rank(0), t, mesh.sender(), storage.clone());
         let writer = prod.writer(4096);
@@ -1080,30 +1078,20 @@ mod tests {
             writer.finish();
         });
 
-        // Restart supervisor: run the consume closure, and on a panic
-        // replay the backlog and try again with a fresh reader.
-        let mut restarts = 0;
-        let got = loop {
-            let reader = recovery.fresh_reader();
-            let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut passes = 0;
+        let got = recovery
+            .run(|reader| {
+                passes += 1;
                 reader.iter().map(|b| b.id()).collect::<Vec<_>>()
-            }));
-            drop(reader);
-            match run {
-                Ok(ids) => break ids,
-                Err(_) => {
-                    restarts += 1;
-                    let replayed = recovery
-                        .replay_from(storage.as_ref(), std::time::Duration::from_secs(5))
-                        .expect("replay backlog");
-                    assert_eq!(replayed, (crash_at - 1) as usize);
-                }
-            }
-        };
+            })
+            .expect("the restarted pass returns");
         feeder.join().unwrap();
         prod.join();
         cons.join();
-        assert_eq!(restarts, 1);
+        assert_eq!(passes, 2);
+        let canon = policy.lock().trace().canonical();
+        assert!(canon.abandoned);
+        assert_eq!(canon.restarts, vec![(crash_at - 1) as usize]);
         // The successful pass saw every block exactly once, in order.
         let idxs: Vec<u32> = got.iter().map(|id| id.idx).collect();
         assert_eq!(idxs, (0..n_blocks).collect::<Vec<_>>());

@@ -153,6 +153,23 @@ pub fn config_e() -> PreflightInput {
     )
 }
 
+/// Config E with consumer `q`'s crashes moved to read `ordinals` and a
+/// restart budget that heals each one. Consumer 1 analyses 7 blocks
+/// (writer 0's faulted block is dealt again, to consumer 0), so crashes
+/// at reads 3 and 6 replay 2 blocks each, and crashes at 3 and 11 strike
+/// the trailing read that would find the stream closed, replaying the 7
+/// reads since the first restart.
+pub fn config_e_crashing(q: u32, ordinals: &[u64]) -> PreflightInput {
+    let mut p = config_e();
+    p.workflow.tuning.recovery.max_consumer_restarts = ordinals.len() as u32;
+    let mut plan = p.chaos.take().expect("Config E scripts chaos");
+    plan.events.retain(|ev| !matches!(ev.entity, Analysis(_)));
+    let plan = ordinals
+        .iter()
+        .fold(plan, |plan, &o| plan.with(Analysis(Rank(q)), o, CrashApp));
+    p.with_chaos(plan)
+}
+
 /// `DropEos` in concurrent mode, watchdog armed: sender 0's net-EOS to
 /// consumer 0 (ordinal 9, after 8 data wires) is swallowed while the disk
 /// channel's marks still arrive.
@@ -270,6 +287,24 @@ pub fn seeded_gate(seed: u64) -> PreflightInput {
     config_c().with_backpressure(script)
 }
 
+/// Seeded restarts: [`config_e_crashing`] on consumer 0 or 1 with 1-3
+/// distinct crash ordinals drawn from `seed`. Each consumer analyses at
+/// least 7 blocks, and a run healing `k` crashes makes at least `8 + k`
+/// reads, so ordinals up to 9 always fire.
+pub fn seeded_restarts(seed: u64) -> PreflightInput {
+    let mut state = seed.wrapping_mul(0x2545_f491_4f6c_dd1d);
+    let q = (splitmix(&mut state) % 2) as u32;
+    let mut ordinals: Vec<u64> = Vec::new();
+    let crashes = 1 + splitmix(&mut state) % 3;
+    while (ordinals.len() as u64) < crashes {
+        let o = 1 + splitmix(&mut state) % 9;
+        if !ordinals.contains(&o) {
+            ordinals.push(o);
+        }
+    }
+    config_e_crashing(q, &ordinals)
+}
+
 /// Every plan the suites run, seeded entries reading the environment like
 /// the tests do: all must pass `Preflight::check` with zero errors.
 pub fn accepted_plans() -> Vec<(String, PreflightInput)> {
@@ -291,7 +326,19 @@ pub fn accepted_plans() -> Vec<(String, PreflightInput)> {
             "faulted wires carrying stolen IDs".into(),
             faulted_wires_carrying_stolen_ids(),
         ),
+        (
+            "two restarts on one consumer".into(),
+            config_e_crashing(1, &[3, 6]),
+        ),
+        (
+            "crash on the trailing Closed read".into(),
+            config_e_crashing(1, &[3, 11]),
+        ),
         (format!("seeded chaos (seed {chaos})"), seeded_chaos(chaos)),
+        (
+            format!("seeded restarts (seed {chaos})"),
+            seeded_restarts(chaos),
+        ),
         (format!("seeded gate (seed {gate})"), seeded_gate(gate)),
     ]
 }

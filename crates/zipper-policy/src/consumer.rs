@@ -16,7 +16,6 @@ use zipper_types::{BlockId, PreserveMode, Rank, RecoveryPolicy, ZipperTuning};
 pub struct ConsumerPolicy {
     rank: Rank,
     producers: usize,
-    concurrent: bool,
     tracker: EosTracker,
     plan: PreservePlan,
     recovery: RecoveryPolicy,
@@ -36,7 +35,6 @@ impl ConsumerPolicy {
         ConsumerPolicy {
             rank,
             producers,
-            concurrent: concurrent_transfer,
             tracker: EosTracker::new(producers, concurrent_transfer),
             plan: PreservePlan::new(preserve),
             recovery: RecoveryPolicy::default(),
@@ -53,14 +51,9 @@ impl ConsumerPolicy {
     }
 
     /// Set the self-healing budgets (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
+    pub(crate) fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
         self
-    }
-
-    /// The configured self-healing budgets.
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// Enable decision recording (builder style).
@@ -114,21 +107,6 @@ impl ConsumerPolicy {
         self.check_completion()
     }
 
-    /// Record that `producer` is entirely done — one mark on every active
-    /// channel. A convenience for transports that deliver a single
-    /// combined end-of-stream; the runtime wires now announce per channel
-    /// (see [`ConsumerPolicy::note_eos`]), so a chaos plan can drop one
-    /// channel's mark without silencing the other.
-    pub fn note_producer_done(&mut self, producer: Rank) -> EosProgress {
-        for &channel in Channel::active(self.concurrent) {
-            if self.tracker.note(producer, channel) {
-                self.trace
-                    .record(PolicyEvent::EosSeen { producer, channel });
-            }
-        }
-        self.check_completion()
-    }
-
     /// Preserve-mode verdict for a network-delivered block: must the output
     /// thread store it on the PFS? (File-channel blocks never reach this —
     /// the producer's writer already stored them.)
@@ -156,8 +134,9 @@ impl ConsumerPolicy {
     }
 
     /// Whether a crashed consumer application may be restarted (the
-    /// restart budget is not yet exhausted).
-    pub fn may_restart(&self) -> bool {
+    /// restart budget is not yet exhausted). Asked by
+    /// [`ReadScript::crashed`](crate::ReadScript::crashed) only.
+    pub(crate) fn may_restart(&self) -> bool {
         self.restarts_used < self.recovery.max_consumer_restarts
     }
 
@@ -165,15 +144,10 @@ impl ConsumerPolicy {
     /// already-delivered blocks were replayed from the Preserve store.
     /// Consumes one restart from the budget and records
     /// [`PolicyEvent::ConsumerRestarted`].
-    pub fn consumer_restarted(&mut self, replayed: usize) {
+    pub(crate) fn consumer_restarted(&mut self, replayed: usize) {
         self.restarts_used += 1;
         self.trace
             .record(PolicyEvent::ConsumerRestarted { replayed });
-    }
-
-    /// Restarts consumed so far.
-    pub fn restarts_used(&self) -> u32 {
-        self.restarts_used
     }
 
     /// The decisions made so far.
@@ -192,27 +166,20 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_and_whole_producer_marks_agree() {
-        // DES style: independent SEOS/WEOS marks.
-        let mut des = ConsumerPolicy::new(Rank(0), 2, true, PreserveMode::NoPreserve).recorded();
-        assert!(!des.note_eos(Rank(0), Channel::Net).is_complete());
-        assert!(!des.note_eos(Rank(0), Channel::Disk).is_complete());
-        assert!(!des.note_eos(Rank(1), Channel::Net).is_complete());
-        assert!(des.note_eos(Rank(1), Channel::Disk).is_complete());
-
-        // Threaded style: one combined mark per producer.
-        let mut thr = ConsumerPolicy::new(Rank(0), 2, true, PreserveMode::NoPreserve).recorded();
-        assert!(!thr.note_producer_done(Rank(0)).is_complete());
-        assert!(thr.note_producer_done(Rank(1)).is_complete());
-
-        assert_eq!(des.trace().canonical(), thr.trace().canonical());
+    fn per_channel_marks_complete_the_stream() {
+        let mut c = ConsumerPolicy::new(Rank(0), 2, true, PreserveMode::NoPreserve).recorded();
+        assert!(!c.note_eos(Rank(0), Channel::Net).is_complete());
+        assert!(!c.note_eos(Rank(0), Channel::Disk).is_complete());
+        assert!(!c.note_eos(Rank(1), Channel::Net).is_complete());
+        assert!(c.note_eos(Rank(1), Channel::Disk).is_complete());
+        assert_eq!(c.trace().canonical().eos_seen.len(), 4);
     }
 
     #[test]
     fn stream_complete_recorded_exactly_once() {
         let mut c = ConsumerPolicy::new(Rank(0), 1, false, PreserveMode::NoPreserve).recorded();
         assert!(c.note_eos(Rank(0), Channel::Net).is_complete());
-        assert!(c.note_producer_done(Rank(0)).is_complete());
+        assert!(c.note_eos(Rank(0), Channel::Net).is_complete());
         assert_eq!(c.trace().canonical().completions, 1);
         assert!(c.is_complete());
     }
@@ -241,30 +208,5 @@ mod tests {
         let mut c = ConsumerPolicy::new(Rank(0), 1, false, PreserveMode::NoPreserve).recorded();
         c.reader_abandoned();
         assert!(c.trace().canonical().abandoned);
-    }
-
-    #[test]
-    fn restart_budget_gates_recovery() {
-        let recovery = RecoveryPolicy {
-            max_consumer_restarts: 1,
-            ..Default::default()
-        };
-        let mut c = ConsumerPolicy::new(Rank(1), 2, true, PreserveMode::Preserve)
-            .with_recovery(recovery)
-            .recorded();
-        c.reader_abandoned();
-        assert!(c.may_restart());
-        c.consumer_restarted(5);
-        assert!(!c.may_restart(), "budget of one is exhausted");
-        assert_eq!(c.restarts_used(), 1);
-        let canon = c.trace().canonical();
-        assert!(canon.abandoned);
-        assert_eq!(canon.restarts, vec![5]);
-    }
-
-    #[test]
-    fn default_policy_never_restarts() {
-        let c = ConsumerPolicy::new(Rank(0), 1, true, PreserveMode::Preserve);
-        assert!(!c.may_restart());
     }
 }

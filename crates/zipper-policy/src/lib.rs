@@ -26,10 +26,11 @@
 //!   windows: when a data wire is held, when a steal-credit window arms
 //!   and opens, and when the writer must wait for the next one.
 //!
-//! The substrates drive the kernel through two façades: [`RankScript`]
+//! The substrates drive the kernel through three façades: [`RankScript`]
 //! (sender + writer threads of one simulation rank, around its
-//! [`ProducerPolicy`]) and [`ConsumerPolicy`] (receiver/reader/output
-//! threads of one analysis rank). Both can record a
+//! [`ProducerPolicy`]), [`ConsumerPolicy`] (receiver/reader/output
+//! threads of one analysis rank) and [`ReadScript`] (that rank's
+//! application reads and its restart rule). The policies can record a
 //! [`DecisionTrace`] of every choice made; the traces canonicalize
 //! ([`CanonicalTrace`]) into a schedule-independent form that the
 //! differential conformance harness compares across substrates.
@@ -46,6 +47,7 @@ pub mod preflight;
 pub mod preserve;
 pub mod producer;
 mod rank;
+mod read;
 pub mod route;
 pub mod steal;
 pub mod trace;
@@ -59,6 +61,7 @@ pub use preflight::{
 pub use preserve::PreservePlan;
 pub use producer::ProducerPolicy;
 pub use rank::{NetVerdict, PutVerdict, RankScript};
+pub use read::{ReadScript, ReadVerdict};
 pub use route::Router;
 pub use steal::StealPolicy;
 pub use trace::{CanonicalTrace, DecisionTrace, PolicyEvent, RetireReason};

@@ -49,9 +49,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
+use crate::consumer::ConsumerPolicy;
 use crate::gate::{WireGate, WriterGate};
 use crate::producer::ProducerPolicy;
 use crate::rank::{NetVerdict, PutVerdict, RankScript};
+use crate::read::{ReadScript, ReadVerdict};
 use zipper_types::{
     BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, ConfigError, GateRule, Rank,
     StepId, WireFate, WorkflowConfig,
@@ -1172,12 +1174,13 @@ fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
 }
 
 /// Consumer-side verdicts from the exact per-rank walks: EOS completion
-/// classification, analysis crash/restart arithmetic, output-path
-/// liveness.
+/// classification, the analysis reads (the rank's `ReadScript`),
+/// output-path liveness.
 fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagnostic>) {
     let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let channels = if tuning.concurrent_transfer { 2u64 } else { 1 };
     let eos_expected = cfg.producers as u64 * channels;
+    let plan = input.chaos.clone().unwrap_or_default();
     for qr in 0..cfg.consumers {
         let entity = ChaosEntity::Analysis(Rank(qr as u32));
         let output_entity = ChaosEntity::Output(Rank(qr as u32));
@@ -1214,79 +1217,53 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
             }
         }
 
-        // Analysis read walk: one chaos-counted read per delivered item,
-        // per replayed backlog item, plus the final Closed read. A healed
-        // crash requeues the current epoch's backlog at the front (the
-        // crashing read's item is analysed first, then re-read).
-        let crash_faults = input.faults_for(entity);
-        let crashes: Vec<u64> = crash_faults
-            .iter()
-            .filter(|&&(_, f)| f == ChaosFault::CrashApp)
-            .map(|&(o, _)| o)
-            .collect();
-        let mut items_left = delivered;
-        let mut replays_left = 0u64;
-        let mut epoch_reads = 0u64;
-        let mut restarts_used = 0u32;
-        let mut ordinal = 0u64;
-        let mut halted = false;
-        let total_reads = loop {
-            ordinal += 1;
-            let is_closed_read = items_left == 0 && replays_left == 0;
-            if crashes.contains(&ordinal) {
-                if restarts_used >= tuning.recovery.max_consumer_restarts {
-                    d.push(Diagnostic::at(
-                        ZvCode::UnhealedCrash,
-                        entity,
-                        ordinal,
-                        format!(
-                            "consumer {qr} crashes at read {ordinal} with its restart \
-                             budget ({}) exhausted: the rank halts and {} undelivered \
-                             reads are lost",
-                            tuning.recovery.max_consumer_restarts,
-                            items_left + replays_left
-                        ),
-                    ));
-                    halted = true;
-                    break ordinal;
+        // Analysis read walk: the rank's ReadScript over its deliveries,
+        // each healed crash requeueing its backlog.
+        let mut policy = ConsumerPolicy::from_tuning(Rank(qr as u32), cfg.producers, tuning);
+        let mut script = ReadScript::new(plan.scope(entity));
+        let mut pending = delivered;
+        let halted = loop {
+            match script.read() {
+                ReadVerdict::Take if pending == 0 => break false, // the Closed read
+                ReadVerdict::Take => {
+                    pending -= 1;
+                    script.delivered(());
                 }
-                restarts_used += 1;
-                // The crashing read consumed its item; the epoch's prior
-                // reads are requeued for re-analysis.
-                if !is_closed_read {
-                    if replays_left > 0 {
-                        replays_left -= 1;
-                    } else {
-                        items_left -= 1;
+                ReadVerdict::Crash => {
+                    let ordinal = script.ops();
+                    let Some(backlog) = script.crashed(&mut policy) else {
+                        d.push(Diagnostic::at(
+                            ZvCode::UnhealedCrash,
+                            entity,
+                            ordinal,
+                            format!(
+                                "consumer {qr} crashes at read {ordinal} with its restart \
+                                 budget ({}) exhausted: the rank halts and {pending} \
+                                 undelivered reads are lost",
+                                tuning.recovery.max_consumer_restarts,
+                            ),
+                        ));
+                        break true;
+                    };
+                    if !backlog.is_empty() && !tuning.preserve.is_preserve() {
+                        d.push(Diagnostic::at(
+                            ZvCode::ReplayWithoutPreserve,
+                            entity,
+                            ordinal,
+                            format!(
+                                "consumer {qr}'s healed crash at read {ordinal} must replay \
+                                 a backlog of {}, but Preserve mode is off so no \
+                                 backlog was stored",
+                                backlog.len()
+                            ),
+                        ));
                     }
+                    pending += backlog.len() as u64;
                 }
-                if epoch_reads > 0 && !tuning.preserve.is_preserve() {
-                    d.push(Diagnostic::at(
-                        ZvCode::ReplayWithoutPreserve,
-                        entity,
-                        ordinal,
-                        format!(
-                            "consumer {qr}'s healed crash at read {ordinal} must replay \
-                             a backlog of {epoch_reads}, but Preserve mode is off so no \
-                             backlog was stored"
-                        ),
-                    ));
-                }
-                replays_left += epoch_reads;
-                epoch_reads = if is_closed_read { 0 } else { 1 };
-                continue;
             }
-            if is_closed_read {
-                break ordinal;
-            }
-            if replays_left > 0 {
-                replays_left -= 1;
-            } else {
-                items_left -= 1;
-            }
-            epoch_reads += 1;
         };
-        for &(ord, fault) in &crash_faults {
+        let total_reads = script.ops();
+        for &(ord, fault) in &input.faults_for(entity) {
             if fault != ChaosFault::CrashApp {
                 continue; // inert, flagged in the shape pass
             }
@@ -1297,8 +1274,8 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
                     ord,
                     format!(
                         "consumer {qr}'s application performs exactly {total_reads} reads \
-                         ({delivered} deliveries plus replays and the final Closed read); \
-                         ordinal {ord} never fires"
+                         ({delivered} deliveries plus replays, struck reads and the \
+                         final Closed read); ordinal {ord} never fires"
                     ),
                 ));
             }
@@ -1367,7 +1344,9 @@ fn bound_consumers(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
             .filter(|&&(_, f)| f == ChaosFault::CrashApp)
             .map(|&(o, _)| o)
             .collect();
-        let max_reads = total + total + 1; // every block here, fully replayed, plus Closed
+        // Each pass reads every block at most once, then is struck or
+        // finds the stream closed; each scripted crash adds a pass.
+        let max_reads = (total + 1) * (crashes.len() as u64 + 1);
         for &ord in &crashes {
             if ord > max_reads {
                 d.push(Diagnostic::at(

@@ -23,11 +23,11 @@
 //! entity's [`ChaosScope`] under the ordinal conventions of
 //! `zipper_types::fault`, as the threaded runtime's wrappers do: the sender
 //! counts data wires and message-channel EOS marks, the writer and output
-//! procs count PFS put attempts, the analysis proc counts reads. A crashed
-//! analysis rank records its abandonment and restart; the replay the
-//! threaded supervisor performs is a no-op here, because the DES never
-//! lost the blocks, but the scope advances over the replay's ordinals so
-//! later faults stay aligned.
+//! procs count PFS put attempts, the analysis proc counts reads. A
+//! supervised analysis rank drives the same [`ReadScript`] as the threaded
+//! restart supervisor: a struck read takes nothing, and a healed crash
+//! requeues the reads since the last restart at the front of the consumer
+//! buffer, where the fresh pass re-takes and re-analyses them.
 //!
 //! ## Scripted backpressure
 //!
@@ -46,7 +46,7 @@ use std::rc::Rc;
 use zipper_apps::AppCostModel;
 use zipper_policy::{
     Channel, ConsumerPolicy, DecisionTrace, EosTargets, NetVerdict, ProducerPolicy, PutVerdict,
-    RankScript, WireGate, WriterGate,
+    RankScript, ReadScript, ReadVerdict, WireGate, WriterGate,
 };
 use zipper_trace::SpanKind;
 use zipper_types::{
@@ -871,69 +871,55 @@ impl Program for ReaderProc {
 }
 
 /// The analysis thread: consume blocks in arrival order, spending the
-/// cost model's analysis time per block.
+/// cost model's analysis time per block. A supervised rank asks its
+/// [`ReadScript`] before each take, as the threaded reader does; the
+/// backlog it keeps is `(bytes, token)` per block.
 struct AnalysisProc {
     bufc: usize,
     cost: AppCostModel,
-    chaos: Rc<ChaosScope>,
+    script: Option<ReadScript<(u64, u64)>>,
     policy: SharedConsumerPolicy,
-    /// `(bytes, token)` of every block analysed so far — the backlog a
-    /// restart replays, exactly as the threaded supervisor replays the
-    /// delivered log from the Preserve store.
-    backlog: Vec<(u64, u64)>,
     started: bool,
 }
 
 impl AnalysisProc {
-    fn take(&self) -> Op {
-        Op::BufferTake {
+    /// The ops up to the next read's take: `analysis` of the block the
+    /// last read took (if any), then the take. Each crash the script
+    /// strikes the read with requeues its backlog at the front, earliest
+    /// delivery first, ahead of that analysis — so a replayed block is
+    /// re-taken after a span of virtual time, as a threaded replay is —
+    /// or halts the rank once the restart budget is spent.
+    fn read(&mut self, analysis: Option<Op>) -> Step {
+        let mut ops = Vec::new();
+        if let Some(script) = &mut self.script {
+            while script.read() == ReadVerdict::Crash {
+                let Some(backlog) = script.crashed(&mut self.policy.borrow_mut()) else {
+                    return Step::Ops(vec![Op::Halt {
+                        error: format!(
+                            "analysis crashed on read #{} with no restart budget",
+                            script.ops()
+                        ),
+                    }]);
+                };
+                ops.extend(
+                    backlog
+                        .iter()
+                        .rev()
+                        .map(|&(bytes, token)| Op::BufferRequeue {
+                            buf: self.bufc,
+                            bytes,
+                            token,
+                        }),
+                );
+            }
+        }
+        ops.extend(analysis);
+        ops.push(Op::BufferTake {
             buf: self.bufc,
             min_occupancy: 1,
             kind: SpanKind::Idle,
-        }
-    }
-
-    /// An injected [`ChaosFault::CrashApp`] struck this read call. Have
-    /// the same policy-kernel conversation the threaded restart
-    /// supervisor has — abandonment, then (budget permitting) a restart —
-    /// and perform the replay for real: requeue the pre-crash backlog at
-    /// the front of the consumer buffer (earliest first, the threaded
-    /// supervisor's order) so the fresh read loop re-takes and
-    /// re-analyses it, ticking the chaos scope once per re-read exactly
-    /// as the threaded reader's calls do. Returns the requeue ops, or
-    /// `None` when the restart budget is spent.
-    fn crash(&mut self) -> Option<Vec<Op>> {
-        let backlog = std::mem::take(&mut self.backlog);
-        let mut p = self.policy.borrow_mut();
-        p.reader_abandoned();
-        if !p.may_restart() {
-            return None;
-        }
-        p.consumer_restarted(backlog.len());
-        drop(p);
-        // Requeue in reverse: each op inserts at the front, so the
-        // earliest delivery ends up first and the replay re-reads the
-        // backlog in original order.
-        Some(
-            backlog
-                .iter()
-                .rev()
-                .map(|&(bytes, token)| Op::BufferRequeue {
-                    buf: self.bufc,
-                    bytes,
-                    token,
-                })
-                .collect(),
-        )
-    }
-
-    fn halt(&self) -> Step {
-        Step::Ops(vec![Op::Halt {
-            error: format!(
-                "analysis crashed on read #{} with no restart budget",
-                self.chaos.ops()
-            ),
-        }])
+        });
+        Step::Ops(ops)
     }
 }
 
@@ -941,47 +927,20 @@ impl Program for AnalysisProc {
     fn resume(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
         if !self.started {
             self.started = true;
-            return Step::Ops(vec![self.take()]);
+            return self.read(None);
         }
         match ctx.last_take.expect("analysis resumed without take result") {
             BufferTaken::Item { bytes, token } => {
-                let mut ops = Vec::new();
-                if self.chaos.next() == Some(ChaosFault::CrashApp) {
-                    // The threaded crash fires *before* the pop, so the
-                    // current block stays queued and is re-read after the
-                    // replay; this take already consumed it, so continue
-                    // with it after the requeued backlog.
-                    match self.crash() {
-                        Some(replay) => ops = replay,
-                        None => return self.halt(),
-                    }
+                if let Some(script) = &mut self.script {
+                    script.delivered((bytes, token));
                 }
-                self.backlog.push((bytes, token));
-                ops.push(Op::Compute {
+                self.read(Some(Op::Compute {
                     dur: self.cost.analysis_block_time(bytes),
                     kind: SpanKind::Analysis,
                     step: token,
-                });
-                ops.push(self.take());
-                Step::Ops(ops)
+                }))
             }
-            BufferTaken::Closed => {
-                // The threaded reader's final read call (the one returning
-                // `None`) ticks the scope too; mirror it so a crash
-                // scheduled on that trailing ordinal behaves identically.
-                if self.chaos.next() == Some(ChaosFault::CrashApp) {
-                    match self.crash() {
-                        Some(mut replay) => {
-                            // Re-read the replayed backlog, then observe
-                            // the close again.
-                            replay.push(self.take());
-                            return Step::Ops(replay);
-                        }
-                        None => return self.halt(),
-                    }
-                }
-                Step::Done
-            }
+            BufferTaken::Closed => Step::Done,
         }
     }
 }
@@ -1114,9 +1073,8 @@ pub(crate) fn build(
             AnalysisProc {
                 bufc,
                 cost: spec.cost,
-                chaos: Rc::new(plan.scope(ChaosEntity::Analysis(Rank(q as u32)))),
+                script: ReadScript::supervised(Some(&plan), Rank(q as u32), &tuning.recovery),
                 policy,
-                backlog: Vec::new(),
                 started: false,
             },
         );

@@ -35,13 +35,6 @@ impl ByteSize {
         ByteSize(n << 30)
     }
 
-    /// Fractional mebibytes, rounded to the nearest byte.
-    #[inline]
-    pub fn mib_f64(n: f64) -> Self {
-        assert!(n.is_finite() && n >= 0.0, "byte size must be non-negative");
-        ByteSize((n * (1u64 << 20) as f64).round() as u64)
-    }
-
     #[inline]
     pub const fn as_u64(self) -> u64 {
         self.0
@@ -120,7 +113,6 @@ mod tests {
         assert_eq!(ByteSize::kib(1).as_u64(), 1024);
         assert_eq!(ByteSize::mib(1).as_u64(), 1 << 20);
         assert_eq!(ByteSize::gib(1).as_u64(), 1 << 30);
-        assert_eq!(ByteSize::mib_f64(1.5).as_u64(), 3 << 19);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use zipper_core::{
 use zipper_pfs::{ChaosFs, MemFs, RetryingFs, Storage, ThrottledFs};
 use zipper_policy::{
     ConsumerPolicy, Preflight, PreflightInput, PreflightReport, ProducerPolicy, RankScript,
-    Severity,
+    ReadScript, Severity,
 };
 use zipper_trace::{SampleSeries, Sampler, Telemetry, TraceMode, TraceSink};
 use zipper_types::{
@@ -227,14 +227,12 @@ pub struct RunOptions {
     /// * `Output(q)` — consumer `q`'s storage handle is wrapped likewise,
     ///   so scripted Preserve-store puts are lost.
     /// * `Analysis(q)` — scripted read ordinals panic inside consumer
-    ///   `q`'s `read`. The reader runs under a restart supervisor whenever
-    ///   such an ordinal is scripted *or* `cfg.tuning.recovery` grants a
-    ///   restart budget (so an organic `consume` panic is healed too): the
-    ///   panic is caught and, budget permitting, the delivered backlog is
-    ///   replayed from the Preserve store before a fresh reader re-runs
-    ///   the `consume` closure. With the budget exhausted the rank is
-    ///   abandoned fail-soft and reported in
-    ///   [`WorkflowReport::failures`]. Restart replay requires Preserve
+    ///   `q`'s `read`. The rank runs under its restart supervisor
+    ///   (`ConsumerRecovery::run`) whenever such an ordinal is scripted
+    ///   *or* `cfg.tuning.recovery` grants a restart budget (so an organic
+    ///   `consume` panic is healed too), as its [`ReadScript`] decides.
+    ///   With the budget exhausted the rank is abandoned fail-soft and
+    ///   reported in [`WorkflowReport::failures`]. Restart replay requires Preserve
     ///   mode to have made the backlog durable.
     pub chaos: Option<ChaosPlan>,
     /// Verify the plan statically first ([`RunOptions::preflight`]) and
@@ -449,7 +447,6 @@ where
             )),
             None => storage.clone(),
         };
-        let app_policy = policy.clone();
         let mut c = Consumer::spawn_with(
             rank,
             cfg.tuning,
@@ -466,63 +463,33 @@ where
             role: "consumer app",
             detail,
         };
-        // The restart supervisor is needed when there is a budget to spend
-        // or a scripted crash to account; otherwise the plain reader (no
-        // delivered-ID log) serves.
-        let crash_script = chaos
-            .map(|plan| plan.scope(ChaosEntity::Analysis(rank)))
-            .filter(|scope| !scope.is_empty());
-        let supervised = cfg.tuning.recovery.max_consumer_restarts > 0 || crash_script.is_some();
-        let app: Box<dyn FnOnce() -> Result<R, RuntimeError> + Send> = if !supervised {
-            let reader = c.reader();
-            Box::new(
-                move || match catch_unwind(AssertUnwindSafe(|| consume(rank, &reader))) {
-                    Ok(r) => Ok(r),
-                    Err(payload) => {
-                        // Explicit for the reader: the drop guard closes the
-                        // queue and records the abandoned stream.
-                        drop(reader);
-                        Err(app_failed(panic_detail(payload.as_ref())))
-                    }
-                },
-            )
-        } else {
-            // Restart supervisor: scripted CrashApp ordinals (and any
-            // organic panic) are caught, the policy kernel arbitrates
-            // the restart budget, and the delivered backlog is
-            // replayed from the Preserve store before a fresh reader
-            // re-runs the closure — the decision sequence
-            // (reader_abandoned / consumer_restarted) mirrors the DES
-            // analysis proc exactly.
-            let recovery = c.recovery(crash_script.map(Arc::new));
-            let replay_storage = storage.clone();
-            Box::new(move || loop {
-                let reader = recovery.fresh_reader();
-                let run = catch_unwind(AssertUnwindSafe(|| consume(rank, &reader)));
-                drop(reader);
-                let payload = match run {
-                    Ok(r) => break Ok(r),
-                    Err(payload) => payload,
-                };
-                let may_restart = {
-                    let mut p = app_policy.lock();
-                    p.reader_abandoned();
-                    p.may_restart()
-                };
-                if !may_restart {
-                    recovery.abandon();
-                    break Err(app_failed(panic_detail(payload.as_ref())));
-                }
-                match recovery.replay_from(&replay_storage, Duration::from_secs(5)) {
-                    Ok(replayed) => app_policy.lock().consumer_restarted(replayed),
-                    Err(e) => {
-                        recovery.abandon();
-                        break Err(app_failed(format!(
-                            "backlog replay after a crash failed: {e}"
-                        )));
-                    }
-                }
-            })
+        // The rank runs under the restart supervisor when it has a budget
+        // to spend or a scripted crash to account; otherwise the plain
+        // reader serves, with no script to lock or tick.
+        let script = ReadScript::supervised(chaos, rank, &cfg.tuning.recovery);
+        let app: Box<dyn FnOnce() -> Result<R, RuntimeError> + Send> = match script {
+            None => {
+                let reader = c.reader();
+                Box::new(
+                    move || match catch_unwind(AssertUnwindSafe(|| consume(rank, &reader))) {
+                        Ok(r) => Ok(r),
+                        Err(payload) => {
+                            // Explicit for the reader: the drop guard closes
+                            // the queue and records the abandoned stream.
+                            drop(reader);
+                            Err(app_failed(panic_detail(payload.as_ref())))
+                        }
+                    },
+                )
+            }
+            Some(script) => {
+                let recovery = c.recovery(script);
+                Box::new(move || {
+                    recovery
+                        .run(|reader| consume(rank, reader))
+                        .map_err(app_failed)
+                })
+            }
         };
         consumer_runtimes.push(c);
         let spawned = std::thread::Builder::new()

@@ -250,6 +250,47 @@ fn chaos_recovery_traces_match() {
     assert_same("config E", &threaded, &des);
 }
 
+/// Run a restart plan on both substrates: identical canonical traces, and
+/// the crashing consumer heals every crash and completes. Returns its
+/// replay sizes.
+fn restarts_conform(name: &str, plan: &PreflightInput) -> Vec<usize> {
+    let threaded = run_threaded(plan);
+    let des = run_des(plan);
+    assert_same(name, &threaded, &des);
+    let crashing = threaded.1.iter().find(|t| t.abandoned);
+    let c = crashing.unwrap_or_else(|| panic!("{name}: no consumer crashed"));
+    assert_eq!(c.completions, 1, "{name}: the healed rank completes");
+    c.restarts.clone()
+}
+
+/// Config E with consumer 1 crashing at reads 3 and 6: each struck read
+/// consumes nothing, so each restart replays the 2 reads before it.
+#[test]
+fn chaos_two_restarts_on_one_consumer_traces_match() {
+    let plan = conformance::config_e_crashing(1, &[3, 6]);
+    assert_eq!(restarts_conform("two restarts", &plan), [2, 2]);
+}
+
+/// Config E with consumer 1 crashing at reads 3 and 11: read 11 is the
+/// one that would find the stream closed, and its restart replays the 7
+/// reads since the first.
+#[test]
+fn chaos_crash_on_the_closed_read_traces_match() {
+    let plan = conformance::config_e_crashing(1, &[3, 11]);
+    assert_eq!(restarts_conform("crash on Closed", &plan), [2, 7]);
+}
+
+/// Seeded restarts (`ZIPPER_CHAOS_SEED`): 1-3 crashes on one consumer,
+/// each healed, on both substrates alike.
+#[test]
+fn chaos_seeded_restarts_traces_match() {
+    let seed = conformance::chaos_seed();
+    let plan = conformance::seeded_restarts(seed);
+    let crashes = plan.workflow.tuning.recovery.max_consumer_restarts as usize;
+    let restarts = restarts_conform(&format!("seeded restarts (seed {seed})"), &plan);
+    assert_eq!(restarts.len(), crashes);
+}
+
 /// Seeded chaos: the CI seed matrix (`ZIPPER_CHAOS_SEED`) explores
 /// different scripted schedules while every individual run stays fully
 /// deterministic — any seed must conform.
