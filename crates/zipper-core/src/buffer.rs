@@ -22,7 +22,7 @@
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use zipper_trace::{CounterId, GaugeId, Telemetry};
+use zipper_trace::{GaugeId, Telemetry};
 use zipper_types::{Block, Error, Result};
 
 /// Time since a call started to block; zero for a call that never did.
@@ -34,8 +34,6 @@ fn elapsed(blocked_since: Option<Instant>) -> Duration {
 struct Inner {
     items: VecDeque<Block>,
     closed: bool,
-    peak: usize,
-    total_in: u64,
 }
 
 /// A bounded, closable, thread-safe FIFO of data blocks.
@@ -62,9 +60,9 @@ impl BlockQueue {
         }
     }
 
-    /// Publish occupancy to `gauge` and blocked push/pop time to the
-    /// stall counters of `telemetry` — the queue-congestion view the
-    /// paper reads off `XmitWait`-style counters.
+    /// Publish occupancy to `gauge` of `telemetry`. Blocked push/pop time
+    /// is not a counter: the calls return it, and their callers record it
+    /// as the lane's `Stall`, `Idle` or `ReadWait` span.
     pub fn with_telemetry(mut self, telemetry: Telemetry, gauge: GaugeId) -> Self {
         self.telemetry = telemetry;
         self.depth_gauge = gauge;
@@ -82,12 +80,6 @@ impl BlockQueue {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Peak occupancy and total inserts so far.
-    pub fn stats(&self) -> (usize, u64) {
-        let g = self.inner.lock();
-        (g.peak, g.total_in)
     }
 
     /// The queue lock, and the instant the call started to block if taking
@@ -120,30 +112,22 @@ impl BlockQueue {
             return Err(Error::ShutDown);
         }
         g.items.push_back(block);
-        g.total_in += 1;
-        let len = g.items.len();
-        g.peak = g.peak.max(len);
         drop(g);
         self.not_empty.notify_all();
-        let stalled = elapsed(t0);
         self.telemetry.gauge_add(self.depth_gauge, 1);
-        self.telemetry.add(CounterId::BlocksEnqueued, 1);
-        self.telemetry
-            .add_time(CounterId::QueuePushStallNs, stalled);
-        Ok(stalled)
+        Ok(elapsed(t0))
     }
 
     /// The one take behind [`BlockQueue::pop`], [`BlockQueue::pop_then`],
     /// [`BlockQueue::steal`] and [`BlockQueue::steal_then`]: block until
     /// `ready` approves the current occupancy, then remove the oldest block
     /// and run `decide` on it *inside the queue lock*. Returns `None` when
-    /// the queue is closed and `ready` still refuses. The blocked time is
-    /// returned and, for the pops, charged to `wait_counter`.
+    /// the queue is closed and `ready` still refuses. Also returns the
+    /// blocked time.
     fn take<R>(
         &self,
         ready: impl Fn(usize) -> bool,
         mut decide: impl FnMut(&Block) -> R,
-        wait_counter: Option<CounterId>,
     ) -> (Option<(Block, R)>, Duration) {
         let (mut g, mut t0) = self.lock_timed();
         let taken = loop {
@@ -164,13 +148,8 @@ impl BlockQueue {
             // stealers re-check on the next push.
             self.not_full.notify_one();
             self.telemetry.gauge_add(self.depth_gauge, -1);
-            self.telemetry.add(CounterId::BlocksDequeued, 1);
         }
-        let waited = elapsed(t0);
-        if let Some(counter) = wait_counter {
-            self.telemetry.add_time(counter, waited);
-        }
-        (taken, waited)
+        (taken, elapsed(t0))
     }
 
     /// Remove the oldest block, blocking while empty. Returns `None` once
@@ -192,11 +171,7 @@ impl BlockQueue {
     /// `decide` must be fast and must not touch this queue (the lock is
     /// held). Lock order is queue → policy.
     pub fn pop_then<R>(&self, decide: impl FnMut(&Block) -> R) -> (Option<(Block, R)>, Duration) {
-        self.take(
-            |occupancy| occupancy > 0,
-            decide,
-            Some(CounterId::QueuePopWaitNs),
-        )
+        self.take(|occupancy| occupancy > 0, decide)
     }
 
     /// Work-stealing take (Algorithm 1): block until occupancy strictly
@@ -218,7 +193,7 @@ impl BlockQueue {
         ready: impl Fn(usize) -> bool,
         decide: impl FnMut(&Block) -> R,
     ) -> (Option<(Block, R)>, Duration) {
-        self.take(ready, decide, None)
+        self.take(ready, decide)
     }
 
     /// Put a block back at the *front* of the queue — the recovery path's
@@ -231,13 +206,9 @@ impl BlockQueue {
     pub fn requeue(&self, block: Block) {
         let mut g = self.inner.lock();
         g.items.push_front(block);
-        g.total_in += 1;
-        let len = g.items.len();
-        g.peak = g.peak.max(len);
         drop(g);
         self.not_empty.notify_all();
         self.telemetry.gauge_add(self.depth_gauge, 1);
-        self.telemetry.add(CounterId::BlocksEnqueued, 1);
     }
 
     /// Wake every thread parked in [`BlockQueue::steal_then`] /
@@ -292,13 +263,13 @@ mod tests {
         for i in 0..5 {
             q.push(block(i)).unwrap();
         }
+        assert_eq!(q.len(), 5);
         q.close();
         let mut got = Vec::new();
         while let (Some(b), _) = q.pop() {
             got.push(b.id().idx);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.stats(), (5, 5));
     }
 
     #[test]
@@ -383,15 +354,17 @@ mod tests {
 
     #[test]
     fn requeue_bypasses_capacity_and_closed_state() {
-        let q = BlockQueue::new(1);
+        let telemetry = Telemetry::on();
+        let q = BlockQueue::new(1).with_telemetry(telemetry.clone(), GaugeId::ProducerQueueDepth);
+        let depth = || telemetry.snapshot().gauge(GaugeId::ProducerQueueDepth);
         q.push(block(1)).unwrap(); // full
         q.close();
         q.requeue(block(0)); // lands at the front despite full + closed
-        assert_eq!(q.len(), 2);
+        assert_eq!((q.len(), depth()), (2, 2), "requeue raised the gauge");
         assert_eq!(q.pop().0.unwrap().id().idx, 0, "requeued block is next");
         assert_eq!(q.pop().0.unwrap().id().idx, 1);
         assert!(q.pop().0.is_none());
-        assert_eq!(q.stats(), (2, 2));
+        assert_eq!(depth(), 0);
     }
 
     #[test]
@@ -475,8 +448,8 @@ mod tests {
 
     #[test]
     fn ready_queue_calls_report_no_blocked_time() {
-        // Uncontended and ready: no wait, so no blocked time is returned
-        // or charged to the stall counters.
+        // Uncontended and ready: no wait, so no blocked time is returned;
+        // the gauge follows the four pushes and three takes.
         let telemetry = Telemetry::on();
         let q = BlockQueue::new(4).with_telemetry(telemetry.clone(), GaugeId::ProducerQueueDepth);
         for i in 0..4 {
@@ -488,11 +461,8 @@ mod tests {
         assert_eq!((stolen.unwrap().id().idx, waited), (1, Duration::ZERO));
         let (taken, waited) = q.steal_then(|occ| occ > 0, |b| b.id().idx);
         assert_eq!((taken.unwrap().1, waited), (2, Duration::ZERO));
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter(CounterId::QueuePushStallNs), 0);
-        assert_eq!(snap.counter(CounterId::QueuePopWaitNs), 0);
-        assert_eq!(snap.counter(CounterId::BlocksEnqueued), 4);
-        assert_eq!(snap.counter(CounterId::BlocksDequeued), 3);
+        assert_eq!(telemetry.snapshot().gauge(GaugeId::ProducerQueueDepth), 1);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -555,10 +525,16 @@ mod tests {
 
     #[test]
     fn push_after_close_errors() {
-        let q = BlockQueue::new(2);
+        let telemetry = Telemetry::on();
+        let q = BlockQueue::new(2).with_telemetry(telemetry.clone(), GaugeId::ProducerQueueDepth);
         q.close();
         assert!(matches!(q.push(block(0)), Err(Error::ShutDown)));
-        assert_eq!(q.stats(), (0, 0), "rejected push not counted");
+        assert_eq!(q.len(), 0);
+        assert_eq!(
+            telemetry.snapshot().gauge(GaugeId::ProducerQueueDepth),
+            0,
+            "rejected push not counted"
+        );
     }
 
     #[test]
@@ -590,16 +566,12 @@ mod tests {
             q2.pop();
             q2.pop();
         });
-        q.push(block(1)).unwrap(); // blocks until the popper drains one
+        let stalled = q.push(block(1)).unwrap(); // blocks until the popper drains one
         popper.join().unwrap();
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.gauge(GaugeId::ConsumerQueueDepth), 0);
-        assert_eq!(snap.counter(CounterId::BlocksEnqueued), 2);
-        assert_eq!(snap.counter(CounterId::BlocksDequeued), 2);
+        assert_eq!(telemetry.snapshot().gauge(GaugeId::ConsumerQueueDepth), 0);
         assert!(
-            snap.counter(CounterId::QueuePushStallNs) >= 30_000_000,
-            "blocked push time recorded: {}ns",
-            snap.counter(CounterId::QueuePushStallNs)
+            stalled >= Duration::from_millis(30),
+            "blocked push time returned: {stalled:?}"
         );
     }
 

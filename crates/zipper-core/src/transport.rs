@@ -323,7 +323,6 @@ pub struct RetryingSender<S> {
     /// Backoffs are `Retry` spans here; inert unless
     /// [`RetryingSender::traced`].
     rec: Mutex<LaneRecorder>,
-    telemetry: Telemetry,
 }
 
 impl<S: WireSender> RetryingSender<S> {
@@ -333,15 +332,12 @@ impl<S: WireSender> RetryingSender<S> {
             policy,
             retries: Arc::new(AtomicU64::new(0)),
             rec: Mutex::new(LaneRecorder::inert()),
-            telemetry: Telemetry::off(),
         }
     }
 
-    /// Record backoff sleeps as `Retry` spans on the sink lane `label`
-    /// and into the sink's stall-time telemetry.
+    /// Record backoff sleeps as `Retry` spans on the sink lane `label`.
     pub fn traced(mut self, sink: &TraceSink, label: impl Into<String>) -> Self {
         self.rec = Mutex::new(sink.recorder(label));
-        self.telemetry = sink.telemetry().clone();
         self
     }
 
@@ -355,11 +351,10 @@ impl<S: WireSender> RetryingSender<S> {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Count, charge to the stall telemetry and sleep one backoff, as a
-    /// `Retry` span when a lane is attached.
+    /// Count and sleep one backoff, as a `Retry` span when a lane is
+    /// attached.
     fn pause(&self, delay: Duration) {
         self.retries.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.add_time(CounterId::RetrySleepNs, delay);
         self.rec
             .lock()
             .time(SpanKind::Retry, || std::thread::sleep(delay));

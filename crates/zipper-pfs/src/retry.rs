@@ -17,7 +17,7 @@
 use crate::storage::Storage;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use zipper_trace::{CounterId, LaneRecorder, SpanKind, Telemetry, TraceSink};
+use zipper_trace::{LaneRecorder, SpanKind, TraceSink};
 use zipper_types::{Block, BlockId, Error, Result, RetryPolicy};
 
 /// A [`Storage`] decorator that retries transient `put`/`get` failures.
@@ -27,7 +27,6 @@ pub struct RetryingFs<S> {
     retries: AtomicU64,
     /// Backoffs are `Retry` spans here; inert unless [`RetryingFs::traced`].
     rec: Mutex<LaneRecorder>,
-    telemetry: Telemetry,
 }
 
 impl<S: Storage> RetryingFs<S> {
@@ -38,7 +37,6 @@ impl<S: Storage> RetryingFs<S> {
             policy,
             retries: AtomicU64::new(0),
             rec: Mutex::new(LaneRecorder::inert()),
-            telemetry: Telemetry::off(),
         }
     }
 
@@ -52,7 +50,6 @@ impl<S: Storage> RetryingFs<S> {
     ) -> Self {
         RetryingFs {
             rec: Mutex::new(sink.recorder(label.into())),
-            telemetry: sink.telemetry().clone(),
             ..Self::new(inner, policy)
         }
     }
@@ -63,12 +60,11 @@ impl<S: Storage> RetryingFs<S> {
     }
 
     /// Retry `op` under the policy ([`RetryPolicy::run`]); a missing block
-    /// is a permanent condition. Every backoff is counted, charged to the
-    /// stall telemetry and slept as a `Retry` span.
+    /// is a permanent condition. Every backoff is counted and slept as a
+    /// `Retry` span.
     fn run<T>(&self, seed: u64, op: impl FnMut() -> Result<T>) -> Result<T> {
         let pause = |delay| {
             self.retries.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.add_time(CounterId::RetrySleepNs, delay);
             self.rec
                 .lock()
                 .time(SpanKind::Retry, || std::thread::sleep(delay));

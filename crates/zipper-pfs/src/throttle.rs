@@ -17,7 +17,7 @@ use crate::storage::Storage;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use zipper_trace::{CounterId, HistogramId, Telemetry};
+use zipper_trace::{CounterId, Telemetry};
 use zipper_types::{Block, BlockId, Result};
 
 /// One shared-bandwidth drain: a timeline on which every transfer reserves
@@ -72,7 +72,7 @@ impl Drain {
 pub struct ThrottledFs<S> {
     inner: S,
     drain: Drain,
-    /// Stall-time and write-size metrics; off by default.
+    /// Stall-time metric; off by default.
     telemetry: Telemetry,
 }
 
@@ -87,8 +87,7 @@ impl<S: Storage> ThrottledFs<S> {
         }
     }
 
-    /// Record stall time and write sizes into `telemetry`
-    /// ([`CounterId::PfsStallNs`], [`HistogramId::PfsWriteBytes`]).
+    /// Record stall time into `telemetry` ([`CounterId::PfsStallNs`]).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -107,8 +106,6 @@ impl<S: Storage> ThrottledFs<S> {
 
 impl<S: Storage> Storage for ThrottledFs<S> {
     fn put(&self, block: &Block) -> Result<()> {
-        self.telemetry
-            .observe(HistogramId::PfsWriteBytes, block.header.len);
         self.charge(block.header.len);
         self.inner.put(block)
     }

@@ -2,12 +2,14 @@
 //!
 //! The paper diagnoses Omni-Path congestion with the fabric's `XmitWait`
 //! hardware counters (§5): a monotonically increasing count of cycles a
-//! port spent *wanting* to transmit but unable to. Spans (PR 1) record
-//! durations after the fact; this module adds the live-counter view — the
-//! runtime's send paths, throttles, and queues bump stall-time counters
-//! and queue-depth gauges as they run, and a sampler snapshots them at a
-//! fixed period into a time-series, so a congested interval shows up as a
-//! rising stall slope exactly the way `XmitWait` does on the real fabric.
+//! port spent *wanting* to transmit but unable to. This module is the
+//! live-counter view of what no span records: the send paths and
+//! throttles bump stall-time counters, the queues move depth gauges, and
+//! a sampler snapshots them at a fixed period into a time-series, so a
+//! congested interval shows up as a rising stall slope exactly the way
+//! `XmitWait` does on the real fabric. Time blocked on a queue or slept
+//! in a retry backoff is not a counter: it is a lane span (`Stall`,
+//! `Idle`, `ReadWait`, `Retry`), read through the lanes' `KindBreakdown`s.
 //!
 //! Design constraints, in order:
 //!
@@ -46,40 +48,23 @@ pub enum CounterId {
     ThrottleStallNs,
     /// Nanoseconds spent blocked writing a frame into a TCP socket.
     TcpStallNs,
-    /// Nanoseconds producers spent blocked pushing into a full
-    /// `BlockQueue` (the paper's producer-side stall).
-    QueuePushStallNs,
-    /// Nanoseconds consumers spent blocked popping from an empty
-    /// `BlockQueue` (the analysis-side starvation mirror).
-    QueuePopWaitNs,
     /// Nanoseconds lost to the PFS bandwidth throttle (`ThrottledFs`).
     PfsStallNs,
-    /// Nanoseconds slept in retry backoff (transport + PFS).
-    RetrySleepNs,
     /// DES only: the engine's modelled `XmitWait` total across all nodes,
     /// mirrored from `hpcsim::Network` at each probe tick.
     XmitWaitNs,
-    /// Blocks pushed into runtime block queues.
-    BlocksEnqueued,
-    /// Blocks taken out of runtime block queues (pop + steal).
-    BlocksDequeued,
 }
 
 impl CounterId {
     /// All counters, in dense-index order.
-    pub const ALL: [CounterId; 12] = [
+    pub const ALL: [CounterId; 7] = [
         CounterId::NetBytes,
         CounterId::NetMessages,
         CounterId::NetBackpressureNs,
         CounterId::ThrottleStallNs,
         CounterId::TcpStallNs,
-        CounterId::QueuePushStallNs,
-        CounterId::QueuePopWaitNs,
         CounterId::PfsStallNs,
-        CounterId::RetrySleepNs,
         CounterId::XmitWaitNs,
-        CounterId::BlocksEnqueued,
-        CounterId::BlocksDequeued,
     ];
 
     /// Dense index into counter arrays.
@@ -96,13 +81,8 @@ impl CounterId {
             CounterId::NetBackpressureNs => "net.backpressure_ns",
             CounterId::ThrottleStallNs => "net.throttle_stall_ns",
             CounterId::TcpStallNs => "net.tcp_stall_ns",
-            CounterId::QueuePushStallNs => "queue.push_stall_ns",
-            CounterId::QueuePopWaitNs => "queue.pop_wait_ns",
             CounterId::PfsStallNs => "pfs.stall_ns",
-            CounterId::RetrySleepNs => "retry.sleep_ns",
             CounterId::XmitWaitNs => "net.xmit_wait_ns",
-            CounterId::BlocksEnqueued => "queue.blocks_in",
-            CounterId::BlocksDequeued => "queue.blocks_out",
         }
     }
 }
@@ -151,7 +131,8 @@ impl GaugeId {
 pub enum HistogramId {
     /// Wire message sizes, bytes.
     SendBytes,
-    /// PFS write sizes, bytes.
+    /// Write sizes of stolen blocks, bytes: one observation per `put` a
+    /// work-stealing writer issues, whatever the storage backend.
     PfsWriteBytes,
     /// Individual sender stall durations, nanoseconds.
     StallNs,

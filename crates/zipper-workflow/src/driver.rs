@@ -124,10 +124,12 @@ pub struct TraceOptions {
     /// that keeps spans also records the wire-level `net/p{rank}` lanes
     /// ([`TracedSender`]) — there is no separate switch for them.
     pub mode: TraceMode,
-    /// Collect congestion metrics (stall counters, queue-depth gauges,
-    /// size histograms) and sample them periodically into
-    /// [`WorkflowReport::samples`]. Independent of `mode`: metrics work
-    /// even with span recording off.
+    /// Collect congestion metrics (channel and PFS stall counters,
+    /// queue-depth gauges, size histograms) and sample them periodically
+    /// into [`WorkflowReport::samples`]. The metrics work with span
+    /// recording off, but time blocked on a queue or in a retry backoff
+    /// is a lane span (`Stall`, `Idle`, `ReadWait`, `Retry`), so reading
+    /// it needs a recording `mode` — the default `Totals` keeps it.
     pub telemetry: bool,
     /// Period of the background sampler thread when `telemetry` is on.
     pub sample_period: Duration,
@@ -1025,6 +1027,39 @@ mod tests {
         report.assert_complete();
         assert!(!report.metrics.is_enabled());
         assert!(report.samples.is_empty());
+    }
+
+    #[test]
+    // A wall-clock sleep is the slow consumer; this test decides nothing.
+    #[allow(clippy::disallowed_methods)]
+    fn pfs_write_sizes_are_observed_once_per_stolen_block() {
+        use zipper_trace::HistogramId;
+        // A slow consumer and a slow PFS: producers stall on a full buffer
+        // and the writers steal. The writer observes each stolen block's
+        // size; the throttled store underneath must not observe it again.
+        let mut c = cfg(2, 1, 8);
+        c.tuning.concurrent_transfer = true;
+        c.tuning.consumer_slots = 2;
+        let opts = RunOptions {
+            net: NetworkOptions::unthrottled(2),
+            storage: StorageOptions::ThrottledMemory(4e6, Duration::ZERO),
+            trace: TraceOptions::default().with_telemetry(Duration::from_millis(1)),
+            ..Default::default()
+        };
+        let (report, _) = run_workflow_with(&c, opts, slab_producer(&c), |_, reader| {
+            while reader.read().is_some() {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        })
+        .unwrap();
+        report.assert_complete();
+        let p = report.producer_total();
+        assert!(p.blocks_stolen > 0, "the writers stole");
+        assert_eq!(
+            report.metrics.histogram(HistogramId::PfsWriteBytes).count,
+            p.blocks_stolen
+        );
+        assert!(p.stall() > Duration::ZERO, "producers stalled");
     }
 
     #[test]
