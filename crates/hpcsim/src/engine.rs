@@ -69,7 +69,8 @@ struct ProcSlot {
     /// place.
     pending: std::vec::IntoIter<Op>,
     state: ProcState,
-    mailbox: VecDeque<MsgMeta>,
+    /// Delivered messages not yet received, with their send times.
+    mailbox: VecDeque<(MsgMeta, SimTime)>,
     last_msg: Option<MsgMeta>,
     last_take: Option<BufferTaken>,
     outstanding_sends: u32,
@@ -177,9 +178,12 @@ impl Simulator {
 
     /// Turn on causal edge recording (see [`zipper_trace::CausalLog`]),
     /// with `message_kind` naming the edge a consumed message's tag is
-    /// (`None`: no edge — the model owns the tag scheme). Enable *before*
-    /// the run; edges are recorded as events execute.
+    /// (`None`: no edge — the model owns the tag scheme). Enable before
+    /// anything is scheduled (before the first `spawn`): a wire edge
+    /// starts at its message's send time, which the event queue keeps only
+    /// from then on. Panics otherwise.
     pub fn enable_causal(&mut self, message_kind: fn(u64) -> Option<EdgeKind>) {
+        self.queue.keep_send_times();
         self.causal = Some((CausalLog::new(), message_kind));
     }
 
@@ -204,17 +208,17 @@ impl Simulator {
         self.causal_seq
     }
 
-    /// A message was consumed by a receive: record the send→receive edge
-    /// the model's classifier names, spanning sender injection to
-    /// consumption. Token = tag.
-    fn causal_wire(&mut self, to: ProcId, msg: &MsgMeta) {
+    /// A message sent at `sent_at` was consumed by a receive: record the
+    /// send→receive edge the model's classifier names, spanning sender
+    /// injection to consumption. Token = tag.
+    fn causal_wire(&mut self, to: ProcId, msg: &MsgMeta, sent_at: SimTime) {
         if let Some((c, message_kind)) = self.causal.as_mut() {
             let Some(kind) = message_kind(msg.tag) else {
                 return;
             };
             let src = self.trace.lane_label(self.procs[msg.from.idx()].lane);
             let dst = self.trace.lane_label(self.procs[to.idx()].lane);
-            c.edge_at(kind, src, msg.sent_at, dst, self.now, msg.tag);
+            c.edge_at(kind, src, sent_at, dst, self.now, msg.tag);
         }
     }
 
@@ -444,11 +448,6 @@ impl Simulator {
         &self.pfs
     }
 
-    /// Peak occupancy and total inserts of a buffer, for reports.
-    pub fn buffer_stats(&self, buf: BufId) -> (usize, u64) {
-        (self.buffers[buf].peak, self.buffers[buf].total_in)
-    }
-
     fn push_event(&mut self, time: SimTime, event: Event) {
         self.queue.schedule(self.now, time, event);
     }
@@ -496,9 +495,10 @@ impl Simulator {
                 Event::Deliver {
                     to,
                     msg,
+                    sent_at,
                     completes_send,
                 } => {
-                    self.deliver(to, msg);
+                    self.deliver(to, msg, sent_at);
                     if completes_send {
                         self.complete_async_send(msg.from);
                     }
@@ -544,7 +544,7 @@ impl Simulator {
     /// matches it, else leave it in the mailbox. A receive parks only when
     /// nothing in the mailbox matches, and every arrival since came
     /// through here — so the arriving message is the only candidate.
-    fn deliver(&mut self, to: ProcId, msg: MsgMeta) {
+    fn deliver(&mut self, to: ProcId, msg: MsgMeta, sent_at: SimTime) {
         let slot = &mut self.procs[to.idx()];
         match slot.waiting {
             Waiting::Recv {
@@ -559,10 +559,10 @@ impl Simulator {
                 slot.recv_gen += 1; // any pending timeout is now stale
                 let lane = slot.lane;
                 self.record(lane, kind, since, self.now, Span::NO_STEP);
-                self.causal_wire(to, &msg);
+                self.causal_wire(to, &msg, sent_at);
                 self.push_event(self.now, Event::Resume(to));
             }
-            _ => slot.mailbox.push_back(msg),
+            _ => slot.mailbox.push_back((msg, sent_at)),
         }
     }
 
@@ -697,6 +697,40 @@ impl Simulator {
         }
     }
 
+    /// `pid` receives a message tagged `tag_min..=tag_max`: the first in
+    /// its mailbox, or else it parks (until `timeout`, if there is one).
+    /// Returns whether `pid` may go on at once.
+    fn recv(
+        &mut self,
+        pid: ProcId,
+        tag_min: u64,
+        tag_max: u64,
+        kind: SpanKind,
+        timeout: Option<SimTime>,
+    ) -> bool {
+        let slot = &mut self.procs[pid.idx()];
+        let tags = tag_min..=tag_max;
+        if let Some(pos) = slot.mailbox.iter().position(|(m, _)| tags.contains(&m.tag)) {
+            let (msg, sent_at) = slot.mailbox.remove(pos).expect("position valid");
+            slot.last_msg = Some(msg);
+            self.causal_wire(pid, &msg, sent_at);
+            return true;
+        }
+        let since = self.now;
+        slot.waiting = Waiting::Recv {
+            tag_min,
+            tag_max,
+            kind,
+            since,
+        };
+        slot.state = ProcState::Blocked;
+        if let Some(timeout) = timeout {
+            let gen = slot.recv_gen;
+            self.push_event(since + timeout, Event::RecvTimeout { pid, gen });
+        }
+        false
+    }
+
     /// Execute one op. Returns `true` when the process may continue with
     /// its next op immediately, `false` when it suspended (timed op or
     /// blocked) or finished.
@@ -734,8 +768,8 @@ impl Simulator {
                             from: pid,
                             bytes,
                             tag,
-                            sent_at: now,
                         },
+                        sent_at: now,
                         completes_send: false,
                     },
                 );
@@ -759,8 +793,8 @@ impl Simulator {
                             from: pid,
                             bytes,
                             tag,
-                            sent_at: now,
                         },
+                        sent_at: now,
                         completes_send: true,
                     },
                 );
@@ -779,57 +813,13 @@ impl Simulator {
                 tag_min,
                 tag_max,
                 kind,
-            } => {
-                let slot = &mut self.procs[pid.idx()];
-                if let Some(pos) = slot
-                    .mailbox
-                    .iter()
-                    .position(|m| m.tag >= tag_min && m.tag <= tag_max)
-                {
-                    let msg = slot.mailbox.remove(pos).expect("position valid");
-                    slot.last_msg = Some(msg);
-                    self.causal_wire(pid, &msg);
-                    true
-                } else {
-                    slot.waiting = Waiting::Recv {
-                        tag_min,
-                        tag_max,
-                        kind,
-                        since: now,
-                    };
-                    slot.state = ProcState::Blocked;
-                    false
-                }
-            }
+            } => self.recv(pid, tag_min, tag_max, kind, None),
             Op::RecvTimeout {
                 tag_min,
                 tag_max,
                 kind,
                 timeout,
-            } => {
-                let slot = &mut self.procs[pid.idx()];
-                if let Some(pos) = slot
-                    .mailbox
-                    .iter()
-                    .position(|m| m.tag >= tag_min && m.tag <= tag_max)
-                {
-                    let msg = slot.mailbox.remove(pos).expect("position valid");
-                    slot.last_msg = Some(msg);
-                    self.causal_wire(pid, &msg);
-                    true
-                } else {
-                    slot.waiting = Waiting::Recv {
-                        tag_min,
-                        tag_max,
-                        kind,
-                        since: now,
-                    };
-                    slot.state = ProcState::Blocked;
-                    let gen = slot.recv_gen;
-                    self.push_event(now + timeout, Event::RecvTimeout { pid, gen });
-                    false
-                }
-            }
+            } => self.recv(pid, tag_min, tag_max, kind, Some(timeout)),
             Op::Barrier { id, kind } => match self.barriers[id].arrive(pid, now) {
                 Some(members) => {
                     for (proc, since) in members {
@@ -1228,9 +1218,8 @@ mod tests {
             .map(|s| s.duration().as_nanos())
             .sum();
         assert!(stall > 0, "expected producer stall");
-        let (peak, total) = sim.buffer_stats(buf);
-        assert_eq!(total, 5);
-        assert!(peak <= 2);
+        // Every item went through: the closed buffer is empty.
+        assert!(sim.buffers[buf].is_empty() && sim.buffers[buf].is_closed());
     }
 
     #[test]
@@ -1826,6 +1815,76 @@ mod tests {
         );
         let r = sim.run();
         assert!(r.is_clean(), "{r:?}");
+    }
+
+    /// A wire edge runs from the send to the receive, whether the message
+    /// waited behind another in flight, in the mailbox, or neither.
+    #[test]
+    fn a_wire_edge_starts_at_its_send_after_the_mailbox() {
+        let mut sim = small_sim();
+        sim.enable_causal(|_| Some(EdgeKind::Wire));
+        let send = |tag| Op::SendAsync {
+            to: ProcId(1),
+            bytes: 1000,
+            tag,
+        };
+        let wait = |ms| Op::Compute {
+            dur: SimTime::from_millis(ms),
+            kind: SpanKind::Compute,
+            step: 0,
+        };
+        let recv = Op::Recv {
+            tag_min: 0,
+            tag_max: u64::MAX,
+            kind: SpanKind::Recv,
+        };
+        // Tags 1 and 2 are in flight together, then 1–3 sit in the mailbox
+        // until 5 ms; tag 4 finds the receiver parked.
+        sim.spawn(
+            NodeId(0),
+            "send",
+            RunOnce::new(vec![send(1), send(2), wait(1), send(3), wait(6), send(4)]),
+        );
+        sim.spawn(
+            NodeId(1),
+            "recv",
+            RunOnce::new(vec![
+                wait(5),
+                recv.clone(),
+                recv.clone(),
+                recv.clone(),
+                recv,
+            ]),
+        );
+        let r = sim.run();
+        assert!(r.is_clean(), "{r:?}");
+        let log = sim.take_causal().unwrap();
+        let ms = |t: SimTime| t.as_nanos() / 1_000_000;
+        let edges: Vec<_> = log
+            .edges()
+            .map(|e| (e.token, e.src_lane, ms(e.src_t), e.dst_lane, ms(e.dst_t)))
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                (1, "send", 0, "recv", 5),
+                (2, "send", 0, "recv", 5),
+                (3, "send", 1, "recv", 5),
+                (4, "send", 7, "recv", 7)
+            ]
+        );
+    }
+
+    #[test]
+    fn causal_recording_is_refused_once_anything_is_scheduled() {
+        let mut sim = small_sim();
+        sim.spawn(NodeId(0), "early", RunOnce::new(vec![]));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.enable_causal(|_| Some(EdgeKind::Wire))
+        }));
+        assert!(refused.is_err());
+        // Nothing of it took: no log to take.
+        assert!(sim.take_causal().is_none());
     }
 
     #[test]

@@ -56,10 +56,6 @@ pub struct SimBuffer {
     takers: VecDeque<WaitingTaker>,
     putters: VecDeque<WaitingPutter>,
     closed: bool,
-    /// Peak occupancy ever observed (for reports).
-    pub peak: usize,
-    /// Total items ever inserted.
-    pub total_in: u64,
 }
 
 impl SimBuffer {
@@ -99,7 +95,7 @@ impl SimBuffer {
             });
             return None;
         }
-        self.insert(item);
+        self.items.push_back(item);
         Some(self.drain_wakeups())
     }
 
@@ -142,12 +138,6 @@ impl SimBuffer {
         self.drain_wakeups()
     }
 
-    fn insert(&mut self, item: BufItem) {
-        self.items.push_back(item);
-        self.total_in += 1;
-        self.peak = self.peak.max(self.items.len());
-    }
-
     /// Put an item back at the *front* of the queue, bypassing capacity
     /// and the closed flag. This is the recovery path: a writer whose PFS
     /// put faulted returns the block so the next take re-takes it first,
@@ -156,8 +146,6 @@ impl SimBuffer {
     /// parked taker may now be eligible).
     pub fn requeue(&mut self, item: BufItem) -> Vec<BufferWake> {
         self.items.push_front(item);
-        self.total_in += 1;
-        self.peak = self.peak.max(self.items.len());
         self.drain_wakeups()
     }
 
@@ -196,7 +184,7 @@ impl SimBuffer {
             // Admit the first waiting putter if there is space now.
             if self.items.len() < self.capacity {
                 if let Some(p) = self.putters.pop_front() {
-                    self.insert(p.item);
+                    self.items.push_back(p.item);
                     wakes.push(BufferWake::Putter {
                         proc: p.proc,
                         since: p.since,
@@ -421,8 +409,9 @@ mod tests {
         assert_eq!(item.unwrap().bytes, 1);
         assert!(wakes.is_empty());
         assert_eq!(b.len(), 1);
-        assert_eq!(b.peak, 2);
-        assert_eq!(b.total_in, 2);
+        let (item, _) = b.take(ProcId(1), 1, ms(1)).unwrap();
+        assert_eq!(item.unwrap().bytes, 2);
+        assert!(b.is_empty());
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct MsgMeta {
     pub from: ProcId,
     pub bytes: u64,
     pub tag: u64,
-    /// Virtual time the sender issued the message.
-    pub sent_at: SimTime,
 }
 
 /// Result of a `BufferTake`, surfaced through [`ProcCtx::last_take`].

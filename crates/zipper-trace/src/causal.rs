@@ -216,8 +216,8 @@ const JOIN_BATCH: usize = 1024;
 /// An edge is recorded in one of two forms:
 ///
 /// * **whole** — [`edge_at`], when the recorder knows both endpoints (the
-///   DES receiver sees `sent_at` on every message, the DES engine sees
-///   who put the item a take returns);
+///   DES engine keeps every message's send time and sees who put the
+///   item a take returns);
 /// * **identity-joined halves** — [`begin`]/[`end`] (and, for a queue
 ///   handoff, [`queue_push`]/[`queue_pop`], which add the queue to the
 ///   key) pair on the block or mark that moved, never on arrival order:

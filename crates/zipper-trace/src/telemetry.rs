@@ -442,12 +442,6 @@ impl MetricShard {
         }
     }
 
-    /// Add a duration (as nanoseconds) to the local copy of a counter.
-    #[inline]
-    pub fn add_time(&mut self, id: CounterId, d: Duration) {
-        self.add(id, d.as_nanos() as u64);
-    }
-
     /// Record one observation into the local copy of a histogram.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, v: u64) {
