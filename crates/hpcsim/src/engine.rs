@@ -124,7 +124,7 @@ pub struct Simulator {
     faults: Vec<String>,
     halted: bool,
     events: u64,
-    /// Safety valve against runaway programs.
+    /// Safety valve against runaway programs; lowered only by tests.
     max_events: u64,
     /// Metric registry; off unless [`Simulator::enable_telemetry`] ran.
     telemetry: Telemetry,
@@ -152,7 +152,7 @@ impl Simulator {
     pub fn new(cfg: SimConfig) -> Self {
         Simulator {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             procs: Vec::new(),
             buffers: Vec::new(),
             locks: Vec::new(),
@@ -324,11 +324,6 @@ impl Simulator {
                 probe.poll(self.now, &self.telemetry);
             }
         }
-    }
-
-    /// Cap the number of events processed (runaway-program guard in tests).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
     }
 
     /// Disable raw-span storage in the trace (per-lane totals keep
@@ -1504,7 +1499,7 @@ mod tests {
     #[test]
     fn max_events_guard_trips_on_runaway_programs() {
         let mut sim = small_sim();
-        sim.set_max_events(50);
+        sim.max_events = 50;
         // A program that never finishes.
         sim.spawn(NodeId(0), "spin", |_ctx: &mut ProcCtx<'_>| {
             Step::Ops(vec![Op::Compute {

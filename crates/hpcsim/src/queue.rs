@@ -24,19 +24,27 @@
 //!   the head can be the earliest pending event, and the merge through
 //!   the heap is exact. A **stray** — a message due in the tick that sent
 //!   it, one that would break its lane's order (an intra-node copy
-//!   overtaking a fabric transfer), or one whose `seq` or byte count needs
-//!   more than 32 bits — is the whole event, boxed, under its own key.
+//!   overtaking a fabric transfer), or one whose `seq` needs more than 32
+//!   bits — is the whole event, boxed, under its own key.
 //!
-//! A lane's messages sit side by side, in the order they will be
-//! delivered, in chunks that double in size as the lane deepens. A slot
-//! holds only what a delivery reads, 32 bytes, yet a million marks in
-//! flight are still 32 MB — memory the host serves at DRAM latency — and
-//! a delivery needs its successor's key at once; next to each other, the
-//! successor is in the cache line just read, and the host's memory system
-//! is off the critical path of all but one delivery per chunk. A lone
-//! message in flight (a halo exchange has one to each of thousands of
-//! processes) takes a chunk of one. The send time, read only by a causal
-//! wire edge, sits in a side array kept only while the engine records them.
+//! A lane slot is 16 bytes: the message's key, and the index of a
+//! refcounted record of what it carries (sender, tag, byte count, and
+//! whether it completes a send). Most marks in flight repeat their
+//! neighbours' — an end-of-stream broadcast is one sender marking every
+//! analysis rank with one tag — so a send reuses its sender's last record
+//! when that is still in flight and carries exactly the same, and takes a
+//! record of its own otherwise. A record's last delivery puts it on a
+//! free list. A broadcast's deliveries read one record, which stays in
+//! cache.
+//!
+//! A lane's slots sit side by side, in the order they will be delivered,
+//! in chunks of one size, 16 slots, which one free list recycles. A
+//! million marks in flight are still 16 MB — memory the host serves at
+//! DRAM latency — and a delivery needs its successor's key at once; next
+//! to each other, the successor is in the cache line just read, and the
+//! host's memory system is off the critical path of most deliveries. The
+//! send time, read only by a causal wire edge, sits in a side array by
+//! slot, kept only while the engine records them.
 
 use crate::ops::MsgMeta;
 use std::collections::{BinaryHeap, VecDeque};
@@ -116,78 +124,50 @@ impl Ord for Entry {
     }
 }
 
-/// "No chunk": an empty lane, the end of a lane, the end of a free list.
-const NIL: u32 = u32::MAX >> 1;
-/// Flag in [`InFlight::link`]: sent by `SendAsync`.
+/// "None": an empty lane, the end of the free chunks, a sender with no
+/// record yet.
+const NIL: u32 = u32::MAX;
+/// Flag in [`Shared::refs`]: sent by `SendAsync`.
 const COMPLETES_SEND: u32 = 1 << 31;
-/// Slots in a lane's largest chunks. Its first chunk has one, each
-/// further one twice the last, up to this.
-const MAX_CHUNK: u8 = 16;
+/// Slots in a chunk.
+const CHUNK: u32 = 16;
 
-/// One message between its send and its delivery, or an empty slot of a
-/// chunk: 32 bytes, what a delivery reads. A message whose `seq` or byte
-/// count does not fit in 32 bits is a stray, never a slot.
-#[derive(Clone, Copy)]
+/// One message between its send and its delivery: 16 bytes, its key and
+/// its record. A message whose `seq` does not fit in 32 bits is a stray.
+#[derive(Clone, Copy, Default)]
 struct InFlight {
     /// The delivery event's place in the total order.
     time: SimTime,
-    tag: u64,
-    from: ProcId,
     seq: u32,
-    bytes: u32,
-    /// Top bit: [`COMPLETES_SEND`], of this message. Low 31 bits, in a
-    /// chunk's first slot only: the lane's next chunk, or the next free
-    /// chunk of the same size ([`NIL`] ends either list).
-    link: u32,
+    /// Index of its [`Shared`] record.
+    msg: u32,
 }
 
 impl InFlight {
-    const EMPTY: InFlight = InFlight {
-        time: SimTime::ZERO,
-        tag: 0,
-        from: ProcId(0),
-        seq: 0,
-        bytes: 0,
-        link: NIL,
-    };
-
     fn key(&self) -> u128 {
         key(self.time, self.seq.into())
     }
-
-    fn next(&self) -> u32 {
-        self.link & NIL
-    }
-
-    fn set_next(&mut self, chunk: u32) {
-        self.link = chunk | (self.link & COMPLETES_SEND);
-    }
-
-    fn deliver(&self, to: ProcId, sent_at: SimTime) -> Event {
-        Event::Deliver {
-            to,
-            msg: MsgMeta {
-                from: self.from,
-                bytes: self.bytes.into(),
-                tag: self.tag,
-            },
-            sent_at,
-            completes_send: self.link & COMPLETES_SEND != 0,
-        }
-    }
 }
 
-/// The messages in flight to one process, oldest first: a list of chunks,
-/// consumed from `head_at` in the first one and filled to `tail_len` in
-/// the last one. A chunk goes by the index of its first slot.
+/// What one or more messages in flight carry, each the same.
+#[derive(Clone, Copy)]
+struct Shared {
+    tag: u64,
+    bytes: u64,
+    from: ProcId,
+    /// Top bit: [`COMPLETES_SEND`]. Low 31 bits: the messages in flight
+    /// that point here; zero, and the record is free.
+    refs: u32,
+}
+
+/// The messages in flight to one process, oldest first: the slot to
+/// deliver next and the slot filled last, both on one list of chunks
+/// (in any order of index: chunks come off a free list).
 #[derive(Clone, Copy)]
 struct Lane {
+    /// [`NIL`] when the lane is empty.
     head: u32,
     tail: u32,
-    head_at: u8,
-    head_cap: u8,
-    tail_len: u8,
-    tail_cap: u8,
     /// Delivery time of the last message in the lane.
     last_time: SimTime,
 }
@@ -196,17 +176,8 @@ impl Lane {
     const EMPTY: Lane = Lane {
         head: NIL,
         tail: NIL,
-        head_at: 0,
-        head_cap: 0,
-        tail_len: 0,
-        tail_cap: 0,
         last_time: SimTime::ZERO,
     };
-}
-
-/// The chunk size after `cap`.
-fn grown(cap: u8) -> u8 {
-    (2 * cap).min(MAX_CHUNK)
 }
 
 /// Where [`Lanes::push`] put a message.
@@ -219,66 +190,105 @@ enum Pushed {
     OutOfOrder,
 }
 
-/// Every process's lane, over one pool of chunks.
+/// Every process's lane, over one pool of chunks and one of records.
+#[derive(Default)]
 struct Lanes {
     /// By `ProcId`.
     lanes: Vec<Lane>,
-    /// Chunks: runs of 1, 2, 4 … `MAX_CHUNK` slots.
+    /// Chunks of [`CHUNK`] slots; chunk `c` is slots `c * CHUNK ..`.
     slots: Vec<InFlight>,
+    /// By chunk: the lane's next chunk, once it has one, or the next free
+    /// chunk ([`NIL`] ends the free list). Threaded here, not stacked: the
+    /// chunks a broadcast leaves behind would grow a stack past the peak.
+    next: Vec<u32>,
+    free_chunk: Option<u32>,
     /// By slot, the send time of its message; `None` unless the queue
     /// [`EventQueue::keep_send_times`].
     sent: Option<Vec<SimTime>>,
-    /// Heads of the free lists; `free[k]` is of chunks of `1 << k` slots.
-    free: [u32; MAX_CHUNK.ilog2() as usize + 1],
+    records: Vec<Shared>,
+    /// Records are fewer than slots, and mostly shared: a stack.
+    free_records: Vec<u32>,
+    /// By sending `ProcId`, the record it took last.
+    last: Vec<u32>,
 }
 
 impl Lanes {
-    /// A chunk of `cap` slots, off its free list or new.
-    fn new_chunk(&mut self, cap: u8) -> u32 {
-        let class = cap.ilog2() as usize;
-        let c = self.free[class];
-        if c != NIL {
-            self.free[class] = self.slots[c as usize].next();
-            return c;
+    /// The first slot of a chunk, off the free list or new.
+    fn new_chunk(&mut self) -> u32 {
+        if let Some(c) = self.free_chunk {
+            let next = self.next[c as usize];
+            self.free_chunk = (next != NIL).then_some(next);
+            return c * CHUNK;
         }
-        let c = self.slots.len();
-        assert!(c < NIL as usize, "too many messages in flight");
-        self.slots.resize(c + cap as usize, InFlight::EMPTY);
+        let slot = self.slots.len();
+        assert!(slot < (NIL - CHUNK) as usize, "too many messages in flight");
+        let end = slot + CHUNK as usize;
+        self.slots.resize(end, InFlight::default());
+        self.next.push(NIL);
         if let Some(sent) = &mut self.sent {
-            sent.resize(self.slots.len(), SimTime::ZERO);
+            sent.resize(end, SimTime::ZERO);
         }
-        c as u32
+        slot as u32
     }
 
-    fn push(&mut self, to: ProcId, m: InFlight, sent_at: SimTime) -> Pushed {
+    /// The record for a message that carries `r` (no refs yet): its
+    /// sender's last, if it is in flight still and carries the same, or a
+    /// new one.
+    fn record(&mut self, mut r: Shared) -> u32 {
+        let from = r.from.idx();
+        if self.last.len() <= from {
+            self.last.resize(from + 1, NIL);
+        }
+        let last = self.last[from];
+        if let Some(l) = self.records.get_mut(last as usize) {
+            let refs = l.refs & !COMPLETES_SEND;
+            if refs != 0
+                && refs < !COMPLETES_SEND
+                && (l.from, l.tag, l.bytes, l.refs - refs) == (r.from, r.tag, r.bytes, r.refs)
+            {
+                l.refs += 1;
+                return last;
+            }
+        }
+        r.refs += 1;
+        // No more records than slots: the index fits.
+        let i = self.free_records.pop().unwrap_or_else(|| {
+            self.records.push(r);
+            self.records.len() as u32 - 1
+        });
+        self.records[i as usize] = r;
+        self.last[from] = i;
+        i
+    }
+
+    /// Append `m`, which carries `r`, to `to`'s lane.
+    fn push(&mut self, to: ProcId, mut m: InFlight, r: Shared, sent_at: SimTime) -> Pushed {
         if self.lanes.len() <= to.idx() {
             self.lanes.resize(to.idx() + 1, Lane::EMPTY);
         }
         let mut lane = self.lanes[to.idx()];
         let pushed = if lane.head == NIL {
-            lane.head = self.new_chunk(1);
+            lane.head = self.new_chunk();
             lane.tail = lane.head;
-            (lane.head_at, lane.head_cap) = (0, 1);
-            (lane.tail_len, lane.tail_cap) = (0, 1);
             Pushed::Head
         } else if m.time < lane.last_time {
             return Pushed::OutOfOrder;
         } else {
-            if lane.tail_len == lane.tail_cap {
-                let c = self.new_chunk(grown(lane.tail_cap));
-                self.slots[lane.tail as usize].set_next(c);
+            lane.tail += 1;
+            if lane.tail.is_multiple_of(CHUNK) {
+                // The tail chunk was full.
+                let c = self.new_chunk();
+                self.next[(lane.tail / CHUNK - 1) as usize] = c / CHUNK;
                 lane.tail = c;
-                (lane.tail_len, lane.tail_cap) = (0, grown(lane.tail_cap));
             }
             Pushed::Behind
         };
-        // A new chunk's first slot is overwritten here, free-list link too.
-        let slot = lane.tail as usize + lane.tail_len as usize;
+        m.msg = self.record(r);
+        let slot = lane.tail as usize;
         self.slots[slot] = m;
         if let Some(sent) = &mut self.sent {
             sent[slot] = sent_at;
         }
-        lane.tail_len += 1;
         lane.last_time = m.time;
         self.lanes[to.idx()] = lane;
         pushed
@@ -288,31 +298,39 @@ impl Lanes {
     /// the message that is the head now.
     fn pop(&mut self, to: ProcId) -> (Event, Option<u128>) {
         let lane = &mut self.lanes[to.idx()];
-        let slot = lane.head as usize + lane.head_at as usize;
+        let slot = lane.head as usize;
         let sent_at = self.sent.as_ref().map_or(SimTime::ZERO, |s| s[slot]);
-        let m = self.slots[slot].deliver(to, sent_at);
-        lane.head_at += 1;
-        let spent = if lane.head == lane.tail {
-            lane.head_at == lane.tail_len
-        } else {
-            lane.head_at == lane.head_cap
+        let i = self.slots[slot].msg;
+        let r = &mut self.records[i as usize];
+        let m = Event::Deliver {
+            to,
+            msg: MsgMeta {
+                from: r.from,
+                bytes: r.bytes,
+                tag: r.tag,
+            },
+            sent_at,
+            completes_send: r.refs & COMPLETES_SEND != 0,
         };
-        if spent {
-            // The last chunk's link is NIL: the lane is empty then.
-            let class = lane.head_cap.ilog2() as usize;
-            let first = &mut self.slots[lane.head as usize];
-            let next = first.next();
-            first.set_next(self.free[class]);
-            self.free[class] = lane.head;
-            lane.head = next;
-            (lane.head_at, lane.head_cap) = (0, grown(lane.head_cap));
+        r.refs -= 1;
+        if r.refs & !COMPLETES_SEND == 0 {
+            self.free_records.push(i);
         }
-        let successor = (lane.head != NIL)
-            .then(|| self.slots[lane.head as usize + lane.head_at as usize].key());
+        let empty = lane.head == lane.tail;
+        lane.head += 1;
+        if empty || lane.head.is_multiple_of(CHUNK) {
+            // The chunk is spent: to the free list, and on to the next.
+            let c = (lane.head - 1) / CHUNK;
+            let free = self.free_chunk.replace(c).unwrap_or(NIL);
+            let next = std::mem::replace(&mut self.next[c as usize], free);
+            lane.head = if empty { NIL } else { next * CHUNK };
+        }
+        let successor = (!empty).then(|| self.slots[lane.head as usize].key());
         (m, successor)
     }
 }
 
+#[derive(Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Entry>,
     same_tick: VecDeque<Stored>,
@@ -321,20 +339,6 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub(crate) fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            same_tick: VecDeque::new(),
-            seq: 0,
-            lanes: Lanes {
-                lanes: Vec::new(),
-                slots: Vec::new(),
-                sent: None,
-                free: [NIL; MAX_CHUNK.ilog2() as usize + 1],
-            },
-        }
-    }
-
     /// Keep every message's send time from now on. Refused once anything
     /// is scheduled: a message already in flight would have none.
     pub(crate) fn keep_send_times(&mut self) {
@@ -363,18 +367,16 @@ impl EventQueue {
                 msg,
                 sent_at,
                 completes_send,
-            } => match (u32::try_from(seq), u32::try_from(msg.bytes)) {
-                (Ok(seq), Ok(bytes)) if time > now => {
-                    let flag = if completes_send { COMPLETES_SEND } else { 0 };
-                    let m = InFlight {
-                        time,
+            } => match u32::try_from(seq) {
+                Ok(seq) if time > now => {
+                    let m = InFlight { time, seq, msg: 0 };
+                    let r = Shared {
                         tag: msg.tag,
+                        bytes: msg.bytes,
                         from: msg.from,
-                        seq,
-                        bytes,
-                        link: NIL | flag,
+                        refs: if completes_send { COMPLETES_SEND } else { 0 },
                     };
-                    match self.lanes.push(to, m, sent_at) {
+                    match self.lanes.push(to, m, r, sent_at) {
                         Pushed::Head => Stored::LaneHead(to),
                         Pushed::Behind => return,
                         Pushed::OutOfOrder => Stored::Stray(Box::new(event)),
@@ -442,7 +444,7 @@ mod tests {
     fn starting_at(seq: u64) -> EventQueue {
         EventQueue {
             seq,
-            ..EventQueue::new()
+            ..EventQueue::default()
         }
     }
 
@@ -461,7 +463,7 @@ mod tests {
     }
 
     /// One event of each kind, recognisable by `id`; the last is a
-    /// message too wide for a slot.
+    /// message of four GiB.
     fn kinds(id: u32) -> [Event; 5] {
         [
             Event::Resume(ProcId(id)),
@@ -495,12 +497,27 @@ mod tests {
         out
     }
 
+    /// With nothing in flight, every chunk and every record is free.
+    fn assert_all_free(q: &EventQueue) {
+        let lanes = &q.lanes;
+        let mut free_chunks = 0;
+        let mut c = lanes.free_chunk;
+        while let Some(i) = c {
+            free_chunks += 1;
+            c = Some(lanes.next[i as usize]).filter(|&n| n != NIL);
+        }
+        assert_eq!(free_chunks, lanes.next.len(), "chunks");
+        assert_eq!(lanes.free_records.len(), lanes.records.len(), "records");
+        assert!(lanes.records.iter().all(|r| r.refs & !COMPLETES_SEND == 0));
+    }
+
     #[test]
     fn stored_forms_stay_small() {
         assert!(std::mem::size_of::<Stored>() <= 16);
         assert_eq!(std::mem::size_of::<Entry>(), 32);
-        assert_eq!(std::mem::size_of::<InFlight>(), 32);
-        assert_eq!(std::mem::size_of::<Lane>(), 24);
+        assert_eq!(std::mem::size_of::<InFlight>(), 16);
+        assert_eq!(std::mem::size_of::<Shared>(), 24);
+        assert_eq!(std::mem::size_of::<Lane>(), 16);
     }
 
     /// For every pair of event kinds: an event scheduled for tick T from
@@ -510,7 +527,7 @@ mod tests {
     fn a_tick_runs_earlier_scheduled_events_first_then_same_tick_fifo() {
         for early in 0..5 {
             for late in 0..5 {
-                let mut q = EventQueue::new();
+                let mut q = EventQueue::default();
                 // From tick 0, for tick 10: two events around a later one.
                 q.schedule(t(0), t(10), kinds(1)[early]);
                 q.schedule(t(0), t(20), kinds(9)[early]);
@@ -546,9 +563,9 @@ mod tests {
         for (due, tag) in [(10, 0), (20, 1), (30, 2), (20, 3), (15, 4), (30, 5)] {
             q.schedule(t(0), t(due), message(0, 16, tag, false));
         }
-        // The first three are a lane (chunks of one and two slots) behind
-        // one heap entry; the last three are heap entries of their own.
-        assert_eq!(q.lanes.slots.len(), 3);
+        // The first three are a lane (in one chunk) behind one heap
+        // entry; the last three are heap entries of their own.
+        assert_eq!(q.lanes.slots.len(), CHUNK as usize);
         assert_eq!(q.heap.len(), 4);
         assert_eq!(
             tags(drain(&mut q, t(0))),
@@ -567,7 +584,7 @@ mod tests {
     #[test]
     fn a_message_of_four_gib_or_more_keeps_its_byte_count() {
         let sizes = [16, u32::MAX.into(), 1 << 32, u64::MAX, 17];
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for (i, &bytes) in sizes.iter().enumerate() {
             q.schedule(t(0), t(10 + i as u64), message(0, bytes, i as u64, true));
         }
@@ -608,7 +625,7 @@ mod tests {
     #[test]
     fn send_times_are_kept_only_when_asked() {
         for keep in [false, true] {
-            let mut q = EventQueue::new();
+            let mut q = EventQueue::default();
             if keep {
                 q.keep_send_times();
             }
@@ -646,7 +663,7 @@ mod tests {
 
     #[test]
     fn horizon_keeps_the_events_beyond_it() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.schedule(t(0), t(5), Event::Resume(ProcId(0)));
         q.schedule(t(0), t(50), Event::Resume(ProcId(1)));
         assert_eq!(q.pop(t(0), t(10)), Some((t(5), Event::Resume(ProcId(0)))));
@@ -660,7 +677,7 @@ mod tests {
 
     #[test]
     fn chunks_are_reused() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let mut now = t(0);
         for round in 0..100u32 {
             for k in 0..8 {
@@ -671,17 +688,19 @@ mod tests {
             }
         }
         assert!(q.is_empty());
-        // Two lanes of four messages each, a hundred times over: chunks
-        // of 1, 2 and 4 slots for each.
-        assert_eq!(q.lanes.slots.len(), 2 * (1 + 2 + 4));
+        // Two lanes of four messages each, a hundred times over: one
+        // chunk for each, and a record for each of eight tags in flight.
+        assert_eq!(q.lanes.slots.len(), 2 * CHUNK as usize);
+        assert_eq!(q.lanes.records.len(), 8);
+        assert_all_free(&q);
     }
 
-    /// A lane deep enough to span chunks of every size, filled while it
-    /// drains, delivers in the order sent — and a second pass finds every
-    /// chunk it needs on the free lists.
+    /// A lane deep enough to span many chunks, filled while it drains,
+    /// delivers in the order sent — and a second pass finds every chunk it
+    /// needs on the free list.
     #[test]
     fn a_deep_lane_spans_chunks_in_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let mut slots = 0;
         for pass in 0..2 {
             let base = pass * 1000;
@@ -709,18 +728,90 @@ mod tests {
             }
             assert_eq!(q.lanes.slots.len(), slots, "pass {pass}");
         }
+        assert_all_free(&q);
+    }
+
+    /// A lane whose chunks come off the free list in descending index
+    /// order — its tail chunk right below its head chunk — still
+    /// delivers every message in the order sent.
+    #[test]
+    fn a_lane_over_reused_chunks_in_any_order_delivers_in_order() {
+        let mut q = EventQueue::default();
+        // Chunks 0 and 1, freed in that order: 1 comes off first.
+        q.schedule(t(0), t(1), message(0, 16, 0, false));
+        q.schedule(t(0), t(2), message(1, 16, 0, false));
+        drain(&mut q, t(0));
+        let want: Vec<Event> = (0..40).map(|i| message(2, 16, i, false)).collect();
+        for (i, &m) in want.iter().enumerate() {
+            q.schedule(t(2), t(10 + i as u64), m);
+        }
+        let got: Vec<Event> = drain(&mut q, t(2)).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(got, want);
+        assert_all_free(&q);
+    }
+
+    /// An end-of-stream broadcast: one sender marks each of many
+    /// processes with one tag. The marks share one record, each delivery
+    /// carries it, and the last one frees it.
+    #[test]
+    fn a_fan_out_from_one_sender_holds_one_record() {
+        let mut q = EventQueue::default();
+        for to in 0..100 {
+            q.schedule(t(0), t(10), message(to, 64, 5, true));
+        }
+        assert_eq!(q.lanes.records.len(), 1);
+        assert_eq!(q.lanes.records[0].refs, COMPLETES_SEND | 100);
+        let got: Vec<Event> = drain(&mut q, t(0)).into_iter().map(|(_, e)| e).collect();
+        let want: Vec<Event> = (0..100).map(|to| message(to, 64, 5, true)).collect();
+        assert_eq!(got, want);
+        assert_all_free(&q);
+    }
+
+    /// Sends from one process that differ from the one before only in
+    /// tag, byte count or `completes_send` take records of their own;
+    /// repeats share. Each delivery carries its own send's metadata.
+    #[test]
+    fn interleaved_sends_keep_their_own_metadata() {
+        let variants = [
+            message(0, 16, 1, false),
+            message(0, 16, 2, false),
+            message(0, 17, 1, false),
+            message(0, 16, 1, true),
+        ];
+        let mut q = EventQueue::default();
+        let mut want = Vec::new();
+        for round in 0..3u64 {
+            for v in [0, 1, 1, 0, 2, 2, 0, 3, 3, 0] {
+                let mut m = variants[v];
+                if let Event::Deliver { to, .. } = &mut m {
+                    // Round-robin over four lanes, in time order.
+                    *to = ProcId(want.len() as u32 % 4);
+                }
+                q.schedule(t(0), t(10 + round), m);
+                want.push(m);
+            }
+        }
+        // Per round: base, tag, base, bytes, base, flag, base; a round
+        // after the first begins with the base the last one ended with.
+        assert_eq!(q.lanes.records.len(), 7 + 6 + 6);
+        let got: Vec<Event> = drain(&mut q, t(0)).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(got, want);
+        assert_all_free(&q);
     }
 
     proptest::proptest! {
         /// Whatever is scheduled — every kind, deliveries to few
-        /// destinations so lanes form, delivery times that break lane
-        /// order, zero delays that land in the running tick, messages too
-        /// wide for a slot, a `seq` that outgrows 32 bits — events come
-        /// out sorted by `(time, order scheduled)`, interleaved pops
-        /// included.
+        /// destinations so lanes form, from few senders so records are
+        /// shared, delivery times that break lane order, zero delays that
+        /// land in the running tick, a `seq` that outgrows 32 bits —
+        /// events come out sorted by `(time, order scheduled)`,
+        /// interleaved pops included, and leave nothing behind.
         #[test]
         fn pops_follow_time_then_schedule_order(
-            ops in proptest::collection::vec((0u64..6, 0usize..5, 0u32..3, proptest::bool::ANY), 1..200),
+            ops in proptest::collection::vec(
+                (0u64..6, 0usize..5, 0u32..3, 0u32..3, proptest::bool::ANY, proptest::bool::ANY),
+                1..200,
+            ),
             near_boundary in proptest::bool::ANY,
         ) {
             let mut q = starting_at(if near_boundary { (1 << 32) - 100 } else { 0 });
@@ -746,13 +837,19 @@ mod tests {
                 }
                 Ok(())
             };
-            for (seq, &(delay, kind, dest, pop_after)) in ops.iter().enumerate() {
+            for (seq, &(delay, kind, dest, sender, shared_tag, pop_after)) in ops.iter().enumerate() {
                 // Delays 0..6 from a moving `now`: ties, same-tick events
                 // and out-of-order deliveries all occur.
                 let time = now + t(delay * 3 % 7);
                 let mut event = kinds(seq as u32)[kind];
-                if let Event::Deliver { to, .. } = &mut event {
+                // Few senders and a shared tag: consecutive sends reuse
+                // records, and a record outlives some of its messages.
+                if let Event::Deliver { to, msg, .. } = &mut event {
                     *to = ProcId(dest);
+                    msg.from = ProcId(sender);
+                    if shared_tag {
+                        msg.tag = 0;
+                    }
                 }
                 q.schedule(now, time, event);
                 pending.push((time, seq as u64, event));
@@ -764,6 +861,7 @@ mod tests {
                 pop_both(&mut q, &mut pending, &mut now)?;
             }
             proptest::prop_assert!(q.is_empty());
+            assert_all_free(&q);
         }
     }
 }
