@@ -342,7 +342,8 @@ impl Consumer {
     ///   conformance harness uses to record a
     ///   [`zipper_policy::DecisionTrace`] of every EOS/Preserve decision
     ///   this rank makes (pass a [`ConsumerPolicy::recorded`] policy and
-    ///   keep a clone of the `Arc`); `None` builds one from `tuning`.
+    ///   keep a clone of the `Arc`); `None` builds one from `tuning`,
+    ///   `producers` and the receiver's consumer count.
     pub fn spawn_with(
         rank: Rank,
         tuning: ZipperTuning,
@@ -354,10 +355,9 @@ impl Consumer {
     ) -> Consumer {
         tuning.validate().expect("invalid tuning");
         assert!(producers > 0, "need at least one producer");
+        let q = mesh_rx.consumers();
         let policy = policy.unwrap_or_else(|| {
-            Arc::new(Mutex::new(ConsumerPolicy::from_tuning(
-                rank, producers, &tuning,
-            )))
+            Arc::new(Mutex::new(ConsumerPolicy::new(rank, producers, q, &tuning)))
         });
         assert_eq!(
             policy.lock().rank(),
@@ -407,7 +407,9 @@ impl Consumer {
                     let _closes_queue = closes_queue;
                     let mut net = LaneCounts::new(&tm, ConsumerMetrics::merge);
                     let mut discarding = false;
-                    loop {
+                    // A consumer no producer can route to expects no mark.
+                    let mut done = rpolicy.lock().open();
+                    while !done {
                         let wire = match eos_timeout {
                             Some(t) => mesh_rx.recv_timeout(t),
                             None => mesh_rx.recv(),
@@ -479,9 +481,7 @@ impl Consumer {
                                     eos_token(p.0, chan_code(ch), rank.0),
                                     &rlane,
                                 );
-                                if rpolicy.lock().note_eos(p, ch).is_complete() {
-                                    break;
-                                }
+                                done = rpolicy.lock().note_eos(p, ch);
                             }
                             Err(Error::Timeout(_)) => {
                                 let (seen, expected) = rpolicy.lock().on_timeout();
@@ -1047,7 +1047,7 @@ mod tests {
             ChaosFault::CrashApp,
         );
         let policy = Arc::new(Mutex::new(
-            ConsumerPolicy::from_tuning(Rank(0), 1, &t).recorded(),
+            ConsumerPolicy::new(Rank(0), 1, 1, &t).recorded(),
         ));
         let mut cons = Consumer::spawn_with(
             Rank(0),
@@ -1101,21 +1101,23 @@ mod tests {
     fn shared_full_sink_sees_analysis_spans() {
         use zipper_trace::{TraceMode, TraceSink};
         let sink = TraceSink::wall(TraceMode::Full);
-        let mesh = ChannelMesh::new(1, 64);
+        // Rank 1 of two on both sides, so every label names a non-zero
+        // rank; source-affine producer 1 is consumer 1's whole upstream.
+        let mesh = ChannelMesh::new(2, 64);
         let storage: Arc<MemFs> = Arc::new(MemFs::new());
         let t = tuning(PreserveMode::NoPreserve, false);
         let mut cons = Consumer::spawn_with(
             Rank(1),
             t,
-            1,
-            mesh.take_receiver(Rank(0)).unwrap(),
+            2,
+            mesh.take_receiver(Rank(1)).unwrap(),
             storage.clone(),
             sink.clone(),
             None,
         );
         let reader = cons.reader();
         let mut prod = Producer::spawn_with(
-            Rank(0),
+            Rank(1),
             t,
             mesh.sender(),
             storage,
@@ -1125,9 +1127,9 @@ mod tests {
         );
         let w = prod.writer(256);
         for s in 0..3u64 {
-            let id = BlockId::new(Rank(0), StepId(s), 0);
+            let id = BlockId::new(Rank(1), StepId(s), 0);
             w.write(Block::from_payload(
-                Rank(0),
+                Rank(1),
                 StepId(s),
                 0,
                 1,
@@ -1152,6 +1154,6 @@ mod tests {
         // step; the first gap (reader setup) is attributed to step 0.
         assert_eq!(analysis, vec![0, 0, 1, 2]);
         assert!(log.lane_by_label("ana/q1/recv").is_some());
-        assert!(log.lane_by_label("sim/p0/app").is_some());
+        assert!(log.lane_by_label("sim/p1/app").is_some());
     }
 }

@@ -589,26 +589,15 @@ fn sender_loop(
     }
 
     // Announce one channel's end-of-stream to the targets the kernel
-    // names. Every target is attempted even when some already failed, and
-    // an aggregated error is unpacked into individual reports.
+    // names. Every target is attempted even when an earlier one failed: a
+    // dead consumer must not starve the others of the mark they wait on.
     let announce = |channel: Channel, targets: EosTargets| {
-        let targets: Vec<Rank> = targets.collect();
-        if let Err(e) = mesh.send_eos(rank, channel, &targets) {
-            let mut m = st.metrics.lock();
-            match e {
-                Error::Aggregate(errs) => {
-                    m.errors
-                        .extend(errs.into_iter().map(|e| wire_fault(rank, e)));
-                }
-                e => m.errors.push(wire_fault(rank, e)),
+        for q in targets {
+            if let Err(e) = mesh.send(q, Wire::Eos(rank, channel)) {
+                st.metrics.lock().errors.push(wire_fault(rank, e));
             }
-        }
-        for &q in &targets {
-            st.causal.begin(
-                EdgeKind::Eos,
-                eos_token(rank.0, chan_code(channel), q.0),
-                &slane,
-            );
+            let token = eos_token(rank.0, chan_code(channel), q.0);
+            st.causal.begin(EdgeKind::Eos, token, &slane);
         }
     };
 
@@ -896,6 +885,27 @@ mod tests {
         assert!(net.iter().all(|id| id.step == StepId(3)));
         let idxs: Vec<u32> = net.iter().map(|id| id.idx).collect();
         assert_eq!(idxs, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// A round-robin rank marks every consumer, and a dead one among them
+    /// costs one wire fault, not the marks of the consumers after it.
+    #[test]
+    fn eos_reaches_live_consumers_past_dead_ones() {
+        let mesh = ChannelMesh::new(3, 4);
+        drop(mesh.take_receiver(Rank(0)).unwrap());
+        let live = [1, 2].map(|q| mesh.take_receiver(Rank(q)).unwrap());
+        let mut t = tuning(false);
+        t.routing = RoutingPolicy::RoundRobin;
+        let mut prod = Producer::spawn(Rank(0), t, mesh.sender(), Arc::new(MemFs::new()));
+        prod.writer(64).finish();
+        let metrics = prod.join();
+        assert_eq!(metrics.errors.len(), 1, "{:?}", metrics.errors);
+        for rx in &live {
+            assert!(matches!(
+                rx.recv().unwrap(),
+                Wire::Eos(Rank(0), Channel::Net)
+            ));
+        }
     }
 
     #[test]

@@ -116,6 +116,7 @@ impl ChannelMesh {
             .ok_or_else(|| Error::Config(format!("receiver for {rank:?} already taken")))?;
         Ok(MeshReceiver {
             rx,
+            consumers: self.consumers(),
             telemetry: self.sender.telemetry.clone(),
         })
     }
@@ -152,29 +153,6 @@ pub trait WireSender: Send {
     /// transport realizes it at the wire level (a corrupt frame body the
     /// reader reports in-band). Adapters forward to their inner sender.
     fn send_fault(&self, to: Rank, fault: RuntimeError) -> Result<()>;
-
-    /// Announce `channel`'s end-of-stream from producer `rank` to the
-    /// given consumers.
-    ///
-    /// Pure mechanism: *which* consumers must hear the announcement is a
-    /// policy decision ([`zipper_policy::RankScript::sender_drained`]),
-    /// not the transport's. Every target is attempted even when an earlier
-    /// one fails — a dead consumer must not starve the remaining ones of
-    /// the EOS they are waiting on. Failures are aggregated into a single
-    /// error.
-    fn send_eos(&self, rank: Rank, channel: Channel, targets: &[Rank]) -> Result<()> {
-        let mut failures = Vec::new();
-        for &q in targets {
-            if let Err(e) = self.send(q, Wire::Eos(rank, channel)) {
-                failures.push(e);
-            }
-        }
-        match failures.len() {
-            0 => Ok(()),
-            1 => Err(failures.remove(0)),
-            _ => Err(Error::Aggregate(failures)),
-        }
-    }
 }
 
 /// Producer-side endpoint: sends wires to any consumer rank.
@@ -387,17 +365,27 @@ impl<S: WireSender> WireSender for RetryingSender<S> {
 /// Consumer-side endpoint: receives wires for one rank.
 pub struct MeshReceiver {
     rx: Receiver<WireItem>,
+    /// Consumer endpoints of the mesh this one belongs to.
+    consumers: usize,
     telemetry: Telemetry,
 }
 
 impl MeshReceiver {
-    /// Wrap a raw wire channel — used by alternative transports (TCP)
-    /// whose reader threads decode frames into a channel.
-    pub fn from_channel(rx: Receiver<WireItem>) -> Self {
+    /// Wrap a raw wire channel toward one of `consumers` ranks — used by
+    /// alternative transports (TCP) whose reader threads decode frames
+    /// into a channel.
+    pub fn from_channel(rx: Receiver<WireItem>, consumers: usize) -> Self {
         MeshReceiver {
             rx,
+            consumers,
             telemetry: Telemetry::off(),
         }
+    }
+
+    /// Consumers of this receiver's mesh or listener set: the `Q` its
+    /// consumer's end-of-stream expectations depend on.
+    pub(crate) fn consumers(&self) -> usize {
+        self.consumers
     }
 
     /// Decrement the in-flight inbox-depth gauge as items are drained
@@ -475,26 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn eos_broadcast_reaches_everyone() {
-        let mesh = ChannelMesh::new(3, 4);
-        let s = mesh.sender();
-        let rs: Vec<_> = (0..3)
-            .map(|q| mesh.take_receiver(Rank(q)).unwrap())
-            .collect();
-        s.send_eos(Rank(5), Channel::Net, &[Rank(0), Rank(1), Rank(2)])
-            .unwrap();
-        for r in &rs {
-            match r.recv().unwrap() {
-                Wire::Eos(p, ch) => {
-                    assert_eq!(p, Rank(5));
-                    assert_eq!(ch, Channel::Net);
-                }
-                w => panic!("unexpected {w:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn double_take_receiver_errors() {
         let mesh = ChannelMesh::new(1, 1);
         let _a = mesh.take_receiver(Rank(0)).unwrap();
@@ -553,29 +521,9 @@ mod tests {
     }
 
     #[test]
-    fn send_eos_reaches_live_consumers_past_dead_ones() {
-        let mesh = ChannelMesh::new(3, 4);
-        let s = mesh.sender();
-        drop(mesh.take_receiver(Rank(0)).unwrap()); // consumer 0 is dead
-        let r1 = mesh.take_receiver(Rank(1)).unwrap();
-        let r2 = mesh.take_receiver(Rank(2)).unwrap();
-        drop(mesh); // release the mesh's own tx clones for rank 0
-        let err = s
-            .send_eos(Rank(7), Channel::Net, &[Rank(0), Rank(1), Rank(2)])
-            .unwrap_err();
-        assert!(matches!(err, Error::Disconnected(_)), "{err}");
-        for r in [&r1, &r2] {
-            match r.recv().unwrap() {
-                Wire::Eos(p, _) => assert_eq!(p, Rank(7)),
-                w => panic!("unexpected {w:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn receiver_surfaces_in_band_faults_and_timeouts() {
         let (tx, rx) = bounded(4);
-        let r = MeshReceiver::from_channel(rx);
+        let r = MeshReceiver::from_channel(rx, 1);
         tx.send(Err(RuntimeError::Transport {
             rank: Rank(0),
             detail: "corrupt frame".into(),
@@ -730,7 +678,9 @@ mod tests {
         let traced = TracedSender::new(mesh.sender(), &sink, "net/p0");
         clock.advance(zipper_types::SimTime::from_millis(1));
         traced.send(Rank(0), Wire::Msg(msg(0, 64))).unwrap();
-        traced.send_eos(Rank(0), Channel::Net, &[Rank(0)]).unwrap();
+        traced
+            .send(Rank(0), Wire::Eos(Rank(0), Channel::Net))
+            .unwrap();
         drop(traced); // flush the net lane
         assert!(matches!(rx.recv().unwrap(), Wire::Msg(_)));
         let log = sink.snapshot();

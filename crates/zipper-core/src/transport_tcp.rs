@@ -357,7 +357,7 @@ pub fn listen_consumers(
                     }
                 }
             })?;
-        receivers.push(MeshReceiver::from_channel(rx));
+        receivers.push(MeshReceiver::from_channel(rx, consumers));
     }
     Ok((addrs, receivers))
 }

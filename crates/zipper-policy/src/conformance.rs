@@ -104,6 +104,16 @@ pub fn equal_and_zero_targets() -> PreflightInput {
     config_c().with_backpressure(credit_windows(2, &[(1, 0), (2, 3), (4, 3)]))
 }
 
+/// `P < Q`, dual-channel: producer 0 routes every block and both marks to
+/// consumer 0; consumer 1 has no upstream and completes at once, with no
+/// watchdog armed.
+pub fn fewer_producers_than_consumers() -> PreflightInput {
+    let mut p = base();
+    p.workflow.producers = 1;
+    p.workflow.tuning.concurrent_transfer = true;
+    p
+}
+
 /// Config D: degradation — transport faults (fail/drop/corrupt/delay), a
 /// lost Preserve put, and a swallowed EOS tripping consumer 0's watchdog.
 /// Message-only, so production order is wire order: each sender counts 8
@@ -315,6 +325,10 @@ pub fn accepted_plans() -> Vec<(String, PreflightInput)> {
         ("config C".into(), config_c()),
         ("config D".into(), config_d()),
         ("config E".into(), config_e()),
+        (
+            "fewer producers than consumers".into(),
+            fewer_producers_than_consumers(),
+        ),
         ("equal and zero targets".into(), equal_and_zero_targets()),
         ("dropped EOS, concurrent".into(), dropped_eos_concurrent()),
         ("gate + chaos on one wire".into(), gate_and_chaos()),
@@ -346,7 +360,8 @@ pub fn accepted_plans() -> Vec<(String, PreflightInput)> {
 /// Crafted-bad plans, each rejected with its own documented code.
 pub fn negative_plans() -> Vec<(&'static str, PreflightInput, ZvCode)> {
     let unsat = config_c().with_backpressure(credit_windows(1, &[(6, 5)]));
-    // Base shape: 8 data wires + 2 EOS marks = 10 sender operations.
+    // Base shape: 8 data wires + 1 EOS mark (to the one source-affine
+    // consumer) = 9 sender operations.
     let dead = base().with_chaos(ChaosPlan::new().with(Sender(Rank(0)), 11, DropWire));
     let crash = base().with_chaos(ChaosPlan::new().with(Analysis(Rank(0)), 2, CrashApp));
     let mut overflow = base();

@@ -19,9 +19,10 @@
 //!   network-delivered blocks must be persisted by the output thread, while
 //!   file-path blocks are already on the PFS.
 //! * [`EosProtocol`](EosTracker) — the fully-asynchronous end-of-stream
-//!   protocol: producer-side fan-out ([`RankScript::sender_drained`]) and
-//!   consumer-side completion tracking ([`EosTracker`]), including the
-//!   watchdog-timeout and reader-abandonment transitions.
+//!   protocol: producer-side fan-out to the consumers a rank's router can
+//!   reach ([`RankScript::sender_drained`]) and consumer-side completion
+//!   tracking over the producers that can reach it ([`EosTracker`]),
+//!   including the watchdog-timeout and reader-abandonment transitions.
 //! * [`WireGate`] / [`WriterGate`] — one rank's scripted backpressure
 //!   windows: when a data wire is held, when a steal-credit window arms
 //!   and opens, and when the writer must wait for the next one.
@@ -53,7 +54,7 @@ pub mod steal;
 pub mod trace;
 
 pub use consumer::ConsumerPolicy;
-pub use eos::{Channel, EosProgress, EosTargets, EosTracker};
+pub use eos::{Channel, EosTargets, EosTracker};
 pub use gate::{WireGate, WriterGate};
 pub use preflight::{
     CausalSkeleton, Diagnostic, Preflight, PreflightInput, PreflightReport, Severity, ZvCode,
@@ -147,7 +148,7 @@ mod proptests {
             prop_assert!(!StealPolicy::new(hwm, false).should_steal(occ));
         }
 
-        /// The EOS protocol completes for every producer/consumer/channel
+        /// The EOS protocol completes for every producer/channel
         /// combination once each producer announced on every channel, and
         /// not a message earlier. Duplicate marks never overcount.
         #[test]
@@ -155,25 +156,73 @@ mod proptests {
             producers in 1usize..12,
             concurrent in proptest::bool::ANY,
         ) {
-            let mut t = EosTracker::new(producers, concurrent);
+            let tuning = zipper_types::ZipperTuning {
+                routing: RoutingPolicy::RoundRobin,
+                concurrent_transfer: concurrent,
+                ..Default::default()
+            };
+            let mut t = EosTracker::new(Rank(0), producers, 1, &tuning);
             let channels: &[Channel] = if concurrent {
                 &[Channel::Net, Channel::Disk]
             } else {
                 &[Channel::Net]
             };
             prop_assert_eq!(t.expected(), producers * channels.len());
-            let mut marks = 0;
             for p in 0..producers {
                 for &c in channels {
                     prop_assert!(!t.is_complete());
                     prop_assert!(t.note(Rank(p as u32), c), "first mark is new");
                     prop_assert!(!t.note(Rank(p as u32), c), "duplicate ignored");
-                    marks += 1;
-                    prop_assert_eq!(t.seen(), marks);
                 }
             }
             prop_assert!(t.is_complete());
             prop_assert_eq!(t.producers_done(), producers);
+        }
+
+        /// Both ends of the protocol follow the routing: for every
+        /// producer/consumer count and routing, each consumer completes
+        /// exactly when every mark the producers' kernels hand out toward
+        /// it has arrived — under SourceAffine with `P < Q` too, where the
+        /// consumers past the last producer hear nothing and are complete
+        /// from the start.
+        #[test]
+        fn announced_marks_complete_every_consumer(
+            producers in 1usize..10,
+            consumers in 1usize..6,
+            round_robin in proptest::bool::ANY,
+            concurrent in proptest::bool::ANY,
+        ) {
+            let routing = if round_robin {
+                RoutingPolicy::RoundRobin
+            } else {
+                RoutingPolicy::SourceAffine
+            };
+            let tuning = zipper_types::ZipperTuning {
+                routing,
+                concurrent_transfer: concurrent,
+                ..Default::default()
+            };
+            let mut cons: Vec<ConsumerPolicy> = (0..consumers)
+                .map(|q| ConsumerPolicy::new(Rank(q as u32), producers, consumers, &tuning))
+                .collect();
+            let mut marks = vec![0; consumers];
+            for p in 0..producers as u32 {
+                let policy = ProducerPolicy::from_tuning(Rank(p), consumers, &tuning);
+                let mut script = RankScript::new(policy, Vec::new());
+                let net: Vec<Rank> = script.sender_drained().collect();
+                let disk: Vec<Rank> = script.disk_eos().collect();
+                for (targets, channel) in [(net, Channel::Net), (disk, Channel::Disk)] {
+                    for q in targets {
+                        prop_assert!(!cons[q.idx()].is_complete());
+                        cons[q.idx()].note_eos(Rank(p), channel);
+                        marks[q.idx()] += 1;
+                    }
+                }
+            }
+            for (c, n) in cons.iter_mut().zip(marks) {
+                prop_assert_eq!(c.eos_expected(), n);
+                prop_assert!(c.open());
+            }
         }
 
         /// Full producer-side façade determinism: identical take sequences

@@ -54,6 +54,7 @@ use crate::gate::{WireGate, WriterGate};
 use crate::producer::ProducerPolicy;
 use crate::rank::{NetVerdict, PutVerdict, RankScript};
 use crate::read::{ReadScript, ReadVerdict};
+use crate::route::Router;
 use zipper_types::{
     BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, ConfigError, GateRule, Rank,
     StepId, WireFate, WorkflowConfig,
@@ -1118,7 +1119,9 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
 fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
     let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
     let n = input.blocks_per_rank();
-    let q = cfg.consumers as u64;
+    let q = Router::new(tuning.routing, cfg.consumers)
+        .reach(Rank(rank as u32))
+        .len() as u64;
     let sender_entity = ChaosEntity::Sender(Rank(rank as u32));
     let writer_entity = ChaosEntity::Writer(Rank(rank as u32));
     let sender_max = n + q; // every block by wire, plus the Net EOS marks
@@ -1178,10 +1181,10 @@ fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
 /// output-path liveness.
 fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagnostic>) {
     let (cfg, tuning) = (&input.workflow, &input.workflow.tuning);
-    let channels = if tuning.concurrent_transfer { 2u64 } else { 1 };
-    let eos_expected = cfg.producers as u64 * channels;
     let plan = input.chaos.clone().unwrap_or_default();
     for qr in 0..cfg.consumers {
+        let mut policy = ConsumerPolicy::new(Rank(qr as u32), cfg.producers, cfg.consumers, tuning);
+        let eos_expected = policy.eos_expected() as u64;
         let entity = ChaosEntity::Analysis(Rank(qr as u32));
         let output_entity = ChaosEntity::Output(Rank(qr as u32));
         let delivered: u64 = walks
@@ -1219,7 +1222,6 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
 
         // Analysis read walk: the rank's ReadScript over its deliveries,
         // each healed crash requeueing its backlog.
-        let mut policy = ConsumerPolicy::from_tuning(Rank(qr as u32), cfg.producers, tuning);
         let mut script = ReadScript::new(plan.scope(entity));
         let mut pending = delivered;
         let halted = loop {

@@ -133,17 +133,17 @@ impl ProducerPolicy {
     }
 
     /// End-of-stream fan-out for one channel: the consumers this producer
-    /// must announce to. Every consumer could have received a block from
-    /// this rank (RoundRobin deals everywhere), so the fan-out is always
-    /// the full consumer set. Announcing on an inactive channel is a no-op
+    /// must announce to, which are exactly those its router can deal a
+    /// block to ([`Router::reach`]): `{rank mod Q}` under SourceAffine, all
+    /// Q under RoundRobin. Announcing on an inactive channel is a no-op
     /// that returns no targets. Every announcement is recorded here, at
     /// the decision; the returned cursor only tells the substrate whom to
     /// send to.
     pub(crate) fn announce_eos(&mut self, channel: Channel) -> EosTargets {
         if !Channel::active(self.concurrent_transfer()).contains(&channel) {
-            return EosTargets::new(0);
+            return EosTargets::new(0..0);
         }
-        let targets = EosTargets::new(self.consumers());
+        let targets = EosTargets::new(self.router.reach(self.rank));
         for target in targets.clone() {
             self.trace
                 .record(PolicyEvent::EosAnnounced { target, channel });
@@ -178,10 +178,23 @@ mod tests {
         assert_eq!(p.route_disk(id(3)), Rank(0));
     }
 
+    /// A source-affine rank only ever deals to `rank mod Q`, so that is
+    /// the one consumer its end of stream concerns, on each active channel.
     #[test]
-    fn eos_fans_out_to_every_consumer_on_active_channels() {
+    fn source_affine_eos_marks_the_one_routed_consumer() {
         let mut p =
-            ProducerPolicy::new(Rank(1), 2, RoutingPolicy::SourceAffine, 4, true).recorded();
+            ProducerPolicy::new(Rank(3), 2, RoutingPolicy::SourceAffine, 4, true).recorded();
+        for channel in [Channel::Net, Channel::Disk] {
+            let targets: Vec<Rank> = p.announce_eos(channel).collect();
+            assert_eq!(targets, vec![Rank(1)]);
+        }
+        assert_eq!(p.trace().events().len(), 2);
+    }
+
+    /// Round robin deals everywhere, so every consumer hears the mark.
+    #[test]
+    fn round_robin_eos_fans_out_to_every_consumer() {
+        let mut p = ProducerPolicy::new(Rank(1), 2, RoutingPolicy::RoundRobin, 4, true).recorded();
         for channel in [Channel::Net, Channel::Disk] {
             let targets: Vec<Rank> = p.announce_eos(channel).collect();
             assert_eq!(targets, vec![Rank(0), Rank(1)]);
@@ -191,8 +204,7 @@ mod tests {
 
     #[test]
     fn disk_eos_is_inert_without_concurrent_transfer() {
-        let mut p =
-            ProducerPolicy::new(Rank(0), 4, RoutingPolicy::SourceAffine, 4, false).recorded();
+        let mut p = ProducerPolicy::new(Rank(0), 4, RoutingPolicy::RoundRobin, 4, false).recorded();
         assert_eq!(p.announce_eos(Channel::Disk).len(), 0);
         assert!(p.trace().events().is_empty());
         assert_eq!(p.announce_eos(Channel::Net).len(), 4);

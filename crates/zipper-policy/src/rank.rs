@@ -208,7 +208,7 @@ impl RankScript {
     fn announce(&mut self, channel: Channel) -> EosTargets {
         let done = &mut self.announced[usize::from(channel == Channel::Disk)];
         if std::mem::replace(done, true) {
-            return EosTargets::new(0);
+            return EosTargets::new(0..0);
         }
         self.policy.announce_eos(channel)
     }
@@ -334,6 +334,22 @@ mod tests {
         );
         assert_eq!(s.disk_eos().len(), 3, "the sender covers the file channel");
         assert_eq!(s.disk_eos().len(), 0);
+    }
+
+    /// Under SourceAffine a rank's one consumer is also its one
+    /// end-of-stream target, and a failed send does not take it away: the
+    /// dead set covers data wires only, so a destination that died still
+    /// hears both channels' marks.
+    #[test]
+    fn a_dead_source_affine_destination_still_gets_its_marks() {
+        let policy = ProducerPolicy::new(Rank(3), 2, RoutingPolicy::SourceAffine, 0, true);
+        let mut s = RankScript::new(policy.recorded(), Vec::new());
+        let (dest, block) = (Rank(1), |k| BlockId::new(Rank(3), StepId(0), k));
+        assert!(matches!(s.take_net(block(0)), NetVerdict::Send { dest: d, .. } if d == dest));
+        s.send_failed(dest);
+        assert_eq!(s.take_net(block(1)), NetVerdict::Skip);
+        assert_eq!(s.sender_drained().collect::<Vec<_>>(), vec![dest]);
+        assert_eq!(s.disk_eos().collect::<Vec<_>>(), vec![dest]);
     }
 
     #[test]

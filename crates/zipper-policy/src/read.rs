@@ -95,16 +95,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::VecDeque;
-    use zipper_types::PreserveMode;
+    use zipper_types::{PreserveMode, ZipperTuning};
+
+    fn tuning(restarts: u32) -> ZipperTuning {
+        ZipperTuning {
+            concurrent_transfer: false,
+            preserve: PreserveMode::Preserve,
+            recovery: RecoveryPolicy {
+                max_consumer_restarts: restarts,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
 
     fn policy(restarts: u32) -> ConsumerPolicy {
-        let recovery = RecoveryPolicy {
-            max_consumer_restarts: restarts,
-            ..Default::default()
-        };
-        ConsumerPolicy::new(Rank(0), 1, false, PreserveMode::Preserve)
-            .with_recovery(recovery)
-            .recorded()
+        ConsumerPolicy::new(Rank(0), 1, 1, &tuning(restarts)).recorded()
     }
 
     fn crashes_at(ordinals: &[u64]) -> ChaosPlan {
@@ -180,7 +186,7 @@ mod tests {
         // The default policy grants no restart at all.
         let mut script: ReadScript<u32> =
             ReadScript::new(crashes_at(&[1]).scope(ChaosEntity::Analysis(Rank(0))));
-        let mut default = ConsumerPolicy::new(Rank(0), 1, false, PreserveMode::Preserve);
+        let mut default = ConsumerPolicy::new(Rank(0), 1, 1, &tuning(0));
         assert_eq!(script.read(), ReadVerdict::Crash);
         assert!(script.crashed(&mut default).is_none());
     }

@@ -7,6 +7,7 @@
 //! is what fixes the historical bug where each thread kept its own
 //! round-robin counter and the two channels dealt to different consumers.
 
+use std::ops::Range;
 use zipper_types::{BlockId, Rank, RoutingPolicy};
 
 /// Deterministic block→consumer assignment.
@@ -61,6 +62,20 @@ impl Router {
                 self.dealt += 1;
                 Rank(dest)
             }
+        }
+    }
+
+    /// Every consumer this router can ever deal a block of producer `src`
+    /// to: `{src mod consumers}` under SourceAffine, all of them under
+    /// RoundRobin. Consumers never re-route, so these are the only streams
+    /// `src` opens.
+    pub(crate) fn reach(&self, src: Rank) -> Range<u32> {
+        match self.policy {
+            RoutingPolicy::SourceAffine => {
+                let q = (src.idx() % self.consumers) as u32;
+                q..q + 1
+            }
+            RoutingPolicy::RoundRobin => 0..self.consumers as u32,
         }
     }
 }

@@ -730,6 +730,10 @@ impl Program for ReceiverProc {
         }
         if !self.started {
             self.started = true;
+            if self.policy.borrow_mut().open() {
+                self.closing = true;
+                return Step::Ops(self.close_queues());
+            }
             return Step::Ops(vec![self.recv()]);
         }
         let Some(msg) = ctx.last_msg else {
@@ -781,12 +785,7 @@ impl Program for ReceiverProc {
                     Channel::Disk
                 };
                 let producer = self.producer_rank(msg.from);
-                let done = self
-                    .policy
-                    .borrow_mut()
-                    .note_eos(producer, channel)
-                    .is_complete();
-                if done {
+                if self.policy.borrow_mut().note_eos(producer, channel) {
                     self.closing = true;
                     Step::Ops(self.close_queues())
                 } else {
@@ -1036,9 +1035,9 @@ pub(crate) fn build(
         // queue records no edge on either substrate.
         sim.record_queue(bufc);
         sim.record_queue(ids);
-        // EOS is broadcast: every producer announces to every consumer,
-        // so even a consumer no block routes to terminates cleanly.
-        let mut cp = ConsumerPolicy::from_tuning(Rank(q as u32), spec.sim_ranks, tuning);
+        // A consumer waits for the marks of the producers that can route to
+        // it; one with none (`P < Q`) closes its queues on its first resume.
+        let mut cp = ConsumerPolicy::new(Rank(q as u32), spec.sim_ranks, spec.ana_ranks, tuning);
         if recorded {
             cp = cp.recorded();
         }
@@ -1321,7 +1320,7 @@ mod tests {
             for (k, (_, dest, _)) in t.routes.iter().enumerate() {
                 assert_eq!(dest.idx(), k % 2, "producer {rank} deal order");
             }
-            // EOS broadcast: both channels × both consumers.
+            // Round robin deals everywhere: both channels × both consumers.
             assert_eq!(t.eos_announced.len(), 4);
             assert_eq!(t.retires, vec![zipper_policy::RetireReason::Drained]);
         }
@@ -1481,7 +1480,7 @@ mod tests {
             let t = c.borrow().trace().canonical();
             assert_eq!(t.completions, 1, "terminated without the watchdog");
             assert_eq!(t.timeouts, 0);
-            assert_eq!(t.eos_seen.len(), 8, "4 producers x 2 channels");
+            assert_eq!(t.eos_seen.len(), 4, "2 routed producers x 2 channels");
         }
         // Rank 0 delivered 1 block, the other three all 8.
         let analyzed = sim
@@ -1521,18 +1520,18 @@ mod tests {
         use zipper_types::ChaosPlan;
         let mut spec = tiny_synthetic(false);
         spec.tuning.eos_timeout = Some(std::time::Duration::from_secs(1));
-        // Sender 0: 8 data sends (ordinals 1-8), then EOS to consumer 0
-        // (ordinal 9, swallowed) and consumer 1 (ordinal 10).
+        // Sender 0: 8 data sends (ordinals 1-8), then EOS to consumer 0,
+        // the one it routes to (ordinal 9, swallowed).
         spec.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 9, ChaosFault::DropEos));
         let (r, _, policies) = recorded_run(&spec);
         assert!(r.is_clean(), "{r:?}");
         let t0 = policies.consumers[0].borrow().trace().canonical();
-        assert_eq!(t0.eos_seen.len(), 3, "producer 0's mark was swallowed");
+        assert_eq!(t0.eos_seen.len(), 1, "producer 0's mark was swallowed");
         assert_eq!(t0.timeouts, 1, "watchdog reconciled the tracker");
         assert_eq!(t0.completions, 0);
         let t1 = policies.consumers[1].borrow().trace().canonical();
-        assert_eq!(t1.eos_seen.len(), 4);
+        assert_eq!(t1.eos_seen.len(), 2, "from producers 1 and 3");
         assert_eq!(t1.completions, 1);
         assert_eq!(t1.timeouts, 0);
     }
@@ -1542,8 +1541,8 @@ mod tests {
         use zipper_types::ChaosPlan;
         let mut spec = tiny_synthetic(false);
         // Sender 0's very first send fails: consumer 0 is dead to it from
-        // then on (7 further blocks dropped, uncounted), but the EOS
-        // fan-out still reaches every target, so no watchdog is needed.
+        // then on (7 further blocks dropped, uncounted), but its EOS
+        // still reaches that dead destination, so no watchdog is needed.
         spec.chaos =
             Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 1, ChaosFault::FailSend));
         let (r, sim, policies) = recorded_run(&spec);
@@ -1551,7 +1550,7 @@ mod tests {
         for c in &policies.consumers {
             let t = c.borrow().trace().canonical();
             assert_eq!(t.completions, 1);
-            assert_eq!(t.eos_seen.len(), 4);
+            assert_eq!(t.eos_seen.len(), 2, "one mark per routed producer");
         }
         let analyzed = sim
             .trace()

@@ -434,7 +434,7 @@ where
                 continue;
             }
         };
-        let mut cp = ConsumerPolicy::from_tuning(rank, cfg.producers, &cfg.tuning);
+        let mut cp = ConsumerPolicy::new(rank, cfg.producers, cfg.consumers, &cfg.tuning);
         if trace.policy {
             cp = cp.recorded();
         }
@@ -811,11 +811,11 @@ mod tests {
         assert_eq!(report.producer_decisions.len(), 2);
         assert_eq!(report.consumer_decisions.len(), 2);
         // Every producer routed all of its blocks and announced EOS to
-        // both consumers on both channels.
+        // its one source-affine consumer on both channels.
         for p in &report.producer_decisions {
             let t = p.canonical();
             assert_eq!(t.routes.len() as u64, c.total_blocks() / 2);
-            assert_eq!(t.eos_announced.len(), 4);
+            assert_eq!(t.eos_announced.len(), 2);
         }
         for q in &report.consumer_decisions {
             assert_eq!(q.canonical().completions, 1);

@@ -17,11 +17,11 @@ use std::sync::Arc;
 use zipper_core::{Consumer, Producer};
 use zipper_policy::conformance::{self, BLOCK};
 use zipper_policy::{
-    CanonicalTrace, Channel, DecisionTrace, PolicyEvent, PreflightInput, ProducerPolicy,
-    RankScript, RetireReason,
+    CanonicalTrace, Channel, DecisionTrace, PolicyEvent, Preflight, PreflightInput, ProducerPolicy,
+    RankScript, RetireReason, ZvCode,
 };
 use zipper_trace::{SpanKind, TraceMode, TraceSink};
-use zipper_types::{ChaosEntity, ChaosFault, Rank, RoutingPolicy};
+use zipper_types::{ChaosEntity, ChaosFault, Rank, RoutingPolicy, RuntimeError};
 use zipper_workflow::TraceOptions;
 
 type Traces = (Vec<CanonicalTrace>, Vec<CanonicalTrace>);
@@ -63,6 +63,27 @@ fn source_affine_message_only_traces_match() {
         assert!(t.steals.is_empty(), "message-only mode never steals");
     }
     assert_same("config A", &threaded, &des);
+}
+
+/// `P < Q` under SourceAffine: producer 0 routes and marks consumer 0
+/// only; consumer 1 hears nothing, completes once and at once, and needs
+/// no watchdog. Both substrates record exactly that.
+#[test]
+fn fewer_producers_than_consumers_traces_match() {
+    let plan = conformance::fewer_producers_than_consumers();
+    let threaded = run_threaded(&plan);
+    let des = run_des(&plan);
+    let p0 = &threaded.0[0];
+    assert_eq!(p0.routes.len(), 8);
+    assert!(p0.routes.iter().all(|&(_, dest, _)| dest == Rank(0)));
+    assert_eq!(
+        p0.eos_announced,
+        vec![(Rank(0), Channel::Net), (Rank(0), Channel::Disk)]
+    );
+    let (c0, c1) = (&threaded.1[0], &threaded.1[1]);
+    assert_eq!((c0.eos_seen.len(), c0.completions), (2, 1));
+    assert_eq!((c1.eos_seen.len(), c1.completions, c1.timeouts), (0, 1, 0));
+    assert_same("fewer producers than consumers", &threaded, &des);
 }
 
 /// Config B: take order equals production order on both substrates, and
@@ -310,21 +331,50 @@ fn seeded_transport_chaos_traces_match() {
 /// per-channel EOS wires and count only data wires and net-channel marks
 /// against sender ordinals, so the swallowed stream-EOS trips the same
 /// watchdog on both substrates while the disk channel's marks still
-/// arrive.
+/// arrive. Source-affine, so each consumer waits for its one producer's two
+/// marks, and every interpreter states that count the kernel's way: the
+/// watchdog reports 0 of 1 producers done on threads and the DES, and
+/// preflight 1 of 2 marks seen.
 #[test]
 fn chaos_dropped_eos_concurrent_traces_match() {
     let plan = conformance::dropped_eos_concurrent();
-    let threaded = run_threaded(&plan);
-    let des = run_des(&plan);
+    let report = common::run_threaded(&plan, TraceOptions::default().with_policy());
+    let threaded = canon(&report.producer_decisions, &report.consumer_decisions);
+    let des_run = common::run_des(&plan);
+    let des = canon(&des_run.producer_decisions, &des_run.consumer_decisions);
     let c0 = &threaded.1[0];
-    assert_eq!(c0.eos_seen.len(), 3, "producer 0's net mark was swallowed");
+    assert_eq!(c0.eos_seen.len(), 1, "producer 0's net mark was swallowed");
     assert_eq!(c0.timeouts, 1, "the watchdog reconciled the tracker");
     assert_eq!(c0.completions, 0);
     let c1 = &threaded.1[1];
-    assert_eq!(c1.eos_seen.len(), 4);
+    assert_eq!(c1.eos_seen.len(), 2);
     assert_eq!(c1.completions, 1);
     assert_eq!(c1.timeouts, 0);
     assert_same("dropped EOS, concurrent", &threaded, &des);
+
+    let timeout = PolicyEvent::EosTimeout {
+        seen: 0,
+        expected: 1,
+    };
+    assert!(report.consumers[0].errors.iter().any(|e| matches!(
+        e,
+        RuntimeError::EosTimeout {
+            eos_seen: 0,
+            eos_expected: 1,
+            ..
+        }
+    )));
+    assert!(des_run.consumer_decisions[0].events().contains(&timeout));
+    let preflight = Preflight::check(&plan);
+    assert!(
+        preflight
+            .diagnostics
+            .iter()
+            .any(|d| d.code == ZvCode::WatchdogDegradation
+                && d.message.contains("consumer 0 sees 1/2 EOS marks")),
+        "{}",
+        preflight.render()
+    );
 }
 
 /// Seeded backpressure (`ZIPPER_GATE_SEED`): any seed must produce
@@ -470,7 +520,7 @@ fn run_tcp(plan: &PreflightInput) -> Traces {
     for (q, rx) in receivers.into_iter().enumerate() {
         let rank = Rank(q as u32);
         let policy = Arc::new(Mutex::new(
-            ConsumerPolicy::from_tuning(rank, cfg.producers, &tuning).recorded(),
+            ConsumerPolicy::new(rank, cfg.producers, cfg.consumers, &tuning).recorded(),
         ));
         consumer_policies.push(policy.clone());
         let mut c = Consumer::spawn_with(
@@ -556,13 +606,19 @@ fn run_tcp(plan: &PreflightInput) -> Traces {
 
 /// The framed-TCP transport must be decision-invisible: the same
 /// workload over real loopback sockets yields the same canonical traces
-/// as the in-process mesh — Config B's scenario, and Config C's scripted
-/// partial steal schedule, whose windows the TCP producers honour too.
+/// as the in-process mesh — Config B's scenario, Config C's scripted
+/// partial steal schedule, whose windows the TCP producers honour too,
+/// and `P < Q`, where consumer 1's listener accepts a producer that never
+/// sends it a frame.
 #[test]
 fn tcp_transport_matches_mesh_canonical_traces() {
     for (name, plan) in [
         ("config B", conformance::config_b()),
         ("config C", conformance::config_c()),
+        (
+            "fewer producers than consumers",
+            conformance::fewer_producers_than_consumers(),
+        ),
     ] {
         let mesh_traces = run_threaded(&plan);
         let tcp_traces = run_tcp(&plan);

@@ -221,11 +221,13 @@ fn spec_validation_and_preflight_agree_on_which_scripts_are_valid() {
 /// new — no decision traces, no causal log — and processes exactly the
 /// events the pre-collapse `build` path did (counts pinned from the parent
 /// commit); a detailed run of the same plan processes the same events and
-/// carries every rank's decisions.
+/// carries every rank's decisions. Config A is source-affine, so each of
+/// its 4 producers marks one consumer, not 2: 12 events fewer than the
+/// all-consumer fan-out's 234. B–E are round-robin and mark every consumer.
 #[test]
 fn totals_mode_records_nothing_and_detail_changes_no_event() {
     for (plan, events) in [
-        (conformance::config_a(), 234),
+        (conformance::config_a(), 222),
         (conformance::config_b(), 158),
         (conformance::config_c(), 159),
         (conformance::config_d(), 128),

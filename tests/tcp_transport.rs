@@ -271,6 +271,48 @@ fn a_foreign_producer_rank_is_a_transport_fault() {
     );
 }
 
+/// An EOS mark from a valid producer rank that cannot route here is
+/// ignored. Under SourceAffine with two consumers, consumer 0 waits for
+/// producer 0 only; producer 1's forged marks on both channels, sent
+/// between two of producer 0's blocks, must neither complete the stream
+/// (the second block would be lost) nor crash the receiver.
+#[test]
+fn a_mark_from_a_non_routing_producer_neither_completes_nor_crashes() {
+    let (addrs, receivers) = listen_consumers(2, 2).unwrap();
+    let rx = receivers.into_iter().next().unwrap();
+    let mut c = Consumer::spawn(Rank(0), tuning(), 2, rx, Arc::new(MemFs::new()));
+    let reader = c.reader();
+    let mut raw = TcpStream::connect(addrs[0]).unwrap();
+    let block = |idx| {
+        let payload = deterministic_payload(BlockId::new(Rank(0), StepId(0), idx), 16);
+        frame_of(0, idx, &payload)
+    };
+    write_frame(&mut raw, &block(0));
+    for channel in [Channel::Net, Channel::Disk] {
+        write_frame(&mut raw, &Wire::Eos(Rank(1), channel));
+    }
+    write_frame(&mut raw, &block(1));
+    for channel in [Channel::Net, Channel::Disk] {
+        write_frame(&mut raw, &Wire::Eos(Rank(0), channel));
+    }
+    let mut delivered = Vec::new();
+    while let Some(b) = reader.read() {
+        delivered.push(b.id().idx);
+    }
+    assert_eq!(
+        delivered,
+        vec![0, 1],
+        "the stream outlived the forged marks"
+    );
+    drop(reader);
+    let m = c.join();
+    assert!(m.errors.is_empty(), "{:?}", m.errors);
+    // Let both listeners finish accepting their two producers.
+    for addr in [addrs[0], addrs[1], addrs[1]] {
+        drop(TcpStream::connect(addr).unwrap());
+    }
+}
+
 /// A stream that dies mid-body (short read) must not deliver a partial
 /// wire: frames already completed arrive, the truncated one does not.
 #[test]
