@@ -179,11 +179,13 @@ impl Simulator {
     /// Turn on causal edge recording (see [`zipper_trace::CausalLog`]),
     /// with `message_kind` naming the edge a consumed message's tag is
     /// (`None`: no edge — the model owns the tag scheme). Enable before
-    /// anything is scheduled (before the first `spawn`): a wire edge
-    /// starts at its message's send time, which the event queue keeps only
-    /// from then on. Panics otherwise.
+    /// anything is scheduled (before the first `spawn`): a log started
+    /// mid-run would miss the put halves of queue edges. Panics otherwise.
     pub fn enable_causal(&mut self, message_kind: fn(u64) -> Option<EdgeKind>) {
-        self.queue.keep_send_times();
+        assert!(
+            self.queue.is_empty() && self.events == 0,
+            "causal recording must start before anything is scheduled"
+        );
         self.causal = Some((CausalLog::new(), message_kind));
     }
 

@@ -2,9 +2,9 @@
 //! Fig. 16 CFD weak-scaling spec (2/3 simulation ranks, Stampede2 KNL
 //! nodes, 20 steps) in totals mode, with the host's wall time, ns/event
 //! and peak RSS beside the simulated result. EXPERIMENTS.md's "Simulator
-//! cost" table is this output; CI runs the 4,704-core point under a
-//! timeout so a cost that grows with P·Q state instead of events fails
-//! there instead of hanging a paper-scale run.
+//! cost" table is this output; CI runs the 4,704- and 13,056-core points
+//! under timeouts and peak-RSS limits, so a cost that grows with P·Q state
+//! instead of events fails there instead of hanging a paper-scale run.
 //!
 //! Run with: `cargo run --release --example des_scale -- <cores>`
 
